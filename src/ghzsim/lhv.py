@@ -282,48 +282,62 @@ class FeasibilityOutcome:
     chi_zero_weight: Optional[Fraction]
     certificate: Optional[Certificate]
     iterations: int
+    # solver-free re-check of the evidence: the distribution reproduces the
+    # targets, or the certificate is ``verified``
+    verified: bool = False
+
+
+Incidence = Tuple[Tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _incidence() -> Tuple[Tuple[CertificateKey, ...], Incidence]:
+    """Row keys and 0/1 rows of the LP: 64 cell rows, then the mass row,
+    over the 64 right-sector strategy columns.  Only the targets vary from
+    problem to problem, so this is built once and shared, read-only."""
+    responses = [
+        [strategy.outcomes(triple) for triple in TRIPLES]
+        for strategy in right_sector_strategies()
+    ]
+    keys: List[CertificateKey] = []
+    rows: List[Tuple[int, ...]] = []
+    for t, triple in enumerate(TRIPLES):
+        for outcome in OUTCOMES:
+            keys.append((triple.code, outcome_code(outcome)))
+            rows.append(tuple(int(r[t] == outcome) for r in responses))
+    keys.append(("mass", ""))
+    rows.append((1,) * len(responses))
+    return tuple(keys), tuple(rows)
 
 
 def _cell_rows(problem: FeasibilityProblem):
     """LP data: 64 cell rows + 1 mass row over 64 strategy columns."""
-    strategies = right_sector_strategies()
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    keys: List[CertificateKey] = []
-    zero, one = Fraction(0), Fraction(1)
-    for triple in TRIPLES:
-        table = problem.table(triple)
-        for outcome in OUTCOMES:
-            row = [
-                one if strategy.outcomes(triple) == outcome else zero
-                for strategy in strategies
-            ]
-            rows.append(row)
-            rhs.append(table.probabilities[outcome])
-            keys.append((triple.code, outcome_code(outcome)))
-    rows.append([one] * len(strategies))
+    keys, rows = _incidence()
+    rhs = [
+        problem.table(triple).probabilities[outcome]
+        for triple in TRIPLES
+        for outcome in OUTCOMES
+    ]
     rhs.append(1 - problem.wrong_mass)
-    keys.append(("mass", ""))
-    return strategies, rows, rhs, keys
+    return right_sector_strategies(), rows, rhs, keys
 
 
 def _with_slack(rows, rhs, slack: Fraction):
     """Relax cell equalities to a ±slack band via surplus columns."""
     n = len(rows[0])
     cells = len(rows) - 1  # mass row stays exact
-    wide_rows: List[List[Fraction]] = []
+    wide_rows: List[List[int]] = []
     wide_rhs: List[Fraction] = []
-    zero, one = Fraction(0), Fraction(1)
     for i in range(cells):
-        upper = list(rows[i]) + [zero] * (2 * cells)
-        upper[n + i] = one
+        upper = list(rows[i]) + [0] * (2 * cells)
+        upper[n + i] = 1
         wide_rows.append(upper)
         wide_rhs.append(rhs[i] + slack)
-        lower = list(rows[i]) + [zero] * (2 * cells)
-        lower[n + cells + i] = -one
+        lower = list(rows[i]) + [0] * (2 * cells)
+        lower[n + cells + i] = -1
         wide_rows.append(lower)
         wide_rhs.append(rhs[i] - slack)
-    wide_rows.append(list(rows[-1]) + [zero] * (2 * cells))
+    wide_rows.append(list(rows[-1]) + [0] * (2 * cells))
     wide_rhs.append(rhs[-1])
     return wide_rows, wide_rhs
 
@@ -349,18 +363,37 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
             for strategy, weight in zip(strategies, weights)
             if weight
         }
+        verified = _reproduces_targets(problem, rows, rhs, weights)
         return FeasibilityOutcome(
-            True, distribution, problem.wrong_mass, None, result.iterations
+            True, distribution, problem.wrong_mass, None, result.iterations, verified
         )
-    certificate = _build_certificate(problem, keys, result.certificate, strategies)
-    return FeasibilityOutcome(False, None, None, certificate, result.iterations)
+    certificate = _build_certificate(problem, keys, result.certificate)
+    return FeasibilityOutcome(
+        False, None, None, certificate, result.iterations, certificate.verified
+    )
+
+
+def _reproduces_targets(
+    problem: FeasibilityProblem,
+    rows: Incidence,
+    rhs: Sequence[Fraction],
+    weights: Sequence[Fraction],
+) -> bool:
+    """Solver-free check of a feasible verdict: the weights are non-negative,
+    carry exactly the right-event mass, and reproduce every cell within the
+    slack (exactly when the slack is zero)."""
+    if any(w < 0 for w in weights) or sum(weights) != 1 - problem.wrong_mass:
+        return False
+    return all(
+        abs(sum(w for w, hit in zip(weights, row) if hit) - target) <= problem.slack
+        for row, target in zip(rows[:-1], rhs[:-1])
+    )
 
 
 def _build_certificate(
     problem: FeasibilityProblem,
     keys: Sequence[CertificateKey],
     dual: Sequence[Fraction],
-    strategies: Sequence[LocalStrategy],
 ) -> Certificate:
     # with slack the dual covers doubled cell rows; fold the pairs back
     coeffs: Dict[CertificateKey, Fraction] = {}
@@ -379,23 +412,13 @@ def evaluate_certificate(
     problem: FeasibilityProblem, coeffs: Mapping[CertificateKey, Fraction]
 ) -> Certificate:
     """Verify a Farkas functional against the targets, solver-free."""
-    strategies = right_sector_strategies()
-    mass_coeff = coeffs.get(("mass", ""), Fraction(0))
-    value = mass_coeff * (1 - problem.wrong_mass)
-    for triple in TRIPLES:
-        table = problem.table(triple)
-        for outcome in OUTCOMES:
-            c = coeffs.get((triple.code, outcome_code(outcome)), Fraction(0))
-            value += c * table.probabilities[outcome]
-    columns = []
-    for strategy in strategies:
-        column = mass_coeff
-        for triple in TRIPLES:
-            column += coeffs.get(
-                (triple.code, outcome_code(strategy.outcomes(triple))), Fraction(0)
-            )
-        columns.append(column)
-    max_column = max(columns)
+    _, rows, rhs, keys = _cell_rows(problem)
+    y = [coeffs.get(key, Fraction(0)) for key in keys]
+    value = sum((c * b for c, b in zip(y, rhs)), start=Fraction(0))
+    max_column = max(
+        sum((c for c, hit in zip(y, column) if hit), start=Fraction(0))
+        for column in zip(*rows)
+    )
     bound = max_column * (1 - problem.wrong_mass)
     verified = max_column <= 0 < value
     return Certificate(dict(coeffs), value, bound, max_column, verified)

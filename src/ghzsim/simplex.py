@@ -1,9 +1,15 @@
 """Exact rational feasibility of ``{x >= 0 : A x = b}`` via Phase-I simplex.
 
-Small dense tableau implementation over :class:`fractions.Fraction`, so
-every boundary question (feasible at visibility 1/2, infeasible just
-above) is decided exactly.  Pivoting uses Dantzig's rule and falls back to
-Bland's rule inside long degenerate runs, which keeps the method finite.
+The tableau holds each row as a list of integers over one positive integer
+denominator, and the reduced-cost row the same way.  A pivot is
+integer-preserving elimination in the spirit of Edmonds (1967) and Bareiss
+(1968): every other row is cross-multiplied with the pivot row on the pivot
+row's nonzero support only, then divided by a single gcd of its entries and
+its denominator.  No rounding happens anywhere, so every boundary question
+(feasible at visibility 1/2, infeasible just above) is decided exactly;
+:class:`fractions.Fraction` appears only where the system is read in and
+where the result is read out.  Pivoting uses Dantzig's rule and falls back
+to Bland's rule inside long degenerate runs, which keeps the method finite.
 An infeasible system yields a
 Farkas certificate ``y`` with ``y·A <= 0`` componentwise and ``y·b > 0``,
 which :func:`verify_farkas` re-checks from scratch, independently of the
@@ -12,9 +18,10 @@ solver's internal state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -26,6 +33,36 @@ class FeasibilityResult:
     iterations: int
 
 
+def _integer_row(values: Sequence) -> Tuple[List[int], int]:
+    """Numerators of ``values`` over the lcm of their denominators."""
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (den // v.denominator) for v in exact], den
+
+
+def _eliminate(
+    row: List[int], den: int, a: int, p: int, support: Sequence[Tuple[int, int]]
+) -> Tuple[List[int], int]:
+    """``row/den − (a/den)·(pivot/p)`` as integers over a reduced denominator.
+
+    ``a`` is the row's entry in the entering column and ``support`` the
+    nonzero ``(column, value)`` pairs of the pivot row, whose entering entry
+    is ``p > 0``.
+    """
+    g = math.gcd(a, p)
+    scale, factor = p // g, a // g
+    if scale != 1:
+        row = [v * scale for v in row]
+        den *= scale
+    for k, v in support:
+        row[k] -= factor * v
+    g = math.gcd(den, *row)
+    if g != 1:
+        row = [v // g for v in row]
+        den //= g
+    return row, den
+
+
 def solve_feasibility(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> FeasibilityResult:
@@ -35,41 +72,49 @@ def solve_feasibility(
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
 
-    zero, one = Fraction(0), Fraction(1)
-    flip = [one if rhs[i] >= 0 else -one for i in range(m)]
-    # tableau rows: [structural | artificial | rhs]
-    tableau: List[List[Fraction]] = []
+    # tableau rows: [structural | artificial | rhs] / den, each row scaled
+    # to integers and flipped so that its rhs is non-negative
+    flip: List[int] = []
+    tableau: List[List[int]] = []
+    dens: List[int] = []
     for i in range(m):
-        row = [flip[i] * Fraction(v) for v in rows[i]]
-        row.extend(one if j == i else zero for j in range(m))
-        row.append(flip[i] * Fraction(rhs[i]))
+        nums, den = _integer_row([*rows[i], rhs[i]])
+        sign = 1 if nums[-1] >= 0 else -1
+        row = [sign * v for v in nums[:-1]] + [0] * m + [sign * nums[-1]]
+        row[n + i] = den
+        flip.append(sign)
         tableau.append(row)
+        dens.append(den)
     width = n + m + 1
 
     # crash basis: a structural column that is a unit vector for a row can
     # start basic there, so only the remaining rows need a basic artificial
     # (all artificial columns are kept, passively, to read the dual off)
     basis = [n + i for i in range(m)]
-    column_hits = [[] for _ in range(n)]
+    column_hits: List[List[int]] = [[] for _ in range(n)]
     for i in range(m):
+        row = tableau[i]
         for j in range(n):
-            if tableau[i][j]:
+            if row[j]:
                 column_hits[j].append(i)
     for j in range(n):
         if len(column_hits[j]) == 1:
             i = column_hits[j][0]
-            if basis[i] >= n and tableau[i][j] == 1:
+            if basis[i] >= n and tableau[i][j] == dens[i]:
                 basis[i] = j
 
-    # reduced-cost row for min(sum of basic artificials): z_j - c_j
-    obj = [zero] * width
-    for i in range(m):
-        if basis[i] >= n:
-            for j in range(width):
-                if tableau[i][j]:
-                    obj[j] += tableau[i][j]
+    # reduced-cost row for min(sum of basic artificials): z_j - c_j, over
+    # the common denominator of the artificial rows
+    artificial_rows = [i for i in range(m) if basis[i] >= n]
+    obj_den = math.lcm(*(dens[i] for i in artificial_rows))
+    obj = [0] * width
+    for i in artificial_rows:
+        scale = obj_den // dens[i]
+        obj = [o + scale * v for o, v in zip(obj, tableau[i])]
     for j in range(n, n + m):
-        obj[j] -= one
+        obj[j] -= obj_den
+    g = math.gcd(obj_den, *obj)
+    obj, obj_den = [v // g for v in obj], obj_den // g
 
     # artificials never enter: the crash ones never were basic, the others
     # are driven out and stay out
@@ -77,9 +122,10 @@ def solve_feasibility(
     iterations = 0
     stalled = 0  # degenerate steps in a row; Bland's rule kicks in when stuck
     while True:
+        # obj shares one positive denominator, so numerators order the costs
         enter = -1
         if stalled < 32:
-            best_cost = zero  # Dantzig: most positive reduced cost
+            best_cost = 0  # Dantzig: most positive reduced cost
             for j in range(n + m):
                 if not blocked[j] and obj[j] > best_cost:
                     best_cost, enter = obj[j], j
@@ -90,28 +136,37 @@ def solve_feasibility(
                     break
         if enter < 0:
             break
-        leave, best = -1, None
+        # ratio rhs_i / a_i: the row denominator cancels, so compare
+        # numerators cross-multiplied (both a_i are positive)
+        leave, best_rhs, best_coeff = -1, 0, 1
         for i in range(m):
             coeff = tableau[i][enter]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+                value = tableau[i][-1]
+                if leave < 0:
+                    leave, best_rhs, best_coeff = i, value, coeff
+                    continue
+                lhs, rhs_cross = value * best_coeff, best_rhs * coeff
+                if lhs < rhs_cross or (lhs == rhs_cross and basis[i] < basis[leave]):
+                    leave, best_rhs, best_coeff = i, value, coeff
         if leave < 0:
             raise ArithmeticError("Phase-I objective is bounded; this cannot happen")
-        stalled = stalled + 1 if best == 0 else 0
+        stalled = stalled + 1 if best_rhs == 0 else 0
+        # dividing the pivot row by its entering value p/den leaves it over p
         pivot_row = tableau[leave]
+        g = math.gcd(*pivot_row)
+        if g != 1:
+            pivot_row = [v // g for v in pivot_row]
         pivot = pivot_row[enter]
-        if pivot != 1:
-            tableau[leave] = pivot_row = [v / pivot for v in pivot_row]
+        tableau[leave], dens[leave] = pivot_row, pivot
+        support = [(k, v) for k, v in enumerate(pivot_row) if v]
         for i in range(m):
             if i != leave and tableau[i][enter]:
-                factor = tableau[i][enter]
-                row = tableau[i]
-                tableau[i] = [row[k] - factor * pivot_row[k] for k in range(width)]
+                tableau[i], dens[i] = _eliminate(
+                    tableau[i], dens[i], tableau[i][enter], pivot, support
+                )
         if obj[enter]:
-            factor = obj[enter]
-            obj = [obj[k] - factor * pivot_row[k] for k in range(width)]
+            obj, obj_den = _eliminate(obj, obj_den, obj[enter], pivot, support)
         if basis[leave] >= n:
             blocked[basis[leave]] = True
         basis[leave] = enter
@@ -119,17 +174,20 @@ def solve_feasibility(
 
     # current sum of artificial variables: basic ones carry their rhs value
     gap = sum(
-        (tableau[i][-1] for i in range(m) if basis[i] >= n), start=zero
+        (Fraction(tableau[i][-1], dens[i]) for i in range(m) if basis[i] >= n),
+        start=Fraction(0),
     )
     if gap == 0:
-        solution = [zero] * n
+        solution = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                solution[var] = tableau[i][-1]
+                solution[var] = Fraction(tableau[i][-1], dens[i])
         return FeasibilityResult(True, solution, None, gap, iterations)
 
     # dual values: for artificial column j, reduced cost = y_j - 1
-    certificate = [flip[i] * (obj[n + i] + one) for i in range(m)]
+    certificate = [
+        Fraction(flip[i] * (obj[n + i] + obj_den), obj_den) for i in range(m)
+    ]
     return FeasibilityResult(False, None, certificate, gap, iterations)
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, determinism, round-trips, error envelopes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -174,6 +175,24 @@ def test_lhv_feasibility_feasible_report(capsys):
     weights = [Fraction(entry["weight"]) for entry in payload["distribution"]]
     assert sum(weights) == Fraction(1, 4)
     assert Fraction(payload["chi_zero_weight"]) == Fraction(3, 4)
+
+
+# sha256 of `lhv-feasibility --format json` as the dense Fraction tableau
+# wrote it: the LP kernel and the verified flag must not move a byte
+LHV_ARTIFACT_SHA256 = {
+    ("1/2", "0"): "6e4465cbc914d7e8a2611e4a881fd370a95770a3fdf68f15cafa1e94126f9810",
+    ("13/20", "0"): "6df62d95788750c5de1d53f5890002b2a80239d37e4bbe0862d22ca3dc4c432c",
+    ("1", "1/64"): "6d9b6cca3fe1798a52de4c59a901c970eb08db8e1ba87f433978e3f19571fa3a",
+}
+
+
+@pytest.mark.parametrize("visibility,slack", sorted(LHV_ARTIFACT_SHA256))
+def test_lhv_feasibility_artifacts_are_pinned(capsys, visibility, slack):
+    argv = ["lhv-feasibility", "--visibility", visibility, "--slack", slack]
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == LHV_ARTIFACT_SHA256[visibility, slack]
 
 
 def test_critical_visibility_text(capsys):

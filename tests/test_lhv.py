@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from ghzsim import lhv
 from ghzsim.lhv import (
     Certificate,
+    FeasibilityOutcome,
     FeasibilityProblem,
     InadmissibleStrategyError,
     LocalStrategy,
@@ -40,7 +42,9 @@ from ghzsim.measurement import (
     OutcomeTable,
     SettingTriple,
     all_setting_triples,
+    outcome_from_code,
 )
+from ghzsim.simplex import FeasibilityResult, solve_feasibility
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +229,108 @@ def test_slack_relaxation():
     assert lhv_feasibility(relaxed).feasible
     with pytest.raises(TargetFormatError):
         FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(-1))
+
+
+# Pivot counts and exact values of the Phase-I solve, pinned from the dense
+# Fraction tableau that preceded the integer-row one: the same pivot rule on
+# the same exact values must take the same path to the same answer.
+PINNED_PIVOTS = {
+    Fraction(0): 45,
+    Fraction(1, 4): 51,
+    Fraction(1, 2): 51,
+    Fraction(51, 100): 38,
+    Fraction(13, 20): 37,
+    Fraction(3, 4): 24,
+    Fraction(1): 18,
+}
+
+
+@pytest.mark.parametrize("visibility", sorted(PINNED_PIVOTS))
+def test_pivot_counts_are_pinned(visibility):
+    outcome = feasibility_at_visibility(visibility)
+    assert outcome.iterations == PINNED_PIVOTS[visibility]
+    assert outcome.feasible == (visibility <= Fraction(1, 2))
+    # feasible: the mixture re-checked; infeasible: the certificate re-checked
+    assert outcome.verified
+    assert outcome.feasible or outcome.certificate.verified
+
+
+def test_slack_lp_pivot_count_is_pinned():
+    problem = FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(1, 64))
+    _, rows, rhs, _ = lhv._cell_rows(problem)
+    wide_rows, wide_rhs = lhv._with_slack(rows, rhs, problem.slack)
+    assert (len(wide_rows), len(wide_rows[0])) == (129, 192)
+    outcome = lhv_feasibility(problem)
+    assert outcome.feasible and outcome.verified
+    assert outcome.iterations == 118
+
+
+def _lp(visibility):
+    _, rows, rhs, _ = lhv._cell_rows(FeasibilityProblem(quantum_targets(visibility)))
+    return rows, rhs
+
+
+def test_exact_solution_at_one_half_is_pinned():
+    support = (1, 5, 11, 12, 16, 22, 27, 30, 34, 39, 42, 44, 48, 55, 57, 61)
+    solution = [Fraction(1, 64) if j in support else Fraction(0) for j in range(64)]
+    assert solve_feasibility(*_lp(Fraction(1, 2))) == FeasibilityResult(
+        True, solution, None, Fraction(0), 51
+    )
+
+
+def test_exact_certificate_at_thirteen_twentieths_is_pinned():
+    negative = (1, 2, 4, 7, 24, 27, 29, 30, 40, 43, 45, 46, 48, 51, 53, 54)
+    certificate = [Fraction(-8) if i in negative else Fraction(1) for i in range(65)]
+    assert solve_feasibility(*_lp(Fraction(13, 20))) == FeasibilityResult(
+        False, None, certificate, Fraction(27, 40), 37
+    )
+
+
+def test_incidence_is_shared_and_read_only():
+    keys, rows = lhv._incidence()
+    assert len(keys) == len(rows) == 65 and keys[-1] == ("mass", "")
+    assert all(len(row) == 64 and set(row) <= {0, 1} for row in rows)
+    assert all(sum(row) == 8 for row in rows[:-1]) and rows[-1] == (1,) * 64
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+    # the same object backs every problem; only the right-hand side differs
+    _, rows_a, rhs_a, keys_a = lhv._cell_rows(FeasibilityProblem(quantum_targets(0)))
+    _, rows_b, rhs_b, keys_b = lhv._cell_rows(FeasibilityProblem(quantum_targets(1)))
+    assert rows_a is rows_b is rows and keys_a is keys_b is keys
+    assert rhs_a != rhs_b
+    strategies = right_sector_strategies()
+    for (code, cell), row in zip(keys, rows):
+        if code != "mass":
+            triple = SettingTriple.from_code(code)
+            outcome = outcome_from_code(cell)
+            assert row == tuple(int(s.outcomes(triple) == outcome) for s in strategies)
+
+
+def test_feasible_verdicts_are_verified_apart_from_the_solver():
+    problem = FeasibilityProblem(quantum_targets(Fraction(1, 2)))
+    outcome = lhv_feasibility(problem)
+    assert outcome.feasible and outcome.verified
+    _, rows, rhs, _ = lhv._cell_rows(problem)
+    strategies = right_sector_strategies()
+    weights = [outcome.distribution.get(s, Fraction(0)) for s in strategies]
+    assert lhv._reproduces_targets(problem, rows, rhs, weights)
+    # moving weight between strategies keeps the mass but breaks the cells
+    moved = list(weights)
+    j = next(j for j, w in enumerate(weights) if w)
+    moved[j], moved[j - 1] = Fraction(0), weights[j - 1] + weights[j]
+    assert not lhv._reproduces_targets(problem, rows, rhs, moved)
+    # a negative weight or a wrong right-event mass is rejected outright
+    negative = list(weights)
+    negative[j], negative[j - 1] = -weights[j], weights[j - 1] + 2 * weights[j]
+    assert not lhv._reproduces_targets(problem, rows, rhs, negative)
+    assert not lhv._reproduces_targets(problem, rows, rhs, [2 * w for w in weights])
+    # within a slack the same move can pass: cells may miss by up to the slack
+    loose = FeasibilityProblem(problem.targets, slack=Fraction(1, 64))
+    assert lhv._reproduces_targets(loose, rows, rhs, moved)
+
+
+def test_outcome_built_positionally_defaults_to_unverified():
+    outcome = FeasibilityOutcome(True, {}, Fraction(0), None, 0)
+    assert outcome.verified is False
 
 
 # ---------------------------------------------------------------------------

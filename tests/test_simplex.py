@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ghzsim.simplex import solve_feasibility, verify_farkas
+from ghzsim.simplex import FeasibilityResult, solve_feasibility, verify_farkas
 
 
 def F(*args):
@@ -97,3 +98,55 @@ def test_random_perturbed_systems_verify_their_certificates():
             checked += 1
             assert verify_farkas(rows, rhs, result.certificate)
     assert checked > 0
+
+
+def test_empty_system_is_trivially_feasible():
+    assert solve_feasibility([], []) == FeasibilityResult(True, [], None, F(0), 0)
+    with pytest.raises(ValueError):
+        solve_feasibility([], [F(1)])
+
+
+# Coprime denominators of mixed sizes, so row lcms and pivot gcds are not
+# trivial; the large ones are primes (10^9 + 7, 2^61 - 1).
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 12, 35, 10**9 + 7, 2**61 - 1)
+rationals = st.builds(
+    Fraction, st.integers(-7, 7), st.sampled_from(DENOMINATORS)
+) | st.just(F(0))
+
+
+@st.composite
+def systems(draw):
+    """``(rows, rhs)`` with zero, negative and mixed-size entries, plus
+    all-zero rows and duplicated rows; half the draws are built around a
+    non-negative point so that they are feasible."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        rows[i] = [F(0)] * n
+    if draw(st.booleans()):
+        hidden = draw(st.lists(rationals.map(abs), min_size=n, max_size=n))
+        rhs = [sum(a * x for a, x in zip(row, hidden)) for row in rows]
+    else:
+        rhs = draw(st.lists(rationals, min_size=m, max_size=m))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        rows.append(list(rows[i]))
+        rhs.append(rhs[i] if draw(st.booleans()) else draw(rationals))
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_verdicts_carry_exact_evidence(system):
+    rows, rhs = system
+    result = solve_feasibility(rows, rhs)
+    assert all(isinstance(v, Fraction) for v in result.solution or result.certificate)
+    if result.feasible:
+        assert result.infeasibility_gap == 0 and result.certificate is None
+        x = result.solution
+        assert len(x) == len(rows[0]) and all(v >= 0 for v in x)
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, x)) == b
+    else:
+        assert result.infeasibility_gap > 0 and result.solution is None
+        assert verify_farkas(rows, rhs, result.certificate)
