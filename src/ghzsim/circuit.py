@@ -24,15 +24,16 @@ from .fock import (
     GhzsimError,
     INV_SQRT2,
     InvalidModeError,
+    MODE_NAMES,
     Mode,
     Polarization,
+    RuleTargets,
     StatePolynomial,
+    creation,
     norm_squared,
     render_amplitude,
     substitute,
 )
-
-RuleTargets = Tuple[Tuple[Mode, Amplitude], ...]
 
 
 class CircuitConfigError(GhzsimError):
@@ -95,12 +96,8 @@ class ModeTransform:
             for mode, coeff in targets:
                 expanded = other.rules.get(mode, ((mode, Amplitude(1)),))
                 for out_mode, out_coeff in expanded:
-                    total = acc.get(out_mode, Amplitude()) + coeff * out_coeff
-                    if total.is_zero:
-                        acc.pop(out_mode, None)
-                    else:
-                        acc[out_mode] = total
-            rules[source] = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
+                    acc[out_mode] = acc.get(out_mode, Amplitude()) + coeff * out_coeff
+            rules[source] = _sorted_targets((m, c) for m, c in acc.items() if not c.is_zero)
         for source, targets in other.rules.items():
             if source not in rules and source not in consumed:
                 rules[source] = targets
@@ -122,17 +119,7 @@ def _make_rules(pairs) -> dict:
 
 
 def _carried_polarizations(beam: Beam) -> Tuple[Polarization, ...]:
-    return tuple(
-        pol for pol in Polarization if _mode_exists(beam, pol)
-    )
-
-
-def _mode_exists(beam: Beam, pol: Polarization) -> bool:
-    try:
-        Mode(beam, pol)
-    except InvalidModeError:
-        return False
-    return True
+    return tuple(pol for pol in Polarization if (beam, pol) in MODE_NAMES)
 
 
 def _output_mode(beam: Beam, pol: Polarization, context: str) -> Mode:
@@ -278,8 +265,6 @@ def circuit_text(circuit: OpticalCircuit) -> str:
 
 def preserves_single_photon_norms(transform: ModeTransform) -> bool:
     """Exact norm check of a transform on every single-photon source state."""
-    from .fock import creation  # local import to keep module surface tidy
-
     for source in transform.rules:
         image = transform.apply(creation(source))
         if norm_squared(image) != Amplitude(1):

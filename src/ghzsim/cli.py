@@ -14,7 +14,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -132,10 +134,28 @@ def _emit_error(kind: str, message: str) -> None:
     print(json.dumps(envelope, sort_keys=True), file=sys.stderr)
 
 
+@contextmanager
+def _atomic_output(path: Path):
+    """A text handle on a temp file beside ``path`` that replaces it on success.
+
+    A run that fails before the end leaves no partial file: ``path`` keeps
+    its earlier content, or stays absent.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _finish(config: RunConfig, artifact: str, summary: str = "") -> int:
     """Write the artifact; the human summary goes to stdout only alongside a file."""
     if config.output is not None:
-        config.output.write_text(artifact, encoding="utf-8")
+        with _atomic_output(config.output) as handle:
+            handle.write(artifact)
         if summary:
             print(summary)
     else:
@@ -328,30 +348,32 @@ def _cmd_correlations(config: RunConfig) -> int:
     return _finish(config, artifact, summary)
 
 
-def _cmd_sample(config: RunConfig) -> int:
+def _stream_events(config: RunConfig, out) -> dict:
+    """Write one JSON line per event as it is sampled; return the class counts."""
     events = events_mod.sample_events(
         config.pulses, config.pair_prob, config.seed, config.loss_prob
     )
-    counts = {}
-    emitted = 0
-    lines = []
+    counts: dict = {}
     for event in events:
         if config.redefined_trigger and event.herald_veto:
             continue
-        lines.append(json.dumps(events_mod.event_to_json(event), sort_keys=True))
-        emitted += 1
+        out.write(json.dumps(events_mod.event_to_json(event), sort_keys=True) + "\n")
         key = event.event_class.wire
         counts[key] = counts.get(key, 0) + 1
-    stream = "\n".join(lines) + ("\n" if lines else "")
-    if config.output is not None:
-        config.output.write_text(stream, encoding="utf-8")
-        summary_rows = sorted(counts.items())
-        if config.fmt == "json":
-            print(_json_dumps({"events": emitted, "classes": dict(summary_rows)}), end="")
-        else:
-            sys.stdout.write(_csv_text(("class", "count"), summary_rows))
+    return counts
+
+
+def _cmd_sample(config: RunConfig) -> int:
+    if config.output is None:
+        _stream_events(config, sys.stdout)
+        return 0
+    with _atomic_output(config.output) as handle:
+        counts = _stream_events(config, handle)
+    summary_rows = sorted(counts.items())
+    if config.fmt == "json":
+        print(_json_dumps({"events": sum(counts.values()), "classes": dict(summary_rows)}), end="")
     else:
-        sys.stdout.write(stream)
+        sys.stdout.write(_csv_text(("class", "count"), summary_rows))
     return 0
 
 

@@ -4,7 +4,11 @@ States are formal sums of creation-operator monomials over a fixed, finite
 set of polarization modes.  Coefficients live in the ring Q(i)[sqrt(2)]
 (Gaussian rationals extended by sqrt(2)), so every amplitude produced by a
 50/50 beamsplitter network with circular analyzers is represented exactly
-and equality is decidable with no tolerance.
+and equality is decidable with no tolerance.  A coefficient is stored as
+four integer numerators (rational and sqrt(2) parts of its real and
+imaginary components) over one positive integer denominator, reduced by a
+single gcd, so ring arithmetic is integer arithmetic; ``Fraction`` appears
+only at the edges (constructor, component properties, rendering, JSON).
 
 Each amplitude additionally carries an integer ``order`` tag counting powers
 of the pair-creation coupling gamma.  Orders add under multiplication and
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, Tuple, Union
 
 
@@ -46,122 +50,142 @@ class IrrationalValueError(GhzsimError):
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class Amplitude:
-    """Element ``(re + im*i) + (re_sqrt2 + im_sqrt2*i)*sqrt(2)`` times gamma^order."""
+    """Element ``(re + im*i) + (re_sqrt2 + im_sqrt2*i)*sqrt(2)`` times gamma^order.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-    re_sqrt2: Fraction = Fraction(0)
-    im_sqrt2: Fraction = Fraction(0)
-    order: int = 0
+    Stored as four integer numerators over one positive integer denominator
+    with no common factor; zero is ``0/1`` at order 0.  Instances are
+    immutable values, compared and hashed by value.  ``Fraction`` appears
+    only in the constructor and the component properties.
+    """
 
-    def __post_init__(self) -> None:
-        for field in ("re", "im", "re_sqrt2", "im_sqrt2"):
-            value = getattr(self, field)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, field, Fraction(value))
-        if self.order < 0:
+    __slots__ = ("_num", "_den", "_order")
+
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0, re_sqrt2: RationalLike = 0,
+                 im_sqrt2: RationalLike = 0, order: int = 0) -> None:
+        if order < 0:
             raise OrderMixError("gamma order must be non-negative")
-        # canonical zero: a vanishing value carries order 0
-        if self.order and not any(
-            (self.re, self.im, self.re_sqrt2, self.im_sqrt2)
-        ):
-            object.__setattr__(self, "order", 0)
+        parts = [Fraction(v) for v in (re, im, re_sqrt2, im_sqrt2)]
+        den = lcm(*(v.denominator for v in parts))
+        value = _new(*(v.numerator * (den // v.denominator) for v in parts), den, order)
+        self._num, self._den, self._order = value._num, value._den, value._order
+
+    re = property(lambda self: Fraction(self._num[0], self._den))
+    im = property(lambda self: Fraction(self._num[1], self._den))
+    re_sqrt2 = property(lambda self: Fraction(self._num[2], self._den))
+    im_sqrt2 = property(lambda self: Fraction(self._num[3], self._den))
+    order = property(lambda self: self._order)
 
     @property
     def is_zero(self) -> bool:
-        return not any((self.re, self.im, self.re_sqrt2, self.im_sqrt2))
+        return not any(self._num)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Amplitude):
+            return NotImplemented
+        return (self._num, self._den, self._order) == (other._num, other._den, other._order)
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den, self._order))
+
+    def __repr__(self) -> str:
+        return f"Amplitude({render_amplitude(self)}, order={self._order})"
 
     def __add__(self, other: "Amplitude") -> "Amplitude":
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        if self.order != other.order:
-            raise OrderMixError(
-                f"cannot add amplitudes of order {self.order} and {other.order}"
-            )
-        return Amplitude(
-            self.re + other.re,
-            self.im + other.im,
-            self.re_sqrt2 + other.re_sqrt2,
-            self.im_sqrt2 + other.im_sqrt2,
-            self.order,
+        if self._order != other._order:
+            raise OrderMixError(f"cannot add amplitudes of order {self._order} and {other._order}")
+        (a1, b1, c1, e1), s1 = self._num, self._den
+        (a2, b2, c2, e2), s2 = other._num, other._den
+        return _new(
+            a1 * s2 + a2 * s1, b1 * s2 + b2 * s1, c1 * s2 + c2 * s1, e1 * s2 + e2 * s1,
+            s1 * s2, self._order,
         )
 
     def __neg__(self) -> "Amplitude":
-        return Amplitude(-self.re, -self.im, -self.re_sqrt2, -self.im_sqrt2, self.order)
+        a, b, c, e = self._num
+        return _new(-a, -b, -c, -e, self._den, self._order)
 
     def __sub__(self, other: "Amplitude") -> "Amplitude":
         return self + (-other)
 
     def __mul__(self, other: Union["Amplitude", RationalLike]) -> "Amplitude":
+        a1, b1, c1, e1 = self._num
         if isinstance(other, (int, Fraction)):
-            other = Amplitude(other)
-        # complex parts: p = re + im*i, q = re_sqrt2 + im_sqrt2*i
-        # (p1 + q1 s)(p2 + q2 s) = (p1 p2 + 2 q1 q2) + (p1 q2 + q1 p2) s  with s = sqrt2
-        p1, q1 = (self.re, self.im), (self.re_sqrt2, self.im_sqrt2)
-        p2, q2 = (other.re, other.im), (other.re_sqrt2, other.im_sqrt2)
-
-        def cmul(a, b):
-            return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-        def cadd(a, b):
-            return (a[0] + b[0], a[1] + b[1])
-
-        p = cadd(cmul(p1, p2), tuple(2 * v for v in cmul(q1, q2)))
-        q = cadd(cmul(p1, q2), cmul(q1, p2))
-        return Amplitude(p[0], p[1], q[0], q[1], self.order + other.order)
+            n = other.numerator
+            return _new(a1 * n, b1 * n, c1 * n, e1 * n, self._den * other.denominator, self._order)
+        if not isinstance(other, Amplitude):
+            return NotImplemented
+        # (p1 + q1 s)(p2 + q2 s) = (p1 p2 + 2 q1 q2) + (p1 q2 + q1 p2) s with
+        # s = sqrt2, p = re + im*i and q = re_sqrt2 + im_sqrt2*i
+        a2, b2, c2, e2 = other._num
+        return _new(
+            a1 * a2 - b1 * b2 + 2 * (c1 * c2 - e1 * e2),
+            a1 * b2 + b1 * a2 + 2 * (c1 * e2 + e1 * c2),
+            a1 * c2 - b1 * e2 + c1 * a2 - e1 * b2,
+            a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2,
+            self._den * other._den,
+            self._order + other._order,
+        )
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Amplitude":
-        return Amplitude(self.re, -self.im, self.re_sqrt2, -self.im_sqrt2, self.order)
+        a, b, c, e = self._num
+        return _new(a, -b, c, -e, self._den, self._order)
 
     def abs_squared(self) -> "Amplitude":
         """|value|^2 with gamma normalized to 1 (order dropped)."""
-        product = self * self.conjugate()
-        if product.im or product.im_sqrt2:
-            raise AssertionError("modulus squared must be real")
-        return Amplitude(product.re, 0, product.re_sqrt2, 0, 0)
+        a, b, c, e = self._num
+        return _new(a * a + b * b + 2 * (c * c + e * e), 0, 2 * (a * c + b * e), 0,
+                    self._den * self._den, 0)
 
     def inverse(self) -> "Amplitude":
         if self.is_zero:
             raise ZeroDivisionError("zero amplitude has no inverse")
-        if self.order:
+        if self._order:
             raise OrderMixError("only order-0 amplitudes are invertible")
-        # 1/(p + q s) = (p - q s) / (p^2 - 2 q^2); the denominator is a nonzero
-        # Gaussian rational because sqrt2 is not an element of Q(i).
-        p, q = (self.re, self.im), (self.re_sqrt2, self.im_sqrt2)
-
-        def cmul(a, b):
-            return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-        den = (
-            p[0] * p[0] - p[1] * p[1] - 2 * (q[0] * q[0] - q[1] * q[1]),
-            2 * p[0] * p[1] - 4 * q[0] * q[1],
+        # With P = a + b i and Q = c + e i, the value is (P + Q s)/den and
+        # 1/(P + Q s) = (P - Q s)(nr - ni i)/(nr^2 + ni^2), where
+        # nr + ni i = P^2 - 2 Q^2 is nonzero because sqrt2 is not in Q(i).
+        (a, b, c, e), den = self._num, self._den
+        nr = a * a - b * b - 2 * (c * c - e * e)
+        ni = 2 * a * b - 4 * c * e
+        return _new(
+            den * (a * nr + b * ni), den * (b * nr - a * ni),
+            -den * (c * nr + e * ni), -den * (e * nr - c * ni),
+            nr * nr + ni * ni, 0,
         )
-        norm = den[0] * den[0] + den[1] * den[1]
-        inv_den = (den[0] / norm, -den[1] / norm)
-        new_p = cmul(p, inv_den)
-        new_q = cmul((-q[0], -q[1]), inv_den)
-        return Amplitude(new_p[0], new_p[1], new_q[0], new_q[1], 0)
 
     def __truediv__(self, other: "Amplitude") -> "Amplitude":
         return self * other.inverse()
 
     @property
     def is_rational(self) -> bool:
-        return not (self.im or self.re_sqrt2 or self.im_sqrt2)
+        return not any(self._num[1:])
 
     def to_fraction(self) -> Fraction:
-        if not self.is_rational or self.order:
+        if not self.is_rational or self._order:
             raise IrrationalValueError(f"{self} is not a plain rational")
         return self.re
 
     def __str__(self) -> str:
         return render_amplitude(self)
+
+
+def _new(a: int, b: int, c: int, e: int, den: int, order: int) -> Amplitude:
+    """The value ``(a, b, c, e)/den`` (den > 0) reduced by one gcd."""
+    g = gcd(a, b, c, e, den)
+    if g != 1:
+        a, b, c, e, den = a // g, b // g, c // g, e // g, den // g
+    amp = object.__new__(Amplitude)
+    amp._num, amp._den = (a, b, c, e), den
+    # canonical zero: a vanishing value carries order 0
+    amp._order = order if (a or b or c or e) else 0
+    return amp
 
 
 ZERO = Amplitude()
@@ -217,24 +241,18 @@ def render_amplitude(amp: Amplitude) -> str:
     return f"{plain} + {root_part}"
 
 
+_COMPONENTS = ("re", "im", "re_sqrt2", "im_sqrt2")
+
+
 def amplitude_to_json(amp: Amplitude) -> dict:
-    return {
-        "re": str(amp.re),
-        "im": str(amp.im),
-        "re_sqrt2": str(amp.re_sqrt2),
-        "im_sqrt2": str(amp.im_sqrt2),
-        "gamma_order": amp.order,
-    }
+    obj: dict = {name: str(getattr(amp, name)) for name in _COMPONENTS}
+    obj["gamma_order"] = amp.order
+    return obj
 
 
 def amplitude_from_json(obj: Mapping[str, object]) -> Amplitude:
-    return Amplitude(
-        Fraction(str(obj["re"])),
-        Fraction(str(obj["im"])),
-        Fraction(str(obj["re_sqrt2"])),
-        Fraction(str(obj["im_sqrt2"])),
-        int(obj["gamma_order"]),  # type: ignore[arg-type]
-    )
+    parts = [Fraction(str(obj[name])) for name in _COMPONENTS]
+    return Amplitude(*parts, int(obj["gamma_order"]))  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -276,28 +294,29 @@ _POL_ORDER = {Polarization.H: 0, Polarization.V: 1}
 
 @dataclass(frozen=True, order=False)
 class Mode:
-    """One bosonic mode: a beam together with a polarization."""
+    """One bosonic mode: a beam together with a polarization (equal by value)."""
 
     beam: Beam
     polarization: Polarization
 
     def __post_init__(self) -> None:
-        if (self.beam, self.polarization) not in MODE_NAMES:
+        name = MODE_NAMES.get((self.beam, self.polarization))
+        if name is None:
             raise InvalidModeError(
                 f"beam {self.beam.value!r} does not carry polarization "
                 f"{self.polarization.value!r} in this setup"
             )
+        # pattern lookups hash modes and canonicalisation sorts them: compute once
+        sort_key = (_BEAM_ORDER[self.beam], _POL_ORDER[self.polarization])
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sort_key", sort_key)
+        object.__setattr__(self, "_hash", hash(sort_key))
 
-    @property
-    def sort_key(self) -> Tuple[int, int]:
-        return (_BEAM_ORDER[self.beam], _POL_ORDER[self.polarization])
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other: "Mode") -> bool:
         return self.sort_key < other.sort_key
-
-    @property
-    def name(self) -> str:
-        return MODE_NAMES[(self.beam, self.polarization)]
 
     def __str__(self) -> str:
         return self.name
@@ -326,18 +345,9 @@ MODE_NAMES: Mapping[Tuple[Beam, Polarization], str] = {
     (Beam.VETO, Polarization.V): "veto_V",
 }
 
-MODE_BY_NAME: Mapping[str, Mode] = {}
-
-
-def _build_modes() -> None:
-    names = dict(MODE_BY_NAME)
-    for (beam, pol) in MODE_NAMES:
-        mode = Mode(beam, pol)
-        names[mode.name] = mode
-    globals()["MODE_BY_NAME"] = names
-
-
-_build_modes()
+MODE_BY_NAME: Mapping[str, Mode] = {
+    name: Mode(beam, pol) for (beam, pol), name in MODE_NAMES.items()
+}
 
 AH = MODE_BY_NAME["aH"]
 AV = MODE_BY_NAME["aV"]
@@ -382,6 +392,14 @@ def as_pattern(obj: PatternLike) -> Pattern:
     return tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key))
 
 
+def _merge(a: Pattern, b: Pattern) -> Pattern:
+    """The canonical pattern of the product of two canonical monomials."""
+    counts = dict(a)
+    for mode, count in b:
+        counts[mode] = counts.get(mode, 0) + count
+    return tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key))
+
+
 def occupation(pattern: Pattern, mode: Mode) -> int:
     for m, n in pattern:
         if m == mode:
@@ -422,16 +440,15 @@ class StatePolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         canonical: dict = {}
         for pattern_like, coeff in items:
-            pattern = as_pattern(pattern_like)
-            if pattern in canonical:
-                coeff = canonical[pattern] + coeff
-            if coeff.is_zero:
-                canonical.pop(pattern, None)
-            else:
-                canonical[pattern] = coeff
-        self._terms = dict(
-            sorted(canonical.items(), key=lambda kv: _pattern_sort_key(kv[0]))
-        )
+            _accumulate(canonical, as_pattern(pattern_like), coeff)
+        self._terms = _sorted_terms(canonical)
+
+    @classmethod
+    def _from_canonical(cls, terms: Mapping[Pattern, Amplitude]) -> "StatePolynomial":
+        """Build from keys that are already canonical patterns; sorts once."""
+        poly = object.__new__(cls)
+        poly._terms = _sorted_terms(terms)
+        return poly
 
     @property
     def terms(self) -> Mapping[Pattern, Amplitude]:
@@ -453,11 +470,13 @@ class StatePolynomial:
         raise TypeError("StatePolynomial is unhashable")
 
     def __add__(self, other: "StatePolynomial") -> "StatePolynomial":
-        merged = list(self._terms.items()) + list(other._terms.items())
-        return StatePolynomial(merged)
+        merged = dict(self._terms)
+        for pattern, coeff in other._terms.items():
+            _accumulate(merged, pattern, coeff)
+        return StatePolynomial._from_canonical(merged)
 
     def __neg__(self) -> "StatePolynomial":
-        return StatePolynomial({p: -c for p, c in self._terms.items()})
+        return StatePolynomial._from_canonical({p: -c for p, c in self._terms.items()})
 
     def __sub__(self, other: "StatePolynomial") -> "StatePolynomial":
         return self + (-other)
@@ -465,9 +484,7 @@ class StatePolynomial:
     def __mul__(self, other: Union["StatePolynomial", Amplitude, RationalLike]) -> "StatePolynomial":
         if isinstance(other, StatePolynomial):
             return multiply(self, other)
-        if isinstance(other, (int, Fraction)):
-            other = Amplitude(other)
-        return StatePolynomial({p: c * other for p, c in self._terms.items()})
+        return StatePolynomial._from_canonical({p: c * other for p, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -486,8 +503,15 @@ class StatePolynomial:
         return f"StatePolynomial({render_polynomial(self)})"
 
 
-def _pattern_sort_key(pattern: Pattern):
-    return tuple((m.sort_key, n) for m, n in pattern)
+def _sorted_terms(terms: Mapping[Pattern, Amplitude]) -> dict:
+    """Canonical term map: zero coefficients dropped, patterns in mode order."""
+    kept = [(p, c) for p, c in terms.items() if not c.is_zero]
+    return dict(sorted(kept, key=lambda kv: tuple((m.sort_key, n) for m, n in kv[0])))
+
+
+def _accumulate(terms: dict, pattern: Pattern, coeff: Amplitude) -> None:
+    previous = terms.get(pattern)
+    terms[pattern] = coeff if previous is None else previous + coeff
 
 
 def scalar(coeff: Amplitude) -> StatePolynomial:
@@ -513,28 +537,12 @@ def multiply(p: StatePolynomial, q: StatePolynomial) -> StatePolynomial:
     out: dict = {}
     for pat_a, coeff_a in p._terms.items():
         for pat_b, coeff_b in q._terms.items():
-            merged: dict = dict(pat_a)
-            for mode, count in pat_b:
-                merged[mode] = merged.get(mode, 0) + count
-            key = tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key))
-            coeff = coeff_a * coeff_b
-            if key in out:
-                coeff = out[key] + coeff
-            if coeff.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = coeff
-    return StatePolynomial(out)
+            _accumulate(out, _merge(pat_a, pat_b), coeff_a * coeff_b)
+    return StatePolynomial._from_canonical(out)
 
 
+# the linear image of one source mode: (target mode, coefficient) pairs
 RuleTargets = Tuple[Tuple[Mode, Amplitude], ...]
-
-
-def _rules_of(transform) -> Mapping[Mode, RuleTargets]:
-    rules = getattr(transform, "rules", transform)
-    if not isinstance(rules, Mapping):
-        raise TypeError("substitute expects a ModeTransform or a rules mapping")
-    return rules
 
 
 def substitute(p: StatePolynomial, transform) -> StatePolynomial:
@@ -544,27 +552,30 @@ def substitute(p: StatePolynomial, transform) -> StatePolynomial:
     Modes without a rule pass through unchanged.  Powers expand
     multinomially, so total photon number is preserved term by term.
     """
-    rules = _rules_of(transform)
-    result = StatePolynomial()
+    rules: Mapping[Mode, RuleTargets] = getattr(transform, "rules", transform)
+    if not isinstance(rules, Mapping):
+        raise TypeError("substitute expects a ModeTransform or a rules mapping")
+    out: dict = {}
     for pattern, coeff in p._terms.items():
-        acc = scalar(coeff)
+        partial = {(): coeff}
         for mode, count in pattern:
-            targets = rules.get(mode)
-            if targets is None:
-                factor = creation(mode)
-            else:
-                factor = StatePolynomial(
-                    [(((target, 1),), amp) for target, amp in targets]
-                )
+            factor = [(((target, 1),), amp) for target, amp in rules.get(mode, ((mode, ONE),))]
             for _ in range(count):
-                acc = multiply(acc, factor)
-        result = result + acc
-    return result
+                expanded: dict = {}
+                for key, value in partial.items():
+                    for single, amp in factor:
+                        _accumulate(expanded, _merge(key, single), value * amp)
+                partial = expanded
+        for key, value in partial.items():
+            _accumulate(out, key, value)
+    return StatePolynomial._from_canonical(out)
 
 
 def filter_terms(p: StatePolynomial, predicate: Callable[[Pattern], bool]) -> StatePolynomial:
     """Keep exactly the terms whose occupation pattern satisfies ``predicate``."""
-    return StatePolynomial({pat: c for pat, c in p._terms.items() if predicate(pat)})
+    return StatePolynomial._from_canonical(
+        {pat: c for pat, c in p._terms.items() if predicate(pat)}
+    )
 
 
 def amplitude(p: StatePolynomial, pattern: PatternLike) -> Amplitude:
@@ -585,10 +596,7 @@ def norm_squared(p: StatePolynomial) -> Amplitude:
         )
     total = ZERO
     for pattern, coeff in p._terms.items():
-        weight = coeff.abs_squared()
-        for _, count in pattern:
-            weight = weight * factorial(count)
-        total = total + weight
+        total = total + coeff.abs_squared() * prod(factorial(n) for _, n in pattern)
     return total
 
 

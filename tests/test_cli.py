@@ -126,6 +126,70 @@ def test_sample_byte_identical_reruns(capsys, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# sha256 of `sample --pulses 30000 --pair-prob 1/50 --seed 9 --loss-prob 1/10`
+# as the buffered writer produced it: the event stream (on stdout or in the
+# --output file) and the class summary printed alongside a file
+SAMPLE_ARGV = ["sample", "--pulses", "30000", "--pair-prob", "1/50", "--seed", "9",
+               "--loss-prob", "1/10"]
+SAMPLE_STREAM_SHA256 = "bd86c7f6f00f81969e749a73569462d2e6912d2b400b653f671b072e346889e3"
+SAMPLE_SUMMARY_SHA256 = {
+    "csv": "824bd04c3d66c0934112aa2fac0c32b5dbe224def235967df21dbaf92a1b1e2b",
+    "json": "c4789f5ddb16e9eb7b5c467b399e81dd0d68d1fc265a90c7d4e2e8a4a026c49f",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_sample_streamed_bytes_are_pinned(capsys, tmp_path):
+    code, out, _ = _run(capsys, SAMPLE_ARGV)
+    assert code == 0 and _sha256(out.encode()) == SAMPLE_STREAM_SHA256
+    for fmt, digest in SAMPLE_SUMMARY_SHA256.items():
+        target = tmp_path / f"{fmt}.jsonl"
+        code, out, _ = _run(capsys, SAMPLE_ARGV + ["--format", fmt, "--output", str(target)])
+        assert code == 0 and _sha256(out.encode()) == digest
+        assert _sha256(target.read_bytes()) == SAMPLE_STREAM_SHA256
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["csv.jsonl", "json.jsonl"]
+
+
+def _failing_sampler(real):
+    def sample_events(*args, **kwargs):
+        for index, event in enumerate(real(*args, **kwargs)):
+            if index == 5:
+                raise ValueError("sampler failed partway")
+            yield event
+
+    return sample_events
+
+
+def test_failed_sample_run_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
+    import ghzsim.events
+
+    monkeypatch.setattr(
+        ghzsim.events, "sample_events", _failing_sampler(ghzsim.events.sample_events)
+    )
+    fresh = tmp_path / "fresh.jsonl"
+    earlier = tmp_path / "earlier.jsonl"
+    earlier.write_bytes(b"earlier artifact\n")
+    for target in (fresh, earlier):
+        code, out, err = _run(capsys, SAMPLE_ARGV + ["--output", str(target)])
+        assert code == 2 and out == ""
+        assert json.loads(err.strip())["error"]["message"] == "sampler failed partway"
+    assert not fresh.exists()
+    assert earlier.read_bytes() == b"earlier artifact\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["earlier.jsonl"]
+
+
+def test_failed_artifact_replace_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    code = run(RunConfig(command="dump-circuit", output=target))
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "io"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_sample_zero_pulses(capsys):
     code, out, _ = _run(capsys, ["sample", "--pulses", "0"])
     assert code == 0 and out == ""
@@ -193,6 +257,27 @@ def test_lhv_feasibility_artifacts_are_pinned(capsys, visibility, slack):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == LHV_ARTIFACT_SHA256[visibility, slack]
+
+
+# sha256 of the exact-expansion artifacts as the Fraction-field ring wrote
+# them; the correlations/expand values equal perfbench/expected.json
+EXPANSION_ARTIFACT_SHA256 = {
+    ("correlations", "--format", "json"):
+        "5e693e8d49d5ffb371cc8a1d6dbfc2bf4422be779bd8e9f160c72945f981b8d8",
+    ("expand", "--format", "json"):
+        "b46176db98aad0fed025078ada0b0d07b159b895f9599879cb05b69ea9e23602",
+    ("dump-circuit",):
+        "f73f8a093cf11c453c0accb24f123a575f4b7647665942b35ba6547e5b48bb27",
+    ("dump-circuit", "--format", "json"):
+        "3c1a8edeffa22772c3dcbcdc38b76e2642ba76168ec2b968700d7611fc0b7b29",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXPANSION_ARTIFACT_SHA256))
+def test_expansion_artifacts_are_pinned(capsys, argv):
+    code, out, _ = _run(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPANSION_ARTIFACT_SHA256[argv]
 
 
 def test_critical_visibility_text(capsys):

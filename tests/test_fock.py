@@ -343,3 +343,139 @@ def test_canonicalization_is_idempotent(p):
 def test_filter_complement_recovers(p):
     pred = lambda pat: total_photons(pat) % 2 == 0
     assert filter_terms(p, pred) + filter_terms(p, lambda pat: not pred(pat)) == p
+
+
+# ---------------------------------------------------------------------------
+# integer ring against a four-Fraction reference
+# ---------------------------------------------------------------------------
+# A reference value is ((re, im), (re_sqrt2, im_sqrt2)): p + q*sqrt2 with p
+# and q Gaussian rationals held as pairs of Fractions.
+
+
+def _ref(value):
+    return (value.re, value.im), (value.re_sqrt2, value.im_sqrt2)
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _ref_mul(u, v):
+    (p1, q1), (p2, q2) = u, v
+    two_qq = tuple(2 * c for c in _cmul(q1, q2))
+    return _cadd(_cmul(p1, p2), two_qq), _cadd(_cmul(p1, q2), _cmul(q1, p2))
+
+
+def _ref_inverse(u):
+    # 1/(p + q s) = (p - q s) / (p^2 - 2 q^2)
+    p, q = u
+    n = _cadd(_cmul(p, p), tuple(-2 * c for c in _cmul(q, q)))
+    size = n[0] * n[0] + n[1] * n[1]
+    inv_n = (n[0] / size, -n[1] / size)
+    return _cmul(p, inv_n), _cmul((-q[0], -q[1]), inv_n)
+
+
+_components = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_orders = st.integers(min_value=0, max_value=3)
+_ring = st.builds(Amplitude, _components, _components, _components, _components, _orders)
+_ring_order0 = st.builds(Amplitude, _components, _components, _components, _components)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring, _ring_order0)
+def test_ring_operations_match_fraction_reference(x, y):
+    (p1, q1), (p2, q2) = _ref(x), _ref(y)
+    assert _ref(x * y) == _ref_mul(_ref(x), _ref(y))
+    assert (x * y).order == (x.order if not (x * y).is_zero else 0)
+    assert _ref(x.conjugate()) == ((p1[0], -p1[1]), (q1[0], -q1[1]))
+    assert _ref(x.abs_squared()) == _ref_mul(_ref(x), _ref(x.conjugate()))
+    assert x.abs_squared().order == 0
+    same_order = Amplitude(y.re, y.im, y.re_sqrt2, y.im_sqrt2, x.order)
+    assert _ref(x + same_order) == (_cadd(p1, p2), _cadd(q1, q2))
+    assert _ref(x - same_order) == (
+        _cadd(p1, (-p2[0], -p2[1])), _cadd(q1, (-q2[0], -q2[1]))
+    )
+    assert _ref(-x) == ((-p1[0], -p1[1]), (-q1[0], -q1[1]))
+    if not y.is_zero:
+        assert _ref(y.inverse()) == _ref_inverse(_ref(y))
+        assert y * y.inverse() == ONE
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring, _ring_order0, st.integers(min_value=1, max_value=10**6))
+def test_equal_values_have_equal_hashes(x, y, k):
+    unreduced = Amplitude(
+        Fraction(x.re.numerator * k, x.re.denominator * k),
+        Fraction(x.im.numerator * k, x.im.denominator * k),
+        Fraction(x.re_sqrt2.numerator * k, x.re_sqrt2.denominator * k),
+        Fraction(x.im_sqrt2.numerator * k, x.im_sqrt2.denominator * k),
+        x.order,
+    )
+    routes = [
+        unreduced,
+        (x * k) * Fraction(1, k),
+        x * rational(Fraction(k, 3)) * rational(Fraction(3, k)),
+    ]
+    if not y.is_zero:
+        routes.append(x * y / y)
+    same_order = Amplitude(y.re, y.im, y.re_sqrt2, y.im_sqrt2, x.order)
+    routes.append(x + same_order - same_order)
+    for value in routes:
+        assert value == x
+        assert hash(value) == hash(x)
+    assert len({x, *routes}) == 1
+
+
+def test_unreduced_fraction_inputs_are_one_value():
+    assert Amplitude(Fraction(2, 4)) == Amplitude(Fraction(1, 2))
+    assert hash(Amplitude(Fraction(2, 4))) == hash(Amplitude(Fraction(1, 2)))
+    assert Amplitude(2, 4, 6, 8) * Fraction(1, 2) == Amplitude(1, 2, 3, 4)
+    assert Amplitude(1) != 1  # compared by value with Amplitudes only
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring, st.integers(min_value=1, max_value=3))
+def test_zero_keeps_order_zero(x, order):
+    assert Amplitude(0, 0, 0, 0, order).order == 0
+    assert Amplitude(0, 0, 0, 0, order) == ZERO
+    assert (x * gamma_power(order) - x * gamma_power(order)).order == 0
+    assert (x * ZERO).order == 0 and (ZERO * gamma_power(order)) == ZERO
+    assert hash(x - x) == hash(ZERO)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring)
+def test_amplitude_json_fields_and_strings(x):
+    obj = amplitude_to_json(x)
+    assert list(obj) == ["re", "im", "re_sqrt2", "im_sqrt2", "gamma_order"]
+    assert obj == {
+        "re": str(x.re),
+        "im": str(x.im),
+        "re_sqrt2": str(x.re_sqrt2),
+        "im_sqrt2": str(x.im_sqrt2),
+        "gamma_order": x.order,
+    }
+    assert amplitude_from_json(obj) == x
+    assert amplitude_to_json(amplitude_from_json(obj)) == obj
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_order0, _orders, _orders)
+def test_order_mix_error_points(x, a, b):
+    with pytest.raises(OrderMixError):
+        Amplitude(1, 0, 0, 0, -1 - a)
+    if x.is_zero:
+        return
+    if a != b:
+        with pytest.raises(OrderMixError):
+            x * gamma_power(a) + x * gamma_power(b)
+        mixed = creation(AH, x * gamma_power(a)) + creation(AV, x * gamma_power(b))
+        with pytest.raises(OrderMixError):
+            norm_squared(mixed)
+    if a:
+        with pytest.raises(OrderMixError):
+            (x * gamma_power(a)).inverse()
