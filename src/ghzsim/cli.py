@@ -111,7 +111,7 @@ def build_parser() -> _Parser:
     p.add_argument("--visibility", type=parse_rational, default=Fraction(1))
     p.add_argument("--slack", type=parse_rational, default=Fraction(0))
 
-    p = sub.add_parser("critical-visibility", help="bisect the feasibility boundary")
+    p = sub.add_parser("critical-visibility", help="exact feasibility boundary from LP certificates")
     common(p)
     p.add_argument("--depth", type=int, default=8)
 

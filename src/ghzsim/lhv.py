@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .circuit import innsbruck_circuit
 from .events import trigger_select, two_pair_emission
@@ -644,36 +644,76 @@ def feasibility_at_visibility(visibility: Fraction) -> FeasibilityOutcome:
     return lhv_feasibility(FeasibilityProblem(quantum_targets(Fraction(visibility))))
 
 
-def critical_visibility(depth: int = 8) -> CriticalVisibilityResult:
-    """Bisection of the LP boundary over the visibility interval [0, 1].
+def _affine_boundary(
+    solve: Callable[[Fraction], FeasibilityOutcome],
+    problem_at: Callable[[Fraction], FeasibilityProblem],
+) -> Fraction:
+    """Exact largest feasible V of an affine family of targets t(V) on [0, 1].
 
-    With exact arithmetic the first midpoint 1/2 is decided exactly
-    (feasible), every midpoint above is infeasible, and the returned
-    threshold is exactly 1/2 with the bracket shrinking as 2^(−depth).
+    ``solve(v)`` decides ``problem_at(v)``.  The strategy columns of a
+    Farkas functional y do not depend on V, and y·t(V) is affine in V, so
+    y proves infeasibility for every V above the root of y·t(V).  The
+    search solves at 0 (must be feasible) and at 1 (must be infeasible),
+    then at the root of each new certificate until a root is feasible —
+    the parametric-LP view of Gass and Saaty (1955), run as a
+    Dinkelbach-style iteration.  Each root lies strictly below the V whose
+    certificate gave it, and the simplex visits finitely many bases, so
+    the search ends.  Every verdict it relies on must be ``verified``: a
+    mixture that reproduces its targets, or a verified certificate.
+    """
+
+    def decided(v: Fraction) -> FeasibilityOutcome:
+        outcome = solve(v)
+        if not outcome.verified:
+            raise GhzsimError(f"the verdict at V = {v} does not verify")
+        return outcome
+
+    if not decided(Fraction(0)).feasible:
+        raise GhzsimError("white noise must be classically reproducible")
+    v, outcome = Fraction(1), decided(Fraction(1))
+    if outcome.feasible:
+        raise GhzsimError("the noiseless targets must be infeasible")
+    origin = problem_at(Fraction(0))
+    while not outcome.feasible:
+        certificate = outcome.certificate
+        intercept = evaluate_certificate(origin, certificate.coefficients).value
+        if intercept > 0:
+            raise GhzsimError(f"the certificate from V = {v} is positive at V = 0")
+        slope = (certificate.value - intercept) / v
+        root = -intercept / slope if slope > 0 else v
+        if not root < v:
+            raise GhzsimError(f"the certificate from V = {v} has no root below it")
+        v, outcome = root, decided(root)
+    return v
+
+
+def critical_visibility(depth: int = 8) -> CriticalVisibilityResult:
+    """Exact LP boundary V* over the visibility interval [0, 1].
+
+    :func:`_affine_boundary` finds V* exactly, for any rational boundary,
+    from LP solves at V = 0, V = 1 and the root of each Farkas certificate
+    (for the quantum targets: 0, 1 and 1/2, so V* = 1/2).
+
+    ``depth`` sets only the width 2^(−depth) of the reported bracket
+    ``feasible_at`` ≤ V* < ``infeasible_above``, whose ends are bisection
+    midpoints of [0, 1].  ``evaluations`` lists the verdicts at 0 and 1,
+    then at each midpoint; the entries after the first two are verdicts
+    deduced from the solves, not LP calls:
+
+    * a midpoint above V* is infeasible: the last certificate's columns
+      are non-positive for every V, and its value there is positive;
+    * a midpoint at or below V* is feasible by convexity: the targets are
+      affine in V, and V = 0 and V = V* were both solved feasible.
     """
     if depth < 1:
         raise ValueError("bisection depth must be at least 1")
-    evaluations: List[Tuple[Fraction, bool]] = []
-
-    def feasible(v: Fraction) -> bool:
-        outcome = feasibility_at_visibility(v)
-        evaluations.append((v, outcome.feasible))
-        return outcome.feasible
-
+    v_star = _affine_boundary(
+        feasibility_at_visibility, lambda v: FeasibilityProblem(quantum_targets(v))
+    )
+    evaluations = [(Fraction(0), True), (Fraction(1), False)]
     low, high = Fraction(0), Fraction(1)
-    if not feasible(low):
-        raise GhzsimError("white noise must be classically reproducible")
-    if feasible(high):
-        raise GhzsimError("the noiseless targets must be infeasible")
     for _ in range(depth):
         mid = (low + high) / 2
-        if feasible(mid):
-            low = mid
-        else:
-            high = mid
-    return CriticalVisibilityResult(
-        v_star=low,
-        feasible_at=low,
-        infeasible_above=high,
-        evaluations=tuple(evaluations),
-    )
+        evaluations.append((mid, mid <= v_star))
+        low, high = (mid, high) if mid <= v_star else (low, mid)
+    return CriticalVisibilityResult(v_star, low, high, tuple(evaluations))

@@ -215,26 +215,34 @@ def pattern_distribution(state: StatePolynomial) -> Dict[Pattern, Fraction]:
     return dist
 
 
+# (station index, readout) of each station mode, keyed by mode name
+_STATION_READOUT: Dict[str, Tuple[int, int]] = {
+    Mode(station.beam, polarization).name: (
+        index, 1 if polarization is Polarization.H else -1
+    )
+    for index, station in enumerate(STATIONS)
+    for polarization in Polarization
+}
+
+
 def _right_outcome(pattern: Pattern) -> Outcome | None:
     """Outcome triple if the pattern is a triggered right event, else None."""
     trigger = 0
-    station_hits: Dict[Station, list] = {s: [] for s in STATIONS}
-    station_of_beam = {s.beam: s for s in STATIONS}
+    hits = [0, 0, 0]
+    reads = [0, 0, 0]
     for mode, count in pattern:
-        if mode == TRIGGER:
+        if mode.name == TRIGGER.name:
             trigger = count
-        elif mode.beam in station_of_beam:
-            station_hits[station_of_beam[mode.beam]].extend([mode.polarization] * count)
         elif count:
-            return None  # photons outside trigger/station beams: not a right event
-    if trigger != 1:
+            readout = _STATION_READOUT.get(mode.name)
+            if readout is None:
+                return None  # photons outside trigger/station beams: not a right event
+            station, read = readout
+            hits[station] += count
+            reads[station] = read
+    if trigger != 1 or hits != [1, 1, 1]:
         return None
-    if any(len(hits) != 1 for hits in station_hits.values()):
-        return None
-    reads = tuple(
-        1 if station_hits[s][0] is Polarization.H else -1 for s in STATIONS
-    )
-    return reads  # type: ignore[return-value]
+    return tuple(reads)  # type: ignore[return-value]
 
 
 def outcome_distribution(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ghzsim import lhv
 from ghzsim.cli import RunConfig, parse_argv, parse_rational, run
 from ghzsim.events import event_from_json
 from ghzsim.lhv import (
@@ -284,6 +285,42 @@ def test_critical_visibility_text(capsys):
     code, out, _ = _run(capsys, ["critical-visibility", "--depth", "3"])
     assert code == 0
     assert out.strip() == "V* = 1/2"
+
+
+# sha256 of the `critical-visibility` artifacts as the bisection search wrote
+# them, one LP solve per evaluation: the certificate-guided search must
+# report the same bracket and the same verdicts byte for byte
+THRESHOLD_ARTIFACT_SHA256 = {
+    ("critical-visibility", "--format", "json"):
+        "1e6e50bcbc33c39ead150c46f8e67a8a4bd44119033f75844ca603b8c31f4b8b",
+    ("critical-visibility", "--format", "json", "--depth", "3"):
+        "1224f2b3a06992d94a8f9044acb8af5bbe545236d1c45da393b3e242cf2094a5",
+    ("critical-visibility",):
+        "ef0bef7f47f12048b150ac2750f81a2ada081af42356f8a6c9d99ac5dacb8491",
+    ("critical-visibility", "--depth", "3"):
+        "ef0bef7f47f12048b150ac2750f81a2ada081af42356f8a6c9d99ac5dacb8491",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(THRESHOLD_ARTIFACT_SHA256))
+def test_threshold_artifacts_are_pinned(capsys, argv):
+    code, out, _ = _run(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THRESHOLD_ARTIFACT_SHA256[argv]
+
+
+def test_threshold_search_solves_only_at_zero_one_and_the_root(monkeypatch):
+    solved = []
+    solve = lhv.feasibility_at_visibility
+
+    def counting(visibility):
+        solved.append(visibility)
+        return solve(visibility)
+
+    monkeypatch.setattr(lhv, "feasibility_at_visibility", counting)
+    result = lhv.critical_visibility(8)
+    assert solved == [Fraction(0), Fraction(1), Fraction(1, 2)]
+    assert len(result.evaluations) == 10
 
 
 def test_ghz_paradox_json(capsys):

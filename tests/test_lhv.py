@@ -1,10 +1,12 @@
 """Strategy enumeration, the sigma lemma, the GHZ paradox, and the LP boundary."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ghzsim import lhv
+from ghzsim.fock import GhzsimError
 from ghzsim.lhv import (
     Certificate,
     FeasibilityOutcome,
@@ -219,6 +221,94 @@ def test_critical_visibility_is_exactly_one_half():
     assert result.feasible_at == Fraction(1, 2)
     assert Fraction(1, 2) < result.infeasible_above <= Fraction(1, 2) + Fraction(1, 2**6)
     assert dict(result.evaluations)[Fraction(1, 2)] is True
+
+
+def _interpolated_problem(lam: Fraction) -> FeasibilityProblem:
+    """Cell by cell (1 − λ)·t(1/4) + λ·t(1): boundary at λ = 1/3, not dyadic."""
+    pairs = zip(quantum_targets(Fraction(1, 4)), quantum_targets(Fraction(1)))
+    return FeasibilityProblem(tuple(
+        OutcomeTable(
+            low.settings,
+            {o: (1 - lam) * low.probabilities[o] + lam * high.probabilities[o]
+             for o in OUTCOMES},
+            (1 - lam) * low.wrong_mass + lam * high.wrong_mass,
+        )
+        for low, high in pairs
+    ))
+
+
+def test_affine_boundary_is_exact_off_the_dyadic_grid():
+    solved = []
+
+    def solve(lam):
+        solved.append(lam)
+        return lhv_feasibility(_interpolated_problem(lam))
+
+    assert lhv._affine_boundary(solve, _interpolated_problem) == Fraction(1, 3)
+    assert len(solved) <= 3
+    assert lhv_feasibility(_interpolated_problem(Fraction(1, 3))).feasible
+    above = Fraction(1, 3) + Fraction(1, 10**6)
+    assert not lhv_feasibility(_interpolated_problem(above)).feasible
+
+
+def _solve_with(monkeypatch, outcome_at):
+    """Route the threshold search's solves through ``outcome_at``; returns
+    the list of visibilities it was asked for."""
+    calls = []
+
+    def fake(visibility):
+        calls.append(visibility)
+        return outcome_at(visibility)
+
+    monkeypatch.setattr(lhv, "feasibility_at_visibility", fake)
+    return calls
+
+
+def _tampered(at, **fields):
+    """Real outcomes, except that the one at V = ``at`` has ``fields`` set on
+    its certificate, or on itself when it is feasible."""
+    real = feasibility_at_visibility(at)
+    if real.feasible:
+        tampered = replace(real, **fields)
+    else:
+        certificate = replace(real.certificate, **fields)
+        tampered = replace(real, certificate=certificate, verified=certificate.verified)
+    return lambda v: tampered if v == at else feasibility_at_visibility(v)
+
+
+@pytest.mark.parametrize("outcome_at,message", [
+    (lambda: _tampered(1, verified=False), "does not verify"),
+    (lambda: _tampered(Fraction(1, 2), verified=False), "does not verify"),
+    (lambda: _tampered(1, value=Fraction(-1)), "no root below"),
+    (lambda: _tampered(1, coefficients={("mass", ""): Fraction(1)}),
+     "positive at V = 0"),
+    (lambda: lambda v: feasibility_at_visibility(Fraction(1)),
+     "white noise must be classically reproducible"),
+    (lambda: lambda v: feasibility_at_visibility(Fraction(0)),
+     "noiseless targets must be infeasible"),
+], ids=["unverified-certificate", "unverified-mixture", "root-not-below",
+        "positive-intercept", "white-noise", "noiseless"])
+def test_threshold_search_guards(monkeypatch, outcome_at, message):
+    _solve_with(monkeypatch, outcome_at())
+    with pytest.raises(GhzsimError, match=message):
+        critical_visibility(8)
+
+
+def test_threshold_depth_is_checked_before_any_solve(monkeypatch):
+    calls = _solve_with(monkeypatch, feasibility_at_visibility)
+    with pytest.raises(ValueError):
+        critical_visibility(0)
+    assert calls == []
+
+
+def test_deduced_verdicts_agree_with_direct_solves():
+    reported = {
+        (v, ok)
+        for depth in range(1, 5)
+        for v, ok in critical_visibility(depth).evaluations
+    }
+    for v, ok in sorted(reported):
+        assert feasibility_at_visibility(v).feasible is ok
 
 
 def test_slack_relaxation():
