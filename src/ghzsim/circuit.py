@@ -26,9 +26,11 @@ from .fock import (
     InvalidModeError,
     MODE_NAMES,
     Mode,
+    ONE,
     Polarization,
     RuleTargets,
     StatePolynomial,
+    ZERO,
     creation,
     norm_squared,
     render_amplitude,
@@ -65,14 +67,13 @@ class ModeTransform:
                     raise CircuitConfigError("transform coefficients carry no gamma")
         sources = list(self.rules)
         for i, si in enumerate(sources):
+            row_i = dict(self.rules[si])
             for sj in sources[i:]:
-                inner = Amplitude()
-                row_i = dict(self.rules[si])
+                inner = ZERO
                 for target, coeff in self.rules[sj]:
                     if target in row_i:
                         inner = inner + row_i[target].conjugate() * coeff
-                expected = Amplitude(1 if si == sj else 0)
-                if inner != expected:
+                if inner != (ONE if si == sj else ZERO):
                     raise CircuitConfigError(
                         f"{self.name or 'transform'}: rule columns for {si} and {sj} "
                         f"are not orthonormal (inner product {inner})"

@@ -34,18 +34,6 @@ from .fock import (
     render_polynomial,
 )
 
-COMMANDS = (
-    "expand",
-    "classify",
-    "dump-circuit",
-    "correlations",
-    "sample",
-    "lhv-feasibility",
-    "critical-visibility",
-    "ghz-paradox",
-)
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -81,39 +69,41 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--output", type=Path, default=None, help="artifact file path")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
+        # an omitted flag stays out of the namespace, so RunConfig supplies it
+        p.argument_default = argparse.SUPPRESS
+        p.add_argument("--output", type=Path, help="artifact file path")
+        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
 
     p = sub.add_parser("expand", help="derive the emission, post-trigger and circuit states")
     common(p)
 
     p = sub.add_parser("classify", help="classify a detection pattern (or the derived terms)")
     common(p)
-    p.add_argument("--pattern", default=None, help='occupation JSON, e.g. {"a_H":1,"g_H":1}')
+    p.add_argument("--pattern", help='occupation JSON, e.g. {"a_H":1,"g_H":1}')
 
     p = sub.add_parser("dump-circuit", help="print the element and composed mode transforms")
     common(p)
 
     p = sub.add_parser("correlations", help="exact outcome tables and triple correlations")
     common(p)
-    p.add_argument("--visibility", type=parse_rational, default=Fraction(1))
+    p.add_argument("--visibility", type=parse_rational)
 
     p = sub.add_parser("sample", help="Monte Carlo event stream (JSON lines)")
     common(p)
-    p.add_argument("--pulses", type=int, default=0)
-    p.add_argument("--pair-prob", type=parse_rational, default=Fraction(1, 10000))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss-prob", type=parse_rational, default=Fraction(0))
+    p.add_argument("--pulses", type=int)
+    p.add_argument("--pair-prob", type=parse_rational)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--loss-prob", type=parse_rational)
     p.add_argument("--redefined-trigger", action="store_true")
 
     p = sub.add_parser("lhv-feasibility", help="exact LP against the quantum tables")
     common(p)
-    p.add_argument("--visibility", type=parse_rational, default=Fraction(1))
-    p.add_argument("--slack", type=parse_rational, default=Fraction(0))
+    p.add_argument("--visibility", type=parse_rational)
+    p.add_argument("--slack", type=parse_rational)
 
     p = sub.add_parser("critical-visibility", help="exact feasibility boundary from LP certificates")
     common(p)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int)
 
     p = sub.add_parser("ghz-paradox", help="the inequality-free contradiction count")
     common(p)
@@ -121,12 +111,7 @@ def build_parser() -> _Parser:
 
 
 def parse_argv(argv) -> RunConfig:
-    namespace = build_parser().parse_args(argv)
-    config = RunConfig(command=namespace.command)
-    for name in vars(config):
-        if hasattr(namespace, name):
-            setattr(config, name, getattr(namespace, name))
-    return config
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -201,11 +186,7 @@ def _cmd_expand(config: RunConfig) -> int:
                 "two_pair_emission": _poly_json(emission),
                 "post_trigger": _poly_json(post_trigger),
                 "behind_circuit": [
-                    {
-                        "pattern": pattern_to_json(pattern),
-                        "amplitude": amplitude_to_json(coeff),
-                        "class": label,
-                    }
+                    {**_term_json(pattern, coeff), "class": label}
                     for pattern, coeff, label in labeled
                 ],
             }
@@ -228,11 +209,12 @@ def _cmd_expand(config: RunConfig) -> int:
     return _finish(config, artifact, summary)
 
 
+def _term_json(pattern, coeff) -> dict:
+    return {"pattern": pattern_to_json(pattern), "amplitude": amplitude_to_json(coeff)}
+
+
 def _poly_json(poly) -> list:
-    return [
-        {"pattern": pattern_to_json(pattern), "amplitude": amplitude_to_json(coeff)}
-        for pattern, coeff in poly.terms.items()
-    ]
+    return [_term_json(pattern, coeff) for pattern, coeff in poly.terms.items()]
 
 
 def _cmd_classify(config: RunConfig) -> int:
@@ -382,28 +364,21 @@ def _cmd_lhv_feasibility(config: RunConfig) -> int:
         lhv_mod.quantum_targets(config.visibility), slack=config.slack
     )
     outcome = lhv_mod.lhv_feasibility(problem)
+    payload = {"visibility": str(config.visibility), "feasible": outcome.feasible}
     if outcome.feasible:
-        payload = {
-            "visibility": str(config.visibility),
-            "feasible": True,
-            "chi_zero_weight": str(outcome.chi_zero_weight),
-            "distribution": [
-                {
-                    "g": list(strategy.g),
-                    "h": list(strategy.h),
-                    "z": list(strategy.z),
-                    "weight": str(weight),
-                }
-                for strategy, weight in outcome.distribution.items()
-            ],
-        }
+        payload["chi_zero_weight"] = str(outcome.chi_zero_weight)
+        payload["distribution"] = [
+            {
+                "g": list(strategy.g),
+                "h": list(strategy.h),
+                "z": list(strategy.z),
+                "weight": str(weight),
+            }
+            for strategy, weight in outcome.distribution.items()
+        ]
         summary = f"feasible at visibility {config.visibility}"
     else:
-        payload = {
-            "visibility": str(config.visibility),
-            "feasible": False,
-            "certificate": lhv_mod.certificate_to_json(outcome.certificate),
-        }
+        payload["certificate"] = lhv_mod.certificate_to_json(outcome.certificate)
         summary = (
             f"infeasible at visibility {config.visibility}; certificate "
             f"value {outcome.certificate.value} exceeds bound "

@@ -29,10 +29,13 @@ from .fock import (
     AH,
     AV,
     BH,
+    BOOL,
     BV,
     Beam,
     GhzsimError,
+    INT,
     Mode,
+    PATTERN,
     Pattern,
     StatePolynomial,
     TRIGGER,
@@ -43,8 +46,8 @@ from .fock import (
     gamma_power,
     monomial,
     occupation,
-    pattern_from_json,
     pattern_to_json,
+    record_codec,
     total_photons,
 )
 from .measurement import STATIONS, Station, pattern_distribution
@@ -329,22 +332,15 @@ class SampledEvent:
     herald_veto: bool
 
 
-def event_to_json(event: SampledEvent) -> dict:
-    return {
-        "pulse": event.pulse_index,
-        "pattern": pattern_to_json(event.pattern),
-        "class": event.event_class.wire,
-        "veto": event.herald_veto,
-    }
-
-
-def event_from_json(obj: Mapping[str, object]) -> SampledEvent:
-    return SampledEvent(
-        pulse_index=int(obj["pulse"]),  # type: ignore[arg-type]
-        pattern=pattern_from_json(obj["pattern"]),  # type: ignore[arg-type]
-        event_class=event_class_from_wire(str(obj["class"])),
-        herald_veto=bool(obj["veto"]),
-    )
+EVENT_CLASS = (lambda event_class: event_class.wire, lambda text: event_class_from_wire(str(text)))
+EVENT = record_codec(
+    SampledEvent,
+    ("pulse", "pulse_index", INT),
+    ("pattern", "pattern", PATTERN),
+    ("class", "event_class", EVENT_CLASS),
+    ("veto", "herald_veto", BOOL),
+)
+event_to_json, event_from_json = EVENT
 
 
 def derived_seed(seed: int, chunk_index: int) -> int:

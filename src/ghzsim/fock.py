@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from typing import Callable, Iterable, Mapping, Tuple, Union
+from typing import Any, Callable, Iterable, Mapping, Tuple, Union
 
 
 class GhzsimError(Exception):
@@ -241,18 +241,44 @@ def render_amplitude(amp: Amplitude) -> str:
     return f"{plain} + {root_part}"
 
 
-_COMPONENTS = ("re", "im", "re_sqrt2", "im_sqrt2")
+# ---------------------------------------------------------------------------
+# Wire codec: each JSON artifact is declared once as an (encode, decode) pair
+# ---------------------------------------------------------------------------
+
+Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]  # (encode, decode)
+
+INT: Codec = (int, int)
+BOOL: Codec = (bool, bool)
+TEXT: Codec = (str, str)
+RATIONAL: Codec = (str, lambda text: Fraction(str(text)))  # "p/q" text, never a JSON number
 
 
-def amplitude_to_json(amp: Amplitude) -> dict:
-    obj: dict = {name: str(getattr(amp, name)) for name in _COMPONENTS}
-    obj["gamma_order"] = amp.order
-    return obj
+def sequence_codec(item: Codec) -> Codec:
+    """A JSON list of ``item`` values, decoded to a tuple."""
+    encode, decode = item
+    return lambda values: [encode(v) for v in values], lambda obj: tuple(decode(v) for v in obj)
 
 
-def amplitude_from_json(obj: Mapping[str, object]) -> Amplitude:
-    parts = [Fraction(str(obj[name])) for name in _COMPONENTS]
-    return Amplitude(*parts, int(obj["gamma_order"]))  # type: ignore[arg-type]
+def mapping_codec(key: Codec, value: Codec) -> Codec:
+    """A JSON object with encoded keys and values, decoded to a dict."""
+    (encode_key, decode_key), (encode_value, decode_value) = key, value
+    return (lambda mapping: {encode_key(k): encode_value(v) for k, v in mapping.items()},
+            lambda obj: {decode_key(k): decode_value(v) for k, v in obj.items()})
+
+
+def record_codec(build: Callable[..., Any], *fields: Tuple[str, str, Codec]) -> Codec:
+    """A JSON object with one ``(wire key, attribute, codec)`` per field; the
+    decoder calls ``build`` with the decoded fields as keyword arguments."""
+    return (lambda value: {key: enc(getattr(value, attr)) for key, attr, (enc, _) in fields},
+            lambda obj: build(**{attr: dec(obj[key]) for key, attr, (_, dec) in fields}))
+
+
+AMPLITUDE = record_codec(
+    Amplitude,
+    *((name, name, RATIONAL) for name in ("re", "im", "re_sqrt2", "im_sqrt2")),
+    ("gamma_order", "order", INT),
+)
+amplitude_to_json, amplitude_from_json = AMPLITUDE
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +297,9 @@ class Beam(Enum):
     ``A``/``B`` are the two down-conversion beams, ``C`` the beamsplitter
     output that feeds the second polarizing beamsplitter, ``G``/``H``/``Z``
     the observation stations, ``A_H`` the transmitted trigger arm, ``A_V``
-    the reflected arm, ``A_45`` that arm after the half-wave plate, and
-    ``VETO`` the heralding mode that registers photons removed by the
-    spectral filters.
+    the reflected arm and ``A_45`` that arm after the half-wave plate.
+    Filter loss is no mode: a sampled event carries it as its
+    ``herald_veto`` flag (see :mod:`ghzsim.events`).
     """
 
     A = "a"
@@ -285,7 +311,6 @@ class Beam(Enum):
     G = "g"
     H = "h"
     Z = "z"
-    VETO = "trigger-veto"
 
 
 _BEAM_ORDER = {beam: index for index, beam in enumerate(Beam)}
@@ -341,8 +366,6 @@ MODE_NAMES: Mapping[Tuple[Beam, Polarization], str] = {
     (Beam.H, Polarization.V): "h_V",
     (Beam.Z, Polarization.H): "z_H",
     (Beam.Z, Polarization.V): "z_V",
-    (Beam.VETO, Polarization.H): "veto_H",
-    (Beam.VETO, Polarization.V): "veto_V",
 }
 
 MODE_BY_NAME: Mapping[str, Mode] = {
@@ -363,10 +386,6 @@ ZH = MODE_BY_NAME["z_H"]
 ZV = MODE_BY_NAME["z_V"]
 TRIGGER = MODE_BY_NAME["a_H"]
 REFLECT_ARM = MODE_BY_NAME["a_V"]
-A45H = MODE_BY_NAME["a45H"]
-A45V = MODE_BY_NAME["a45V"]
-VETOH = MODE_BY_NAME["veto_H"]
-VETOV = MODE_BY_NAME["veto_V"]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +443,10 @@ def pattern_from_json(obj: Mapping[str, int]) -> Pattern:
         return as_pattern({MODE_BY_NAME[name]: count for name, count in obj.items()})
     except KeyError as exc:
         raise InvalidModeError(f"unknown mode name {exc.args[0]!r}") from None
+
+
+# hand-written, because the decoder reports an unknown mode name as such
+PATTERN: Codec = (pattern_to_json, pattern_from_json)
 
 
 class StatePolynomial:

@@ -22,11 +22,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .circuit import innsbruck_circuit
 from .events import trigger_select, two_pair_emission
-from .fock import GhzsimError, StatePolynomial
+from .fock import (
+    BOOL,
+    GhzsimError,
+    INT,
+    RATIONAL,
+    StatePolynomial,
+    TEXT,
+    mapping_codec,
+    record_codec,
+    sequence_codec,
+)
 from .measurement import (
     AnalyzerSetting,
     OUTCOMES,
@@ -424,28 +434,23 @@ def evaluate_certificate(
     return Certificate(dict(coeffs), value, bound, max_column, verified)
 
 
-def certificate_to_json(certificate: Certificate) -> dict:
-    return {
-        "coefficients": {
-            (f"{code}|{outcome}" if code != "mass" else "mass"): str(value)
-            for (code, outcome), value in certificate.coefficients.items()
-        },
-        "value": str(certificate.value),
-        "strategy_bound": str(certificate.strategy_bound),
-        "max_strategy_column": str(certificate.max_strategy_column),
-        "verified": certificate.verified,
-    }
+def _certificate_key(text: str) -> CertificateKey:
+    code, outcome = ("mass", "") if text == "mass" else text.split("|")
+    return code, outcome
 
 
-def certificate_from_json(obj: Mapping[str, object]) -> Dict[CertificateKey, Fraction]:
-    coeffs: Dict[CertificateKey, Fraction] = {}
-    for key, value in obj["coefficients"].items():  # type: ignore[union-attr]
-        if key == "mass":
-            coeffs[("mass", "")] = Fraction(str(value))
-        else:
-            code, outcome = key.split("|")
-            coeffs[(code, outcome)] = Fraction(str(value))
-    return coeffs
+CERTIFICATE_KEY = (lambda key: "mass" if key[0] == "mass" else "|".join(key), _certificate_key)
+# the decoder keeps only the coefficients: value, bound and verdict are
+# re-derived from them by evaluate_certificate, never trusted from the wire
+CERTIFICATE = record_codec(
+    lambda coefficients, **evidence: coefficients,
+    ("coefficients", "coefficients", mapping_codec(CERTIFICATE_KEY, RATIONAL)),
+    ("value", "value", RATIONAL),
+    ("strategy_bound", "strategy_bound", RATIONAL),
+    ("max_strategy_column", "max_strategy_column", RATIONAL),
+    ("verified", "verified", BOOL),
+)
+certificate_to_json, certificate_from_json = CERTIFICATE
 
 
 # ---------------------------------------------------------------------------
@@ -561,52 +566,32 @@ def ghz_paradox_check(conjugate: bool = False) -> GhzParadoxReport:
     )
 
 
-def lemma_report_to_json(report: LemmaReport) -> dict:
-    return {
-        "total": report.total,
-        "admissible": report.admissible,
-        "chi_one": report.chi_one,
-        "chi_zero": report.chi_zero,
-        "excluded": report.excluded,
-        "excluded_with_even_sigma": report.excluded_with_even_sigma,
-        "setting_dependent_excluded": report.setting_dependent_excluded,
-        "moduli_setting_independent": report.all_admissible_moduli_setting_independent,
-    }
+LEMMA_REPORT = record_codec(
+    LemmaReport,
+    *((name, name, INT) for name in (
+        "total", "admissible", "chi_one", "chi_zero", "excluded",
+        "excluded_with_even_sigma", "setting_dependent_excluded",
+    )),
+    ("moduli_setting_independent", "all_admissible_moduli_setting_independent", BOOL),
+)
+lemma_report_to_json, lemma_report_from_json = LEMMA_REPORT
+
+GHZ_REPORT = record_codec(
+    GhzParadoxReport,
+    ("conjugate", "conjugate_convention", BOOL),
+    ("correlations", "quantum_correlations", mapping_codec(TEXT, RATIONAL)),
+    ("satisfying_all", "satisfying_all", INT),
+    ("satisfying_after_drop", "satisfying_after_drop", sequence_codec(INT)),
+    ("contradiction", "contradiction", BOOL),
+)
+ghz_report_to_json, ghz_report_from_json = GHZ_REPORT
 
 
-def lemma_report_from_json(obj: Mapping[str, object]) -> LemmaReport:
-    return LemmaReport(
-        total=int(obj["total"]),
-        admissible=int(obj["admissible"]),
-        chi_one=int(obj["chi_one"]),
-        chi_zero=int(obj["chi_zero"]),
-        excluded=int(obj["excluded"]),
-        excluded_with_even_sigma=int(obj["excluded_with_even_sigma"]),
-        setting_dependent_excluded=int(obj["setting_dependent_excluded"]),
-        all_admissible_moduli_setting_independent=bool(obj["moduli_setting_independent"]),
-    )
+class Evaluation(NamedTuple):
+    """One verdict of the reported bracket search."""
 
-
-def ghz_report_to_json(report: GhzParadoxReport) -> dict:
-    return {
-        "conjugate": report.conjugate_convention,
-        "correlations": {k: str(v) for k, v in report.quantum_correlations.items()},
-        "satisfying_all": report.satisfying_all,
-        "satisfying_after_drop": list(report.satisfying_after_drop),
-        "contradiction": report.contradiction,
-    }
-
-
-def ghz_report_from_json(obj: Mapping[str, object]) -> GhzParadoxReport:
-    return GhzParadoxReport(
-        conjugate_convention=bool(obj["conjugate"]),
-        quantum_correlations={
-            k: Fraction(str(v)) for k, v in obj["correlations"].items()  # type: ignore[union-attr]
-        },
-        satisfying_all=int(obj["satisfying_all"]),
-        satisfying_after_drop=tuple(obj["satisfying_after_drop"]),  # type: ignore[arg-type]
-        contradiction=bool(obj["contradiction"]),
-    )
+    visibility: Fraction
+    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -614,30 +599,17 @@ class CriticalVisibilityResult:
     v_star: Fraction
     feasible_at: Fraction
     infeasible_above: Fraction
-    evaluations: Tuple[Tuple[Fraction, bool], ...]
+    evaluations: Tuple[Evaluation, ...]
 
 
-def critical_result_to_json(result: CriticalVisibilityResult) -> dict:
-    return {
-        "v_star": str(result.v_star),
-        "feasible_at": str(result.feasible_at),
-        "infeasible_above": str(result.infeasible_above),
-        "evaluations": [
-            {"visibility": str(v), "feasible": ok} for v, ok in result.evaluations
-        ],
-    }
-
-
-def critical_result_from_json(obj: Mapping[str, object]) -> CriticalVisibilityResult:
-    return CriticalVisibilityResult(
-        v_star=Fraction(str(obj["v_star"])),
-        feasible_at=Fraction(str(obj["feasible_at"])),
-        infeasible_above=Fraction(str(obj["infeasible_above"])),
-        evaluations=tuple(
-            (Fraction(str(entry["visibility"])), bool(entry["feasible"]))
-            for entry in obj["evaluations"]  # type: ignore[union-attr]
-        ),
-    )
+CRITICAL_RESULT = record_codec(
+    CriticalVisibilityResult,
+    *((name, name, RATIONAL) for name in ("v_star", "feasible_at", "infeasible_above")),
+    ("evaluations", "evaluations", sequence_codec(record_codec(
+        Evaluation, ("visibility", "visibility", RATIONAL), ("feasible", "feasible", BOOL),
+    ))),
+)
+critical_result_to_json, critical_result_from_json = CRITICAL_RESULT
 
 
 def feasibility_at_visibility(visibility: Fraction) -> FeasibilityOutcome:
@@ -710,10 +682,10 @@ def critical_visibility(depth: int = 8) -> CriticalVisibilityResult:
     v_star = _affine_boundary(
         feasibility_at_visibility, lambda v: FeasibilityProblem(quantum_targets(v))
     )
-    evaluations = [(Fraction(0), True), (Fraction(1), False)]
+    evaluations = [Evaluation(Fraction(0), True), Evaluation(Fraction(1), False)]
     low, high = Fraction(0), Fraction(1)
     for _ in range(depth):
         mid = (low + high) / 2
-        evaluations.append((mid, mid <= v_star))
+        evaluations.append(Evaluation(mid, mid <= v_star))
         low, high = (mid, high) if mid <= v_star else (low, mid)
     return CriticalVisibilityResult(v_star, low, high, tuple(evaluations))

@@ -43,9 +43,12 @@ from .fock import (
     Mode,
     Pattern,
     Polarization,
+    RATIONAL,
     StatePolynomial,
     TRIGGER,
+    mapping_codec,
     norm_squared,
+    record_codec,
     substitute,
 )
 
@@ -303,23 +306,11 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
     return OutcomeTable(table.settings, cells, table.wrong_mass)
 
 
-def table_to_json(table: OutcomeTable) -> dict:
-    return {
-        "settings": table.settings.code,
-        "cells": {
-            outcome_code(outcome): str(p) for outcome, p in table.probabilities.items()
-        },
-        "wrong_mass": str(table.wrong_mass),
-    }
-
-
-def table_from_json(obj: Mapping[str, object]) -> OutcomeTable:
-    cells = {
-        outcome_from_code(code): Fraction(str(p))
-        for code, p in obj["cells"].items()  # type: ignore[union-attr]
-    }
-    return OutcomeTable(
-        SettingTriple.from_code(str(obj["settings"])),
-        cells,
-        Fraction(str(obj["wrong_mass"])),
-    )
+SETTING_TRIPLE = (lambda triple: triple.code, lambda code: SettingTriple.from_code(str(code)))
+TABLE = record_codec(
+    OutcomeTable,
+    ("settings", "settings", SETTING_TRIPLE),
+    ("cells", "probabilities", mapping_codec((outcome_code, outcome_from_code), RATIONAL)),
+    ("wrong_mass", "wrong_mass", RATIONAL),
+)
+table_to_json, table_from_json = TABLE

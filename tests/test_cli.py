@@ -281,6 +281,39 @@ def test_expansion_artifacts_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPANSION_ARTIFACT_SHA256[argv]
 
 
+# sha256 of the report artifacts as the hand-written to/from-JSON pairs wrote
+# them: the declarative wire codec must not move a byte
+REPORT_ARTIFACT_SHA256 = {
+    ("ghz-paradox", "--format", "json"):
+        "d9716e1d283bf782d3fec69eccf39dc815b4940d6d051c6e5b9f8cf1ff293b88",
+    ("ghz-paradox", "--format", "text"):
+        "03bd41a0f8ede16fbf257cc6cfec1f6b1abea016d5d19cdb6a9bd38eb0572701",
+    ("classify", "--format", "json"):
+        "4b05c0d4326c6876fe3091b7315fbec9633cd32c31ac9cb14a55fe45a1ad6a38",
+    ("classify", "--format", "csv"):
+        "55d6054f120e220b23dd8b5054cb9b9c40f99ebf8add117c66795e0dd1bf3524",
+    ("classify", "--format", "text"):
+        "f3e07356656ff8860fd22ae70382428f7085035007fcad79b19a33193ed3b6e3",
+    ("classify", "--pattern", '{"a_H":1,"g_H":1,"h_V":1,"z_V":1}', "--format", "json"):
+        "9df2e321e9f0702cdf98aa50146722d8de2868535275634426f3e6b0ec4d37f0",
+    ("correlations", "--format", "csv"):
+        "c6af13790b9615901c8bef24af2f1b3a9905d7c5c58f19091d0e4e5403e5d887",
+    ("correlations", "--format", "text"):
+        "bfcb938ca3c2fec5397a9acdc7258fd63dc79fdc1ecb70b4fb38eb75bbcc73a0",
+    ("expand", "--format", "text"):
+        "c7286c9bf0ec48541e1ff564bd49a96e7a1957fc155d021d78a1a044bcd28c50",
+    ("lhv-feasibility", "--visibility", "13/20", "--format", "text"):
+        "5bda57a4b6d5ac86ff5defcb4bfd84cfec9591a207683f73c27ff52fe462cf83",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_ARTIFACT_SHA256))
+def test_report_artifacts_are_pinned(capsys, argv):
+    code, out, _ = _run(capsys, list(argv))
+    assert code == 0
+    assert _sha256(out.encode()) == REPORT_ARTIFACT_SHA256[argv]
+
+
 def test_critical_visibility_text(capsys):
     code, out, _ = _run(capsys, ["critical-visibility", "--depth", "3"])
     assert code == 0

@@ -1,0 +1,183 @@
+"""The wire codec: every artifact round-trips through JSON text, and every
+decoder keeps rejecting the malformed input it rejected as a hand-written pair."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ghzsim.events import EventClass, SampledEvent, event_from_json, event_to_json
+from ghzsim.fock import (
+    MODE_BY_NAME,
+    Amplitude,
+    InvalidModeError,
+    amplitude_from_json,
+    amplitude_to_json,
+    as_pattern,
+    pattern_from_json,
+    pattern_to_json,
+)
+from ghzsim.lhv import (
+    Certificate,
+    CriticalVisibilityResult,
+    Evaluation,
+    GhzParadoxReport,
+    LemmaReport,
+    certificate_from_json,
+    certificate_to_json,
+    critical_result_from_json,
+    critical_result_to_json,
+    ghz_report_from_json,
+    ghz_report_to_json,
+    lemma_report_from_json,
+    lemma_report_to_json,
+)
+from ghzsim.measurement import (
+    OUTCOMES,
+    OutcomeTable,
+    Station,
+    all_setting_triples,
+    outcome_code,
+    table_from_json,
+    table_to_json,
+)
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_counts = st.integers(min_value=0, max_value=10**6)
+_triples = st.sampled_from(all_setting_triples())
+_amplitudes = st.builds(
+    Amplitude, _rationals, _rationals, _rationals, _rationals, st.integers(0, 4)
+)
+_patterns = st.dictionaries(
+    st.sampled_from(sorted(MODE_BY_NAME.values())), st.integers(1, 3), max_size=6
+).map(as_pattern)
+
+
+@st.composite
+def _tables(draw):
+    """Tables that sum to 1: nine non-negative weights, normalised."""
+    weights = draw(st.lists(st.integers(0, 40), min_size=9, max_size=9).filter(any))
+    total = sum(weights)
+    cells = {o: Fraction(w, total) for o, w in zip(OUTCOMES, weights)}
+    return OutcomeTable(draw(_triples), cells, Fraction(weights[-1], total))
+
+
+_stations = st.sampled_from(list(Station))
+_event_classes = st.one_of(
+    st.just(EventClass.right()),
+    st.builds(EventClass.wrong_pair, _stations, _stations),
+    st.builds(EventClass.double_non_detection, st.none() | _stations),
+    st.builds(EventClass.trigger_failure, st.text()),
+)
+_events = st.builds(SampledEvent, _counts, _patterns, _event_classes, st.booleans())
+
+_certificate_keys = st.just(("mass", "")) | st.tuples(
+    _triples.map(lambda t: t.code), st.sampled_from(OUTCOMES).map(outcome_code)
+)
+_certificates = st.builds(
+    Certificate,
+    st.dictionaries(_certificate_keys, _rationals),
+    _rationals,
+    _rationals,
+    _rationals,
+    st.booleans(),
+)
+_lemma_reports = st.builds(
+    LemmaReport, _counts, _counts, _counts, _counts, _counts, _counts, _counts, st.booleans()
+)
+_ghz_reports = st.builds(
+    GhzParadoxReport,
+    st.booleans(),
+    st.dictionaries(st.text(), _rationals),
+    _counts,
+    st.lists(_counts).map(tuple),
+    st.booleans(),
+)
+_critical_results = st.builds(
+    CriticalVisibilityResult,
+    _rationals,
+    _rationals,
+    _rationals,
+    st.lists(st.builds(Evaluation, _rationals, st.booleans())).map(tuple),
+)
+
+# (encode, decode, values, what the decoder returns for a value)
+CODECS = {
+    "amplitude": (amplitude_to_json, amplitude_from_json, _amplitudes, None),
+    "pattern": (pattern_to_json, pattern_from_json, _patterns, None),
+    "table": (table_to_json, table_from_json, _tables(), None),
+    "event": (event_to_json, event_from_json, _events, None),
+    "certificate": (
+        certificate_to_json, certificate_from_json, _certificates,
+        lambda certificate: certificate.coefficients,
+    ),
+    "lemma report": (lemma_report_to_json, lemma_report_from_json, _lemma_reports, None),
+    "ghz report": (ghz_report_to_json, ghz_report_from_json, _ghz_reports, None),
+    "critical result": (
+        critical_result_to_json, critical_result_from_json, _critical_results, None
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_codec_roundtrips_through_json_text(name, data):
+    encode, decode, values, decoded_form = CODECS[name]
+    value = data.draw(values)
+    obj = json.loads(json.dumps(encode(value)))
+    decoded = decode(obj)
+    assert decoded == (decoded_form(value) if decoded_form else value)
+    if decoded_form is None:
+        assert encode(decoded) == obj
+
+
+def _corrupt(obj, **changes):
+    return dict(json.loads(json.dumps(obj)), **changes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tables(), st.fractions(min_value=0, max_value=1).filter(bool))
+def test_table_decoder_rejects_a_table_that_does_not_sum_to_one(table, excess):
+    obj = table_to_json(table)
+    with pytest.raises(ValueError, match="sum to 1"):
+        table_from_json(_corrupt(obj, wrong_mass=str(table.wrong_mass + excess)))
+
+
+@pytest.mark.parametrize("code", ["+1,+1", "+1,+1,+1,+1", "+2,+1,-1", "0,+1,+1", "x"])
+def test_table_decoder_rejects_a_bad_outcome_code(code):
+    obj = table_to_json(_fixed_table())
+    cells = dict(obj["cells"])
+    cells[code] = cells.pop("+1,+1,+1")
+    with pytest.raises(ValueError):
+        table_from_json(_corrupt(obj, cells=cells))
+
+
+@pytest.mark.parametrize("code", ["xx", "xxxx", "xyz", "XYY", ""])
+def test_table_decoder_rejects_a_bad_setting_code(code):
+    with pytest.raises(ValueError):
+        table_from_json(_corrupt(table_to_json(_fixed_table()), settings=code))
+
+
+@pytest.mark.parametrize("name", ["nope", "veto_H", "a45"])
+def test_pattern_and_event_decoders_reject_an_unknown_mode(name):
+    with pytest.raises(InvalidModeError, match=name):
+        pattern_from_json({"a_H": 1, name: 1})
+    event = event_to_json(SampledEvent(3, (), EventClass.right(), False))
+    with pytest.raises(InvalidModeError, match=name):
+        event_from_json(_corrupt(event, pattern={name: 1}))
+
+
+@pytest.mark.parametrize("key", ["xxx", "xxx|+1,+1,+1|x", "xxx||", "masses"])
+def test_certificate_decoder_rejects_a_key_without_two_parts(key):
+    certificate = Certificate({("mass", ""): Fraction(-2)}, Fraction(1), Fraction(0),
+                              Fraction(0), True)
+    obj = certificate_to_json(certificate)
+    with pytest.raises(ValueError):
+        certificate_from_json(_corrupt(obj, coefficients={key: "1/2"}))
+
+
+def _fixed_table() -> OutcomeTable:
+    cells = {outcome: Fraction(1, 16) for outcome in OUTCOMES}
+    return OutcomeTable(all_setting_triples()[0], cells, Fraction(1, 2))
