@@ -314,6 +314,58 @@ def test_report_artifacts_are_pinned(capsys, argv):
     assert _sha256(out.encode()) == REPORT_ARTIFACT_SHA256[argv]
 
 
+# sha256 of artifacts no other pin covers, as the per-command renderers wrote
+# them before the format rule moved into one place
+RENDERED_ARTIFACT_SHA256 = {
+    ("classify", "--pattern", '{"a_H":1,"g_H":1,"h_V":1,"z_V":1}', "--format", "text"):
+        "55c97802b397ef4da0d8e2ecf4a8fa33c1f4755da0eacec54c62cacbbcfd9713",
+    ("lhv-feasibility", "--visibility", "1/2", "--format", "text"):
+        "1e05bee6a5419dc789893edfb0a3802363d53456609234167d35d98071d70f17",
+    ("lhv-feasibility", "--visibility", "1", "--slack", "1/64", "--format", "text"):
+        "db7ff31ca14e688bae3f72c06ae632abfa75a8eba539b45c3291f683260bd0d3",
+    ("correlations", "--visibility", "13/20", "--format", "json"):
+        "5e6818226fcb5259c39fddb6ef2d1f03ade53422011d6f8a9c288389bbb35c9d",
+    ("correlations", "--visibility", "13/20", "--format", "csv"):
+        "ff8c7bf6eee8172299bf3d025fb01cc1368f4748e2868127de784b003ec2a394",
+    ("correlations", "--visibility", "13/20", "--format", "text"):
+        "0064e4ecec2ad06f5f821c291a1d5c867bdff8a0c12006dc03f1ca69519adda8",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RENDERED_ARTIFACT_SHA256))
+def test_rendered_artifacts_are_pinned(capsys, argv):
+    code, out, _ = _run(capsys, list(argv))
+    assert code == 0
+    assert _sha256(out.encode()) == RENDERED_ARTIFACT_SHA256[argv]
+
+
+# sha256 of the human summary each command prints to stdout beside --output
+OUTPUT_SUMMARY_SHA256 = {
+    ("expand",): "2631e27ad4b89c6d3e141899268c4589113fea1375391e5e2e21f48f832aa0ff",
+    ("classify",): "bcbe25478112f86e526f6d2321b938c0925321693ac13d4c4cacde2585d9d0c9",
+    ("classify", "--pattern", '{"a_H":1,"g_H":1,"h_V":1,"z_V":1}'):
+        "55c97802b397ef4da0d8e2ecf4a8fa33c1f4755da0eacec54c62cacbbcfd9713",
+    ("dump-circuit",): "10c8dfac0b335c4c6f75835d6c402d7d6e078302fd0dc8dba7f1b1fe29f87b0d",
+    ("correlations", "--visibility", "13/20"):
+        "974aa91152b6eab0fb4146c7b69c8d2a9046cca9ad5eafb252d95ebe9eb6eae4",
+    ("lhv-feasibility", "--visibility", "1/2"):
+        "1e05bee6a5419dc789893edfb0a3802363d53456609234167d35d98071d70f17",
+    ("lhv-feasibility", "--visibility", "13/20"):
+        "5bda57a4b6d5ac86ff5defcb4bfd84cfec9591a207683f73c27ff52fe462cf83",
+    ("critical-visibility", "--depth", "3"):
+        "ef0bef7f47f12048b150ac2750f81a2ada081af42356f8a6c9d99ac5dacb8491",
+    ("ghz-paradox",): "8db355e298b9e42473001bf6e85d54d5dc3320178d205af5728d517c353ec50b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_SUMMARY_SHA256))
+def test_output_summaries_are_pinned(capsys, tmp_path, argv):
+    target = tmp_path / "artifact"
+    code, out, _ = _run(capsys, list(argv) + ["--output", str(target)])
+    assert code == 0 and target.read_bytes()
+    assert _sha256(out.encode()) == OUTPUT_SUMMARY_SHA256[argv]
+
+
 def test_critical_visibility_text(capsys):
     code, out, _ = _run(capsys, ["critical-visibility", "--depth", "3"])
     assert code == 0
