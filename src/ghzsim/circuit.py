@@ -19,22 +19,30 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Tuple
 
 from .fock import (
+    AMPLITUDE,
     Amplitude,
     Beam,
     GhzsimError,
     INV_SQRT2,
     InvalidModeError,
+    MODE,
     MODE_NAMES,
     Mode,
     ONE,
     Polarization,
     RuleTargets,
     StatePolynomial,
+    TEXT,
     ZERO,
     creation,
+    derived_codec,
+    mapping_codec,
     norm_squared,
+    record_codec,
     render_amplitude,
+    sequence_codec,
     substitute,
+    tuple_codec,
 )
 
 
@@ -240,6 +248,17 @@ def innsbruck_circuit() -> OpticalCircuit:
     splitter = beamsplitter_5050(Beam.B, Beam.C, Beam.G)
     pbs2 = polarizing_beamsplitter([Beam.C, Beam.A_45], transmit_beam=Beam.Z, reflect_beam=Beam.H)
     return OpticalCircuit((pbs1, waveplate, splitter, pbs2))
+
+
+# a transform's rules: each source mode's name -> its [{mode, amplitude}] targets
+RULES = mapping_codec(MODE, sequence_codec(tuple_codec(("mode", MODE), ("amplitude", AMPLITUDE))))
+TRANSFORM = record_codec(ModeTransform, ("name", "name", TEXT), ("rules", "rules", RULES))
+# ``ghzsim dump-circuit``'s payload: the elements and, derived from them, the
+# composed rules; a decoded element runs the same isometry check as a built one
+CIRCUIT = derived_codec(
+    record_codec(OpticalCircuit, ("elements", "elements", sequence_codec(TRANSFORM))),
+    "composed", lambda circuit: RULES[0](circuit.compose().rules),
+)
 
 
 def transform_text(transform: ModeTransform) -> str:

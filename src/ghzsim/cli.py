@@ -26,13 +26,7 @@ from . import circuit as circuit_mod
 from . import events as events_mod
 from . import lhv as lhv_mod
 from . import measurement as measurement_mod
-from .fock import (
-    GhzsimError,
-    amplitude_to_json,
-    pattern_from_json,
-    pattern_to_json,
-    render_polynomial,
-)
+from .fock import GhzsimError, StatePolynomial, pattern_from_json, render_polynomial
 
 @dataclass
 class RunConfig:
@@ -68,45 +62,33 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ghzsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         # an omitted flag stays out of the namespace, so RunConfig supplies it
         p.argument_default = argparse.SUPPRESS
         p.add_argument("--output", type=Path, help="artifact file path")
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
+        return p
 
-    p = sub.add_parser("expand", help="derive the emission, post-trigger and circuit states")
-    common(p)
-
-    p = sub.add_parser("classify", help="classify a detection pattern (or the derived terms)")
-    common(p)
+    command("expand", "derive the emission, post-trigger and circuit states")
+    p = command("classify", "classify a detection pattern (or the derived terms)")
     p.add_argument("--pattern", help='occupation JSON, e.g. {"a_H":1,"g_H":1}')
-
-    p = sub.add_parser("dump-circuit", help="print the element and composed mode transforms")
-    common(p)
-
-    p = sub.add_parser("correlations", help="exact outcome tables and triple correlations")
-    common(p)
+    command("dump-circuit", "print the element and composed mode transforms")
+    p = command("correlations", "exact outcome tables and triple correlations")
     p.add_argument("--visibility", type=parse_rational)
-
-    p = sub.add_parser("sample", help="Monte Carlo event stream (JSON lines)")
-    common(p)
+    p = command("sample", "Monte Carlo event stream (JSON lines)")
     p.add_argument("--pulses", type=int)
     p.add_argument("--pair-prob", type=parse_rational)
     p.add_argument("--seed", type=int)
     p.add_argument("--loss-prob", type=parse_rational)
     p.add_argument("--redefined-trigger", action="store_true")
-
-    p = sub.add_parser("lhv-feasibility", help="exact LP against the quantum tables")
-    common(p)
+    p = command("lhv-feasibility", "exact LP against the quantum tables")
     p.add_argument("--visibility", type=parse_rational)
-    p.add_argument("--slack", type=parse_rational)
-
-    p = sub.add_parser("critical-visibility", help="exact feasibility boundary from LP certificates")
-    common(p)
+    p.add_argument("--slack", type=parse_rational,
+                   help="cell tolerance; write a negative value as --slack=-1/10")
+    p = command("critical-visibility", "exact feasibility boundary from LP certificates")
     p.add_argument("--depth", type=int)
-
-    p = sub.add_parser("ghz-paradox", help="the inequality-free contradiction count")
-    common(p)
+    command("ghz-paradox", "the inequality-free contradiction count")
     return parser
 
 
@@ -131,27 +113,33 @@ def _atomic_output(path: Path):
         with open(tmp, "w", encoding="utf-8") as handle:
             yield handle
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # name the artifact, not the pid-stamped temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
-def _finish(config: RunConfig, artifact: str, summary: str = "") -> int:
-    """Write the artifact; the human summary goes to stdout only alongside a file."""
-    if config.output is not None:
-        with _atomic_output(config.output) as handle:
-            handle.write(artifact)
-        if summary:
-            print(summary)
+def _finish(config: RunConfig, payload, lines, summary: str, table=None) -> int:
+    """Render the artifact in ``config.fmt`` and write it: the JSON ``payload``,
+    the text ``lines``, or the CSV ``table`` as ``(header, rows)`` where the
+    command has one.  The human summary goes to stdout only beside a file."""
+    if config.fmt == "csv" and table is None:
+        _emit_error("usage", f"{config.command} has no csv form for these arguments")
+        return 2
+    if config.fmt == "json":
+        artifact = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    elif config.fmt == "csv":
+        artifact = _csv_text(*table)
     else:
+        artifact = "\n".join(lines) + "\n"
+    if config.output is None:
         sys.stdout.write(artifact)
-        if not artifact.endswith("\n"):
-            sys.stdout.write("\n")
+        return 0
+    with _atomic_output(config.output) as handle:
+        handle.write(artifact)
+    print(summary)
     return 0
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_text(header, rows) -> str:
@@ -167,167 +155,58 @@ def _csv_text(header, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_stages():
-    emission = events_mod.two_pair_emission()
-    post_trigger = events_mod.trigger_select(emission)
-    behind_circuit = circuit_mod.innsbruck_circuit().apply(post_trigger)
-    return emission, post_trigger, behind_circuit
-
-
 def _cmd_expand(config: RunConfig) -> int:
-    emission, post_trigger, behind = _derivation_stages()
-    labeled = [
-        (pattern, coeff, events_mod.classify_pattern(pattern).wire)
-        for pattern, coeff in behind.terms.items()
-    ]
-    if config.fmt == "json":
-        artifact = _json_dumps(
-            {
-                "two_pair_emission": _poly_json(emission),
-                "post_trigger": _poly_json(post_trigger),
-                "behind_circuit": [
-                    {**_term_json(pattern, coeff), "class": label}
-                    for pattern, coeff, label in labeled
-                ],
-            }
-        )
-    else:
-        lines = [
-            "# two-pair emission",
-            render_polynomial(emission),
-            "# post-trigger",
-            render_polynomial(post_trigger),
-            "# behind circuit",
-        ]
-        for pattern, coeff, label in labeled:
-            term = render_polynomial(events_mod.StatePolynomial({pattern: coeff}))
-            lines.append(f"{term}    {label}")
-        artifact = "\n".join(lines) + "\n"
-    rights = sum(1 for _, _, label in labeled if label == "right")
-    summary = (f"expanded {len(labeled)} post-trigger terms: {rights} right, "
-               f"{len(labeled) - rights} wrong-pair")
-    return _finish(config, artifact, summary)
-
-
-def _term_json(pattern, coeff) -> dict:
-    return {"pattern": pattern_to_json(pattern), "amplitude": amplitude_to_json(coeff)}
-
-
-def _poly_json(poly) -> list:
-    return [_term_json(pattern, coeff) for pattern, coeff in poly.terms.items()]
+    emission = events_mod.two_pair_emission()
+    post_trigger, heralded = events_mod.trigger_select(emission), lhv_mod.heralded_state()
+    payload = lhv_mod.DERIVATION[0]((emission, post_trigger, heralded))
+    labels = [term["class"] for term in payload["behind_circuit"]]
+    lines = ["# two-pair emission", render_polynomial(emission),
+             "# post-trigger", render_polynomial(post_trigger), "# behind circuit"]
+    lines += [f"{render_polynomial(StatePolynomial([term]))}    {label}"
+              for term, label in zip(heralded.terms.items(), labels)]
+    rights = labels.count("right")
+    summary = (f"expanded {len(labels)} post-trigger terms: {rights} right, "
+               f"{len(labels) - rights} wrong-pair")
+    return _finish(config, payload, lines, summary)
 
 
 def _cmd_classify(config: RunConfig) -> int:
     if config.pattern is not None:
         pattern = pattern_from_json(json.loads(config.pattern))
         event = events_mod.classify_pattern(pattern)
-        artifact = (
-            _json_dumps({"pattern": pattern_to_json(pattern), "class": event.wire})
-            if config.fmt == "json"
-            else f"{event.wire}\n"
-        )
-        return _finish(config, artifact, event.wire)
-    _, _, behind = _derivation_stages()
-    report = events_mod.pairing_report(behind)
-    census = {
-        f"{double.name},{empty.name}": count
-        for (double, empty), count in sorted(
-            report.census.items(), key=lambda kv: (kv[0][0].name, kv[0][1].name)
-        )
-    }
-    payload = {
-        "right_terms": report.right_terms,
-        "wrong_terms": report.wrong_terms,
-        "census": census,
-    }
-    if config.fmt == "json":
-        artifact = _json_dumps(payload)
-    elif config.fmt == "csv":
-        artifact = _csv_text(
-            ("double_station", "empty_station", "terms"),
-            [tuple(key.split(",")) + (count,) for key, count in census.items()],
-        )
-    else:
-        lines = [f"right terms: {report.right_terms}", f"wrong terms: {report.wrong_terms}"]
-        lines += [f"wrong-pair:{key} terms={count}" for key, count in census.items()]
-        artifact = "\n".join(lines) + "\n"
-    return _finish(
-        config, artifact, f"right={report.right_terms} wrong={report.wrong_terms}"
-    )
+        return _finish(config, events_mod.CLASSIFICATION[0]((pattern, event)),
+                       [event.wire], event.wire)
+    report = events_mod.pairing_report(lhv_mod.heralded_state())
+    payload = events_mod.PAIRING_REPORT[0](report)
+    census = sorted(payload["census"].items())
+    lines = [f"right terms: {report.right_terms}", f"wrong terms: {report.wrong_terms}"]
+    lines += [f"wrong-pair:{key} terms={count}" for key, count in census]
+    table = (("double_station", "empty_station", "terms"),
+             [(*key.split(","), count) for key, count in census])
+    summary = f"right={report.right_terms} wrong={report.wrong_terms}"
+    return _finish(config, payload, lines, summary, table)
 
 
 def _cmd_dump_circuit(config: RunConfig) -> int:
     circuit = circuit_mod.innsbruck_circuit()
-    if config.fmt == "json":
-        composed = circuit.compose()
-        artifact = _json_dumps(
-            {
-                "elements": [
-                    {
-                        "name": element.name,
-                        "rules": _rules_json(element),
-                    }
-                    for element in circuit.elements
-                ],
-                "composed": _rules_json(composed),
-            }
-        )
-    else:
-        artifact = circuit_mod.circuit_text(circuit)
-    return _finish(config, artifact, f"{len(circuit.elements)} elements")
-
-
-def _rules_json(transform) -> dict:
-    return {
-        source.name: [
-            {"mode": target.name, "amplitude": amplitude_to_json(coeff)}
-            for target, coeff in targets
-        ]
-        for source, targets in sorted(
-            transform.rules.items(), key=lambda kv: kv[0].sort_key
-        )
-    }
+    return _finish(config, circuit_mod.CIRCUIT[0](circuit),
+                   circuit_mod.circuit_text(circuit).splitlines(),
+                   f"{len(circuit.elements)} elements")
 
 
 def _cmd_correlations(config: RunConfig) -> int:
     tables = lhv_mod.quantum_targets(config.visibility)
-    correlations = {
-        table.settings.code: measurement_mod.correlation_from_table(table)
-        for table in tables
-    }
-    if config.fmt == "csv":
-        rows = []
-        for table in tables:
-            for outcome in measurement_mod.OUTCOMES:
-                rows.append(
-                    (
-                        table.settings.code,
-                        f"{outcome[0]:+d}",
-                        f"{outcome[1]:+d}",
-                        f"{outcome[2]:+d}",
-                        str(table.probabilities[outcome]),
-                    )
-                )
-        artifact = _csv_text(("settings", "r_g", "r_h", "r_z", "probability"), rows)
-    elif config.fmt == "json":
-        artifact = _json_dumps(
-            {
-                "visibility": str(config.visibility),
-                "tables": [measurement_mod.table_to_json(t) for t in tables],
-                "correlations": {k: str(v) for k, v in correlations.items()},
-            }
-        )
-    else:
-        lines = [f"visibility {config.visibility}"]
-        lines += [
-            f"E({code}) = {value}" for code, value in sorted(correlations.items())
-        ]
-        lines.append(f"wrong mass = {tables[0].wrong_mass}")
-        artifact = "\n".join(lines) + "\n"
-    summary = "E(xxx)={xxx} E(xyy)={xyy} E(yxy)={yxy} E(yyx)={yyx}".format(
-        **{k: str(v) for k, v in correlations.items()}
-    )
-    return _finish(config, artifact, summary)
+    payload = lhv_mod.QUANTUM_TABLES[0]((config.visibility, tables))
+    correlations = payload["correlations"]
+    lines = [f"visibility {config.visibility}"]
+    lines += [f"E({code}) = {value}" for code, value in sorted(correlations.items())]
+    lines.append(f"wrong mass = {tables[0].wrong_mass}")
+    rows = [(table.settings.code, *(f"{r:+d}" for r in outcome),
+             str(table.probabilities[outcome]))
+            for table in tables for outcome in measurement_mod.OUTCOMES]
+    table = (("settings", "r_g", "r_h", "r_z", "probability"), rows)
+    summary = "E(xxx)={xxx} E(xyy)={xyy} E(yxy)={yxy} E(yyx)={yyx}".format(**correlations)
+    return _finish(config, payload, lines, summary, table)
 
 
 def _stream_events(config: RunConfig, out) -> dict:
@@ -353,7 +232,8 @@ def _cmd_sample(config: RunConfig) -> int:
         counts = _stream_events(config, handle)
     summary_rows = sorted(counts.items())
     if config.fmt == "json":
-        print(_json_dumps({"events": sum(counts.values()), "classes": dict(summary_rows)}), end="")
+        print(json.dumps({"events": sum(counts.values()), "classes": dict(summary_rows)},
+                         sort_keys=True, indent=2))
     else:
         sys.stdout.write(_csv_text(("class", "count"), summary_rows))
     return 0
@@ -364,61 +244,32 @@ def _cmd_lhv_feasibility(config: RunConfig) -> int:
         lhv_mod.quantum_targets(config.visibility), slack=config.slack
     )
     outcome = lhv_mod.lhv_feasibility(problem)
-    payload = {"visibility": str(config.visibility), "feasible": outcome.feasible}
-    if outcome.feasible:
-        payload["chi_zero_weight"] = str(outcome.chi_zero_weight)
-        payload["distribution"] = [
-            {
-                "g": list(strategy.g),
-                "h": list(strategy.h),
-                "z": list(strategy.z),
-                "weight": str(weight),
-            }
-            for strategy, weight in outcome.distribution.items()
-        ]
-        summary = f"feasible at visibility {config.visibility}"
-    else:
-        payload["certificate"] = lhv_mod.certificate_to_json(outcome.certificate)
-        summary = (
-            f"infeasible at visibility {config.visibility}; certificate "
-            f"value {outcome.certificate.value} exceeds bound "
-            f"{outcome.certificate.strategy_bound} "
-            f"(verified={outcome.certificate.verified})"
-        )
-    artifact = _json_dumps(payload) if config.fmt != "text" else summary + "\n"
-    return _finish(config, artifact, summary)
+    certificate = outcome.certificate
+    summary = (
+        f"feasible at visibility {config.visibility}" if outcome.feasible else
+        f"infeasible at visibility {config.visibility}; certificate value {certificate.value} "
+        f"exceeds bound {certificate.strategy_bound} (verified={certificate.verified})"
+    )
+    payload = lhv_mod.FEASIBILITY_VERDICT[0]((config.visibility, outcome.feasible,
+                                              outcome.chi_zero_weight, outcome.distribution,
+                                              certificate))
+    return _finish(config, payload, [summary], summary)
 
 
 def _cmd_critical_visibility(config: RunConfig) -> int:
     result = lhv_mod.critical_visibility(config.depth)
-    payload = lhv_mod.critical_result_to_json(result)
-    if config.fmt == "json":
-        artifact = _json_dumps(payload)
-    else:
-        artifact = f"V* = {result.v_star}\n"
-    return _finish(config, artifact, f"V* = {result.v_star}")
+    summary = f"V* = {result.v_star}"
+    return _finish(config, lhv_mod.CRITICAL_RESULT[0](result), [summary], summary)
 
 
 def _cmd_ghz_paradox(config: RunConfig) -> int:
     reports = [lhv_mod.ghz_paradox_check(conjugate) for conjugate in (False, True)]
-    payload = {
-        "conventions": [lhv_mod.ghz_report_to_json(report) for report in reports],
-        "contradiction": all(r.contradiction for r in reports),
-    }
-    if config.fmt == "json":
-        artifact = _json_dumps(payload)
-    else:
-        lines = []
-        for report in reports:
-            tag = "conjugate" if report.conjugate_convention else "standard"
-            lines.append(
-                f"{tag}: strategies satisfying all four constraints = "
-                f"{report.satisfying_all}; after dropping one = "
-                f"{','.join(map(str, report.satisfying_after_drop))}"
-            )
-        lines.append(f"contradiction: {payload['contradiction']}")
-        artifact = "\n".join(lines) + "\n"
-    return _finish(config, artifact, f"contradiction: {payload['contradiction']}")
+    payload = lhv_mod.GHZ_PARADOX[0]((reports,))
+    lines = [f"{'conjugate' if r.conjugate_convention else 'standard'}: strategies satisfying "
+             f"all four constraints = {r.satisfying_all}; after dropping one = "
+             f"{','.join(map(str, r.satisfying_after_drop))}" for r in reports]
+    summary = f"contradiction: {payload['contradiction']}"
+    return _finish(config, payload, lines + [summary], summary)
 
 
 _DISPATCH = {
@@ -448,11 +299,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> None:
-    try:
-        config = parse_argv(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        raise SystemExit(exc.code)
-    raise SystemExit(run(config))
+    raise SystemExit(run(parse_argv(sys.argv[1:] if argv is None else argv)))
 
 
 if __name__ == "__main__":

@@ -38,17 +38,22 @@ from .fock import (
     PATTERN,
     Pattern,
     StatePolynomial,
+    TERM,
     TRIGGER,
     as_pattern,
     beam_photons,
     creation,
+    derived_codec,
     filter_terms,
     gamma_power,
+    mapping_codec,
     monomial,
     occupation,
     pattern_to_json,
     record_codec,
+    terms_codec,
     total_photons,
+    tuple_codec,
 )
 from .measurement import STATIONS, Station, pattern_distribution
 
@@ -242,6 +247,21 @@ def pairing_report(state: StatePolynomial) -> PairingReport:
     return PairingReport(right, sum(census.values()), census)
 
 
+def _station_pair(text: str) -> Tuple[Station, Station]:
+    double, empty = text.split(",")
+    return Station[double], Station[empty]
+
+
+# census keys name the double and the empty station, e.g. "G,H"
+PAIRING_REPORT = record_codec(
+    PairingReport,
+    ("right_terms", "right_terms", INT),
+    ("wrong_terms", "wrong_terms", INT),
+    ("census", "census", mapping_codec((lambda pair: f"{pair[0].name},{pair[1].name}",
+                                        _station_pair), INT)),
+)
+
+
 # ---------------------------------------------------------------------------
 # Filter loss and the redefined trigger
 # ---------------------------------------------------------------------------
@@ -341,6 +361,10 @@ EVENT = record_codec(
     ("veto", "herald_veto", BOOL),
 )
 event_to_json, event_from_json = EVENT
+# a (pattern, class) pair; and the terms of a heralded state, each with its class
+CLASSIFICATION = tuple_codec(("pattern", PATTERN), ("class", EVENT_CLASS))
+CLASSIFIED_TERMS = terms_codec(derived_codec(TERM, "class",
+                                             lambda term: classify_pattern(term[0]).wire))
 
 
 def derived_seed(seed: int, chunk_index: int) -> int:
@@ -427,6 +451,8 @@ def sample_events(
     the survival factor ``(1-loss_prob)**n`` of an n-photon component,
     which is the physical effect of a heralded loss channel.
     """
+    if pulses < 0:
+        raise ConfigurationError(f"pulse count {pulses} is negative")
     sampler = _Sampler(Fraction(pair_prob), Fraction(loss_prob))
     rng = random.Random(seed)
     for pulse in range(pulses):

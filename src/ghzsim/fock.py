@@ -273,6 +273,21 @@ def record_codec(build: Callable[..., Any], *fields: Tuple[str, str, Codec]) -> 
             lambda obj: build(**{attr: dec(obj[key]) for key, attr, (_, dec) in fields}))
 
 
+def tuple_codec(*fields: Tuple[str, Codec]) -> Codec:
+    """A tuple as a JSON object with one ``(wire key, codec)`` per item; an
+    item that is ``None`` is left out, and decodes from its absent key."""
+    return (lambda values: {key: enc(v) for (key, (enc, _)), v in zip(fields, values)
+                            if v is not None},
+            lambda obj: tuple(dec(obj[key]) if key in obj else None for key, (_, dec) in fields))
+
+
+def derived_codec(codec: Codec, key: str, derive: Callable[[Any], Any]) -> Codec:
+    """``codec``'s JSON object plus ``key``, computed from the value by ``derive``.
+    The decoder reads ``codec``'s keys alone: a derived key is never trusted."""
+    encode, decode = codec
+    return lambda value: {**encode(value), key: derive(value)}, decode
+
+
 AMPLITUDE = record_codec(
     Amplitude,
     *((name, name, RATIONAL) for name in ("re", "im", "re_sqrt2", "im_sqrt2")),
@@ -434,18 +449,23 @@ def beam_photons(pattern: Pattern, beam: Beam) -> int:
     return sum(n for m, n in pattern if m.beam == beam)
 
 
+def mode_from_name(name: str) -> Mode:
+    try:
+        return MODE_BY_NAME[name]
+    except KeyError:
+        raise InvalidModeError(f"unknown mode name {name!r}") from None
+
+
 def pattern_to_json(pattern: Pattern) -> dict:
     return {mode.name: count for mode, count in pattern}
 
 
 def pattern_from_json(obj: Mapping[str, int]) -> Pattern:
-    try:
-        return as_pattern({MODE_BY_NAME[name]: count for name, count in obj.items()})
-    except KeyError as exc:
-        raise InvalidModeError(f"unknown mode name {exc.args[0]!r}") from None
+    return as_pattern({mode_from_name(name): count for name, count in obj.items()})
 
 
-# hand-written, because the decoder reports an unknown mode name as such
+# hand-written, because the decoders report an unknown mode name as such
+MODE: Codec = (lambda mode: mode.name, mode_from_name)
 PATTERN: Codec = (pattern_to_json, pattern_from_json)
 
 
@@ -524,6 +544,16 @@ class StatePolynomial:
 
     def __repr__(self) -> str:
         return f"StatePolynomial({render_polynomial(self)})"
+
+
+def terms_codec(term: Codec) -> Codec:
+    """A polynomial as the JSON list of its ``(pattern, amplitude)`` terms."""
+    encode, decode = sequence_codec(term)
+    return lambda poly: encode(poly.terms.items()), lambda obj: StatePolynomial(decode(obj))
+
+
+TERM = tuple_codec(("pattern", PATTERN), ("amplitude", AMPLITUDE))
+TERMS = terms_codec(TERM)
 
 
 def _sorted_terms(terms: Mapping[Pattern, Amplitude]) -> dict:

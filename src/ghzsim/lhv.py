@@ -25,17 +25,20 @@ from itertools import product
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .circuit import innsbruck_circuit
-from .events import trigger_select, two_pair_emission
+from .events import CLASSIFIED_TERMS, trigger_select, two_pair_emission
 from .fock import (
     BOOL,
     GhzsimError,
     INT,
     RATIONAL,
     StatePolynomial,
+    TERMS,
     TEXT,
+    derived_codec,
     mapping_codec,
     record_codec,
     sequence_codec,
+    tuple_codec,
 )
 from .measurement import (
     AnalyzerSetting,
@@ -44,6 +47,7 @@ from .measurement import (
     OutcomeTable,
     SettingTriple,
     Station,
+    TABLE,
     add_noise,
     all_setting_triples,
     correlation_from_table,
@@ -220,6 +224,16 @@ def quantum_targets(
 ) -> Tuple[OutcomeTable, ...]:
     """The eight outcome tables at the given fringe visibility."""
     return tuple(add_noise(t, Fraction(visibility)) for t in _ideal_tables(conjugate))
+
+
+# the stages of heralded_state: (emission, post-trigger, heralded)
+DERIVATION = tuple_codec(("two_pair_emission", TERMS), ("post_trigger", TERMS),
+                         ("behind_circuit", CLASSIFIED_TERMS))
+# (visibility, tables), with the correlations derived from the tables
+QUANTUM_TABLES = derived_codec(
+    tuple_codec(("visibility", RATIONAL), ("tables", sequence_codec(TABLE))), "correlations",
+    lambda value: {t.settings.code: str(correlation_from_table(t)) for t in value[1]},
+)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +467,22 @@ CERTIFICATE = record_codec(
 certificate_to_json, certificate_from_json = CERTIFICATE
 
 
+# a mixture as its list of strategies, each carrying its weight
+_WEIGHTED = sequence_codec(tuple_codec(*((name, sequence_codec(INT)) for name in "ghz"),
+                                       ("weight", RATIONAL)))
+DISTRIBUTION = (
+    lambda mixture: _WEIGHTED[0]((s.g, s.h, s.z, weight) for s, weight in mixture.items()),
+    lambda obj: {LocalStrategy(g, h, z): weight for g, h, z, weight in _WEIGHTED[1](obj)},
+)
+# (visibility, feasible, chi_zero_weight, distribution, certificate): the
+# evidence is either the mixture, for _reproduces_targets, or the certificate,
+# decoded to its coefficients for evaluate_certificate; the rest are None
+FEASIBILITY_VERDICT = tuple_codec(
+    ("visibility", RATIONAL), ("feasible", BOOL), ("chi_zero_weight", RATIONAL),
+    ("distribution", DISTRIBUTION), ("certificate", CERTIFICATE),
+)
+
+
 # ---------------------------------------------------------------------------
 # Mermin combination
 # ---------------------------------------------------------------------------
@@ -585,6 +615,11 @@ GHZ_REPORT = record_codec(
     ("contradiction", "contradiction", BOOL),
 )
 ghz_report_to_json, ghz_report_from_json = GHZ_REPORT
+# (reports,) for both sign conventions, with the verdict they share derived
+GHZ_PARADOX = derived_codec(
+    tuple_codec(("conventions", sequence_codec(GHZ_REPORT))),
+    "contradiction", lambda value: all(report.contradiction for report in value[0]),
+)
 
 
 class Evaluation(NamedTuple):

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ghzsim
 from ghzsim import lhv
 from ghzsim.cli import RunConfig, parse_argv, parse_rational, run
 from ghzsim.events import event_from_json
@@ -194,6 +199,71 @@ def test_failed_artifact_replace_leaves_no_temp_file(capsys, tmp_path):
 def test_sample_zero_pulses(capsys):
     code, out, _ = _run(capsys, ["sample", "--pulses", "0"])
     assert code == 0 and out == ""
+
+
+def _one_envelope(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def test_negative_pulses_exit_through_the_envelope(capsys, tmp_path):
+    target = tmp_path / "events.jsonl"
+    for argv in (["sample", "--pulses", "-5"],
+                 ["sample", "--pulses", "-5", "--format", "json", "--output", str(target)]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert _one_envelope(err) == {"type": "ConfigurationError",
+                                      "message": "pulse count -5 is negative"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_io_envelope_names_the_output_file_and_is_stable(tmp_path):
+    # each run writes through a temp file stamped with its pid; the envelope
+    # must name the --output path instead, so that two runs agree byte for byte
+    target = tmp_path / "missing" / "x.json"
+    src = Path(ghzsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "ghzsim.cli", "correlations", "--output", str(target)]
+    runs = [subprocess.run(argv, capture_output=True, env=env, timeout=120) for _ in range(2)]
+    assert [r.returncode for r in runs] == [1, 1] and runs[0].stdout == b""
+    assert runs[0].stderr == runs[1].stderr
+    error = _one_envelope(runs[0].stderr.decode())
+    assert error["type"] == "io"
+    assert str(target) in error["message"] and ".tmp" not in error["message"]
+
+
+# one argv per artifact-writing command; those marked True have a CSV form
+FORMAT_CONTRACT = [
+    (("expand",), False),
+    (("classify",), True),
+    (("classify", "--pattern", '{"a_H":1,"g_H":1,"g_V":1,"z_V":1}'), False),
+    (("dump-circuit",), False),
+    (("correlations", "--visibility", "2/3"), True),
+    (("lhv-feasibility", "--visibility", "1/3"), False),
+    (("critical-visibility", "--depth", "2"), False),
+    (("ghz-paradox",), False),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv,has_csv", FORMAT_CONTRACT)
+def test_every_format_ends_in_an_artifact_or_one_envelope(capsys, tmp_path, argv, has_csv, fmt):
+    target = tmp_path / "artifact"
+    code, out, err = _run(capsys, list(argv) + ["--format", fmt, "--output", str(target)])
+    if fmt == "csv" and not has_csv:
+        assert code == 2 and out == ""
+        assert _one_envelope(err)["type"] == "usage"
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert code == 0 and not err and out
+    artifact = target.read_text()
+    assert artifact.endswith("\n") and artifact.strip()
+    if fmt == "json":
+        json.loads(artifact)
+    if fmt == "csv":
+        assert len(artifact.splitlines()) > 1
 
 
 def test_sample_redefined_trigger_filters_vetoed(capsys, tmp_path):

@@ -3,15 +3,36 @@ decoder keeps rejecting the malformed input it rejected as a hand-written pair."
 
 import json
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzsim.events import EventClass, SampledEvent, event_from_json, event_to_json
+from ghzsim import lhv
+from ghzsim.circuit import (
+    CIRCUIT,
+    TRANSFORM,
+    CircuitConfigError,
+    OpticalCircuit,
+    innsbruck_circuit,
+)
+from ghzsim.cli import parse_argv, run
+from ghzsim.events import (
+    CLASSIFICATION,
+    CLASSIFIED_TERMS,
+    PAIRING_REPORT,
+    EventClass,
+    PairingReport,
+    SampledEvent,
+    event_from_json,
+    event_to_json,
+)
 from ghzsim.fock import (
     MODE_BY_NAME,
+    TERMS,
     Amplitude,
     InvalidModeError,
+    StatePolynomial,
     amplitude_from_json,
     amplitude_to_json,
     as_pattern,
@@ -19,9 +40,14 @@ from ghzsim.fock import (
     pattern_to_json,
 )
 from ghzsim.lhv import (
+    DERIVATION,
+    FEASIBILITY_VERDICT,
+    GHZ_PARADOX,
+    QUANTUM_TABLES,
     Certificate,
     CriticalVisibilityResult,
     Evaluation,
+    FeasibilityProblem,
     GhzParadoxReport,
     LemmaReport,
     certificate_from_json,
@@ -32,6 +58,8 @@ from ghzsim.lhv import (
     ghz_report_to_json,
     lemma_report_from_json,
     lemma_report_to_json,
+    quantum_targets,
+    right_sector_strategies,
 )
 from ghzsim.measurement import (
     OUTCOMES,
@@ -102,6 +130,22 @@ _critical_results = st.builds(
     st.lists(st.builds(Evaluation, _rationals, st.booleans())).map(tuple),
 )
 
+_polynomials = st.dictionaries(_patterns, _amplitudes, max_size=3).map(StatePolynomial)
+_elements = innsbruck_circuit().elements
+_circuits = st.lists(st.booleans(), min_size=4, max_size=4).map(
+    lambda mask: OpticalCircuit(compress(_elements, mask))  # in circuit order, so it composes
+)
+_pairing_reports = st.builds(
+    PairingReport, _counts, _counts, st.dictionaries(st.tuples(_stations, _stations), _counts)
+)
+_weights = st.fractions(min_value=0, max_value=1, max_denominator=60)
+_verdicts = st.one_of(
+    st.tuples(_weights, st.just(True), _weights,
+              st.dictionaries(st.sampled_from(right_sector_strategies()), _weights),
+              st.none()),
+    st.tuples(_weights, st.just(False), st.none(), st.none(), _certificates),
+)
+
 # (encode, decode, values, what the decoder returns for a value)
 CODECS = {
     "amplitude": (amplitude_to_json, amplitude_from_json, _amplitudes, None),
@@ -116,6 +160,23 @@ CODECS = {
     "ghz report": (ghz_report_to_json, ghz_report_from_json, _ghz_reports, None),
     "critical result": (
         critical_result_to_json, critical_result_from_json, _critical_results, None
+    ),
+    "terms": (*TERMS, _polynomials, None),
+    "classified terms": (*CLASSIFIED_TERMS, _polynomials, None),
+    "derivation": (*DERIVATION, st.tuples(_polynomials, _polynomials, _polynomials), None),
+    "classification": (*CLASSIFICATION, st.tuples(_patterns, _event_classes), None),
+    "pairing report": (*PAIRING_REPORT, _pairing_reports, None),
+    "transform": (*TRANSFORM, st.sampled_from(_elements + (innsbruck_circuit().compose(),)),
+                  None),
+    "circuit": (*CIRCUIT, _circuits, None),
+    "quantum tables": (
+        *QUANTUM_TABLES, _weights.map(lambda v: (v, quantum_targets(v))), None
+    ),
+    "ghz paradox": (*GHZ_PARADOX, st.lists(_ghz_reports, max_size=3).map(
+        lambda reports: (tuple(reports),)), None),
+    "feasibility verdict": (
+        *FEASIBILITY_VERDICT, _verdicts,
+        lambda verdict: verdict[:4] + (verdict[4] and verdict[4].coefficients,),
     ),
 }
 
@@ -176,6 +237,51 @@ def test_certificate_decoder_rejects_a_key_without_two_parts(key):
     obj = certificate_to_json(certificate)
     with pytest.raises(ValueError):
         certificate_from_json(_corrupt(obj, coefficients={key: "1/2"}))
+
+
+@pytest.mark.parametrize("key", ["G", "G,H,Z", "G,X", ""])
+def test_pairing_report_decoder_rejects_a_census_key_without_two_stations(key):
+    obj = PAIRING_REPORT[0](PairingReport(2, 1, {}))
+    with pytest.raises((ValueError, KeyError)):
+        PAIRING_REPORT[1](_corrupt(obj, census={key: 1}))
+
+
+def test_circuit_decoder_rejects_an_unknown_mode_and_a_non_isometry():
+    obj = CIRCUIT[0](innsbruck_circuit())
+    renamed = json.loads(json.dumps(obj).replace('"a_H"', '"a_X"'))
+    with pytest.raises(InvalidModeError, match="a_X"):
+        CIRCUIT[1](renamed)
+    doubled = json.loads(json.dumps(obj))
+    doubled["elements"][1]["rules"]["a_V"][0]["amplitude"]["re"] = "1"
+    with pytest.raises(CircuitConfigError, match="orthonormal"):
+        CIRCUIT[1](doubled)
+
+
+def _rechecks(problem: FeasibilityProblem, verdict) -> bool:
+    """The library's own solver-free checks, applied to a decoded verdict."""
+    _, feasible, _, distribution, coefficients = verdict
+    if not feasible:
+        return lhv.evaluate_certificate(problem, coefficients).verified
+    _, rows, rhs, _ = lhv._cell_rows(problem)
+    weights = [distribution.get(s, Fraction(0)) for s in right_sector_strategies()]
+    return lhv._reproduces_targets(problem, rows, rhs, weights)
+
+
+@pytest.mark.parametrize("visibility,slack", [("1/2", "0"), ("13/20", "0"), ("1", "1/64")])
+def test_feasibility_artifacts_recheck_from_their_bytes(capsys, visibility, slack):
+    argv = ["lhv-feasibility", "--visibility", visibility, "--slack", slack, "--format", "json"]
+    assert run(parse_argv(argv)) == 0
+    verdict = FEASIBILITY_VERDICT[1](json.loads(capsys.readouterr().out))
+    problem = FeasibilityProblem(quantum_targets(verdict[0]), slack=Fraction(slack))
+    assert _rechecks(problem, verdict)
+    # the checks are not vacuous: one changed weight or coefficient fails them
+    evidence = verdict[3] if verdict[1] else verdict[4]
+    change = Fraction(1, 1000) if verdict[1] else Fraction(1000)
+    for key in evidence:
+        changed = dict(evidence)
+        changed[key] += change
+        mutated = verdict[:3] + ((changed, None) if verdict[1] else (None, changed))
+        assert not _rechecks(problem, mutated), key
 
 
 def _fixed_table() -> OutcomeTable:
