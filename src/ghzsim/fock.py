@@ -461,6 +461,9 @@ def pattern_to_json(pattern: Pattern) -> dict:
 
 
 def pattern_from_json(obj: Mapping[str, int]) -> Pattern:
+    # JSON true and 1.5 would pass int(); only a JSON integer is a count
+    if not isinstance(obj, dict) or any(type(count) is not int for count in obj.values()):
+        raise ValueError(f"a pattern is a JSON object of integer counts, got {obj!r}")
     return as_pattern({mode_from_name(name): count for name, count in obj.items()})
 
 

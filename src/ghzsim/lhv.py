@@ -284,12 +284,14 @@ CertificateKey = Tuple[str, str]  # (settings code, outcome code) or ("mass", ""
 class Certificate:
     """Farkas functional proving no strategy mixture matches the targets.
 
-    ``value`` is the functional applied to the targets;
-    ``strategy_bound`` the maximum over the 64 right-sector strategies of
-    the functional applied to that strategy's deterministic table, scaled
-    by the right mass.  ``value > strategy_bound`` (with every strategy
-    column non-positive) certifies infeasibility; ``verified`` records the
-    solver-independent re-check.
+    ``value`` is the functional applied to the targets, less
+    ``slack · Σ |y_i|`` over the cell coefficients: the least it can take on
+    any tables within the problem's ±slack band.  ``strategy_bound`` is the
+    maximum over the 64 right-sector strategies of the functional applied
+    to that strategy's deterministic table, scaled by the right mass.
+    ``value > strategy_bound`` (with every strategy column non-positive)
+    certifies infeasibility of the problem at its slack; ``verified``
+    records the solver-independent re-check.
     """
 
     coefficients: Mapping[CertificateKey, Fraction]
@@ -376,60 +378,38 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     """
     strategies, rows, rhs, keys = _cell_rows(problem)
     if problem.slack:
-        solve_rows, solve_rhs = _with_slack(rows, rhs, problem.slack)
-    else:
-        solve_rows, solve_rhs = rows, rhs
-    result = solve_feasibility(solve_rows, solve_rhs)
+        rows, rhs = _with_slack(rows, rhs, problem.slack)
+    result = solve_feasibility(rows, rhs)
     if result.feasible:
-        weights = result.solution[: len(strategies)]
-        distribution = {
-            strategy: weight
-            for strategy, weight in zip(strategies, weights)
-            if weight
-        }
-        verified = _reproduces_targets(problem, rows, rhs, weights)
-        return FeasibilityOutcome(
-            True, distribution, problem.wrong_mass, None, result.iterations, verified
-        )
-    certificate = _build_certificate(problem, keys, result.certificate)
-    return FeasibilityOutcome(
-        False, None, None, certificate, result.iterations, certificate.verified
-    )
+        mixture = {s: w for s, w in zip(strategies, result.solution) if w}
+        return FeasibilityOutcome(True, mixture, problem.wrong_mass, None, result.iterations,
+                                  verify_verdict(problem, True, mixture))
+    dual = result.certificate
+    if problem.slack:  # the dual covers doubled cell rows; fold the pairs back
+        dual = [dual[i] + dual[i + 1] for i in range(0, len(dual) - 1, 2)] + [dual[-1]]
+    certificate = evaluate_certificate(problem, dict(zip(keys, dual)))
+    return FeasibilityOutcome(False, None, None, certificate, result.iterations,
+                              certificate.verified)
 
 
-def _reproduces_targets(
-    problem: FeasibilityProblem,
-    rows: Incidence,
-    rhs: Sequence[Fraction],
-    weights: Sequence[Fraction],
-) -> bool:
-    """Solver-free check of a feasible verdict: the weights are non-negative,
-    carry exactly the right-event mass, and reproduce every cell within the
-    slack (exactly when the slack is zero)."""
-    if any(w < 0 for w in weights) or sum(weights) != 1 - problem.wrong_mass:
+def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mapping) -> bool:
+    """The solver-free check that a verdict's evidence proves it.
+
+    Feasible evidence is the mixture ``LocalStrategy → weight``: right-sector
+    strategies, non-negative weights summing to 1 − wrong mass, and every
+    cell within the slack of its target.  Infeasible evidence is the
+    certificate's coefficients; they must pass :func:`evaluate_certificate`.
+    """
+    if not feasible:
+        return evaluate_certificate(problem, evidence).verified
+    strategies, rows, rhs, _ = _cell_rows(problem)
+    if not set(evidence) <= set(strategies) or any(w < 0 for w in evidence.values()):
         return False
-    return all(
+    weights = [evidence.get(s, Fraction(0)) for s in strategies]
+    return sum(evidence.values()) == 1 - problem.wrong_mass and all(
         abs(sum(w for w, hit in zip(weights, row) if hit) - target) <= problem.slack
         for row, target in zip(rows[:-1], rhs[:-1])
     )
-
-
-def _build_certificate(
-    problem: FeasibilityProblem,
-    keys: Sequence[CertificateKey],
-    dual: Sequence[Fraction],
-) -> Certificate:
-    # with slack the dual covers doubled cell rows; fold the pairs back
-    coeffs: Dict[CertificateKey, Fraction] = {}
-    if len(dual) == len(keys):
-        folded = list(dual)
-    else:
-        cells = len(keys) - 1
-        folded = [dual[2 * i] + dual[2 * i + 1] for i in range(cells)]
-        folded.append(dual[-1])
-    for key, value in zip(keys, folded):
-        coeffs[key] = value
-    return evaluate_certificate(problem, coeffs)
 
 
 def evaluate_certificate(
@@ -438,7 +418,9 @@ def evaluate_certificate(
     """Verify a Farkas functional against the targets, solver-free."""
     _, rows, rhs, keys = _cell_rows(problem)
     y = [coeffs.get(key, Fraction(0)) for key in keys]
+    # within the ±slack band, cell i moves y·(Aw) by at most slack·|y_i|
     value = sum((c * b for c, b in zip(y, rhs)), start=Fraction(0))
+    value -= problem.slack * sum(abs(c) for c in y[:-1])
     max_column = max(
         sum((c for c, hit in zip(y, column) if hit), start=Fraction(0))
         for column in zip(*rows)
@@ -475,8 +457,8 @@ DISTRIBUTION = (
     lambda obj: {LocalStrategy(g, h, z): weight for g, h, z, weight in _WEIGHTED[1](obj)},
 )
 # (visibility, feasible, chi_zero_weight, distribution, certificate): the
-# evidence is either the mixture, for _reproduces_targets, or the certificate,
-# decoded to its coefficients for evaluate_certificate; the rest are None
+# evidence is either the mixture or the certificate, decoded to its
+# coefficients; either is what verify_verdict checks; the rest are None
 FEASIBILITY_VERDICT = tuple_codec(
     ("visibility", RATIONAL), ("feasible", BOOL), ("chi_zero_weight", RATIONAL),
     ("distribution", DISTRIBUTION), ("certificate", CERTIFICATE),

@@ -1,14 +1,19 @@
 """Command-line surface: artifacts, determinism, round-trips, error envelopes."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ghzsim
 from ghzsim import lhv
@@ -524,3 +529,137 @@ def test_identical_configs_are_byte_identical(capsys):
         _, out, _ = _run(capsys, ["correlations", "--format", "json", "--visibility", "2/3"])
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# sha256 of `lhv-feasibility --visibility 1 --slack 1/100`: its certificate
+# value is y·b less slack·Σ|y_i| over the cells (49/100, not 9/4)
+SLACK_CERTIFICATE_SHA256 = {
+    "json": "062da9b2eece296a30f85ea9a16f64301ed842b021e0bf2f0d4e644188ce23c6",
+    "text": "52b6686ad6192b90eb2f27be8239d28c9abab37300d35009c9318991852d56f0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SLACK_CERTIFICATE_SHA256))
+def test_slack_certificate_artifacts_are_pinned(capsys, fmt):
+    argv = ["lhv-feasibility", "--visibility", "1", "--slack", "1/100", "--format", fmt]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert _sha256(out.encode()) == SLACK_CERTIFICATE_SHA256[fmt]
+
+
+@pytest.mark.parametrize("pattern", ['[1]', '"s"', '{"a_H":null}', '{"a_H":1.5}',
+                                     '{"a_H":true}', '{"a_H":"1"}', '{"a_H":-1}'])
+def test_malformed_pattern_exits_through_one_envelope(capsys, tmp_path, pattern):
+    target = tmp_path / "event.json"
+    argv = ["classify", "--pattern", pattern, "--format", "json", "--output", str(target)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _one_envelope(err)["type"] == "ValueError"
+    assert list(tmp_path.iterdir()) == []
+
+
+_rational_texts = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=1000).map(str),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000).map(str),
+    st.sampled_from(["0", "1", "-0", "0.65", "1/0", "x", "", "1//2", "nan", "-1/10"]),
+)
+
+
+def _int_texts(low, high):
+    return st.one_of(st.integers(low, high).map(str), st.sampled_from(["1.5", "x", "", "1e3"]))
+
+
+_json_leaves = st.one_of(st.integers(-2, 3), st.booleans(), st.none(),
+                         st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3))
+_mode_names = st.sampled_from(["a_H", "g_H", "g_V", "h_V", "z_V", "a_X", ""])
+_pattern_texts = st.one_of(
+    st.dictionaries(_mode_names, _json_leaves, max_size=4).map(json.dumps),
+    st.dictionaries(_mode_names, st.integers(0, 2), max_size=4).map(json.dumps),
+    st.lists(_json_leaves, max_size=3).map(json.dumps),
+    _json_leaves.map(json.dumps),
+    st.sampled_from(["{", "", "{'a_H': 1}"]),
+)
+# each command's own flags; a flag from another command is a usage error
+_FLAGS = {
+    "expand": {},
+    "classify": {"--pattern": _pattern_texts},
+    "dump-circuit": {},
+    "correlations": {"--visibility": _rational_texts},
+    "sample": {"--pulses": _int_texts(-3, 10**4), "--pair-prob": _rational_texts,
+               "--seed": _int_texts(-3, 10**6), "--loss-prob": _rational_texts},
+    "lhv-feasibility": {"--visibility": _rational_texts, "--slack": _rational_texts},
+    "critical-visibility": {"--depth": _int_texts(-2, 64)},
+    "ghz-paradox": {},
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one command and the --output case it writes to."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    if command == "sample" and draw(st.booleans()):
+        argv.append("--redefined-trigger")
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--depth=3", "--bogus", "stray"])))
+    fmt = draw(st.sampled_from([None, "json", "csv", "text", "xml"]))
+    if fmt:
+        argv += ["--format", fmt]
+    output = draw(st.sampled_from([None, "file", "missing", "under-a-file", "a-directory"]))
+    return argv, output
+
+
+def _artifact_parses(command: str, fmt: str, artifact: str) -> None:
+    if command == "sample":  # the stream is JSON lines in every format
+        for line in artifact.splitlines():
+            json.loads(line)
+    elif fmt == "json":
+        json.loads(artifact)
+    elif fmt == "csv":
+        assert len(list(csv.reader(io.StringIO(artifact)))) > 1
+    else:
+        assert artifact.endswith("\n") and artifact.strip()
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(parse_argv(argv))
+        except SystemExit as exc:  # argparse's exit, after its envelope
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argvs())
+def test_every_argv_ends_in_an_artifact_or_one_envelope(tmp_path, case):
+    argv, output = case
+    workdir = Path(tempfile.mkdtemp(dir=tmp_path))
+    (workdir / "a-file").write_text("")
+    target = {None: None, "file": workdir / "artifact", "missing": workdir / "no" / "artifact",
+              "under-a-file": workdir / "a-file" / "artifact", "a-directory": workdir}[output]
+    if target is not None:
+        argv = argv + ["--output", str(target)]
+    before = sorted(workdir.iterdir())
+    runs = []
+    for _ in range(2):
+        code, out, err = _run_in_process(argv)
+        written = target.read_bytes() if code == 0 and output == "file" else None
+        runs.append((code, out, err, written))
+    assert runs[0] == runs[1]  # the same argv gives the same bytes
+    code, out, err, written = runs[0]
+    if code == 0:
+        assert err == ""
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+        _artifact_parses(argv[0], fmt, written.decode() if written is not None else out)
+        assert sorted(workdir.iterdir()) == sorted(before + ([target] if written else []))
+    else:
+        assert code in (1, 2)
+        assert set(_one_envelope(err)) == {"type", "message"}
+        assert out == ""
+        assert sorted(workdir.iterdir()) == before

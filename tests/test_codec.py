@@ -257,31 +257,21 @@ def test_circuit_decoder_rejects_an_unknown_mode_and_a_non_isometry():
         CIRCUIT[1](doubled)
 
 
-def _rechecks(problem: FeasibilityProblem, verdict) -> bool:
-    """The library's own solver-free checks, applied to a decoded verdict."""
-    _, feasible, _, distribution, coefficients = verdict
-    if not feasible:
-        return lhv.evaluate_certificate(problem, coefficients).verified
-    _, rows, rhs, _ = lhv._cell_rows(problem)
-    weights = [distribution.get(s, Fraction(0)) for s in right_sector_strategies()]
-    return lhv._reproduces_targets(problem, rows, rhs, weights)
-
-
 @pytest.mark.parametrize("visibility,slack", [("1/2", "0"), ("13/20", "0"), ("1", "1/64")])
 def test_feasibility_artifacts_recheck_from_their_bytes(capsys, visibility, slack):
     argv = ["lhv-feasibility", "--visibility", visibility, "--slack", slack, "--format", "json"]
     assert run(parse_argv(argv)) == 0
     verdict = FEASIBILITY_VERDICT[1](json.loads(capsys.readouterr().out))
     problem = FeasibilityProblem(quantum_targets(verdict[0]), slack=Fraction(slack))
-    assert _rechecks(problem, verdict)
-    # the checks are not vacuous: one changed weight or coefficient fails them
-    evidence = verdict[3] if verdict[1] else verdict[4]
-    change = Fraction(1, 1000) if verdict[1] else Fraction(1000)
+    feasible = verdict[1]
+    evidence = verdict[3] if feasible else verdict[4]
+    assert lhv.verify_verdict(problem, feasible, evidence)
+    # the check is not vacuous: one changed weight or coefficient fails it
+    change = Fraction(1, 1000) if feasible else Fraction(1000)
     for key in evidence:
         changed = dict(evidence)
         changed[key] += change
-        mutated = verdict[:3] + ((changed, None) if verdict[1] else (None, changed))
-        assert not _rechecks(problem, mutated), key
+        assert not lhv.verify_verdict(problem, feasible, changed), key
 
 
 def _fixed_table() -> OutcomeTable:

@@ -1,0 +1,50 @@
+"""Source rules the package keeps, read from its syntax trees: it imports only
+itself and the standard library, and no float enters the exact modules that
+compute a verdict (floats belong to the Monte Carlo sampler alone)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import ghzsim
+
+PACKAGE = Path(ghzsim.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+EXACT_MODULES = ("fock.py", "circuit.py", "measurement.py", "simplex.py", "lhv.py")
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_the_rules_see_every_module():
+    names = {path.name for path in SOURCES}
+    assert set(EXACT_MODULES) <= names and {"cli.py", "events.py"} <= names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_are_the_package_or_the_standard_library(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.partition(".")[0]]
+        else:  # a relative import names the package itself
+            continue
+        for root in roots:
+            assert root == "ghzsim" or root in sys.stdlib_module_names, (
+                f"{path.name}:{node.lineno} imports {root}"
+            )
+
+
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_no_float_enters_an_exact_module(name):
+    for node in ast.walk(_tree(PACKAGE / name)):
+        assert not (isinstance(node, ast.Name) and node.id == "float"), (
+            f"{name}:{node.lineno} names float"
+        )
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), (
+            f"{name}:{node.lineno} has the float literal {node.value!r}"
+        )

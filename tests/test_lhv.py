@@ -38,6 +38,7 @@ from ghzsim.lhv import (
     quantum_targets,
     right_sector_strategies,
     sigma,
+    verify_verdict,
 )
 from ghzsim.measurement import (
     OUTCOMES,
@@ -399,23 +400,81 @@ def test_feasible_verdicts_are_verified_apart_from_the_solver():
     problem = FeasibilityProblem(quantum_targets(Fraction(1, 2)))
     outcome = lhv_feasibility(problem)
     assert outcome.feasible and outcome.verified
-    _, rows, rhs, _ = lhv._cell_rows(problem)
+    assert verify_verdict(problem, True, outcome.distribution)
     strategies = right_sector_strategies()
     weights = [outcome.distribution.get(s, Fraction(0)) for s in strategies]
-    assert lhv._reproduces_targets(problem, rows, rhs, weights)
+
+    def verifies(problem, weights):
+        return verify_verdict(problem, True, dict(zip(strategies, weights)))
+
     # moving weight between strategies keeps the mass but breaks the cells
     moved = list(weights)
     j = next(j for j, w in enumerate(weights) if w)
     moved[j], moved[j - 1] = Fraction(0), weights[j - 1] + weights[j]
-    assert not lhv._reproduces_targets(problem, rows, rhs, moved)
+    assert not verifies(problem, moved)
     # a negative weight or a wrong right-event mass is rejected outright
     negative = list(weights)
     negative[j], negative[j - 1] = -weights[j], weights[j - 1] + 2 * weights[j]
-    assert not lhv._reproduces_targets(problem, rows, rhs, negative)
-    assert not lhv._reproduces_targets(problem, rows, rhs, [2 * w for w in weights])
+    assert not verifies(problem, negative)
+    assert not verifies(problem, [2 * w for w in weights])
     # within a slack the same move can pass: cells may miss by up to the slack
     loose = FeasibilityProblem(problem.targets, slack=Fraction(1, 64))
-    assert lhv._reproduces_targets(loose, rows, rhs, moved)
+    assert verifies(loose, moved)
+    # at slack 1 every cell passes, so each of the other rules is seen alone:
+    # the sign, the mass, and the right sector
+    wide = FeasibilityProblem(problem.targets, slack=Fraction(1))
+    assert verifies(wide, moved)
+    assert not verifies(wide, negative)
+    assert not verifies(wide, [2 * w for w in weights])
+    outside = dict(zip(strategies, moved))
+    outside[LocalStrategy((0, 0), (0, 0), (1, 1))] = outside.pop(strategies[j - 1])
+    assert not verify_verdict(wide, True, outside)
+
+
+# visibilities on both sides of 1/2 at three slacks: (13/20, 0), (1, 0) and
+# (1, 1/100) are infeasible, the rest feasible, (13/20, 1) among them
+SLACK_GRID = [(v, s) for v in (Fraction(1, 2), Fraction(13, 20), Fraction(1))
+              for s in (Fraction(0), Fraction(1, 100), Fraction(1))]
+
+
+def test_certificates_are_checked_against_the_slack_they_claim():
+    problems = [FeasibilityProblem(quantum_targets(v), slack=s) for v, s in SLACK_GRID]
+    outcomes = [lhv_feasibility(problem) for problem in problems]
+    assert all(outcome.verified for outcome in outcomes)
+    feasible = [p for p, outcome in zip(problems, outcomes) if outcome.feasible]
+    certificates = [o.certificate.coefficients for o in outcomes if not o.feasible]
+    assert FeasibilityProblem(quantum_targets(Fraction(13, 20)), slack=1) in feasible
+    assert len(certificates) == 3
+    # a certificate that held at a smaller slack must not prove a feasible
+    # problem infeasible
+    for coefficients in certificates:
+        for problem in feasible:
+            assert not verify_verdict(problem, False, coefficients)
+
+
+def test_slack_certificate_value_subtracts_the_band():
+    problem = FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(1, 100))
+    outcome = lhv_feasibility(problem)
+    assert not outcome.feasible and outcome.verified and outcome.iterations == 47
+    # y·b = 9/4 on the exact targets; the band of ±1/100 costs Σ|y_i|/100
+    coefficients = outcome.certificate.coefficients
+    band = sum(abs(c) for key, c in coefficients.items() if key != ("mass", ""))
+    assert outcome.certificate.value == Fraction(49, 100) == Fraction(9, 4) - band / 100
+    exact = evaluate_certificate(FeasibilityProblem(problem.targets), coefficients)
+    assert exact.value == Fraction(9, 4) and exact.verified
+
+
+@pytest.mark.parametrize("visibility,evidence", [
+    (Fraction(1, 2), {"solution": [Fraction(1, 256)] * 64}),  # right mass, wrong cells
+    (Fraction(1), {"certificate": [Fraction(0)] * 65}),  # value 0 proves nothing
+])
+def test_solver_evidence_that_fails_the_check_is_reported_unverified(
+    monkeypatch, visibility, evidence
+):
+    real = solve_feasibility(*_lp(visibility))
+    monkeypatch.setattr(lhv, "solve_feasibility", lambda rows, rhs: replace(real, **evidence))
+    outcome = feasibility_at_visibility(visibility)
+    assert outcome.feasible == real.feasible and not outcome.verified
 
 
 def test_outcome_built_positionally_defaults_to_unverified():
