@@ -209,18 +209,40 @@ def _cmd_correlations(config: RunConfig) -> int:
     return _finish(config, payload, lines, summary, table)
 
 
+_PULSE_MARK = -1  # a pulse index no line can hold otherwise
+
+
+def _line_parts(event) -> tuple:
+    """The ``EVENT`` line of ``event`` before and after its pulse index, and its
+    class wire.  Only the pulse index differs between events of one pattern
+    and veto flag, so the line is split around a marker index."""
+    probe = events_mod.SampledEvent(_PULSE_MARK, event.pattern, event.event_class,
+                                    event.herald_veto)
+    text = json.dumps(events_mod.event_to_json(probe), sort_keys=True)
+    head, tail = text.split(str(_PULSE_MARK))
+    return head, tail + "\n", event.event_class.wire
+
+
 def _stream_events(config: RunConfig, out) -> dict:
-    """Write one JSON line per event as it is sampled; return the class counts."""
+    """Write one JSON line per event as it is sampled; return the class counts.
+
+    Each distinct (pattern, veto) is encoded once per call; a line is then its
+    memoised head, the pulse index and its tail."""
     events = events_mod.sample_events(
         config.pulses, config.pair_prob, config.seed, config.loss_prob
     )
+    memo: dict = {}
     counts: dict = {}
     for event in events:
         if config.redefined_trigger and event.herald_veto:
             continue
-        out.write(json.dumps(events_mod.event_to_json(event), sort_keys=True) + "\n")
-        key = event.event_class.wire
-        counts[key] = counts.get(key, 0) + 1
+        key = event.pattern, event.herald_veto
+        parts = memo.get(key)
+        if parts is None:
+            parts = memo[key] = _line_parts(event)
+        head, tail, wire = parts
+        out.write(f"{head}{event.pulse_index}{tail}")
+        counts[wire] = counts.get(wire, 0) + 1
     return counts
 
 

@@ -52,7 +52,6 @@ from .fock import (
     pattern_to_json,
     record_codec,
     terms_codec,
-    total_photons,
     tuple_codec,
 )
 from .measurement import STATIONS, Station, pattern_distribution
@@ -394,6 +393,7 @@ class _Sampler:
         self.one_pair_components = self._component_draws(single_pair_emission())
         self.two_pair_components = self._component_draws(two_pair_emission())
         self._output_cache: Dict[Pattern, list] = {}
+        self._class_memo: Dict[Pattern, EventClass] = {}
 
     @staticmethod
     def _component_draws(state: StatePolynomial) -> list:
@@ -407,6 +407,13 @@ class _Sampler:
             cached = _cumulative(pattern_distribution(expanded).items())
             self._output_cache[component] = cached
         return cached
+
+    def classify(self, pattern: Pattern) -> EventClass:
+        """:func:`classify_pattern`, run once per distinct pattern of this sampler."""
+        event_class = self._class_memo.get(pattern)
+        if event_class is None:
+            event_class = self._class_memo[pattern] = classify_pattern(pattern)
+        return event_class
 
 
 def _cumulative(weighted) -> list:
@@ -465,7 +472,8 @@ def sample_events(
             continue
         veto = False
         if sampler.lossy:
-            surviving: Dict[Mode, int] = {}
+            # the component is canonical, so its survivors in mode order are too
+            surviving = []
             for mode, count in component:
                 kept = 0
                 for _ in range(count):
@@ -474,13 +482,13 @@ def sample_events(
                     else:
                         kept += 1
                 if kept:
-                    surviving[mode] = kept
-            component = as_pattern(surviving)
-        if total_photons(component) == 0:
+                    surviving.append((mode, kept))
+            component = tuple(surviving)
+        if not component:
             pattern: Pattern = ()
         else:
             pattern = _draw(rng, sampler.output_draws(component))
-        yield SampledEvent(pulse, pattern, classify_pattern(pattern), veto)
+        yield SampledEvent(pulse, pattern, sampler.classify(pattern), veto)
 
 
 def summarize_events(events: Iterable[SampledEvent], redefined: bool = False) -> Counter:

@@ -308,10 +308,13 @@ class FeasibilityOutcome:
     chi_zero_weight: Optional[Fraction]
     certificate: Optional[Certificate]
     iterations: int
-    # solver-free re-check of the evidence: the distribution reproduces the
-    # targets, or the certificate is ``verified``
+    # solver-free re-check of the evidence: the distribution and the χ=0
+    # weight reproduce the targets, or the certificate is ``verified``
     verified: bool = False
 
+
+# the key of the aggregated χ=0 weight in a feasible verdict's evidence
+CHI_ZERO = "chi=0"
 
 Incidence = Tuple[Tuple[int, ...], ...]
 
@@ -383,7 +386,8 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     if result.feasible:
         mixture = {s: w for s, w in zip(strategies, result.solution) if w}
         return FeasibilityOutcome(True, mixture, problem.wrong_mass, None, result.iterations,
-                                  verify_verdict(problem, True, mixture))
+                                  verify_verdict(problem, True,
+                                                 {**mixture, CHI_ZERO: problem.wrong_mass}))
     dual = result.certificate
     if problem.slack:  # the dual covers doubled cell rows; fold the pairs back
         dual = [dual[i] + dual[i + 1] for i in range(0, len(dual) - 1, 2)] + [dual[-1]]
@@ -395,18 +399,20 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
 def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mapping) -> bool:
     """The solver-free check that a verdict's evidence proves it.
 
-    Feasible evidence is the mixture ``LocalStrategy → weight``: right-sector
-    strategies, non-negative weights summing to 1 − wrong mass, and every
-    cell within the slack of its target.  Infeasible evidence is the
-    certificate's coefficients; they must pass :func:`evaluate_certificate`.
+    Feasible evidence is the whole model: the mixture ``LocalStrategy →
+    weight`` and the aggregated χ=0 weight under :data:`CHI_ZERO`.  Its
+    strategies are right-sector, its weights non-negative and summing to 1,
+    the χ=0 weight is the wrong mass, and every cell is within the slack of
+    its target.  Infeasible evidence is the certificate's coefficients; they
+    must pass :func:`evaluate_certificate`.
     """
     if not feasible:
         return evaluate_certificate(problem, evidence).verified
     strategies, rows, rhs, _ = _cell_rows(problem)
-    if not set(evidence) <= set(strategies) or any(w < 0 for w in evidence.values()):
+    if not set(evidence) <= {*strategies, CHI_ZERO} or any(w < 0 for w in evidence.values()):
         return False
     weights = [evidence.get(s, Fraction(0)) for s in strategies]
-    return sum(evidence.values()) == 1 - problem.wrong_mass and all(
+    return evidence.get(CHI_ZERO) == problem.wrong_mass and sum(evidence.values()) == 1 and all(
         abs(sum(w for w, hit in zip(weights, row) if hit) - target) <= problem.slack
         for row, target in zip(rows[:-1], rhs[:-1])
     )
@@ -415,7 +421,8 @@ def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mappin
 def evaluate_certificate(
     problem: FeasibilityProblem, coeffs: Mapping[CertificateKey, Fraction]
 ) -> Certificate:
-    """Verify a Farkas functional against the targets, solver-free."""
+    """Verify a Farkas functional against the targets, solver-free.  A
+    coefficient whose key names no LP row fails the check."""
     _, rows, rhs, keys = _cell_rows(problem)
     y = [coeffs.get(key, Fraction(0)) for key in keys]
     # within the ±slack band, cell i moves y·(Aw) by at most slack·|y_i|
@@ -426,7 +433,7 @@ def evaluate_certificate(
         for column in zip(*rows)
     )
     bound = max_column * (1 - problem.wrong_mass)
-    verified = max_column <= 0 < value
+    verified = max_column <= 0 < value and set(coeffs) <= set(keys)
     return Certificate(dict(coeffs), value, bound, max_column, verified)
 
 

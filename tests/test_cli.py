@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ghzsim
 from ghzsim import lhv
-from ghzsim.cli import RunConfig, parse_argv, parse_rational, run
-from ghzsim.events import event_from_json
+from ghzsim.cli import RunConfig, _stream_events, parse_argv, parse_rational, run
+from ghzsim.events import classify_pattern, event_from_json, event_to_json, sample_events
 from ghzsim.lhv import (
     FeasibilityProblem,
     certificate_from_json,
@@ -283,6 +283,37 @@ def test_sample_redefined_trigger_filters_vetoed(capsys, tmp_path):
     assert any(event["veto"] for event in naive_events)
     assert not any(event["veto"] for event in redefined_events)
     assert [e for e in naive_events if not e["veto"]] == redefined_events
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pulses=st.integers(0, 2000), seed=st.integers(0, 2**32),
+       pair_prob=st.fractions(0, Fraction(3, 5), max_denominator=50),
+       loss_prob=st.fractions(0, 1, max_denominator=10), redefined=st.booleans())
+def test_memoised_lines_are_the_codec_lines(pulses, seed, pair_prob, loss_prob, redefined):
+    config = RunConfig(command="sample", pulses=pulses, seed=seed, pair_prob=pair_prob,
+                       loss_prob=loss_prob, redefined_trigger=redefined)
+    out = io.StringIO()
+    counts = _stream_events(config, out)
+    events = [e for e in sample_events(pulses, pair_prob, seed, loss_prob)
+              if not (redefined and e.herald_veto)]
+    assert out.getvalue().splitlines() == [
+        json.dumps(event_to_json(e), sort_keys=True) for e in events
+    ]
+    assert all(e.event_class == classify_pattern(e.pattern) for e in events)
+    wires = [e.event_class.wire for e in events]
+    assert counts == {wire: wires.count(wire) for wire in wires}
+
+
+# sha256 of `sample --pulses 50000 --pair-prob 1/25 --seed 4 --loss-prob 1/5
+# --redefined-trigger`, taken before the sampler memoised its per-pattern work:
+# the veto filter's stream
+REDEFINED_STREAM_SHA256 = "087e862e59aa9ec13acad59c0bda0adf6342ecc2a149bf53a3b35f3f46bd3a41"
+
+
+def test_sample_redefined_trigger_stream_is_pinned(capsys):
+    code, out, _ = _run(capsys, ["sample", "--pulses", "50000", "--pair-prob", "1/25",
+                                 "--seed", "4", "--loss-prob", "1/5", "--redefined-trigger"])
+    assert code == 0 and _sha256(out.encode()) == REDEFINED_STREAM_SHA256
 
 
 def test_lhv_feasibility_infeasible_report(capsys, tmp_path):

@@ -261,11 +261,15 @@ def test_circuit_decoder_rejects_an_unknown_mode_and_a_non_isometry():
 def test_feasibility_artifacts_recheck_from_their_bytes(capsys, visibility, slack):
     argv = ["lhv-feasibility", "--visibility", visibility, "--slack", slack, "--format", "json"]
     assert run(parse_argv(argv)) == 0
-    verdict = FEASIBILITY_VERDICT[1](json.loads(capsys.readouterr().out))
+    artifact = json.loads(capsys.readouterr().out)
+    verdict = FEASIBILITY_VERDICT[1](artifact)
     problem = FeasibilityProblem(quantum_targets(verdict[0]), slack=Fraction(slack))
     feasible = verdict[1]
-    evidence = verdict[3] if feasible else verdict[4]
+    evidence = {**verdict[3], lhv.CHI_ZERO: verdict[2]} if feasible else verdict[4]
     assert lhv.verify_verdict(problem, feasible, evidence)
+    if feasible:  # a tampered wrong-sector weight fails the same check
+        tampered = FEASIBILITY_VERDICT[1]({**artifact, "chi_zero_weight": "1/7"})
+        assert not lhv.verify_verdict(problem, True, {**tampered[3], lhv.CHI_ZERO: tampered[2]})
     # the check is not vacuous: one changed weight or coefficient fails it
     change = Fraction(1, 1000) if feasible else Fraction(1000)
     for key in evidence:

@@ -1,5 +1,6 @@
 """Trigger post-selection, classification, pairing, loss, and the sampler."""
 
+import hashlib
 import json
 import math
 import random
@@ -400,6 +401,24 @@ def test_event_json_roundtrip():
     assert event_from_json(event_to_json(event)) == event
 
 
+def test_each_sampler_call_classifies_each_distinct_pattern_once(monkeypatch):
+    import ghzsim.events
+
+    calls = []
+
+    def counting(pattern):
+        calls.append(pattern)
+        return classify_pattern(pattern)
+
+    monkeypatch.setattr(ghzsim.events, "classify_pattern", counting)
+    args = (20000, Fraction(1, 10), 3, Fraction(1, 5))
+    first = {event.pattern for event in sample_events(*args)}
+    assert sorted(calls) == sorted(first) and len(first) > 1
+    # the memo dies with the call: a second call classifies again
+    second = {event.pattern for event in sample_events(*args)}
+    assert sorted(calls) == sorted(list(first) + list(second))
+
+
 def test_derived_seed_is_stable():
     assert derived_seed(42, 0) == derived_seed(42, 0)
     assert derived_seed(42, 0) != derived_seed(42, 1)
@@ -408,3 +427,15 @@ def test_derived_seed_is_stable():
         for chunk in range(2)
     ]
     assert streams[0] != streams[1]
+
+
+# sha256 of the repr of one dense perfbench-shaped chunk, hashed the way
+# perfbench/workloads.stream_digest hashes a stream; taken before the sampler
+# memoised its per-pattern work, so it holds the library stream unchanged
+DENSE_CHUNK_DIGEST = "076fc87051044da4194b38a2eab2d588847fcd0d8917f9f1aa8b4e17a8741ccb"
+
+
+def test_dense_chunk_stream_is_pinned():
+    stream = sample_events(50000, Fraction(1, 20), derived_seed(1, 0), Fraction(1, 10))
+    text = repr([(e.pulse_index, e.pattern, e.event_class.wire, e.herald_veto) for e in stream])
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_CHUNK_DIGEST

@@ -8,6 +8,7 @@ import pytest
 from ghzsim import lhv
 from ghzsim.fock import GhzsimError
 from ghzsim.lhv import (
+    CHI_ZERO,
     Certificate,
     FeasibilityOutcome,
     FeasibilityProblem,
@@ -400,12 +401,18 @@ def test_feasible_verdicts_are_verified_apart_from_the_solver():
     problem = FeasibilityProblem(quantum_targets(Fraction(1, 2)))
     outcome = lhv_feasibility(problem)
     assert outcome.feasible and outcome.verified
-    assert verify_verdict(problem, True, outcome.distribution)
+    assert verify_verdict(problem, True, {**outcome.distribution,
+                                          CHI_ZERO: outcome.chi_zero_weight})
     strategies = right_sector_strategies()
     weights = [outcome.distribution.get(s, Fraction(0)) for s in strategies]
 
-    def verifies(problem, weights):
-        return verify_verdict(problem, True, dict(zip(strategies, weights)))
+    def verifies(problem, weights, chi_zero=problem.wrong_mass):
+        return verify_verdict(problem, True, {**dict(zip(strategies, weights)),
+                                              CHI_ZERO: chi_zero})
+
+    # the χ=0 weight is part of the evidence: it must be there, and be the wrong mass
+    assert not verifies(problem, weights, Fraction(1, 7))
+    assert not verify_verdict(problem, True, outcome.distribution)
 
     # moving weight between strategies keeps the mass but breaks the cells
     moved = list(weights)
@@ -426,7 +433,7 @@ def test_feasible_verdicts_are_verified_apart_from_the_solver():
     assert verifies(wide, moved)
     assert not verifies(wide, negative)
     assert not verifies(wide, [2 * w for w in weights])
-    outside = dict(zip(strategies, moved))
+    outside = {**dict(zip(strategies, moved)), CHI_ZERO: problem.wrong_mass}
     outside[LocalStrategy((0, 0), (0, 0), (1, 1))] = outside.pop(strategies[j - 1])
     assert not verify_verdict(wide, True, outside)
 
@@ -462,6 +469,17 @@ def test_slack_certificate_value_subtracts_the_band():
     assert outcome.certificate.value == Fraction(49, 100) == Fraction(9, 4) - band / 100
     exact = evaluate_certificate(FeasibilityProblem(problem.targets), coefficients)
     assert exact.value == Fraction(9, 4) and exact.verified
+
+
+def test_certificate_keys_that_name_no_row_fail_the_check():
+    problem = FeasibilityProblem(quantum_targets(Fraction(1)))
+    outcome = lhv_feasibility(problem)
+    assert not outcome.feasible and verify_verdict(problem, False,
+                                                   outcome.certificate.coefficients)
+    foreign = {**outcome.certificate.coefficients,
+               ("xxx", "+1,+1,+2"): Fraction(1), ("nope", "x"): Fraction(1)}
+    assert not verify_verdict(problem, False, foreign)
+    assert not evaluate_certificate(problem, foreign).verified
 
 
 @pytest.mark.parametrize("visibility,evidence", [
