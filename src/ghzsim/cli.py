@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every probability or correlation on the wire is an exact rational rendered
-as ``p/q``; floats appear only in Monte Carlo summaries.  Outputs are
-byte-identical across runs for identical configurations (seeds included).
+as ``p/q``, and Monte Carlo summaries are integer counts; no float is used.
+Outputs are byte-identical across runs for identical configurations (seeds
+included).
 
 Commands: ``expand``, ``classify``, ``dump-circuit``, ``correlations``,
 ``sample``, ``lhv-feasibility``, ``critical-visibility``, ``ghz-paradox``.

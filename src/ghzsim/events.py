@@ -17,11 +17,14 @@ click — discards every loss-contaminated event.
 from __future__ import annotations
 
 import hashlib
-import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, product
+from math import comb, lcm, prod
+from random import Random
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .circuit import OpticalCircuit, innsbruck_circuit
@@ -372,68 +375,208 @@ def derived_seed(seed: int, chunk_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+WORD = 64  # bits per random word; every draw reads whole words
+SKIP_PRECISION = 256  # fractional bits of the fixed-precision skip-level bounds
+MAX_BLOCK = 64  # the most pulses one emission-table draw covers
+
+
+class _Table:
+    """An exact draw from (value, integer weight) pairs; zero weights drop out.
+
+    Value i is drawn with probability (cuts[i] - cuts[i-1]) / den exactly,
+    where ``cuts`` are the running sums of the weights and ``den`` the total.
+    A draw reads one word u as the leading bits of a uniform U in [0, 1) and
+    bisects it against the cut points cuts[i] / den truncated to one word;
+    only when u equals a truncated cut point does it read further words and
+    compare exactly with the integer cut points.
+    """
+
+    __slots__ = ("values", "cuts", "den", "_leading")
+
+    def __init__(self, weighted: Iterable[tuple]):
+        weighted = [(value, weight) for value, weight in weighted if weight]
+        self.values = [value for value, _ in weighted]
+        self.cuts = list(accumulate(weight for _, weight in weighted))
+        self.den = self.cuts[-1]
+        self._leading = [(cut << WORD) // self.den for cut in self.cuts]
+
+    def draw(self, rng: Random):
+        u = rng.getrandbits(WORD)
+        i = bisect_right(self._leading, u)
+        # U lies between cut points i-1 and i unless u equals the truncated
+        # cut point i-1 (for i = 0 that reads the last one, 2^WORD, never u)
+        if self._leading[i - 1] != u:
+            return self.values[i]
+        return self.values[self._settle(rng, u)]
+
+    def _settle(self, rng: Random, value: int) -> int:
+        bits = WORD
+        while True:
+            value = value << WORD | rng.getrandbits(WORD)
+            bits += WORD
+            low = value * self.den  # U * den lies in [low, low + den) / 2^bits
+            i = bisect_right(self.cuts, low >> bits)
+            if low + self.den <= self.cuts[i] << bits:
+                return i
+
+
+def _numerators(dist: Mapping[Pattern, Fraction], den: int) -> list:
+    """(pattern, weight * den) in pattern order; ``den`` is a common denominator."""
+    return [(pattern, w.numerator * (den // w.denominator))
+            for pattern, w in sorted(dist.items())]
+
+
+def _distribution_table(dist: Mapping[Pattern, Fraction]) -> _Table:
+    return _Table(_numerators(dist, lcm(*(w.denominator for w in dist.values()))))
+
+
+def _survivors_table(component: Pattern, loss: Fraction) -> _Table:
+    """(surviving pattern, herald veto) of ``component`` when each photon is
+    removed independently with probability ``loss``; weights over den^n."""
+    lost, den = loss.numerator, loss.denominator
+    per_mode = [
+        [(mode, kept, comb(count, kept) * (den - lost) ** kept * lost ** (count - kept))
+         for kept in range(count + 1)]
+        for mode, count in component
+    ]
+    photons = sum(count for _, count in component)
+    weighted = []
+    for choice in product(*per_mode):
+        survivors = tuple((mode, kept) for mode, kept, _ in choice if kept)
+        kept = sum(count for _, count in survivors)
+        weighted.append(((survivors, kept < photons), prod(w for _, _, w in choice)))
+    return _Table(weighted)
+
+
+class _Memo(dict):
+    """A dict that builds a missing value from its key, once."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _skip_bounds(skip: Fraction, levels: int, precision: int) -> list:
+    """(lo, hi) with lo <= skip^(2^j) * 2^precision <= hi for each j < levels:
+    ``skip`` rounded down and up once, then squared with floor and ceiling."""
+    scaled = skip.numerator << precision
+    lo, hi = scaled // skip.denominator, -(-scaled // skip.denominator)
+    bounds = []
+    for _ in range(levels):
+        bounds.append((lo, hi))
+        lo, hi = lo * lo >> precision, -(-(hi * hi) >> precision)
+    return bounds
+
+
+def _skipped(value: int, bits: int, bounds: list, precision: int, top: int) -> Optional[int]:
+    """K = #{k >= 1 : U < skip^k} capped at 2^top, for U in [value, value + 1) / 2^bits.
+
+    A binary search from digit ``top`` down: each digit compares U with the
+    bounds of one power of ``skip``.  None when the bits of U do not decide
+    a comparison.
+    """
+    low = value << (precision - bits)
+    high = low + (1 << (precision - bits))  # U * 2^precision lies in [low, high)
+    lo, hi = bounds[top]
+    if high <= lo:
+        return 1 << top
+    if low < hi:
+        return None
+    k, lo, hi = 0, 1 << precision, 1 << precision  # bounds on skip^k * 2^precision
+    for j in reversed(range(top)):
+        lo_j, hi_j = bounds[j]
+        lo_next, hi_next = lo * lo_j >> precision, -(-(hi * hi_j) >> precision)
+        if high <= lo_next:  # U < skip^(k + 2^j)
+            k, lo, hi = k + (1 << j), lo_next, hi_next
+        elif low < hi_next:
+            return None
+    return k
+
+
 class _Sampler:
-    """Precomputed exact distributions driving the per-pulse draws."""
+    """Exact tables for one call of :func:`sample_events`, 0 < pair_prob.
 
-    def __init__(self, pair_prob: Fraction, loss_prob: Fraction):
-        if not 0 <= pair_prob < 1 or pair_prob + pair_prob**2 > 1:
-            raise ConfigurationError(
-                f"pair probability {pair_prob} leaves no room for the empty pulse"
-            )
-        if not 0 <= loss_prob <= 1:
-            raise ConfigurationError(f"loss probability {loss_prob} outside [0, 1]")
-        self.two_pair_threshold = float(pair_prob**2)
-        self.one_pair_threshold = float(pair_prob**2 + pair_prob)
-        self.loss = float(loss_prob)
+    A pulse emits component c of the one-pair state with probability p * w1(c)
+    and of the two-pair state with p^2 * w2(c), so it emits at all with
+    E = p + p^2 and the gap before the next emitting pulse is geometric,
+    P(G = k) = q^k * E with q = 1 - E.  Pulses are taken in blocks of ``block``;
+    ``skip`` = q^block is the chance that a block emits nothing.
+    """
+
+    def __init__(self, pair_prob: Fraction, loss_prob: Fraction, pulses: int):
+        one_pair = pattern_distribution(single_pair_emission())
+        two_pair = pattern_distribution(two_pair_emission())
+        common = lcm(*(w.denominator for w in (*one_pair.values(), *two_pair.values())))
+        a, b = pair_prob.numerator, pair_prob.denominator
+        # per-pulse weights over b^2 * common, and q = q_num / b^2
+        per_pulse = ([(c, a * b * n) for c, n in _numerators(one_pair, common)]
+                     + [(c, a * a * n) for c, n in _numerators(two_pair, common)])
+        pulse_den, q_num = b * b, b * b - a * b - a * a
+        # the shortest block that emits at least half the time, if one fits:
+        # then a joint draw that may skip the block costs at most two draws
+        block = next((m for m in range(1, MAX_BLOCK + 1) if 2 * q_num**m <= pulse_den**m),
+                     MAX_BLOCK)
+        self.block = block
+        self.skip = Fraction(q_num**block, pulse_den**block)
+        # (offset, component) over pulse_den^block * common: q^offset * weight
+        offsets = [((offset, c), q_num**offset * pulse_den ** (block - 1 - offset) * n)
+                   for offset in range(block) for c, n in per_pulse]
+        self.dense = 2 * self.skip <= 1
+        if self.dense:  # one joint table; None skips the whole block
+            self.emission = _Table([*offsets, (None, q_num**block * common)])
+        else:  # the emitting block comes from the skip levels, then this table
+            self.emission = _Table(offsets)
+            levels = (-(-pulses // block) - 1).bit_length() + 1
+            self.skip_bounds = _skip_bounds(self.skip, levels, SKIP_PRECISION)
+        # per distinct pattern, built on first use and kept for this call only
         self.lossy = loss_prob != 0
-        self.circuit = innsbruck_circuit()
-        # the final detection commutes with the photon-number sectors of the
-        # a/b modes (they are distinguished by the trigger count), so the
-        # emission component may be sampled first, exactly
-        self.one_pair_components = self._component_draws(single_pair_emission())
-        self.two_pair_components = self._component_draws(two_pair_emission())
-        self._output_cache: Dict[Pattern, list] = {}
-        self._class_memo: Dict[Pattern, EventClass] = {}
+        self.survivors = _Memo(lambda component: _survivors_table(component, loss_prob))
+        circuit = innsbruck_circuit()
+        self.outputs = _Memo(lambda component: _distribution_table(
+            pattern_distribution(circuit.apply(monomial(component)))))
+        self.classes = _Memo(classify_pattern)
 
-    @staticmethod
-    def _component_draws(state: StatePolynomial) -> list:
-        dist = pattern_distribution(state)
-        return _cumulative(dist.items())
+    def next_emission(self, rng: Random, pulse: int, pulses: int):
+        """(index, component) of the first emitting pulse from ``pulse`` on,
+        or None when there is none below ``pulses``."""
+        if self.dense:
+            while pulse < pulses:
+                drawn = self.emission.draw(rng)
+                if drawn is not None:
+                    break
+                pulse += self.block
+            else:
+                return None
+        else:
+            blocks = self.skipped_blocks(rng, -(-(pulses - pulse) // self.block))
+            if blocks is None:
+                return None
+            pulse += blocks * self.block
+            drawn = self.emission.draw(rng)
+        offset, component = drawn
+        pulse += offset
+        return (pulse, component) if pulse < pulses else None
 
-    def output_draws(self, component: Pattern) -> list:
-        cached = self._output_cache.get(component)
-        if cached is None:
-            expanded = self.circuit.apply(monomial(component))
-            cached = _cumulative(pattern_distribution(expanded).items())
-            self._output_cache[component] = cached
-        return cached
+    def skipped_blocks(self, rng: Random, blocks: int) -> Optional[int]:
+        """The number K of blocks that emit nothing before one that does,
+        P(K >= k) = skip^k, decided from one uniform U; None when K >= blocks.
 
-    def classify(self, pattern: Pattern) -> EventClass:
-        """:func:`classify_pattern`, run once per distinct pattern of this sampler."""
-        event_class = self._class_memo.get(pattern)
-        if event_class is None:
-            event_class = self._class_memo[pattern] = classify_pattern(pattern)
-        return event_class
-
-
-def _cumulative(weighted) -> list:
-    """(threshold, value) list for a float cumulative draw; exact weights in."""
-    acc = Fraction(0)
-    out = []
-    for value, weight in sorted(weighted, key=lambda kv: kv[0]):
-        acc += weight
-        out.append((float(acc), value))
-    if out:
-        out[-1] = (1.0, out[-1][1])  # guard against float round-off at the top
-    return out
-
-
-def _draw(rng: random.Random, table: list):
-    u = rng.random()
-    for threshold, value in table:
-        if u < threshold:
-            return value
-    return table[-1][1]
+        U's first word is compared with the fixed-precision skip levels; a
+        comparison those bounds leave open reads another word and redoes the
+        search with bounds of twice the precision.
+        """
+        top = (blocks - 1).bit_length()
+        value, bits = rng.getrandbits(WORD), WORD
+        bounds, precision = self.skip_bounds, SKIP_PRECISION
+        while (k := _skipped(value, bits, bounds, precision, top)) is None:
+            value, bits = value << WORD | rng.getrandbits(WORD), bits + WORD
+            precision *= 2
+            bounds = _skip_bounds(self.skip, top + 1, precision)
+        return k if k < blocks else None
 
 
 def sample_events(
@@ -442,16 +585,27 @@ def sample_events(
     seed: int,
     loss_prob: Fraction = Fraction(0),
 ) -> Iterator[SampledEvent]:
-    """Deterministic event stream for ``pulses`` pump pulses.
+    """Deterministic event stream for ``pulses`` pump pulses, drawn exactly.
 
-    Per pulse the pair number is drawn (two pairs with probability
-    ``pair_prob**2``, one pair with ``pair_prob``), then the emission
-    component, then — when loss is enabled — a Bernoulli removal per photon
-    in canonical mode order, and finally the detection pattern from the
-    exact conditional distribution behind the circuit.  Pulses without a
-    pair emit nothing.  Identical arguments yield byte-identical streams;
-    for parallel generation split the pulse range and seed each chunk with
-    :func:`derived_seed`.
+    A pulse emits two pairs with probability ``pair_prob**2``, one pair with
+    ``pair_prob``, and nothing otherwise.  The empty pulses are skipped, not
+    visited: the gap to the next emitting pulse follows its exact geometric
+    law, P(gap = k) = (1-E)^k * E with E = p + p^2, and is drawn with the
+    emission component.  When a block of pulses emits at least half the time
+    one joint table gives (offset in the block, component) or "skip the
+    block"; otherwise the number of empty blocks comes from a binary search
+    over the powers of the skip chance, then the (offset, component) table.
+    When loss is enabled each photon of the component is then removed with
+    probability ``loss_prob``, and finally the detection pattern is drawn
+    from the exact conditional distribution behind the circuit.  Every draw
+    is decided from 64-bit random words against integer weights, so the
+    sampled law is the rational law exactly, and the work of a call grows
+    with the events it emits, not with ``pulses``.
+
+    Identical arguments yield byte-identical streams.  Draws are made per
+    emitted event, not per pulse, so changing a probability or the seed
+    gives another stream.  For parallel generation split the pulse range
+    and seed each chunk with :func:`derived_seed`.
 
     Conditioning on ``herald_veto=False`` recovers the loss-free statistics
     exactly within each emission sector; across sectors the mix shifts by
@@ -460,35 +614,26 @@ def sample_events(
     """
     if pulses < 0:
         raise ConfigurationError(f"pulse count {pulses} is negative")
-    sampler = _Sampler(Fraction(pair_prob), Fraction(loss_prob))
-    rng = random.Random(seed)
-    for pulse in range(pulses):
-        u = rng.random()
-        if u < sampler.two_pair_threshold:
-            component = _draw(rng, sampler.two_pair_components)
-        elif u < sampler.one_pair_threshold:
-            component = _draw(rng, sampler.one_pair_components)
-        else:
-            continue
+    pair_prob, loss_prob = Fraction(pair_prob), Fraction(loss_prob)
+    if not 0 <= pair_prob < 1 or pair_prob + pair_prob**2 > 1:
+        raise ConfigurationError(
+            f"pair probability {pair_prob} leaves no room for the empty pulse"
+        )
+    if not 0 <= loss_prob <= 1:
+        raise ConfigurationError(f"loss probability {loss_prob} outside [0, 1]")
+    if not pulses or not pair_prob:
+        return
+    sampler = _Sampler(pair_prob, loss_prob, pulses)
+    rng = Random(seed)
+    pulse = 0
+    while (emitted := sampler.next_emission(rng, pulse, pulses)) is not None:
+        pulse, component = emitted
         veto = False
         if sampler.lossy:
-            # the component is canonical, so its survivors in mode order are too
-            surviving = []
-            for mode, count in component:
-                kept = 0
-                for _ in range(count):
-                    if rng.random() < sampler.loss:
-                        veto = True
-                    else:
-                        kept += 1
-                if kept:
-                    surviving.append((mode, kept))
-            component = tuple(surviving)
-        if not component:
-            pattern: Pattern = ()
-        else:
-            pattern = _draw(rng, sampler.output_draws(component))
-        yield SampledEvent(pulse, pattern, sampler.classify(pattern), veto)
+            component, veto = sampler.survivors[component].draw(rng)
+        pattern = sampler.outputs[component].draw(rng) if component else ()
+        yield SampledEvent(pulse, pattern, sampler.classes[pattern], veto)
+        pulse += 1
 
 
 def summarize_events(events: Iterable[SampledEvent], redefined: bool = False) -> Counter:

@@ -138,14 +138,14 @@ def test_sample_byte_identical_reruns(capsys, tmp_path):
 
 
 # sha256 of `sample --pulses 30000 --pair-prob 1/50 --seed 9 --loss-prob 1/10`
-# as the buffered writer produced it: the event stream (on stdout or in the
-# --output file) and the class summary printed alongside a file
+# as the exact geometric-gap sampler draws it: the event stream (on stdout or
+# in the --output file) and the class summary printed alongside a file
 SAMPLE_ARGV = ["sample", "--pulses", "30000", "--pair-prob", "1/50", "--seed", "9",
                "--loss-prob", "1/10"]
-SAMPLE_STREAM_SHA256 = "bd86c7f6f00f81969e749a73569462d2e6912d2b400b653f671b072e346889e3"
+SAMPLE_STREAM_SHA256 = "73cd694f59006c986daba383e3e96446ac72f6aa4527cb2283a84ad1030330f4"
 SAMPLE_SUMMARY_SHA256 = {
-    "csv": "824bd04c3d66c0934112aa2fac0c32b5dbe224def235967df21dbaf92a1b1e2b",
-    "json": "c4789f5ddb16e9eb7b5c467b399e81dd0d68d1fc265a90c7d4e2e8a4a026c49f",
+    "csv": "5f7e93d447f0a95f7cf03b3b46843f2921c907827f83d3167f24805cd1f8fe37",
+    "json": "368ccf0ddf5ba525d35e59044b105d7483c81e6014eebfcf73adf68e60c6cff7",
 }
 
 
@@ -305,15 +305,32 @@ def test_memoised_lines_are_the_codec_lines(pulses, seed, pair_prob, loss_prob, 
 
 
 # sha256 of `sample --pulses 50000 --pair-prob 1/25 --seed 4 --loss-prob 1/5
-# --redefined-trigger`, taken before the sampler memoised its per-pattern work:
-# the veto filter's stream
-REDEFINED_STREAM_SHA256 = "087e862e59aa9ec13acad59c0bda0adf6342ecc2a149bf53a3b35f3f46bd3a41"
+# --redefined-trigger` from the exact geometric-gap sampler: the veto filter's
+# stream
+REDEFINED_STREAM_SHA256 = "ae9b319bd2a6455016c26f524d67ce4b65eda2398d255417c6eb48d3a3478e74"
 
 
 def test_sample_redefined_trigger_stream_is_pinned(capsys):
     code, out, _ = _run(capsys, ["sample", "--pulses", "50000", "--pair-prob", "1/25",
                                  "--seed", "4", "--loss-prob", "1/5", "--redefined-trigger"])
     assert code == 0 and _sha256(out.encode()) == REDEFINED_STREAM_SHA256
+
+
+def test_ten_billion_sparse_pulses_cost_what_their_events_cost(capsys, tmp_path):
+    # about 100 events in 10^10 pulses; the sampler never visits an empty pulse
+    target = tmp_path / "sparse.jsonl"
+    code, out, _ = _run(capsys, ["sample", "--pulses", "10000000000",
+                                 "--pair-prob", "1/100000000", "--format", "json",
+                                 "--output", str(target)])
+    assert code == 0
+    events = [json.loads(line) for line in target.read_text().splitlines()]
+    assert 50 < len(events) < 150
+    pulses = [event["pulse"] for event in events]
+    assert all(a < b for a, b in zip(pulses, pulses[1:])) and pulses[-1] < 10**10
+    classes = {}
+    for event in events:
+        classes[event["class"]] = classes.get(event["class"], 0) + 1
+    assert json.loads(out) == {"events": len(events), "classes": classes}
 
 
 def test_lhv_feasibility_infeasible_report(capsys, tmp_path):

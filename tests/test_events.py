@@ -1,15 +1,20 @@
 """Trigger post-selection, classification, pairing, loss, and the sampler."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 from fractions import Fraction
 
 from ghzsim.circuit import ModeTransform, OpticalCircuit, innsbruck_circuit
 from ghzsim.events import (
+    SKIP_PRECISION,
+    WORD,
     ConfigurationError,
     EventClass,
     EventKind,
@@ -33,6 +38,8 @@ from ghzsim.events import (
     summarize_events,
     trigger_select,
     two_pair_emission,
+    _Sampler,
+    _skip_bounds,
 )
 from ghzsim.fock import (
     AH,
@@ -55,7 +62,7 @@ from ghzsim.fock import (
     monomial,
     rational,
 )
-from ghzsim.measurement import Station
+from ghzsim.measurement import Station, pattern_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +437,207 @@ def test_derived_seed_is_stable():
 
 
 # sha256 of the repr of one dense perfbench-shaped chunk, hashed the way
-# perfbench/workloads.stream_digest hashes a stream; taken before the sampler
-# memoised its per-pattern work, so it holds the library stream unchanged
-DENSE_CHUNK_DIGEST = "076fc87051044da4194b38a2eab2d588847fcd0d8917f9f1aa8b4e17a8741ccb"
+# perfbench/workloads.stream_digest hashes a stream, as the exact
+# geometric-gap sampler draws it
+DENSE_CHUNK_DIGEST = "906ef2e9d568427fa171018b37afc06567346e8ed5a35c480ea1806f697579ce"
 
 
 def test_dense_chunk_stream_is_pinned():
     stream = sample_events(50000, Fraction(1, 20), derived_seed(1, 0), Fraction(1, 10))
     text = repr([(e.pulse_index, e.pattern, e.event_class.wire, e.herald_veto) for e in stream])
     assert hashlib.sha256(text.encode()).hexdigest() == DENSE_CHUNK_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the sampler's exact law, checked without a seed
+# ---------------------------------------------------------------------------
+
+DENSE_P, SPARSE_P = Fraction(1, 20), Fraction(1, 10**4)
+MASK = (1 << WORD) - 1
+
+
+class _Words:
+    """A stand-in random source that hands out the given words, then zeros."""
+
+    def __init__(self, *words):
+        self.words, self.drawn = list(words), 0
+
+    def getrandbits(self, bits):
+        assert bits == WORD
+        self.drawn += 1
+        return self.words.pop(0) if self.words else 0
+
+
+def _pulse_law(p):
+    """The exact probability that one pulse emits each component."""
+    law = {c: p * w for c, w in pattern_distribution(single_pair_emission()).items()}
+    law.update({c: p * p * w for c, w in pattern_distribution(two_pair_emission()).items()})
+    return law
+
+
+def _table_law(table):
+    weights = [cut - below for cut, below in zip(table.cuts, [0, *table.cuts])]
+    return {value: Fraction(w, table.den) for value, w in zip(table.values, weights)}
+
+
+@pytest.mark.parametrize("p", [DENSE_P, SPARSE_P])
+def test_emission_table_weights_are_the_rational_law(p):
+    sampler = _Sampler(p, Fraction(0), 10**6)
+    q, m = 1 - p - p * p, sampler.block
+    assert sampler.skip == q**m and sampler.dense == (q**m <= Fraction(1, 2))
+    assert sampler.dense == (p == DENSE_P)
+    law = {(r, c): q**r * w for r in range(m) for c, w in _pulse_law(p).items()}
+    if sampler.dense:  # one joint table: skip the block, or (offset, component)
+        law[None] = q**m
+    else:  # the emitting block is drawn first, so the table is conditioned on it
+        law = {key: w / (1 - q**m) for key, w in law.items()}
+    assert _table_law(sampler.emission) == law
+
+
+@pytest.mark.parametrize("loss", [Fraction(1, 10), Fraction(2, 7), Fraction(1)])
+def test_survivor_tables_are_the_rational_law(loss):
+    sampler = _Sampler(DENSE_P, loss, 1000)
+    for component in _pulse_law(DENSE_P):
+        table = sampler.survivors[component]
+        photons = [mode for mode, count in component for _ in range(count)]
+        law = Counter()
+        for removed in product((False, True), repeat=len(photons)):
+            weight = math.prod(loss if gone else 1 - loss for gone in removed)
+            kept = Counter(mode for mode, gone in zip(photons, removed) if not gone)
+            law[(as_pattern(kept), any(removed))] += weight
+        assert _table_law(table) == {key: w for key, w in law.items() if w}
+
+
+def test_output_tables_are_the_rational_law():
+    sampler = _Sampler(DENSE_P, Fraction(1, 10), 1000)
+    components = {kept for component in _pulse_law(DENSE_P)
+                  for kept, _ in sampler.survivors[component].values if kept}
+    assert len(components) > 10
+    for component in components:
+        expanded = innsbruck_circuit().apply(monomial(component))
+        assert _table_law(sampler.outputs[component]) == pattern_distribution(expanded)
+
+
+def test_dense_gap_law_is_exactly_geometric():
+    sampler = _Sampler(DENSE_P, Fraction(0), 10**6)
+    emit = DENSE_P + DENSE_P**2
+    m, law = sampler.block, _table_law(sampler.emission)
+    assert sampler.dense
+    for k in range(3 * m):
+        blocks, offset = divmod(k, m)
+        emits = sum(w for key, w in law.items() if key is not None and key[0] == offset)
+        assert law[None] ** blocks * emits == (1 - emit) ** k * emit
+
+
+def _words_of(value):
+    """``value`` in [0, 1) as its first two words."""
+    return value >> WORD, value & MASK
+
+
+def test_sparse_gap_law_is_exactly_geometric():
+    sampler = _Sampler(SPARSE_P, Fraction(0), 10**6)
+    emit, skip = SPARSE_P + SPARSE_P**2, sampler.skip
+    assert not sampler.dense
+    # skipped_blocks maps U to K = j exactly when skip^(j+1) <= U < skip^j:
+    # feed U a hair below and a hair above each cut point skip^j; their first
+    # word is the truncated cut point, so each draw must read a second word
+    assert sampler.skipped_blocks(_Words(MASK, MASK), 8) == 0
+    for j in range(1, 4):
+        scaled = skip**j * 2 ** (2 * WORD)
+        below = _Words(*_words_of(math.floor(scaled)))
+        above = _Words(*_words_of(math.ceil(scaled)))
+        assert sampler.skipped_blocks(below, 8) == j and below.drawn >= 2
+        assert sampler.skipped_blocks(above, 8) == j - 1 and above.drawn >= 2
+    assert sampler.skipped_blocks(_Words(0), 8) is None  # U < skip^8: past the 8 blocks
+    law, m = _table_law(sampler.emission), sampler.block
+    for k in range(3 * m):
+        blocks, offset = divmod(k, m)
+        emits = sum(w for (r, _), w in law.items() if r == offset)
+        assert (skip**blocks - skip ** (blocks + 1)) * emits == (1 - emit) ** k * emit
+
+
+def _word_for(table, value):
+    """A word that draws ``value`` from ``table`` on the fast path."""
+    i = table.values.index(value)
+    return ((table.cuts[i - 1] << WORD) // table.den + 1) if i else 0
+
+
+@pytest.mark.parametrize("p", [DENSE_P, SPARSE_P])
+def test_an_emission_lands_after_the_skipped_blocks_at_its_offset(p):
+    sampler = _Sampler(p, Fraction(0), 10**6)
+    m, table = sampler.block, sampler.emission
+    offset, component = drawn = next(v for v in table.values if v and v[0] == 3)
+    if sampler.dense:  # skip, skip, then (3, component)
+        words = [_word_for(table, None)] * 2 + [_word_for(table, drawn)]
+    else:  # U just below skip^2 gives two empty blocks
+        words = [math.floor(sampler.skip**2 * 2**WORD) - 1, _word_for(table, drawn)]
+    assert sampler.next_emission(_Words(*words), 10, 10**6) == (10 + 2 * m + 3, component)
+    assert sampler.next_emission(_Words(*words), 10, 10 + 2 * m + 3) is None
+
+
+@pytest.mark.parametrize("tied", [1, 2])
+def test_words_on_a_truncated_cut_point_settle_on_the_exact_bucket(tied):
+    # the first ``tied`` words are a cut point truncated to that many words,
+    # so the draw must read one more word before it can decide
+    table = _Sampler(DENSE_P, Fraction(0), 1000).emission
+    for cut in table.cuts[:-1]:
+        leading = (cut << (tied * WORD)) // table.den
+        words = [leading >> (WORD * k) & MASK for k in reversed(range(tied))]
+        for last in (0, MASK):
+            rng = _Words(*words, last)
+            u = Fraction((leading << WORD) + last, 2 ** ((tied + 1) * WORD))  # then zeros
+            bucket = sum(1 for c in table.cuts if c <= u * table.den)
+            assert table.draw(rng) == table.values[bucket] and rng.drawn >= tied + 1
+
+
+@pytest.mark.parametrize("precision", [SKIP_PRECISION, 2 * SKIP_PRECISION])
+def test_skip_level_bounds_contain_the_exact_powers(precision):
+    sampler = _Sampler(SPARSE_P, Fraction(0), 10**4)
+    bounds = _skip_bounds(sampler.skip, len(sampler.skip_bounds), precision)
+    if precision == SKIP_PRECISION:
+        assert bounds == sampler.skip_bounds
+    assert len(bounds) == 9
+    num, den = sampler.skip.numerator, sampler.skip.denominator  # skip^(2^j), exact
+    for j, (lo, hi) in enumerate(bounds):
+        assert lo * den <= num << precision <= hi * den, j
+        if j + 1 < len(bounds):
+            num, den = num * num, den * den
+
+
+def test_words_drawn_per_event_do_not_grow_with_the_pulse_count(monkeypatch):
+    import ghzsim.events
+
+    drawn = []
+
+    class Counting(random.Random):
+        def getrandbits(self, bits):
+            drawn.append(bits)
+            return super().getrandbits(bits)
+
+    monkeypatch.setattr(ghzsim.events, "Random", Counting)
+    for pulses, p in ((10**6, Fraction(1, 10**4)), (10**10, Fraction(1, 10**8))):
+        drawn.clear()
+        events = list(sample_events(pulses, p, seed=5))
+        assert 60 < len(events) < 140
+        # per event one word for the gap, one for (offset, component) and one
+        # for the pattern; one more gap word finds no emission before the end
+        assert drawn == [WORD] * (3 * len(events) + 1)
+
+
+@pytest.mark.parametrize("p,loss", [(Fraction(1, 25), Fraction(1, 10)),
+                                    (SPARSE_P, Fraction(0))])
+def test_seeded_chunks_concatenate_to_one_deterministic_stream(p, loss):
+    chunk_pulses, chunks = 10**5 if p == SPARSE_P else 10**4, 4
+
+    def whole():
+        return [
+            dataclasses.replace(event, pulse_index=k * chunk_pulses + event.pulse_index)
+            for k in range(chunks)
+            for event in sample_events(chunk_pulses, p, derived_seed(7, k), loss)
+        ]
+
+    first = whole()
+    assert first == whole() and len(first) > 20
+    indices = [event.pulse_index for event in first]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert 0 <= indices[0] and indices[-1] < chunks * chunk_pulses
