@@ -543,6 +543,8 @@ class _Sampler:
     def next_emission(self, rng: Random, pulse: int, pulses: int):
         """(index, component) of the first emitting pulse from ``pulse`` on,
         or None when there is none below ``pulses``."""
+        if pulse >= pulses:  # nothing left to draw for
+            return None
         if self.dense:
             while pulse < pulses:
                 drawn = self.emission.draw(rng)

@@ -575,6 +575,27 @@ def test_an_emission_lands_after_the_skipped_blocks_at_its_offset(p):
     assert sampler.next_emission(_Words(*words), 10, 10 + 2 * m + 3) is None
 
 
+@pytest.mark.parametrize("pulses", [1, 64])
+def test_an_emission_on_the_last_pulse_ends_the_stream(monkeypatch, pulses):
+    import ghzsim.events
+
+    # at p = 1/100 even a block of 64 pulses is empty more than half the
+    # time, so the gap comes from the skip levels, here a single one
+    p = Fraction(1, 100)
+    sampler = _Sampler(p, Fraction(0), pulses)
+    assert not sampler.dense and sampler.block == 64 and len(sampler.skip_bounds) == 1
+    drawn = next(v for v in sampler.emission.values if v[0] == pulses - 1)
+    # U near 1 skips no block, then (last offset, component), then the pattern
+    rng = _Words(MASK, _word_for(sampler.emission, drawn))
+    monkeypatch.setattr(ghzsim.events, "Random", lambda seed: rng)
+    events = list(sample_events(pulses, p, seed=0))
+    assert [event.pulse_index for event in events] == [pulses - 1]
+    assert rng.drawn == 3  # no word is drawn once the pulses are used up
+    for either in (DENSE_P, p):  # either gap path
+        assert _Sampler(either, Fraction(0), pulses).next_emission(rng, pulses, pulses) is None
+    assert rng.drawn == 3
+
+
 @pytest.mark.parametrize("tied", [1, 2])
 def test_words_on_a_truncated_cut_point_settle_on_the_exact_bucket(tied):
     # the first ``tied`` words are a cut point truncated to that many words,
