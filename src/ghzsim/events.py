@@ -40,6 +40,7 @@ from .fock import (
     Mode,
     PATTERN,
     Pattern,
+    Polarization,
     StatePolynomial,
     TERM,
     TRIGGER,
@@ -127,6 +128,34 @@ class EventKind(Enum):
     TRIGGER_FAILURE = "trigger-failure"
 
 
+REASON_NO_TRIGGER = "no-trigger"
+REASON_MULTI_TRIGGER = "multiple-trigger-photons"
+REASON_UNPAIRED = "unpaired-wrong-pattern"
+TRIGGER_FAILURE_REASONS = (REASON_NO_TRIGGER, REASON_MULTI_TRIGGER, REASON_UNPAIRED)
+
+# the modes a detection pattern may occupy: the trigger and the six station modes
+DETECTOR_MODES = frozenset(
+    {TRIGGER, *(Mode(station.beam, pol) for station in STATIONS for pol in Polarization)}
+)
+
+
+def _station(name: str) -> Station:
+    if name not in Station.__members__:
+        raise ValueError(f"unknown station {name!r}")
+    return Station[name]
+
+
+def _station_pair(text: str) -> Tuple[Station, Station]:
+    names = text.split(",")
+    if len(names) != 2:
+        raise ValueError(f"a station pair names two stations, got {text!r}")
+    return _station(names[0]), _station(names[1])
+
+
+# a (double, empty) station pair, e.g. "G,H": a wrong-pair class and a census key
+STATION_PAIR = (lambda pair: f"{pair[0].name},{pair[1].name}", _station_pair)
+
+
 @dataclass(frozen=True)
 class EventClass:
     """Classification of one detection pattern."""
@@ -158,7 +187,7 @@ class EventClass:
         if self.kind is EventKind.RIGHT:
             return "right"
         if self.kind is EventKind.WRONG_PAIR:
-            return f"wrong-pair:{self.double_station.name},{self.empty_station.name}"
+            return f"wrong-pair:{STATION_PAIR[0]((self.double_station, self.empty_station))}"
         if self.kind is EventKind.DOUBLE_NON_DETECTION:
             lone = self.lone_station.name if self.lone_station else "none"
             return f"double-non-detection:{lone}"
@@ -173,12 +202,10 @@ def event_class_from_wire(text: str) -> EventClass:
     if kind == "right":
         return EventClass.right()
     if kind == "wrong-pair":
-        double, empty = detail.split(",")
-        return EventClass.wrong_pair(Station[double], Station[empty])
+        return EventClass.wrong_pair(*STATION_PAIR[1](detail))
     if kind == "double-non-detection":
-        lone = None if detail in ("", "none") else Station[detail]
-        return EventClass.double_non_detection(lone)
-    if kind == "trigger-failure":
+        return EventClass.double_non_detection(None if detail == "none" else _station(detail))
+    if kind == "trigger-failure" and detail in TRIGGER_FAILURE_REASONS:
         return EventClass.trigger_failure(detail)
     raise ValueError(f"unknown event class {text!r}")
 
@@ -187,14 +214,13 @@ def station_counts(pattern: Pattern) -> Dict[Station, int]:
     return {station: beam_photons(pattern, station.beam) for station in STATIONS}
 
 
-REASON_NO_TRIGGER = "no-trigger"
-REASON_MULTI_TRIGGER = "multiple-trigger-photons"
-REASON_UNPAIRED = "unpaired-wrong-pattern"
-
-
 def classify_pattern(pattern) -> EventClass:
-    """Total classification of a detection pattern (trigger mode included)."""
+    """Total classification of a detection pattern over :data:`DETECTOR_MODES`;
+    a photon in any other mode raises ValueError."""
     pattern = as_pattern(pattern)
+    for mode, _ in pattern:
+        if mode not in DETECTOR_MODES:
+            raise ValueError(f"mode {mode.name} is not a detector mode")
     trigger = occupation(pattern, TRIGGER)
     if trigger == 0:
         return EventClass.trigger_failure(REASON_NO_TRIGGER)
@@ -249,18 +275,11 @@ def pairing_report(state: StatePolynomial) -> PairingReport:
     return PairingReport(right, sum(census.values()), census)
 
 
-def _station_pair(text: str) -> Tuple[Station, Station]:
-    double, empty = text.split(",")
-    return Station[double], Station[empty]
-
-
-# census keys name the double and the empty station, e.g. "G,H"
 PAIRING_REPORT = record_codec(
     PairingReport,
     ("right_terms", "right_terms", INT),
     ("wrong_terms", "wrong_terms", INT),
-    ("census", "census", mapping_codec((lambda pair: f"{pair[0].name},{pair[1].name}",
-                                        _station_pair), INT)),
+    ("census", "census", mapping_codec(STATION_PAIR, INT)),
 )
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .circuit import innsbruck_circuit
@@ -46,10 +47,10 @@ from .measurement import (
     Outcome,
     OutcomeTable,
     SettingTriple,
-    Station,
     TABLE,
     add_noise,
     all_setting_triples,
+    correlation,
     correlation_from_table,
     outcome_code,
     outcome_distribution,
@@ -65,12 +66,12 @@ class TargetFormatError(GhzsimError):
     """Feasibility targets are malformed (coverage, normalization, wrong mass)."""
 
 
-SETTINGS = (AnalyzerSetting.LINEAR45, AnalyzerSetting.CIRCULAR)
 TRIPLES = all_setting_triples()
 VALUES = (1, -1, 0)
 
 
 StationAssignment = Tuple[int, int]  # value at linear45, value at circular
+_POSITION = {setting: index for index, setting in enumerate(AnalyzerSetting)}
 
 
 @dataclass(frozen=True)
@@ -86,38 +87,44 @@ class LocalStrategy:
             if any(v not in VALUES for v in assignment):
                 raise ValueError("strategy values must lie in {+1, -1, 0}")
 
-    def value(self, station: Station, setting: AnalyzerSetting) -> int:
-        assignment = {Station.G: self.g, Station.H: self.h, Station.Z: self.z}[station]
-        return assignment[SETTINGS.index(setting)]
-
     def outcomes(self, triple: SettingTriple) -> Outcome:
-        return (
-            self.value(Station.G, triple.g),
-            self.value(Station.H, triple.h),
-            self.value(Station.Z, triple.z),
-        )
+        return (self.g[_POSITION[triple.g]], self.h[_POSITION[triple.h]],
+                self.z[_POSITION[triple.z]])
 
 
 def enumerate_strategies() -> Tuple[LocalStrategy, ...]:
     """All 729 joint strategies (9 per station)."""
     per_station = tuple(product(VALUES, repeat=2))
-    return tuple(
-        LocalStrategy(g, h, z)
-        for g, h, z in product(per_station, per_station, per_station)
-    )
+    return tuple(LocalStrategy(*s) for s in product(per_station, repeat=3))
 
 
+@lru_cache(maxsize=None)
 def right_sector_strategies() -> Tuple[LocalStrategy, ...]:
     """The 64 all-±1 strategies (χ = 1)."""
     signs = tuple(product((1, -1), repeat=2))
-    return tuple(
-        LocalStrategy(g, h, z) for g, h, z in product(signs, signs, signs)
-    )
+    return tuple(LocalStrategy(*s) for s in product(signs, repeat=3))
+
+
+# The four perfect GHZ correlations as (settings code, sign): E(xxx) = +1,
+# E(xyy) = E(yxy) = E(yyx) = −1.  The paradox takes them as constraints on
+# a strategy's outcome parities; Mermin's combination is Σ sign·E.
+PERFECT_CORRELATIONS: Tuple[Tuple[str, int], ...] = (
+    ("xxx", 1), ("xyy", -1), ("yxy", -1), ("yyx", -1),
+)
+
+
+def _parity(strategy: LocalStrategy, code: str) -> int:
+    """Product of the three outcomes of ``strategy`` at the settings ``code``."""
+    return prod(strategy.outcomes(SettingTriple.from_code(code)))
 
 
 def sigma(strategy: LocalStrategy, triple: SettingTriple) -> int:
     """Sum of the three outcome moduli at the given settings."""
     return sum(abs(v) for v in strategy.outcomes(triple))
+
+
+def _sigmas(strategy: LocalStrategy) -> set:
+    return {sigma(strategy, triple) for triple in TRIPLES}
 
 
 def has_setting_independent_moduli(strategy: LocalStrategy) -> bool:
@@ -159,7 +166,7 @@ class LemmaReport:
 
 
 def admissible(strategy: LocalStrategy) -> bool:
-    return all(sigma(strategy, triple) in (1, 3) for triple in TRIPLES)
+    return _sigmas(strategy) <= {1, 3}
 
 
 def lemma_check() -> LemmaReport:
@@ -170,35 +177,23 @@ def lemma_check() -> LemmaReport:
     one live (the paired-wrong sector, χ = 0).  Every excluded strategy is
     caught with sigma equal to 0 or 2 at some setting triple.
     """
-    total = admissible_count = chi_one = chi_zero = 0
-    excluded = excluded_even = dependent_excluded = 0
-    moduli_ok = True
-    for strategy in enumerate_strategies():
-        total += 1
-        if admissible(strategy):
-            admissible_count += 1
-            independent = has_setting_independent_moduli(strategy)
-            moduli_ok = moduli_ok and independent
-            if independent and chi(strategy) == 1:
-                chi_one += 1
-            else:
-                chi_zero += 1
-        else:
-            excluded += 1
-            sigmas = {sigma(strategy, triple) for triple in TRIPLES}
-            if sigmas & {0, 2}:
-                excluded_even += 1
-            if not has_setting_independent_moduli(strategy):
-                dependent_excluded += 1
+    strategies = enumerate_strategies()
+    sigmas = {strategy: _sigmas(strategy) for strategy in strategies}
+    allowed = [s for s in strategies if sigmas[s] <= {1, 3}]
+    excluded = [s for s in strategies if not sigmas[s] <= {1, 3}]
+    independent = [has_setting_independent_moduli(s) for s in allowed]
+    chi_one = sum(ind and chi(s) == 1 for s, ind in zip(allowed, independent))
     return LemmaReport(
-        total=total,
-        admissible=admissible_count,
+        total=len(strategies),
+        admissible=len(allowed),
         chi_one=chi_one,
-        chi_zero=chi_zero,
-        excluded=excluded,
-        excluded_with_even_sigma=excluded_even,
-        setting_dependent_excluded=dependent_excluded,
-        all_admissible_moduli_setting_independent=moduli_ok,
+        chi_zero=len(allowed) - chi_one,
+        excluded=len(excluded),
+        excluded_with_even_sigma=sum(bool(sigmas[s] & {0, 2}) for s in excluded),
+        setting_dependent_excluded=sum(
+            not has_setting_independent_moduli(s) for s in excluded
+        ),
+        all_admissible_moduli_setting_independent=all(independent),
     )
 
 
@@ -476,58 +471,41 @@ FEASIBILITY_VERDICT = tuple_codec(
 # Mermin combination
 # ---------------------------------------------------------------------------
 
-MERMIN_TRIPLES = tuple(
-    SettingTriple.from_code(code) for code in ("xxx", "xyy", "yxy", "yyx")
-)
-
 
 def mermin_value(tables: Sequence[OutcomeTable]) -> Fraction:
-    """E(xxx) − E(xyy) − E(yxy) − E(yyx) from conditional correlations."""
+    """Σ sign·E over :data:`PERFECT_CORRELATIONS`, from conditional correlations."""
     by_code = {t.settings.code: t for t in tables}
-    e = {code: correlation_from_table(by_code[code]) for code in ("xxx", "xyy", "yxy", "yyx")}
-    return e["xxx"] - e["xyy"] - e["yxy"] - e["yyx"]
+    return sum(sign * correlation_from_table(by_code[code])
+               for code, sign in PERFECT_CORRELATIONS)
 
 
 def mermin_strategy_bound() -> int:
-    """Exhaustive bound of the Mermin combination over deterministic strategies."""
-    best = 0
-    for strategy in right_sector_strategies():
-        sgn = {}
-        for triple in MERMIN_TRIPLES:
-            r = strategy.outcomes(triple)
-            sgn[triple.code] = r[0] * r[1] * r[2]
-        best = max(best, abs(sgn["xxx"] - sgn["xyy"] - sgn["yxy"] - sgn["yyx"]))
-    return best
+    """Exhaustive bound of the Mermin combination over deterministic strategies:
+    the largest |Σ sign·parity| over the right sector."""
+    return max(abs(sum(sign * _parity(strategy, code) for code, sign in PERFECT_CORRELATIONS))
+               for strategy in right_sector_strategies())
 
 
 def mermin_certificate(problem: FeasibilityProblem) -> Certificate:
     """The Mermin combination recast as an explicit Farkas functional.
 
-    For each outcome cell of the four Mermin triples the coefficient is the
-    outcome parity (with the xxx triple negated), shifted by −2 per unit of
-    right mass so that every deterministic strategy column is non-positive.
-    Positive ``value`` then proves infeasibility — exactly the statement
-    that the quantum combination exceeds the deterministic bound of 2.
+    Each outcome cell of a :data:`PERFECT_CORRELATIONS` triple gets the
+    coefficient sign·parity: the correlation's sign times the outcome
+    parity.  The mass row gets −2, one −2 per unit of right mass, so that
+    every deterministic strategy column is non-positive.  Positive
+    ``value`` then proves infeasibility — exactly the statement that the
+    quantum combination exceeds the deterministic bound of 2.
     """
     coeffs: Dict[CertificateKey, Fraction] = {("mass", ""): Fraction(-2)}
-    for triple in MERMIN_TRIPLES:
-        weight = Fraction(-1) if triple.code == "xxx" else Fraction(1)
+    for code, sign in PERFECT_CORRELATIONS:
         for outcome in OUTCOMES:
-            parity = outcome[0] * outcome[1] * outcome[2]
-            coeffs[(triple.code, outcome_code(outcome))] = -weight * parity
+            coeffs[(code, outcome_code(outcome))] = Fraction(sign * prod(outcome))
     return evaluate_certificate(problem, coeffs)
 
 
 # ---------------------------------------------------------------------------
 # GHZ paradox and critical visibility
 # ---------------------------------------------------------------------------
-
-PERFECT_CORRELATIONS: Tuple[Tuple[str, int], ...] = (
-    ("xxx", 1),
-    ("xyy", -1),
-    ("yxy", -1),
-    ("yyx", -1),
-)
 
 
 @dataclass(frozen=True)
@@ -548,9 +526,7 @@ def ghz_paradox_check(conjugate: bool = False) -> GhzParadoxReport:
     """
     state = heralded_state()
     correlations = {
-        code: correlation_from_table(
-            outcome_distribution(state, SettingTriple.from_code(code), conjugate)
-        )
+        code: correlation(state, SettingTriple.from_code(code), conjugate)
         for code, _ in PERFECT_CORRELATIONS
     }
     for code, expected in PERFECT_CORRELATIONS:
@@ -560,22 +536,13 @@ def ghz_paradox_check(conjugate: bool = False) -> GhzParadoxReport:
                 f"expected {expected}"
             )
 
-    def satisfied(strategy: LocalStrategy, code: str, sign: int) -> bool:
-        r = strategy.outcomes(SettingTriple.from_code(code))
-        return r[0] * r[1] * r[2] == sign
+    def satisfying(constraints) -> int:
+        return sum(all(_parity(strategy, code) == sign for code, sign in constraints)
+                   for strategy in right_sector_strategies())
 
-    strategies = right_sector_strategies()
-    all_four = sum(
-        1
-        for s in strategies
-        if all(satisfied(s, code, sign) for code, sign in PERFECT_CORRELATIONS)
-    )
-    drops = []
-    for skip in range(len(PERFECT_CORRELATIONS)):
-        kept = [pc for i, pc in enumerate(PERFECT_CORRELATIONS) if i != skip]
-        drops.append(
-            sum(1 for s in strategies if all(satisfied(s, c, v) for c, v in kept))
-        )
+    all_four = satisfying(PERFECT_CORRELATIONS)
+    drops = [satisfying(PERFECT_CORRELATIONS[:skip] + PERFECT_CORRELATIONS[skip + 1:])
+             for skip in range(len(PERFECT_CORRELATIONS))]
     return GhzParadoxReport(
         conjugate_convention=conjugate,
         quantum_correlations=correlations,
@@ -584,16 +551,6 @@ def ghz_paradox_check(conjugate: bool = False) -> GhzParadoxReport:
         contradiction=all_four == 0 and all(d > 0 for d in drops),
     )
 
-
-LEMMA_REPORT = record_codec(
-    LemmaReport,
-    *((name, name, INT) for name in (
-        "total", "admissible", "chi_one", "chi_zero", "excluded",
-        "excluded_with_even_sigma", "setting_dependent_excluded",
-    )),
-    ("moduli_setting_independent", "all_admissible_moduli_setting_independent", BOOL),
-)
-lemma_report_to_json, lemma_report_from_json = LEMMA_REPORT
 
 GHZ_REPORT = record_codec(
     GhzParadoxReport,

@@ -598,7 +598,8 @@ def test_slack_certificate_artifacts_are_pinned(capsys, fmt):
 
 
 @pytest.mark.parametrize("pattern", ['[1]', '"s"', '{"a_H":null}', '{"a_H":1.5}',
-                                     '{"a_H":true}', '{"a_H":"1"}', '{"a_H":-1}'])
+                                     '{"a_H":true}', '{"a_H":"1"}', '{"a_H":-1}',
+                                     '{"a_H":1,"g_H":1,"h_V":1,"z_V":1,"bH":3}'])
 def test_malformed_pattern_exits_through_one_envelope(capsys, tmp_path, pattern):
     target = tmp_path / "event.json"
     argv = ["classify", "--pattern", pattern, "--format", "json", "--output", str(target)]

@@ -20,10 +20,13 @@ from ghzsim.cli import parse_argv, run
 from ghzsim.events import (
     CLASSIFICATION,
     CLASSIFIED_TERMS,
+    DETECTOR_MODES,
     PAIRING_REPORT,
+    TRIGGER_FAILURE_REASONS,
     EventClass,
     PairingReport,
     SampledEvent,
+    event_class_from_wire,
     event_from_json,
     event_to_json,
 )
@@ -49,15 +52,12 @@ from ghzsim.lhv import (
     Evaluation,
     FeasibilityProblem,
     GhzParadoxReport,
-    LemmaReport,
     certificate_from_json,
     certificate_to_json,
     critical_result_from_json,
     critical_result_to_json,
     ghz_report_from_json,
     ghz_report_to_json,
-    lemma_report_from_json,
-    lemma_report_to_json,
     quantum_targets,
     right_sector_strategies,
 )
@@ -80,6 +80,10 @@ _amplitudes = st.builds(
 _patterns = st.dictionaries(
     st.sampled_from(sorted(MODE_BY_NAME.values())), st.integers(1, 3), max_size=6
 ).map(as_pattern)
+# detection patterns, the only ones the classifier accepts
+_detections = st.dictionaries(
+    st.sampled_from(sorted(DETECTOR_MODES)), st.integers(1, 3), max_size=6
+).map(as_pattern)
 
 
 @st.composite
@@ -96,7 +100,7 @@ _event_classes = st.one_of(
     st.just(EventClass.right()),
     st.builds(EventClass.wrong_pair, _stations, _stations),
     st.builds(EventClass.double_non_detection, st.none() | _stations),
-    st.builds(EventClass.trigger_failure, st.text()),
+    st.builds(EventClass.trigger_failure, st.sampled_from(TRIGGER_FAILURE_REASONS)),
 )
 _events = st.builds(SampledEvent, _counts, _patterns, _event_classes, st.booleans())
 
@@ -110,9 +114,6 @@ _certificates = st.builds(
     _rationals,
     _rationals,
     st.booleans(),
-)
-_lemma_reports = st.builds(
-    LemmaReport, _counts, _counts, _counts, _counts, _counts, _counts, _counts, st.booleans()
 )
 _ghz_reports = st.builds(
     GhzParadoxReport,
@@ -131,6 +132,7 @@ _critical_results = st.builds(
 )
 
 _polynomials = st.dictionaries(_patterns, _amplitudes, max_size=3).map(StatePolynomial)
+_detected = st.dictionaries(_detections, _amplitudes, max_size=3).map(StatePolynomial)
 _elements = innsbruck_circuit().elements
 _circuits = st.lists(st.booleans(), min_size=4, max_size=4).map(
     lambda mask: OpticalCircuit(compress(_elements, mask))  # in circuit order, so it composes
@@ -156,14 +158,13 @@ CODECS = {
         certificate_to_json, certificate_from_json, _certificates,
         lambda certificate: certificate.coefficients,
     ),
-    "lemma report": (lemma_report_to_json, lemma_report_from_json, _lemma_reports, None),
     "ghz report": (ghz_report_to_json, ghz_report_from_json, _ghz_reports, None),
     "critical result": (
         critical_result_to_json, critical_result_from_json, _critical_results, None
     ),
     "terms": (*TERMS, _polynomials, None),
-    "classified terms": (*CLASSIFIED_TERMS, _polynomials, None),
-    "derivation": (*DERIVATION, st.tuples(_polynomials, _polynomials, _polynomials), None),
+    "classified terms": (*CLASSIFIED_TERMS, _detected, None),
+    "derivation": (*DERIVATION, st.tuples(_polynomials, _polynomials, _detected), None),
     "classification": (*CLASSIFICATION, st.tuples(_patterns, _event_classes), None),
     "pairing report": (*PAIRING_REPORT, _pairing_reports, None),
     "transform": (*TRANSFORM, st.sampled_from(_elements + (innsbruck_circuit().compose(),)),
@@ -242,8 +243,19 @@ def test_certificate_decoder_rejects_a_key_without_two_parts(key):
 @pytest.mark.parametrize("key", ["G", "G,H,Z", "G,X", ""])
 def test_pairing_report_decoder_rejects_a_census_key_without_two_stations(key):
     obj = PAIRING_REPORT[0](PairingReport(2, 1, {}))
-    with pytest.raises((ValueError, KeyError)):
+    with pytest.raises(ValueError):
         PAIRING_REPORT[1](_corrupt(obj, census={key: 1}))
+
+
+@pytest.mark.parametrize("wire", ["wrong-pair:G,X", "double-non-detection:X",
+                                  "double-non-detection:", "trigger-failure:bogus",
+                                  "trigger-failure:"])
+def test_event_class_decoder_rejects_a_class_the_classifier_never_writes(wire):
+    with pytest.raises(ValueError):
+        event_class_from_wire(wire)
+    event = event_to_json(SampledEvent(3, (), EventClass.right(), False))
+    with pytest.raises(ValueError):
+        event_from_json(_corrupt(event, **{"class": wire}))
 
 
 def test_circuit_decoder_rejects_an_unknown_mode_and_a_non_isometry():

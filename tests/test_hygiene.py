@@ -1,6 +1,7 @@
 """Source rules the package keeps, read from its syntax trees: it imports only
-itself and the standard library, and no float enters any module (the verdicts
-and the Monte Carlo sampler alike are exact rational arithmetic)."""
+itself and the standard library, no float enters any module (the verdicts
+and the Monte Carlo sampler alike are exact rational arithmetic), and the
+settings of the four GHZ constraints are written in one place."""
 
 import ast
 import sys
@@ -49,3 +50,15 @@ def test_no_float_enters_an_exact_module(path):
         assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), (
             f"{name}:{node.lineno} has the float literal {node.value!r}"
         )
+
+
+def test_each_ghz_constraint_setting_is_written_once():
+    # the paradox and the Mermin functional read one table of the four constraints
+    codes = ("xxx", "xyy", "yxy", "yyx")
+    places = [
+        (node.value, f"{path.name}:{node.lineno}")
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Constant) and node.value in codes
+    ]
+    assert sorted(code for code, _ in places) == sorted(codes), places

@@ -30,8 +30,6 @@ from ghzsim.lhv import (
     ghz_report_from_json,
     ghz_report_to_json,
     lemma_check,
-    lemma_report_from_json,
-    lemma_report_to_json,
     lhv_feasibility,
     mermin_certificate,
     mermin_strategy_bound,
@@ -46,6 +44,7 @@ from ghzsim.measurement import (
     OutcomeTable,
     SettingTriple,
     all_setting_triples,
+    outcome_code,
     outcome_from_code,
 )
 from ghzsim.simplex import FeasibilityResult, solve_feasibility
@@ -523,9 +522,35 @@ def test_mermin_functional_is_a_farkas_certificate_above_threshold():
     assert not at_boundary.verified  # value 0: no violation at the threshold
 
 
+# the Mermin functional's coefficients, pinned: per triple, the
+# sign of each cell in OUTCOMES order (+1,+1,+1 first); −2 on the mass row
+MERMIN_COEFFICIENT_SIGNS = {
+    "xxx": "+--+-++-",
+    "xyy": "-++-+--+",
+    "yxy": "-++-+--+",
+    "yyx": "-++-+--+",
+}
+
+
+@pytest.mark.parametrize("visibility, value", [
+    (Fraction(13, 20), Fraction(3, 20)),
+    (Fraction(1), Fraction(1, 2)),
+])
+def test_mermin_certificate_is_pinned(visibility, value):
+    certificate = mermin_certificate(FeasibilityProblem(quantum_targets(visibility)))
+    expected = [(("mass", ""), Fraction(-2))] + [
+        ((code, outcome_code(outcome)), Fraction(1 if sign == "+" else -1))
+        for code, signs in MERMIN_COEFFICIENT_SIGNS.items()
+        for outcome, sign in zip(OUTCOMES, signs)
+    ]
+    assert list(certificate.coefficients.items()) == expected
+    assert all(type(c) is Fraction for c in certificate.coefficients.values())
+    assert certificate.value == value
+    assert (certificate.strategy_bound, certificate.max_strategy_column) == (0, 0)
+    assert certificate.verified
+
+
 def test_report_json_roundtrips():
-    lemma = lemma_check()
-    assert lemma_report_from_json(lemma_report_to_json(lemma)) == lemma
     ghz = ghz_paradox_check()
     assert ghz_report_from_json(ghz_report_to_json(ghz)) == ghz
     result = critical_visibility(depth=2)
