@@ -219,7 +219,7 @@ def _line_parts(event) -> tuple:
     and veto flag, so the line is split around a marker index."""
     probe = events_mod.SampledEvent(_PULSE_MARK, event.pattern, event.event_class,
                                     event.herald_veto)
-    text = json.dumps(events_mod.event_to_json(probe), sort_keys=True)
+    text = json.dumps(events_mod.EVENT[0](probe), sort_keys=True)
     head, tail = text.split(str(_PULSE_MARK))
     return head, tail + "\n", event.event_class.wire
 

@@ -40,12 +40,9 @@ from .fock import (
     Mode,
     PATTERN,
     Pattern,
-    Polarization,
     StatePolynomial,
     TERM,
-    TRIGGER,
     as_pattern,
-    beam_photons,
     creation,
     derived_codec,
     filter_terms,
@@ -58,7 +55,7 @@ from .fock import (
     terms_codec,
     tuple_codec,
 )
-from .measurement import STATIONS, Station, pattern_distribution
+from .measurement import STATIONS, Station, pattern_distribution, read_pattern
 
 
 class ConfigurationError(GhzsimError):
@@ -133,23 +130,11 @@ REASON_MULTI_TRIGGER = "multiple-trigger-photons"
 REASON_UNPAIRED = "unpaired-wrong-pattern"
 TRIGGER_FAILURE_REASONS = (REASON_NO_TRIGGER, REASON_MULTI_TRIGGER, REASON_UNPAIRED)
 
-# the modes a detection pattern may occupy: the trigger and the six station modes
-DETECTOR_MODES = frozenset(
-    {TRIGGER, *(Mode(station.beam, pol) for station in STATIONS for pol in Polarization)}
-)
-
-
-def _station(name: str) -> Station:
-    if name not in Station.__members__:
-        raise ValueError(f"unknown station {name!r}")
-    return Station[name]
-
-
 def _station_pair(text: str) -> Tuple[Station, Station]:
     names = text.split(",")
-    if len(names) != 2:
+    if len(names) != 2 or not set(names) <= Station.__members__.keys():
         raise ValueError(f"a station pair names two stations, got {text!r}")
-    return _station(names[0]), _station(names[1])
+    return Station[names[0]], Station[names[1]]
 
 
 # a (double, empty) station pair, e.g. "G,H": a wrong-pair class and a census key
@@ -197,46 +182,45 @@ class EventClass:
         return self.wire
 
 
+# every class classify_pattern returns, each once
+EVENT_CLASSES: Tuple[EventClass, ...] = (
+    EventClass.right(),
+    *(EventClass.wrong_pair(double, empty)
+      for double in STATIONS for empty in STATIONS if double is not empty),
+    *(EventClass.double_non_detection(lone) for lone in (*STATIONS, None)),
+    *(EventClass.trigger_failure(reason) for reason in TRIGGER_FAILURE_REASONS),
+)
+_CLASS_BY_WIRE = {event_class.wire: event_class for event_class in EVENT_CLASSES}
+
+
 def event_class_from_wire(text: str) -> EventClass:
-    kind, _, detail = text.partition(":")
-    if kind == "right":
-        return EventClass.right()
-    if kind == "wrong-pair":
-        return EventClass.wrong_pair(*STATION_PAIR[1](detail))
-    if kind == "double-non-detection":
-        return EventClass.double_non_detection(None if detail == "none" else _station(detail))
-    if kind == "trigger-failure" and detail in TRIGGER_FAILURE_REASONS:
-        return EventClass.trigger_failure(detail)
-    raise ValueError(f"unknown event class {text!r}")
-
-
-def station_counts(pattern: Pattern) -> Dict[Station, int]:
-    return {station: beam_photons(pattern, station.beam) for station in STATIONS}
+    try:
+        return _CLASS_BY_WIRE[text]
+    except KeyError:
+        raise ValueError(f"unknown event class {text!r}") from None
 
 
 def classify_pattern(pattern) -> EventClass:
-    """Total classification of a detection pattern over :data:`DETECTOR_MODES`;
-    a photon in any other mode raises ValueError."""
-    pattern = as_pattern(pattern)
-    for mode, _ in pattern:
-        if mode not in DETECTOR_MODES:
-            raise ValueError(f"mode {mode.name} is not a detector mode")
-    trigger = occupation(pattern, TRIGGER)
+    """The class in :data:`EVENT_CLASSES` of a detection pattern.
+
+    ``measurement.read_pattern`` reads the pattern, so a photon outside
+    ``measurement.DETECTOR_MODES`` raises ValueError, and the pattern is a
+    right event exactly when the outcome tables give it an outcome.  Every
+    other pattern with one trigger photon is a wrong pair (one station holds
+    two photons and another none), a double non-detection (at most one
+    station photon) or an unpaired leftover that only loss produces.
+    """
+    trigger, counts, outcome = read_pattern(as_pattern(pattern))
     if trigger == 0:
         return EventClass.trigger_failure(REASON_NO_TRIGGER)
     if trigger > 1:
         return EventClass.trigger_failure(REASON_MULTI_TRIGGER)
-    counts = station_counts(pattern)
-    values = sorted(counts.values())
-    if values == [1, 1, 1]:
+    if outcome is not None:
         return EventClass.right()
-    if values == [0, 1, 2]:
-        double = next(s for s, n in counts.items() if n == 2)
-        empty = next(s for s, n in counts.items() if n == 0)
-        return EventClass.wrong_pair(double, empty)
-    total = sum(counts.values())
-    if total <= 1:
-        lone = next((s for s, n in counts.items() if n == 1), None)
+    if sorted(counts) == [0, 1, 2]:
+        return EventClass.wrong_pair(STATIONS[counts.index(2)], STATIONS[counts.index(0)])
+    if sum(counts) <= 1:
+        lone = STATIONS[counts.index(1)] if 1 in counts else None
         return EventClass.double_non_detection(lone)
     # loss-contaminated leftovers: not producible by the loss-free process
     return EventClass.trigger_failure(REASON_UNPAIRED)
@@ -348,7 +332,7 @@ def filter_loss_demo(removed: str, circuit: Optional[OpticalCircuit] = None) -> 
     outcomes = tuple(
         (pattern, classify_pattern(pattern)) for pattern in expanded.terms
     )
-    fires = all(occupation(p, TRIGGER) == 1 for p, _ in outcomes) and bool(outcomes)
+    fires = all(read_pattern(p)[0] == 1 for p, _ in outcomes) and bool(outcomes)
     accepted = fires and herald == 0
     return FilterLossDemo(
         scenario=removed,
@@ -381,7 +365,6 @@ EVENT = record_codec(
     ("class", "event_class", EVENT_CLASS),
     ("veto", "herald_veto", BOOL),
 )
-event_to_json, event_from_json = EVENT
 # a (pattern, class) pair; and the terms of a heralded state, each with its class
 CLASSIFICATION = tuple_codec(("pattern", PATTERN), ("class", EVENT_CLASS))
 CLASSIFIED_TERMS = terms_codec(derived_codec(TERM, "class",

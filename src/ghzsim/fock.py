@@ -293,7 +293,6 @@ AMPLITUDE = record_codec(
     *((name, name, RATIONAL) for name in ("re", "im", "re_sqrt2", "im_sqrt2")),
     ("gamma_order", "order", INT),
 )
-amplitude_to_json, amplitude_from_json = AMPLITUDE
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +442,6 @@ def occupation(pattern: Pattern, mode: Mode) -> int:
 
 def total_photons(pattern: Pattern) -> int:
     return sum(n for _, n in pattern)
-
-
-def beam_photons(pattern: Pattern, beam: Beam) -> int:
-    return sum(n for m, n in pattern if m.beam == beam)
 
 
 def mode_from_name(name: str) -> Mode:

@@ -448,7 +448,7 @@ CERTIFICATE = record_codec(
     ("max_strategy_column", "max_strategy_column", RATIONAL),
     ("verified", "verified", BOOL),
 )
-certificate_to_json, certificate_from_json = CERTIFICATE
+certificate_from_json = CERTIFICATE[1]  # perfbench decodes certificates by this name
 
 
 # a mixture as its list of strategies, each carrying its weight
@@ -560,7 +560,6 @@ GHZ_REPORT = record_codec(
     ("satisfying_after_drop", "satisfying_after_drop", sequence_codec(INT)),
     ("contradiction", "contradiction", BOOL),
 )
-ghz_report_to_json, ghz_report_from_json = GHZ_REPORT
 # (reports,) for both sign conventions, with the verdict they share derived
 GHZ_PARADOX = derived_codec(
     tuple_codec(("conventions", sequence_codec(GHZ_REPORT))),
@@ -590,7 +589,6 @@ CRITICAL_RESULT = record_codec(
         Evaluation, ("visibility", "visibility", RATIONAL), ("feasible", "feasible", BOOL),
     ))),
 )
-critical_result_to_json, critical_result_from_json = CRITICAL_RESULT
 
 
 def feasibility_at_visibility(visibility: Fraction) -> FeasibilityOutcome:

@@ -18,11 +18,17 @@ calls +1 is pure bookkeeping — every local-realism verdict is invariant
 under it, which the test suite checks by mirroring all three stations at
 once (``conjugate=True``).
 
+The detector model is stated once, here: each station mode's station and ±1
+readout, :data:`DETECTOR_MODES`, and :func:`read_pattern`, the one rule for a
+right event (one trigger photon and one photon at each station), which the
+outcome tables and ``events.classify_pattern`` both read.
+
 Outcome tables are exact: cells are joint probabilities of a triggered
 right event with a given outcome triple, and ``wrong_mass`` collects the
-total probability of everything else.  Station photon number is preserved
-by the analyzer basis change, so ``wrong_mass`` cannot depend on the
-chosen settings; the test suite verifies this rather than assuming it.
+total probability of every other detection pattern.  Station photon
+number is preserved by the analyzer basis change, so ``wrong_mass`` cannot
+depend on the chosen settings; the test suite verifies this rather than
+assuming it.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .fock import (
     StatePolynomial,
     TRIGGER,
     mapping_codec,
+    mode_from_name,
     norm_squared,
     record_codec,
     substitute,
@@ -227,25 +234,33 @@ _STATION_READOUT: Dict[str, Tuple[int, int]] = {
     for polarization in Polarization
 }
 
+# the modes a detection pattern may occupy: the trigger and the six station modes
+DETECTOR_MODES = frozenset(map(mode_from_name, (TRIGGER.name, *_STATION_READOUT)))
 
-def _right_outcome(pattern: Pattern) -> Outcome | None:
-    """Outcome triple if the pattern is a triggered right event, else None."""
+
+def read_pattern(pattern: Pattern) -> Tuple[int, Tuple[int, int, int], Outcome | None]:
+    """(trigger photons, photons at stations G, H and Z, outcome) of a detection
+    pattern over :data:`DETECTOR_MODES`.
+
+    The outcome is the readout triple of a right event — one trigger photon and
+    one photon at each station — and None for every other pattern.  A photon in
+    any mode outside :data:`DETECTOR_MODES` raises ValueError naming the mode.
+    """
     trigger = 0
     hits = [0, 0, 0]
     reads = [0, 0, 0]
     for mode, count in pattern:
         if mode.name == TRIGGER.name:
             trigger = count
-        elif count:
-            readout = _STATION_READOUT.get(mode.name)
-            if readout is None:
-                return None  # photons outside trigger/station beams: not a right event
-            station, read = readout
-            hits[station] += count
-            reads[station] = read
-    if trigger != 1 or hits != [1, 1, 1]:
-        return None
-    return tuple(reads)  # type: ignore[return-value]
+            continue
+        readout = _STATION_READOUT.get(mode.name)
+        if readout is None:
+            raise ValueError(f"mode {mode.name} is not a detector mode")
+        station, read = readout
+        hits[station] += count
+        reads[station] = read
+    right = trigger == 1 and hits == [1, 1, 1]
+    return trigger, tuple(hits), tuple(reads) if right else None  # type: ignore[return-value]
 
 
 def outcome_distribution(
@@ -256,14 +271,16 @@ def outcome_distribution(
     The three analyzer basis changes are applied and every resulting
     occupation pattern receives its exact Born weight; triggered
     single-photon-per-station patterns land in the outcome cells, all other
-    patterns accumulate in ``wrong_mass``.
+    patterns accumulate in ``wrong_mass``.  A photon outside
+    :data:`DETECTOR_MODES` raises ValueError: ``state`` must be a state behind
+    the circuit, not an emission state.
     """
     analyzed = substitute(state, _merged_analyzer_rules(settings, conjugate))
     dist = pattern_distribution(analyzed)
     cells: Dict[Outcome, Fraction] = {outcome: Fraction(0) for outcome in OUTCOMES}
     wrong = Fraction(0)
     for pattern, probability in dist.items():
-        outcome = _right_outcome(pattern)
+        outcome = read_pattern(pattern)[2]
         if outcome is None:
             wrong += probability
         else:
@@ -313,4 +330,3 @@ TABLE = record_codec(
     ("cells", "probabilities", mapping_codec((outcome_code, outcome_from_code), RATIONAL)),
     ("wrong_mass", "wrong_mass", RATIONAL),
 )
-table_to_json, table_from_json = TABLE

@@ -18,14 +18,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ghzsim
 from ghzsim import lhv
 from ghzsim.cli import RunConfig, _stream_events, parse_argv, parse_rational, run
-from ghzsim.events import classify_pattern, event_from_json, event_to_json, sample_events
+from ghzsim.events import EVENT, classify_pattern, sample_events
 from ghzsim.lhv import (
     FeasibilityProblem,
     certificate_from_json,
     evaluate_certificate,
     quantum_targets,
 )
-from ghzsim.measurement import table_from_json
+from ghzsim.measurement import TABLE
 
 
 def _run(capsys, argv):
@@ -101,7 +101,7 @@ def test_correlations_csv_and_json_roundtrip(capsys, tmp_path):
     )
     assert code == 0 and "E(xxx)=13/20" in out
     payload = json.loads(target.read_text())
-    tables = [table_from_json(obj) for obj in payload["tables"]]
+    tables = [TABLE[1](obj) for obj in payload["tables"]]
     assert tuple(tables) == quantum_targets(Fraction(13, 20))
     assert payload["correlations"]["yyx"] == "-13/20"
 
@@ -121,7 +121,7 @@ def test_sample_stream_and_summary(capsys, tmp_path):
     assert out.splitlines()[0] == "class,count"
     lines = stream.read_text().splitlines()
     assert lines
-    events = [event_from_json(json.loads(line)) for line in lines]
+    events = [EVENT[1](json.loads(line)) for line in lines]
     assert all(event.pulse_index < 20000 for event in events)
 
 
@@ -299,7 +299,7 @@ def test_memoised_lines_are_the_codec_lines(pulses, seed, pair_prob, loss_prob, 
     events = [e for e in sample_events(pulses, pair_prob, seed, loss_prob)
               if not (redefined and e.herald_veto)]
     assert out.getvalue().splitlines() == [
-        json.dumps(event_to_json(e), sort_keys=True) for e in events
+        json.dumps(EVENT[0](e), sort_keys=True) for e in events
     ]
     assert all(e.event_class == classify_pattern(e.pattern) for e in events)
     wires = [e.event_class.wire for e in events]

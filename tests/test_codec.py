@@ -20,55 +20,49 @@ from ghzsim.cli import parse_argv, run
 from ghzsim.events import (
     CLASSIFICATION,
     CLASSIFIED_TERMS,
-    DETECTOR_MODES,
+    EVENT,
+    EVENT_CLASSES,
     PAIRING_REPORT,
-    TRIGGER_FAILURE_REASONS,
     EventClass,
     PairingReport,
     SampledEvent,
     event_class_from_wire,
-    event_from_json,
-    event_to_json,
 )
 from ghzsim.fock import (
+    AMPLITUDE,
     MODE_BY_NAME,
+    PATTERN,
     TERMS,
     Amplitude,
     InvalidModeError,
     StatePolynomial,
-    amplitude_from_json,
-    amplitude_to_json,
     as_pattern,
     pattern_from_json,
-    pattern_to_json,
 )
 from ghzsim.lhv import (
+    CERTIFICATE,
+    CRITICAL_RESULT,
     DERIVATION,
     FEASIBILITY_VERDICT,
     GHZ_PARADOX,
+    GHZ_REPORT,
     QUANTUM_TABLES,
     Certificate,
     CriticalVisibilityResult,
     Evaluation,
     FeasibilityProblem,
     GhzParadoxReport,
-    certificate_from_json,
-    certificate_to_json,
-    critical_result_from_json,
-    critical_result_to_json,
-    ghz_report_from_json,
-    ghz_report_to_json,
     quantum_targets,
     right_sector_strategies,
 )
 from ghzsim.measurement import (
+    DETECTOR_MODES,
     OUTCOMES,
+    TABLE,
     OutcomeTable,
     Station,
     all_setting_triples,
     outcome_code,
-    table_from_json,
-    table_to_json,
 )
 
 _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -96,12 +90,7 @@ def _tables(draw):
 
 
 _stations = st.sampled_from(list(Station))
-_event_classes = st.one_of(
-    st.just(EventClass.right()),
-    st.builds(EventClass.wrong_pair, _stations, _stations),
-    st.builds(EventClass.double_non_detection, st.none() | _stations),
-    st.builds(EventClass.trigger_failure, st.sampled_from(TRIGGER_FAILURE_REASONS)),
-)
+_event_classes = st.sampled_from(EVENT_CLASSES)
 _events = st.builds(SampledEvent, _counts, _patterns, _event_classes, st.booleans())
 
 _certificate_keys = st.just(("mass", "")) | st.tuples(
@@ -150,18 +139,13 @@ _verdicts = st.one_of(
 
 # (encode, decode, values, what the decoder returns for a value)
 CODECS = {
-    "amplitude": (amplitude_to_json, amplitude_from_json, _amplitudes, None),
-    "pattern": (pattern_to_json, pattern_from_json, _patterns, None),
-    "table": (table_to_json, table_from_json, _tables(), None),
-    "event": (event_to_json, event_from_json, _events, None),
-    "certificate": (
-        certificate_to_json, certificate_from_json, _certificates,
-        lambda certificate: certificate.coefficients,
-    ),
-    "ghz report": (ghz_report_to_json, ghz_report_from_json, _ghz_reports, None),
-    "critical result": (
-        critical_result_to_json, critical_result_from_json, _critical_results, None
-    ),
+    "amplitude": (*AMPLITUDE, _amplitudes, None),
+    "pattern": (*PATTERN, _patterns, None),
+    "table": (*TABLE, _tables(), None),
+    "event": (*EVENT, _events, None),
+    "certificate": (*CERTIFICATE, _certificates, lambda certificate: certificate.coefficients),
+    "ghz report": (*GHZ_REPORT, _ghz_reports, None),
+    "critical result": (*CRITICAL_RESULT, _critical_results, None),
     "terms": (*TERMS, _polynomials, None),
     "classified terms": (*CLASSIFIED_TERMS, _detected, None),
     "derivation": (*DERIVATION, st.tuples(_polynomials, _polynomials, _detected), None),
@@ -202,42 +186,42 @@ def _corrupt(obj, **changes):
 @settings(max_examples=30, deadline=None)
 @given(_tables(), st.fractions(min_value=0, max_value=1).filter(bool))
 def test_table_decoder_rejects_a_table_that_does_not_sum_to_one(table, excess):
-    obj = table_to_json(table)
+    obj = TABLE[0](table)
     with pytest.raises(ValueError, match="sum to 1"):
-        table_from_json(_corrupt(obj, wrong_mass=str(table.wrong_mass + excess)))
+        TABLE[1](_corrupt(obj, wrong_mass=str(table.wrong_mass + excess)))
 
 
 @pytest.mark.parametrize("code", ["+1,+1", "+1,+1,+1,+1", "+2,+1,-1", "0,+1,+1", "x"])
 def test_table_decoder_rejects_a_bad_outcome_code(code):
-    obj = table_to_json(_fixed_table())
+    obj = TABLE[0](_fixed_table())
     cells = dict(obj["cells"])
     cells[code] = cells.pop("+1,+1,+1")
     with pytest.raises(ValueError):
-        table_from_json(_corrupt(obj, cells=cells))
+        TABLE[1](_corrupt(obj, cells=cells))
 
 
 @pytest.mark.parametrize("code", ["xx", "xxxx", "xyz", "XYY", ""])
 def test_table_decoder_rejects_a_bad_setting_code(code):
     with pytest.raises(ValueError):
-        table_from_json(_corrupt(table_to_json(_fixed_table()), settings=code))
+        TABLE[1](_corrupt(TABLE[0](_fixed_table()), settings=code))
 
 
 @pytest.mark.parametrize("name", ["nope", "veto_H", "a45"])
 def test_pattern_and_event_decoders_reject_an_unknown_mode(name):
     with pytest.raises(InvalidModeError, match=name):
         pattern_from_json({"a_H": 1, name: 1})
-    event = event_to_json(SampledEvent(3, (), EventClass.right(), False))
+    event = EVENT[0](SampledEvent(3, (), EventClass.right(), False))
     with pytest.raises(InvalidModeError, match=name):
-        event_from_json(_corrupt(event, pattern={name: 1}))
+        EVENT[1](_corrupt(event, pattern={name: 1}))
 
 
 @pytest.mark.parametrize("key", ["xxx", "xxx|+1,+1,+1|x", "xxx||", "masses"])
 def test_certificate_decoder_rejects_a_key_without_two_parts(key):
     certificate = Certificate({("mass", ""): Fraction(-2)}, Fraction(1), Fraction(0),
                               Fraction(0), True)
-    obj = certificate_to_json(certificate)
+    obj = CERTIFICATE[0](certificate)
     with pytest.raises(ValueError):
-        certificate_from_json(_corrupt(obj, coefficients={key: "1/2"}))
+        CERTIFICATE[1](_corrupt(obj, coefficients={key: "1/2"}))
 
 
 @pytest.mark.parametrize("key", ["G", "G,H,Z", "G,X", ""])
@@ -249,13 +233,13 @@ def test_pairing_report_decoder_rejects_a_census_key_without_two_stations(key):
 
 @pytest.mark.parametrize("wire", ["wrong-pair:G,X", "double-non-detection:X",
                                   "double-non-detection:", "trigger-failure:bogus",
-                                  "trigger-failure:"])
+                                  "trigger-failure:", "right:bogus", "wrong-pair:G,G"])
 def test_event_class_decoder_rejects_a_class_the_classifier_never_writes(wire):
     with pytest.raises(ValueError):
         event_class_from_wire(wire)
-    event = event_to_json(SampledEvent(3, (), EventClass.right(), False))
+    event = EVENT[0](SampledEvent(3, (), EventClass.right(), False))
     with pytest.raises(ValueError):
-        event_from_json(_corrupt(event, **{"class": wire}))
+        EVENT[1](_corrupt(event, **{"class": wire}))
 
 
 def test_circuit_decoder_rejects_an_unknown_mode_and_a_non_isometry():

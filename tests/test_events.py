@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from ghzsim.circuit import ModeTransform, OpticalCircuit, innsbruck_circuit
 from ghzsim.events import (
+    EVENT,
+    EVENT_CLASSES,
     SKIP_PRECISION,
     WORD,
     ConfigurationError,
@@ -27,14 +29,11 @@ from ghzsim.events import (
     derived_seed,
     double_trigger_component,
     event_class_from_wire,
-    event_from_json,
-    event_to_json,
     filter_loss_demo,
     pairing_report,
     remove_photons,
     sample_events,
     single_pair_emission,
-    station_counts,
     summarize_events,
     trigger_select,
     two_pair_emission,
@@ -61,8 +60,17 @@ from ghzsim.fock import (
     gamma_power,
     monomial,
     rational,
+    substitute,
 )
-from ghzsim.measurement import Station, pattern_distribution
+from ghzsim.lhv import heralded_state
+from ghzsim.measurement import (
+    DETECTOR_MODES,
+    Station,
+    _merged_analyzer_rules,
+    all_setting_triples,
+    pattern_distribution,
+    read_pattern,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +133,7 @@ def test_single_pair_trigger_terms_leave_two_stations_dark():
     for pattern in fired:
         event = classify_pattern(pattern)
         assert event.kind is EventKind.DOUBLE_NON_DETECTION
-        dark = sum(1 for s, n in station_counts(pattern).items() if n == 0)
-        assert dark == 2
+        assert read_pattern(pattern)[1].count(0) == 2
         assert event.lone_station in (Station.G, Station.H)
 
 
@@ -161,15 +168,48 @@ def test_classify_trigger_failures():
 
 
 def test_event_class_wire_roundtrip():
-    classes = [
-        EventClass.right(),
-        EventClass.wrong_pair(Station.Z, Station.G),
-        EventClass.double_non_detection(Station.H),
-        EventClass.double_non_detection(None),
-        EventClass.trigger_failure(REASON_UNPAIRED),
-    ]
-    for event in classes:
+    assert len({event.wire for event in EVENT_CLASSES}) == len(EVENT_CLASSES) == 14
+    for event in EVENT_CLASSES:
         assert event_class_from_wire(event.wire) == event
+
+
+def test_the_classifier_writes_exactly_the_listed_classes():
+    modes = sorted(DETECTOR_MODES)
+    patterns = [
+        as_pattern(zip(modes, counts))
+        for counts in product(range(5), repeat=len(modes))
+        if sum(counts) <= 4
+    ]
+    assert {classify_pattern(pattern) for pattern in patterns} == set(EVENT_CLASSES)
+
+
+def _sampler_output_patterns():
+    """Every pattern of every output table the sampler can draw from at
+    p = 1/20 and loss 1/10, the empty pattern of a fully lost component included."""
+    sampler = _Sampler(Fraction(1, 20), Fraction(1, 10), 1000)
+    components = {drawn[1] for drawn in sampler.emission.values if drawn is not None}
+    survivors = {kept for c in components for kept, _ in sampler.survivors[c].values}
+    patterns = {()} if () in survivors else set()
+    for kept in survivors - {()}:
+        patterns.update(sampler.outputs[kept].values)
+    return patterns
+
+
+def test_tables_and_classifier_agree_on_right_events():
+    # the outcome tables count a pattern as right exactly when the classifier does
+    state = heralded_state()
+    analysed = {
+        pattern
+        for conjugate in (False, True)
+        for triple in all_setting_triples()
+        for pattern in pattern_distribution(
+            substitute(state, _merged_analyzer_rules(triple, conjugate)))
+    }
+    sampled = _sampler_output_patterns()
+    assert len(analysed) > 16 and len(sampled) > 16
+    for pattern in analysed | sampled:
+        right = classify_pattern(pattern).kind is EventKind.RIGHT
+        assert right is (read_pattern(pattern)[2] is not None), pattern
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +337,8 @@ def test_sampler_is_deterministic():
     first = list(sample_events(2000, Fraction(1, 50), seed=9))
     second = list(sample_events(2000, Fraction(1, 50), seed=9))
     assert first == second
-    as_json = [json.dumps(event_to_json(e), sort_keys=True) for e in first]
-    again = [json.dumps(event_to_json(e), sort_keys=True) for e in second]
+    as_json = [json.dumps(EVENT[0](e), sort_keys=True) for e in first]
+    again = [json.dumps(EVENT[0](e), sort_keys=True) for e in second]
     assert as_json == again
 
 
@@ -405,7 +445,7 @@ def test_event_json_roundtrip():
         event_class=EventClass.right(),
         herald_veto=False,
     )
-    assert event_from_json(event_to_json(event)) == event
+    assert EVENT[1](EVENT[0](event)) == event
 
 
 def test_each_sampler_call_classifies_each_distinct_pattern_once(monkeypatch):

@@ -1,7 +1,8 @@
 """Source rules the package keeps, read from its syntax trees: it imports only
 itself and the standard library, no float enters any module (the verdicts
-and the Monte Carlo sampler alike are exact rational arithmetic), and the
-settings of the four GHZ constraints are written in one place."""
+and the Monte Carlo sampler alike are exact rational arithmetic), the
+settings of the four GHZ constraints are written in one place, and only the
+detector readout reads the trigger mode."""
 
 import ast
 import sys
@@ -62,3 +63,16 @@ def test_each_ghz_constraint_setting_is_written_once():
         if isinstance(node, ast.Constant) and node.value in codes
     ]
     assert sorted(code for code, _ in places) == sorted(codes), places
+
+
+def test_only_the_detector_readout_names_the_trigger_mode():
+    # measurement.read_pattern is the one rule that counts trigger photons
+    places = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Name) and node.id == "TRIGGER")
+        or (isinstance(node, ast.alias) and node.name == "TRIGGER")
+        or (isinstance(node, ast.Attribute) and node.attr == "TRIGGER")
+    }
+    assert places == {"fock.py", "measurement.py"}

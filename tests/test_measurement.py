@@ -32,6 +32,7 @@ from ghzsim.measurement import (
     OutcomeTable,
     SettingTriple,
     Station,
+    TABLE,
     UndefinedCorrelationError,
     VisibilityRangeError,
     add_noise,
@@ -41,8 +42,6 @@ from ghzsim.measurement import (
     correlation_from_table,
     outcome_distribution,
     pattern_distribution,
-    table_from_json,
-    table_to_json,
 )
 from statevector_oracle import oracle_correlation, oracle_distribution
 
@@ -181,6 +180,12 @@ def test_mixed_order_state_raises():
         outcome_distribution(mixed, SettingTriple.from_code("xxx"))
 
 
+def test_a_photon_outside_the_detector_modes_is_an_error():
+    # an emission state, not yet through the circuit: its aH photon reaches no detector
+    with pytest.raises(ValueError, match="mode aH is not a detector mode"):
+        outcome_distribution(trigger_select(two_pair_emission()), SettingTriple.from_code("xxx"))
+
+
 def test_correlation_undefined_without_right_mass():
     wrong_only = monomial({TRIGGER: 1, GH: 1, GV: 1, ZV: 1}, gamma_power(2))
     with pytest.raises(UndefinedCorrelationError):
@@ -232,4 +237,4 @@ def test_add_noise_range_check():
 
 def test_table_json_roundtrip():
     table = outcome_distribution(heralded_state(), SettingTriple.from_code("xyy"))
-    assert table_from_json(table_to_json(table)) == table
+    assert TABLE[1](TABLE[0](table)) == table
