@@ -100,13 +100,9 @@ class ModeTransform:
         """
         consumed = {mode for targets in self.rules.values() for mode, _ in targets}
         rules: dict = {}
-        for source, targets in self.rules.items():
-            acc: dict = {}
-            for mode, coeff in targets:
-                expanded = other.rules.get(mode, ((mode, Amplitude(1)),))
-                for out_mode, out_coeff in expanded:
-                    acc[out_mode] = acc.get(out_mode, Amplitude()) + coeff * out_coeff
-            rules[source] = _sorted_targets((m, c) for m, c in acc.items() if not c.is_zero)
+        for source in self.rules:
+            image = other.apply(self.apply(creation(source)))  # one photon in each term
+            rules[source] = _sorted_targets((mode, c) for ((mode, _),), c in image.terms.items())
         for source, targets in other.rules.items():
             if source not in rules and source not in consumed:
                 rules[source] = targets

@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, lcm, prod
 from random import Random
@@ -131,13 +132,12 @@ REASON_UNPAIRED = "unpaired-wrong-pattern"
 TRIGGER_FAILURE_REASONS = (REASON_NO_TRIGGER, REASON_MULTI_TRIGGER, REASON_UNPAIRED)
 
 def _station_pair(text: str) -> Tuple[Station, Station]:
-    names = text.split(",")
-    if len(names) != 2 or not set(names) <= Station.__members__.keys():
-        raise ValueError(f"a station pair names two stations, got {text!r}")
-    return Station[names[0]], Station[names[1]]
+    wrong_pair = event_class_from_wire(f"wrong-pair:{text}")
+    return wrong_pair.double_station, wrong_pair.empty_station
 
 
-# a (double, empty) station pair, e.g. "G,H": a wrong-pair class and a census key
+# a (double, empty) station pair, e.g. "G,H": a wrong-pair class and a census key;
+# it decodes exactly the station pairs of the wrong-pair classes in EVENT_CLASSES
 STATION_PAIR = (lambda pair: f"{pair[0].name},{pair[1].name}", _station_pair)
 
 
@@ -233,6 +233,10 @@ class PairingReport:
     right_terms: int
     wrong_terms: int
     census: Mapping[Tuple[Station, Station], int]  # (double, empty) -> term count
+
+    def __post_init__(self) -> None:
+        if self.wrong_terms != sum(self.census.values()):
+            raise ValueError(f"wrong_terms {self.wrong_terms} is not the census sum")
 
 
 def pairing_report(state: StatePolynomial) -> PairingReport:
@@ -423,13 +427,25 @@ class _Table:
 
 
 def _numerators(dist: Mapping[Pattern, Fraction], den: int) -> list:
-    """(pattern, weight * den) in pattern order; ``den`` is a common denominator."""
-    return [(pattern, w.numerator * (den // w.denominator))
-            for pattern, w in sorted(dist.items())]
+    """(pattern, weight * den) in term order; ``den`` is a common denominator."""
+    return [(pattern, w.numerator * (den // w.denominator)) for pattern, w in dist.items()]
 
 
-def _distribution_table(dist: Mapping[Pattern, Fraction]) -> _Table:
-    return _Table(_numerators(dist, lcm(*(w.denominator for w in dist.values()))))
+_circuit = lru_cache(maxsize=None)(innsbruck_circuit)  # built once per process
+
+
+@lru_cache(maxsize=None)
+def _output_table(component: Pattern) -> _Table:
+    """(pattern, class) with the exact detection law of ``component`` behind the
+    circuit.  Built once per process: at most 25, one per non-empty sub-pattern
+    of the five emission components."""
+    dist = pattern_distribution(_circuit().apply(monomial(component)))
+    den = lcm(*(w.denominator for w in dist.values()))
+    return _Table(((pattern, classify_pattern(pattern)), n)
+                  for pattern, n in _numerators(dist, den))
+
+
+_ALL_LOST = ((), classify_pattern(()))  # every photon lost: drawn without a random word
 
 
 def _survivors_table(component: Pattern, loss: Fraction) -> _Table:
@@ -448,18 +464,6 @@ def _survivors_table(component: Pattern, loss: Fraction) -> _Table:
         kept = sum(count for _, count in survivors)
         weighted.append(((survivors, kept < photons), prod(w for _, _, w in choice)))
     return _Table(weighted)
-
-
-class _Memo(dict):
-    """A dict that builds a missing value from its key, once."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
 
 
 def _skip_bounds(skip: Fraction, levels: int, precision: int) -> list:
@@ -500,7 +504,7 @@ def _skipped(value: int, bits: int, bounds: list, precision: int, top: int) -> O
 
 
 class _Sampler:
-    """Exact tables for one call of :func:`sample_events`, 0 < pair_prob.
+    """Emission and loss tables for one call of :func:`sample_events`, 0 < pair_prob.
 
     A pulse emits component c of the one-pair state with probability p * w1(c)
     and of the two-pair state with p^2 * w2(c), so it emits at all with
@@ -534,13 +538,9 @@ class _Sampler:
             self.emission = _Table(offsets)
             levels = (-(-pulses // block) - 1).bit_length() + 1
             self.skip_bounds = _skip_bounds(self.skip, levels, SKIP_PRECISION)
-        # per distinct pattern, built on first use and kept for this call only
-        self.lossy = loss_prob != 0
-        self.survivors = _Memo(lambda component: _survivors_table(component, loss_prob))
-        circuit = innsbruck_circuit()
-        self.outputs = _Memo(lambda component: _distribution_table(
-            pattern_distribution(circuit.apply(monomial(component)))))
-        self.classes = _Memo(classify_pattern)
+        # per emission component, (surviving pattern, herald veto); none without loss
+        self.survivors = {c: _survivors_table(c, loss_prob)
+                          for c in (*one_pair, *two_pair) if loss_prob}
 
     def next_emission(self, rng: Random, pulse: int, pulses: int):
         """(index, component) of the first emitting pulse from ``pulse`` on,
@@ -633,10 +633,10 @@ def sample_events(
     while (emitted := sampler.next_emission(rng, pulse, pulses)) is not None:
         pulse, component = emitted
         veto = False
-        if sampler.lossy:
+        if sampler.survivors:
             component, veto = sampler.survivors[component].draw(rng)
-        pattern = sampler.outputs[component].draw(rng) if component else ()
-        yield SampledEvent(pulse, pattern, sampler.classes[pattern], veto)
+        pattern, event_class = _output_table(component).draw(rng) if component else _ALL_LOST
+        yield SampledEvent(pulse, pattern, event_class, veto)
         pulse += 1
 
 

@@ -24,6 +24,7 @@ from ghzsim.events import (
     EVENT_CLASSES,
     PAIRING_REPORT,
     EventClass,
+    EventKind,
     PairingReport,
     SampledEvent,
     event_class_from_wire,
@@ -89,7 +90,6 @@ def _tables(draw):
     return OutcomeTable(draw(_triples), cells, Fraction(weights[-1], total))
 
 
-_stations = st.sampled_from(list(Station))
 _event_classes = st.sampled_from(EVENT_CLASSES)
 _events = st.builds(SampledEvent, _counts, _patterns, _event_classes, st.booleans())
 
@@ -126,8 +126,13 @@ _elements = innsbruck_circuit().elements
 _circuits = st.lists(st.booleans(), min_size=4, max_size=4).map(
     lambda mask: OpticalCircuit(compress(_elements, mask))  # in circuit order, so it composes
 )
+# census keys are the (double, empty) stations of the wrong-pair classes, and
+# wrong_terms is the census sum, as pairing_report writes them
+_wrong_pairs = st.sampled_from([(c.double_station, c.empty_station)
+                                for c in EVENT_CLASSES if c.kind is EventKind.WRONG_PAIR])
 _pairing_reports = st.builds(
-    PairingReport, _counts, _counts, st.dictionaries(st.tuples(_stations, _stations), _counts)
+    lambda right, census: PairingReport(right, sum(census.values()), census),
+    _counts, st.dictionaries(_wrong_pairs, _counts),
 )
 _weights = st.fractions(min_value=0, max_value=1, max_denominator=60)
 _verdicts = st.one_of(
@@ -224,11 +229,17 @@ def test_certificate_decoder_rejects_a_key_without_two_parts(key):
         CERTIFICATE[1](_corrupt(obj, coefficients={key: "1/2"}))
 
 
-@pytest.mark.parametrize("key", ["G", "G,H,Z", "G,X", ""])
+@pytest.mark.parametrize("key", ["G", "G,H,Z", "G,X", "", "G,G"])
 def test_pairing_report_decoder_rejects_a_census_key_without_two_stations(key):
-    obj = PAIRING_REPORT[0](PairingReport(2, 1, {}))
+    obj = PAIRING_REPORT[0](PairingReport(2, 1, {(Station.G, Station.H): 1}))
     with pytest.raises(ValueError):
         PAIRING_REPORT[1](_corrupt(obj, census={key: 1}))
+
+
+@pytest.mark.parametrize("key", ["G,G", "G,H"])
+def test_pairing_report_decoder_rejects_wrong_terms_off_the_census_sum(key):
+    with pytest.raises(ValueError):
+        PAIRING_REPORT[1]({"right_terms": 2, "wrong_terms": 5, "census": {key: 1}})
 
 
 @pytest.mark.parametrize("wire", ["wrong-pair:G,X", "double-non-detection:X",

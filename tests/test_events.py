@@ -38,6 +38,7 @@ from ghzsim.events import (
     trigger_select,
     two_pair_emission,
     _Sampler,
+    _output_table,
     _skip_bounds,
 )
 from ghzsim.fock import (
@@ -191,7 +192,7 @@ def _sampler_output_patterns():
     survivors = {kept for c in components for kept, _ in sampler.survivors[c].values}
     patterns = {()} if () in survivors else set()
     for kept in survivors - {()}:
-        patterns.update(sampler.outputs[kept].values)
+        patterns.update(pattern for pattern, _ in _output_table(kept).values)
     return patterns
 
 
@@ -448,22 +449,47 @@ def test_event_json_roundtrip():
     assert EVENT[1](EVENT[0](event)) == event
 
 
-def test_each_sampler_call_classifies_each_distinct_pattern_once(monkeypatch):
+def test_detection_tables_are_built_once_per_process(monkeypatch):
     import ghzsim.events
 
-    calls = []
+    applied, classified = [], []
+    apply = OpticalCircuit.apply
 
-    def counting(pattern):
-        calls.append(pattern)
+    def counting_apply(circuit, state):
+        applied.append(state)
+        return apply(circuit, state)
+
+    def counting_classify(pattern):
+        classified.append(pattern)
         return classify_pattern(pattern)
 
-    monkeypatch.setattr(ghzsim.events, "classify_pattern", counting)
+    monkeypatch.setattr(OpticalCircuit, "apply", counting_apply)
+    monkeypatch.setattr(ghzsim.events, "classify_pattern", counting_classify)
+    _output_table.cache_clear()
     args = (20000, Fraction(1, 10), 3, Fraction(1, 5))
-    first = {event.pattern for event in sample_events(*args)}
-    assert sorted(calls) == sorted(first) and len(first) > 1
-    # the memo dies with the call: a second call classifies again
-    second = {event.pattern for event in sample_events(*args)}
-    assert sorted(calls) == sorted(list(first) + list(second))
+    first = list(sample_events(*args))
+    assert applied and classified and len({event.pattern for event in first}) > 1
+    applied.clear()
+    classified.clear()
+    # the second call reuses every table: no circuit expansion, no classification
+    assert list(sample_events(*args)) == first
+    assert applied == [] and classified == []
+
+
+def test_detection_table_cache_holds_at_most_one_table_per_sub_pattern():
+    components = [*pattern_distribution(single_pair_emission()),
+                  *pattern_distribution(two_pair_emission())]
+    sub_patterns = {
+        as_pattern({mode: kept for (mode, _), kept in zip(component, counts) if kept})
+        for component in components
+        for counts in product(*(range(count + 1) for _, count in component))
+    } - {()}
+    assert len(sub_patterns) == 25
+    _output_table.cache_clear()
+    for p, loss in product((DENSE_P, SPARSE_P),
+                           (Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1))):
+        list(sample_events(20000, p, 7, loss))
+    assert 0 < _output_table.cache_info().currsize <= len(sub_patterns)
 
 
 def test_derived_seed_is_stable():
@@ -555,7 +581,9 @@ def test_output_tables_are_the_rational_law():
     assert len(components) > 10
     for component in components:
         expanded = innsbruck_circuit().apply(monomial(component))
-        assert _table_law(sampler.outputs[component]) == pattern_distribution(expanded)
+        law = _table_law(_output_table(component))
+        assert all(event_class == classify_pattern(pattern) for pattern, event_class in law)
+        assert {pattern: w for (pattern, _), w in law.items()} == pattern_distribution(expanded)
 
 
 def test_dense_gap_law_is_exactly_geometric():
