@@ -15,7 +15,6 @@ an exact isometry (Gram orthonormality of its rule columns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Tuple
 
 from .fock import (
@@ -30,6 +29,7 @@ from .fock import (
     Mode,
     ONE,
     Polarization,
+    Record,
     RuleTargets,
     StatePolynomial,
     TEXT,
@@ -50,15 +50,13 @@ class CircuitConfigError(GhzsimError):
     """An element or circuit was configured inconsistently."""
 
 
-@dataclass(frozen=True)
-class ModeTransform:
+class ModeTransform(Record):
     """A linear substitution rule set mapping source modes to output modes."""
 
-    rules: Mapping[Mode, RuleTargets]
-    name: str = ""
+    __slots__ = _fields = ("rules", "name")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", dict(self.rules))
+    def __init__(self, rules: Mapping[Mode, RuleTargets], name: str = "") -> None:
+        self._set(dict(rules), name)
         self._validate()
 
     def _validate(self) -> None:
@@ -205,14 +203,13 @@ def half_wave_plate_22_5(input_beam: Beam, output_beam: Beam = Beam.A_45) -> Mod
     return ModeTransform(_make_rules([(source, targets)]), name=f"WP({input_beam.value})")
 
 
-@dataclass(frozen=True)
-class OpticalCircuit:
+class OpticalCircuit(Record):
     """An ordered list of mode transforms, applied left to right."""
 
-    elements: Tuple[ModeTransform, ...] = field(default_factory=tuple)
+    __slots__ = _fields = ("elements",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, elements: Sequence[ModeTransform] = ()) -> None:
+        self._set(tuple(elements))
 
     def apply(self, state: StatePolynomial) -> StatePolynomial:
         for element in self.elements:

@@ -18,31 +18,32 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+# a command that needs lhv (and with it simplex) imports it itself, so that
+# sample, dump-circuit and classify --pattern never load the LP
 from . import circuit as circuit_mod
 from . import events as events_mod
-from . import lhv as lhv_mod
 from . import measurement as measurement_mod
-from .fock import GhzsimError, StatePolynomial, pattern_from_json, render_polynomial
+from .fock import GhzsimError, Record, StatePolynomial, pattern_from_json, render_polynomial
 
-@dataclass
-class RunConfig:
-    command: str
-    output: Optional[Path] = None
-    fmt: str = "text"
-    seed: int = 0
-    visibility: Fraction = Fraction(1)
-    pulses: int = 0
-    pair_prob: Fraction = Fraction(1, 10000)
-    loss_prob: Fraction = Fraction(0)
-    redefined_trigger: bool = False
-    pattern: Optional[str] = None
-    depth: int = 8
-    slack: Fraction = Fraction(0)
+
+class RunConfig(Record):
+    """One parsed command line; an omitted flag takes its default here."""
+
+    __slots__ = _fields = ("command", "output", "fmt", "seed", "visibility", "pulses",
+                           "pair_prob", "loss_prob", "redefined_trigger", "pattern", "depth",
+                           "slack")
+
+    def __init__(self, command: str, output: Optional[Path] = None, fmt: str = "text",
+                 seed: int = 0, visibility: Fraction = Fraction(1), pulses: int = 0,
+                 pair_prob: Fraction = Fraction(1, 10000), loss_prob: Fraction = Fraction(0),
+                 redefined_trigger: bool = False, pattern: Optional[str] = None, depth: int = 8,
+                 slack: Fraction = Fraction(0)) -> None:
+        self._set(command, output, fmt, seed, visibility, pulses, pair_prob, loss_prob,
+                  redefined_trigger, pattern, depth, slack)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -157,6 +158,8 @@ def _csv_text(header, rows) -> str:
 
 
 def _cmd_expand(config: RunConfig) -> int:
+    from . import lhv as lhv_mod
+
     emission = events_mod.two_pair_emission()
     post_trigger, heralded = events_mod.trigger_select(emission), lhv_mod.heralded_state()
     payload = lhv_mod.DERIVATION[0]((emission, post_trigger, heralded))
@@ -177,6 +180,8 @@ def _cmd_classify(config: RunConfig) -> int:
         event = events_mod.classify_pattern(pattern)
         return _finish(config, events_mod.CLASSIFICATION[0]((pattern, event)),
                        [event.wire], event.wire)
+    from . import lhv as lhv_mod
+
     report = events_mod.pairing_report(lhv_mod.heralded_state())
     payload = events_mod.PAIRING_REPORT[0](report)
     census = sorted(payload["census"].items())
@@ -196,6 +201,8 @@ def _cmd_dump_circuit(config: RunConfig) -> int:
 
 
 def _cmd_correlations(config: RunConfig) -> int:
+    from . import lhv as lhv_mod
+
     tables = lhv_mod.quantum_targets(config.visibility)
     payload = lhv_mod.QUANTUM_TABLES[0]((config.visibility, tables))
     correlations = payload["correlations"]
@@ -263,6 +270,8 @@ def _cmd_sample(config: RunConfig) -> int:
 
 
 def _cmd_lhv_feasibility(config: RunConfig) -> int:
+    from . import lhv as lhv_mod
+
     problem = lhv_mod.FeasibilityProblem(
         lhv_mod.quantum_targets(config.visibility), slack=config.slack
     )
@@ -280,12 +289,16 @@ def _cmd_lhv_feasibility(config: RunConfig) -> int:
 
 
 def _cmd_critical_visibility(config: RunConfig) -> int:
+    from . import lhv as lhv_mod
+
     result = lhv_mod.critical_visibility(config.depth)
     summary = f"V* = {result.v_star}"
     return _finish(config, lhv_mod.CRITICAL_RESULT[0](result), [summary], summary)
 
 
 def _cmd_ghz_paradox(config: RunConfig) -> int:
+    from . import lhv as lhv_mod
+
     reports = [lhv_mod.ghz_paradox_check(conjugate) for conjugate in (False, True)]
     payload = lhv_mod.GHZ_PARADOX[0]((reports,))
     lines = [f"{'conjugate' if r.conjugate_convention else 'standard'}: strategies satisfying "

@@ -16,7 +16,6 @@ click — discards every loss-contaminated event.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -41,6 +40,7 @@ from .fock import (
     Mode,
     PATTERN,
     Pattern,
+    Record,
     StatePolynomial,
     TERM,
     as_pattern,
@@ -141,15 +141,15 @@ def _station_pair(text: str) -> Tuple[Station, Station]:
 STATION_PAIR = (lambda pair: f"{pair[0].name},{pair[1].name}", _station_pair)
 
 
-@dataclass(frozen=True)
-class EventClass:
+class EventClass(Record):
     """Classification of one detection pattern."""
 
-    kind: EventKind
-    double_station: Optional[Station] = None
-    empty_station: Optional[Station] = None
-    lone_station: Optional[Station] = None
-    reason: Optional[str] = None
+    __slots__ = _fields = ("kind", "double_station", "empty_station", "lone_station", "reason")
+
+    def __init__(self, kind: EventKind, double_station: Optional[Station] = None,
+                 empty_station: Optional[Station] = None,
+                 lone_station: Optional[Station] = None, reason: Optional[str] = None) -> None:
+        self._set(kind, double_station, empty_station, lone_station, reason)
 
     @classmethod
     def right(cls) -> "EventClass":
@@ -226,17 +226,19 @@ def classify_pattern(pattern) -> EventClass:
     return EventClass.trigger_failure(REASON_UNPAIRED)
 
 
-@dataclass(frozen=True)
-class PairingReport:
-    """Census of the wrong-pair structure of a post-trigger expansion."""
+class PairingReport(Record):
+    """Census of the wrong-pair structure of a post-trigger expansion.
 
-    right_terms: int
-    wrong_terms: int
-    census: Mapping[Tuple[Station, Station], int]  # (double, empty) -> term count
+    ``census`` maps each (double, empty) station pair to its term count.
+    """
 
-    def __post_init__(self) -> None:
-        if self.wrong_terms != sum(self.census.values()):
-            raise ValueError(f"wrong_terms {self.wrong_terms} is not the census sum")
+    __slots__ = _fields = ("right_terms", "wrong_terms", "census")
+
+    def __init__(self, right_terms: int, wrong_terms: int,
+                 census: Mapping[Tuple[Station, Station], int]) -> None:
+        if wrong_terms != sum(census.values()):
+            raise ValueError(f"wrong_terms {wrong_terms} is not the census sum")
+        self._set(right_terms, wrong_terms, census)
 
 
 def pairing_report(state: StatePolynomial) -> PairingReport:
@@ -297,16 +299,18 @@ def remove_photons(state: StatePolynomial, mode: Mode, count: int = 1) -> StateP
 LOSS_SCENARIOS = ("none", "one-a-H", "two-a-H", "one-b-V")
 
 
-@dataclass(frozen=True)
-class FilterLossDemo:
+class FilterLossDemo(Record):
     """Side-by-side classification under the naive and redefined triggers."""
 
-    scenario: str
-    herald_clicks: int
-    naive_trigger_fires: bool
-    naive_outcomes: Tuple[Tuple[Pattern, EventClass], ...]
-    redefined_accepted: bool
-    redefined_outcomes: Tuple[Tuple[Pattern, EventClass], ...]
+    __slots__ = _fields = ("scenario", "herald_clicks", "naive_trigger_fires", "naive_outcomes",
+                           "redefined_accepted", "redefined_outcomes")
+
+    def __init__(self, scenario: str, herald_clicks: int, naive_trigger_fires: bool,
+                 naive_outcomes: Tuple[Tuple[Pattern, EventClass], ...],
+                 redefined_accepted: bool,
+                 redefined_outcomes: Tuple[Tuple[Pattern, EventClass], ...]) -> None:
+        self._set(scenario, herald_clicks, naive_trigger_fires, naive_outcomes,
+                  redefined_accepted, redefined_outcomes)
 
 
 def filter_loss_demo(removed: str, circuit: Optional[OpticalCircuit] = None) -> FilterLossDemo:
@@ -377,6 +381,8 @@ CLASSIFIED_TERMS = terms_codec(derived_codec(TERM, "class",
 
 def derived_seed(seed: int, chunk_index: int) -> int:
     """Seed for a split pulse range: first 8 bytes of sha256(seed:chunk)."""
+    import hashlib  # deferred: the CLI never derives a seed, and hashlib loads OpenSSL
+
     digest = hashlib.sha256(f"{seed}:{chunk_index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -32,6 +32,7 @@ from .fock import (
     GhzsimError,
     INT,
     RATIONAL,
+    Record,
     StatePolynomial,
     TERMS,
     TEXT,
@@ -74,18 +75,16 @@ StationAssignment = Tuple[int, int]  # value at linear45, value at circular
 _POSITION = {setting: index for index, setting in enumerate(AnalyzerSetting)}
 
 
-@dataclass(frozen=True)
-class LocalStrategy:
+class LocalStrategy(Record):
     """Deterministic responses of the three stations for both settings."""
 
-    g: StationAssignment
-    h: StationAssignment
-    z: StationAssignment
+    __slots__ = _fields = ("g", "h", "z")
 
-    def __post_init__(self) -> None:
-        for assignment in (self.g, self.h, self.z):
+    def __init__(self, g: StationAssignment, h: StationAssignment, z: StationAssignment) -> None:
+        for assignment in (g, h, z):
             if any(v not in VALUES for v in assignment):
                 raise ValueError("strategy values must lie in {+1, -1, 0}")
+        self._set(g, h, z)
 
     def outcomes(self, triple: SettingTriple) -> Outcome:
         return (self.g[_POSITION[triple.g]], self.h[_POSITION[triple.h]],
@@ -143,18 +142,23 @@ def chi(strategy: LocalStrategy) -> int:
     return int(all(abs(a[0]) == 1 for a in (strategy.g, strategy.h, strategy.z)))
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    """Exhaustive audit of which strategies keep sigma in {1, 3} everywhere."""
+class LemmaReport(Record):
+    """Exhaustive audit of which strategies keep sigma in {1, 3} everywhere.
 
-    total: int
-    admissible: int
-    chi_one: int
-    chi_zero: int
-    excluded: int
-    excluded_with_even_sigma: int  # excluded strategies hitting sigma 0 or 2
-    setting_dependent_excluded: int
-    all_admissible_moduli_setting_independent: bool
+    ``excluded_with_even_sigma`` counts the excluded strategies that hit
+    sigma 0 or 2.
+    """
+
+    __slots__ = _fields = (
+        "total", "admissible", "chi_one", "chi_zero", "excluded", "excluded_with_even_sigma",
+        "setting_dependent_excluded", "all_admissible_moduli_setting_independent",
+    )
+
+    def __init__(self, total: int, admissible: int, chi_one: int, chi_zero: int, excluded: int,
+                 excluded_with_even_sigma: int, setting_dependent_excluded: int,
+                 all_admissible_moduli_setting_independent: bool) -> None:
+        self._set(total, admissible, chi_one, chi_zero, excluded, excluded_with_even_sigma,
+                  setting_dependent_excluded, all_admissible_moduli_setting_independent)
 
     @property
     def consistent(self) -> bool:
@@ -236,8 +240,7 @@ QUANTUM_TABLES = derived_codec(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeasibilityProblem:
+class FeasibilityProblem(Record):
     """Can a strategy mixture reproduce all eight outcome tables exactly?
 
     ``slack`` (an exact rational, default zero) loosens each cell equation
@@ -245,24 +248,23 @@ class FeasibilityProblem:
     wrong-mass match stays exact either way.
     """
 
-    targets: Tuple[OutcomeTable, ...]
-    slack: Fraction = Fraction(0)
+    __slots__ = _fields = ("targets", "slack")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "slack", Fraction(self.slack))
-        if self.slack < 0:
+    def __init__(self, targets: Sequence[OutcomeTable], slack: Fraction = Fraction(0)) -> None:
+        targets, slack = tuple(targets), Fraction(slack)
+        if slack < 0:
             raise TargetFormatError("slack must be non-negative")
-        by_code = {t.settings.code: t for t in self.targets}
-        if len(self.targets) != len(TRIPLES) or set(by_code) != {
+        by_code = {t.settings.code: t for t in targets}
+        if len(targets) != len(TRIPLES) or set(by_code) != {
             t.code for t in TRIPLES
         }:
             raise TargetFormatError("targets must cover all 8 setting triples once")
-        masses = {t.wrong_mass for t in self.targets}
+        masses = {t.wrong_mass for t in targets}
         if len(masses) != 1:
             raise TargetFormatError(
                 f"wrong mass must be setting-independent, got {sorted(masses)}"
             )
+        self._set(targets, slack)
 
     def table(self, triple: SettingTriple) -> OutcomeTable:
         return next(t for t in self.targets if t.settings == triple)
@@ -508,13 +510,15 @@ def mermin_certificate(problem: FeasibilityProblem) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GhzParadoxReport:
-    conjugate_convention: bool
-    quantum_correlations: Mapping[str, Fraction]
-    satisfying_all: int
-    satisfying_after_drop: Tuple[int, ...]
-    contradiction: bool
+class GhzParadoxReport(Record):
+    __slots__ = _fields = ("conjugate_convention", "quantum_correlations", "satisfying_all",
+                           "satisfying_after_drop", "contradiction")
+
+    def __init__(self, conjugate_convention: bool, quantum_correlations: Mapping[str, Fraction],
+                 satisfying_all: int, satisfying_after_drop: Tuple[int, ...],
+                 contradiction: bool) -> None:
+        self._set(conjugate_convention, quantum_correlations, satisfying_all,
+                  satisfying_after_drop, contradiction)
 
 
 def ghz_paradox_check(conjugate: bool = False) -> GhzParadoxReport:
@@ -574,12 +578,12 @@ class Evaluation(NamedTuple):
     feasible: bool
 
 
-@dataclass(frozen=True)
-class CriticalVisibilityResult:
-    v_star: Fraction
-    feasible_at: Fraction
-    infeasible_above: Fraction
-    evaluations: Tuple[Evaluation, ...]
+class CriticalVisibilityResult(Record):
+    __slots__ = _fields = ("v_star", "feasible_at", "infeasible_above", "evaluations")
+
+    def __init__(self, v_star: Fraction, feasible_at: Fraction, infeasible_above: Fraction,
+                 evaluations: Tuple[Evaluation, ...]) -> None:
+        self._set(v_star, feasible_at, infeasible_above, evaluations)
 
 
 CRITICAL_RESULT = record_codec(

@@ -33,7 +33,6 @@ assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -50,6 +49,7 @@ from .fock import (
     Pattern,
     Polarization,
     RATIONAL,
+    Record,
     StatePolynomial,
     TRIGGER,
     mapping_codec,
@@ -94,13 +94,13 @@ class Station(Enum):
 STATIONS = (Station.G, Station.H, Station.Z)
 
 
-@dataclass(frozen=True)
-class SettingTriple:
+class SettingTriple(Record):
     """The three analyzer choices for stations G, H and Z."""
 
-    g: AnalyzerSetting
-    h: AnalyzerSetting
-    z: AnalyzerSetting
+    __slots__ = _fields = ("g", "h", "z")
+
+    def __init__(self, g: AnalyzerSetting, h: AnalyzerSetting, z: AnalyzerSetting) -> None:
+        self._set(g, h, z)
 
     @property
     def code(self) -> str:
@@ -179,8 +179,7 @@ def _merged_analyzer_rules(settings: SettingTriple, conjugate: bool) -> Dict[Mod
     return rules
 
 
-@dataclass(frozen=True)
-class OutcomeTable:
+class OutcomeTable(Record):
     """Joint outcome probabilities for one setting triple.
 
     ``probabilities[(r_g, r_h, r_z)]`` is the exact probability of a
@@ -189,21 +188,19 @@ class OutcomeTable:
     to one exactly.
     """
 
-    settings: SettingTriple
-    probabilities: Mapping[Outcome, Fraction]
-    wrong_mass: Fraction
+    __slots__ = _fields = ("settings", "probabilities", "wrong_mass")
 
-    def __post_init__(self) -> None:
-        cells = {outcome: Fraction(self.probabilities.get(outcome, 0)) for outcome in OUTCOMES}
-        if set(self.probabilities) - set(OUTCOMES):
+    def __init__(self, settings: SettingTriple, probabilities: Mapping[Outcome, Fraction],
+                 wrong_mass: Fraction) -> None:
+        cells = {outcome: Fraction(probabilities.get(outcome, 0)) for outcome in OUTCOMES}
+        if set(probabilities) - set(OUTCOMES):
             raise ValueError("unknown outcome keys in table")
-        if any(p < 0 for p in cells.values()) or self.wrong_mass < 0:
+        if any(p < 0 for p in cells.values()) or wrong_mass < 0:
             raise ValueError("probabilities must be non-negative")
-        total = sum(cells.values()) + self.wrong_mass
+        total = sum(cells.values()) + wrong_mass
         if total != 1:
             raise ValueError(f"table must sum to 1 exactly, got {total}")
-        object.__setattr__(self, "probabilities", cells)
-        object.__setattr__(self, "wrong_mass", Fraction(self.wrong_mass))
+        self._set(settings, cells, Fraction(wrong_mass))
 
     @property
     def right_mass(self) -> Fraction:

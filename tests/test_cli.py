@@ -223,20 +223,65 @@ def test_negative_pulses_exit_through_the_envelope(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's ghzsim."""
+    src = Path(ghzsim.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 def test_io_envelope_names_the_output_file_and_is_stable(tmp_path):
     # each run writes through a temp file stamped with its pid; the envelope
     # must name the --output path instead, so that two runs agree byte for byte
     target = tmp_path / "missing" / "x.json"
-    src = Path(ghzsim.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "ghzsim.cli", "correlations", "--output", str(target)]
-    runs = [subprocess.run(argv, capture_output=True, env=env, timeout=120) for _ in range(2)]
+    runs = [subprocess.run(argv, capture_output=True, env=_child_env(), timeout=120)
+            for _ in range(2)]
     assert [r.returncode for r in runs] == [1, 1] and runs[0].stdout == b""
     assert runs[0].stderr == runs[1].stderr
     error = _one_envelope(runs[0].stderr.decode())
     assert error["type"] == "io"
     assert str(target) in error["message"] and ".tmp" not in error["message"]
+
+
+def _modules_loaded_by(program: str) -> set:
+    """The modules a fresh interpreter loads while it runs ``program``; what
+    the interpreter had loaded at start-up does not count."""
+    wrapped = ("import json, sys\nbefore = set(sys.modules)\n" + program +
+               "\nprint(json.dumps(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", wrapped], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_a_bare_import_loads_no_submodule():
+    loaded = _modules_loaded_by("import ghzsim")
+    assert "ghzsim" in loaded
+    assert not [name for name in loaded if name.startswith("ghzsim.")]
+
+
+# (argv, loads the LP): a command imports lhv, and with it simplex, only if it uses them
+COMMAND_MODULES = [
+    (("sample", "--pulses", "20000", "--pair-prob", "1/20", "--loss-prob", "1/10"), False),
+    (("dump-circuit",), False),
+    (("classify", "--pattern", '{"a_H":1,"g_H":1,"h_V":1,"z_H":1}'), False),
+    (("classify",), True),
+    (("ghz-paradox",), True),
+]
+
+
+@pytest.mark.parametrize("argv,loads_lp", COMMAND_MODULES, ids=[
+    "sample", "dump-circuit", "classify-pattern", "classify-census", "ghz-paradox"])
+def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, loads_lp):
+    full = [*argv, "--output", str(tmp_path / "artifact")]
+    loaded = _modules_loaded_by(
+        f"from ghzsim import cli\nassert cli.run(cli.parse_argv({full!r})) == 0")
+    assert {"ghzsim.cli", "ghzsim.events"} <= loaded
+    lp = {"ghzsim.lhv", "ghzsim.simplex"}
+    assert lp & loaded == (lp if loads_lp else set())
+    # only events.derived_seed uses hashlib, and no command calls it
+    assert "hashlib" not in loaded
 
 
 # one argv per artifact-writing command; those marked True have a CSV form

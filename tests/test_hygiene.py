@@ -1,8 +1,9 @@
 """Source rules the package keeps, read from its syntax trees: it imports only
 itself and the standard library, no float enters any module (the verdicts
 and the Monte Carlo sampler alike are exact rational arithmetic), the
-settings of the four GHZ constraints are written in one place, and only the
-detector readout reads the trigger mode."""
+settings of the four GHZ constraints are written in one place, only the
+detector readout reads the trigger mode, and ``@dataclass`` decorates only
+the records that callers copy with ``dataclasses.replace``."""
 
 import ast
 import sys
@@ -76,3 +77,30 @@ def test_only_the_detector_readout_names_the_trigger_mode():
         or (isinstance(node, ast.Attribute) and node.attr == "TRIGGER")
     }
     assert places == {"fock.py", "measurement.py"}
+
+
+# Generating a dataclass costs about a millisecond at import, paid by every
+# CLI run; value types derive from ``fock.Record`` instead.  These four stay
+# dataclasses because tests and the benchmark copy them with ``replace``.
+REPLACEABLE_RECORDS = {
+    "events.py:SampledEvent",
+    "lhv.py:Certificate",
+    "lhv.py:FeasibilityOutcome",
+    "simplex.py:FeasibilityResult",
+}
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def test_only_the_replaceable_records_are_dataclasses():
+    decorated = {
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and any(map(_is_dataclass_decorator, node.decorator_list))
+    }
+    assert decorated == REPLACEABLE_RECORDS
