@@ -1,5 +1,6 @@
 """Strategy enumeration, the sigma lemma, the GHZ paradox, and the LP boundary."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -373,6 +374,32 @@ def test_exact_certificate_at_thirteen_twentieths_is_pinned():
     assert solve_feasibility(*_lp(Fraction(13, 20))) == FeasibilityResult(
         False, None, certificate, Fraction(27, 40), 37
     )
+
+
+# Visibilities with 2- to 6-digit denominators, as the benchmark draws them:
+# pivot count, Phase-I gap and the sha256 of the space-joined solution (if
+# feasible) or certificate, pinned from the kernel that reduced every row by
+# its gcd after each elimination.
+LARGE_DENOMINATOR_PINS = {
+    Fraction(19, 41): (48, Fraction(0),
+                       "2f435b189dfc0440d5a80cd2d7c8285dcfabbaf51c68c193b58d9b83c15fcc1c"),
+    Fraction(259, 409): (37, Fraction(981, 1636),
+                         "faecd14f9738edd6ac4fdf8dccdd4ad1b31baaf079ed2adb677876a0a62b40f9"),
+    Fraction(8343, 40438): (48, Fraction(0),
+                            "c5e4e4b1760a6cc44ce3566861e9b5424ea3565820cdb5dcda46fd74ad51e9a5"),
+    Fraction(254623, 263008): (18, Fraction(1108071, 526016),
+                               "faecd14f9738edd6ac4fdf8dccdd4ad1b31baaf079ed2adb677876a0a62b40f9"),
+}
+
+
+@pytest.mark.parametrize("visibility", sorted(LARGE_DENOMINATOR_PINS))
+def test_large_denominator_lps_are_pinned(visibility):
+    iterations, gap, digest = LARGE_DENOMINATOR_PINS[visibility]
+    result = solve_feasibility(*_lp(visibility))
+    assert result.feasible == (visibility <= Fraction(1, 2))
+    assert (result.iterations, result.infeasibility_gap) == (iterations, gap)
+    values = result.solution if result.feasible else result.certificate
+    assert hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest() == digest
 
 
 def test_incidence_is_shared_and_read_only():
