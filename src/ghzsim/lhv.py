@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
+from numbers import Rational
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .circuit import innsbruck_circuit
@@ -222,7 +223,7 @@ def quantum_targets(
     visibility: Fraction = Fraction(1), conjugate: bool = False
 ) -> Tuple[OutcomeTable, ...]:
     """The eight outcome tables at the given fringe visibility."""
-    return tuple(add_noise(t, Fraction(visibility)) for t in _ideal_tables(conjugate))
+    return tuple(add_noise(t, visibility) for t in _ideal_tables(conjugate))
 
 
 # the stages of heralded_state: (emission, post-trigger, heralded)
@@ -251,6 +252,8 @@ class FeasibilityProblem(Record):
     __slots__ = _fields = ("targets", "slack")
 
     def __init__(self, targets: Sequence[OutcomeTable], slack: Fraction = Fraction(0)) -> None:
+        if not isinstance(slack, Rational):
+            raise TypeError(f"slack must be an exact rational, got {slack!r}")
         targets, slack = tuple(targets), Fraction(slack)
         if slack < 0:
             raise TargetFormatError("slack must be non-negative")
@@ -596,7 +599,7 @@ CRITICAL_RESULT = record_codec(
 
 
 def feasibility_at_visibility(visibility: Fraction) -> FeasibilityOutcome:
-    return lhv_feasibility(FeasibilityProblem(quantum_targets(Fraction(visibility))))
+    return lhv_feasibility(FeasibilityProblem(quantum_targets(visibility)))
 
 
 def _affine_boundary(

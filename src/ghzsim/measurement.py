@@ -37,6 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from numbers import Rational
 from typing import Dict, Mapping, Tuple
 
 from .circuit import ModeTransform
@@ -307,8 +308,11 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
     """Mix white noise into the right-event sector.
 
     Right cells become ``V*p + (1−V)*(1−wrong_mass)/8``; the wrong mass is
-    untouched, so conditional correlations scale by exactly ``V``.
+    untouched, so conditional correlations scale by exactly ``V``, which
+    must be a :class:`numbers.Rational` (a float raises ``TypeError``).
     """
+    if not isinstance(visibility, Rational):
+        raise TypeError(f"visibility must be an exact rational, got {visibility!r}")
     visibility = Fraction(visibility)
     if not 0 <= visibility <= 1:
         raise VisibilityRangeError(f"visibility must lie in [0, 1], got {visibility}")

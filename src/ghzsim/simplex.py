@@ -4,14 +4,17 @@ The tableau holds each row as a list of integers over one positive integer
 denominator, and the reduced-cost row the same way.  A pivot is
 integer-preserving elimination in the spirit of Edmonds (1967) and Bareiss
 (1968): every other row is cross-multiplied with the pivot row on the pivot
-row's nonzero support only, then divided by a single gcd of its entries and
-its denominator.  No rounding happens anywhere, so every boundary question
-(feasible at visibility 1/2, infeasible just above) is decided exactly;
-:class:`fractions.Fraction` appears only where the system is read in and
-where the result is read out.  Pivoting uses Dantzig's rule and falls back
-to Bland's rule inside long degenerate runs, which keeps the method finite.
-An infeasible system yields a
-Farkas certificate ``y`` with ``y·A <= 0`` componentwise and ``y·b > 0``,
+row's nonzero support only.  Such a row is divided by the gcd of its entries
+and its denominator only once that denominator is wider than
+:data:`WORD_BITS`, while the pivot row is made primitive at every pivot.
+The pivot rules compare ratios that no row scaling changes, so when a row is
+reduced changes no pivot and no result.  No rounding happens anywhere, so
+every boundary question (feasible at visibility 1/2, infeasible just above)
+is decided exactly; entries must be :class:`numbers.Rational`, and
+:class:`fractions.Fraction` appears only where the result is read out.
+Pivoting uses Dantzig's rule and falls back to Bland's rule inside long
+degenerate runs, which keeps the method finite.  An infeasible system yields
+a Farkas certificate ``y`` with ``y·A <= 0`` componentwise and ``y·b > 0``,
 which :func:`verify_farkas` re-checks from scratch, independently of the
 solver's internal state.
 """
@@ -21,7 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from numbers import Rational
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
+
+WORD_BITS = 64  # rows are divided by their gcd only above this denominator width
 
 
 @dataclass(frozen=True)
@@ -33,17 +41,16 @@ class FeasibilityResult:
     iterations: int
 
 
-def _integer_row(values: Sequence) -> Tuple[List[int], int]:
+def _integer_row(values: Sequence[Rational]) -> Tuple[List[int], int]:
     """Numerators of ``values`` over the lcm of their denominators."""
-    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in exact))
-    return [v.numerator * (den // v.denominator) for v in exact], den
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _eliminate(
     row: List[int], den: int, a: int, p: int, support: Sequence[Tuple[int, int]]
 ) -> Tuple[List[int], int]:
-    """``row/den − (a/den)·(pivot/p)`` as integers over a reduced denominator.
+    """``row/den − (a/den)·(pivot/p)`` as integers over one denominator.
 
     ``a`` is the row's entry in the entering column and ``support`` the
     nonzero ``(column, value)`` pairs of the pivot row, whose entering entry
@@ -56,10 +63,9 @@ def _eliminate(
         den *= scale
     for k, v in support:
         row[k] -= factor * v
-    g = math.gcd(den, *row)
-    if g != 1:
-        row = [v // g for v in row]
-        den //= g
+    if den.bit_length() > WORD_BITS:
+        g = math.gcd(den, *row)
+        row, den = [v // g for v in row], den // g
     return row, den
 
 
@@ -71,6 +77,8 @@ def solve_feasibility(
     n = len(rows[0]) if m else 0
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
+    if not all(issubclass(t, Rational) for t in set(map(type, chain(rhs, *rows)))):
+        raise TypeError("entries must be exact rationals (numbers.Rational)")
 
     # tableau rows: [structural | artificial | rhs] / den, each row scaled
     # to integers and flipped so that its rhs is non-negative
@@ -91,30 +99,22 @@ def solve_feasibility(
     # start basic there, so only the remaining rows need a basic artificial
     # (all artificial columns are kept, passively, to read the dual off)
     basis = [n + i for i in range(m)]
-    column_hits: List[List[int]] = [[] for _ in range(n)]
-    for i in range(m):
-        row = tableau[i]
-        for j in range(n):
-            if row[j]:
-                column_hits[j].append(i)
-    for j in range(n):
-        if len(column_hits[j]) == 1:
-            i = column_hits[j][0]
-            if basis[i] >= n and tableau[i][j] == dens[i]:
+    for j, column in zip(range(n), zip(*tableau)):
+        if column.count(0) == m - 1:
+            value = next(filter(None, column))
+            i = column.index(value)
+            if basis[i] >= n and value == dens[i]:
                 basis[i] = j
 
     # reduced-cost row for min(sum of basic artificials): z_j - c_j, over
     # the common denominator of the artificial rows
     artificial_rows = [i for i in range(m) if basis[i] >= n]
     obj_den = math.lcm(*(dens[i] for i in artificial_rows))
-    obj = [0] * width
-    for i in artificial_rows:
-        scale = obj_den // dens[i]
-        obj = [o + scale * v for o, v in zip(obj, tableau[i])]
+    scales = [obj_den // dens[i] for i in artificial_rows]
+    obj = [sum(map(mul, scales, column))
+           for column in zip(*(tableau[i] for i in artificial_rows))] or [0] * width
     for j in range(n, n + m):
         obj[j] -= obj_den
-    g = math.gcd(obj_den, *obj)
-    obj, obj_den = [v // g for v in obj], obj_den // g
 
     # artificials never enter: the crash ones never were basic, the others
     # are driven out and stay out

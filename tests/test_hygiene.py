@@ -2,8 +2,9 @@
 itself and the standard library, no float enters any module (the verdicts
 and the Monte Carlo sampler alike are exact rational arithmetic), the
 settings of the four GHZ constraints are written in one place, only the
-detector readout reads the trigger mode, and ``@dataclass`` decorates only
-the records that callers copy with ``dataclasses.replace``."""
+detector readout reads the trigger mode, ``@dataclass`` decorates only
+the records that callers copy with ``dataclasses.replace``, and the simplex
+pivots on integers alone."""
 
 import ast
 import sys
@@ -104,3 +105,26 @@ def test_only_the_replaceable_records_are_dataclasses():
         and any(map(_is_dataclass_decorator, node.decorator_list))
     }
     assert decorated == REPLACEABLE_RECORDS
+
+
+def _names_fraction(node: ast.AST) -> bool:
+    return any(
+        (isinstance(sub, ast.Name) and sub.id == "Fraction")
+        or (isinstance(sub, ast.Attribute) and sub.attr == "Fraction")
+        for sub in ast.walk(node)
+    )
+
+
+def test_the_simplex_kernel_is_integer_only():
+    # Fraction is for reading the system in and the result out, never for a pivot
+    functions = {
+        node.name: node
+        for node in ast.walk(_tree(PACKAGE / "simplex.py"))
+        if isinstance(node, ast.FunctionDef)
+    }
+    pivot_loops = [
+        node for node in ast.walk(functions["solve_feasibility"]) if isinstance(node, ast.While)
+    ]
+    assert len(pivot_loops) == 1
+    assert not _names_fraction(functions["_eliminate"])
+    assert not _names_fraction(pivot_loops[0])

@@ -321,6 +321,19 @@ def test_slack_relaxation():
         FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(-1))
 
 
+def test_no_float_enters_a_verdict():
+    # 0.65 is 5854679515581645/2^53 as a binary float: not the visibility asked for
+    with pytest.raises(TypeError):
+        quantum_targets(0.65)
+    with pytest.raises(TypeError):
+        feasibility_at_visibility(0.5)
+    with pytest.raises(TypeError):
+        FeasibilityProblem(quantum_targets(Fraction(1)), slack=0.01)
+    assert FeasibilityProblem(quantum_targets(1), slack=0) == FeasibilityProblem(
+        quantum_targets(Fraction(1)), slack=Fraction(0)
+    )
+
+
 # Pivot counts and exact values of the Phase-I solve, pinned from the dense
 # Fraction tableau that preceded the integer-row one: the same pivot rule on
 # the same exact values must take the same path to the same answer.

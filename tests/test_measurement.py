@@ -1,5 +1,6 @@
 """Analyzer statistics against the independent state-vector oracle."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,14 @@ def test_add_noise_range_check():
         add_noise(table, Fraction(-1, 10))
     with pytest.raises(VisibilityRangeError):
         add_noise(table, Fraction(21, 20))
+
+
+def test_add_noise_takes_exact_visibilities_only():
+    table = outcome_distribution(right_part(), SettingTriple.from_code("xxx"))
+    assert add_noise(table, 1) == add_noise(table, Fraction(1))  # an int is exact
+    for inexact in (0.5, Decimal("0.5"), "1/2"):
+        with pytest.raises(TypeError):
+            add_noise(table, inexact)
 
 
 def test_table_json_roundtrip():

@@ -1,11 +1,13 @@
 """Exact Phase-I feasibility and Farkas certificates on small systems."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghzsim import simplex
 from ghzsim.simplex import FeasibilityResult, solve_feasibility, verify_farkas
 
 
@@ -100,6 +102,21 @@ def test_random_perturbed_systems_verify_their_certificates():
     assert checked > 0
 
 
+def test_unit_columns_start_basic():
+    # every row has a unit column, so no artificial starts basic and no pivot runs
+    result = solve_feasibility([[F(1), F(0), F(2)], [F(0), F(1), F(1)]], [F(4), F(1, 3)])
+    assert result == FeasibilityResult(True, [F(4), F(1, 3), F(0)], None, F(0), 0)
+
+
+def test_inexact_entries_are_rejected():
+    for rows, rhs in (([[0.5, 1]], [F(1, 4)]), ([[F(1, 2), 1]], [0.25]),
+                      ([[Decimal("0.5")]], [F(1)]), ([["1/2"]], [F(1)])):
+        with pytest.raises(TypeError):
+            solve_feasibility(rows, rhs)
+    # ints and bools are rationals
+    assert solve_feasibility([[1, True]], [2]).feasible
+
+
 def test_empty_system_is_trivially_feasible():
     assert solve_feasibility([], []) == FeasibilityResult(True, [], None, F(0), 0)
     with pytest.raises(ValueError):
@@ -150,3 +167,49 @@ def test_verdicts_carry_exact_evidence(system):
     else:
         assert result.infeasibility_gap > 0 and result.solution is None
         assert verify_farkas(rows, rhs, result.certificate)
+
+
+# Word-sized and larger primes, so that row denominators outgrow
+# simplex.WORD_BITS within a few pivots and the reducing branch runs.
+WIDE_DENOMINATORS = (1, 3, 999983, 2**31 - 1, 10**9 + 7, 2**61 - 1)
+wide_rationals = st.builds(
+    Fraction, st.integers(-50, 50), st.sampled_from(WIDE_DENOMINATORS)
+) | st.just(F(0))
+
+
+@st.composite
+def wide_systems(draw):
+    """Systems of up to 12 x 12 entries over large prime denominators; half
+    the draws are built around a non-negative point so that they are
+    feasible."""
+    m = draw(st.integers(4, 12))
+    n = draw(st.integers(4, 12))
+    rows = [draw(st.lists(wide_rationals, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        hidden = draw(st.lists(wide_rationals.map(abs), min_size=n, max_size=n))
+        rhs = [sum(a * x for a, x in zip(row, hidden)) for row in rows]
+    else:
+        rhs = draw(st.lists(wide_rationals, min_size=m, max_size=m))
+    return rows, rhs
+
+
+def _solve_reducing_every_row(rows, rhs):
+    # a width of 0 divides every row by its gcd after every elimination
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "WORD_BITS", 0)
+        return solve_feasibility(rows, rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_when_a_row_is_reduced_never_changes_a_result(system):
+    assert solve_feasibility(*system) == _solve_reducing_every_row(*system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_systems())
+def test_when_a_wide_row_is_reduced_never_changes_a_result(system):
+    result = solve_feasibility(*system)
+    assert result == _solve_reducing_every_row(*system)
+    if not result.feasible:
+        assert verify_farkas(*system, result.certificate)
