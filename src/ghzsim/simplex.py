@@ -7,8 +7,8 @@ integer-preserving elimination in the spirit of Edmonds (1967) and Bareiss
 row's nonzero support only.  Such a row is divided by the gcd of its entries
 and its denominator only once that denominator is wider than
 :data:`WORD_BITS`, while the pivot row is made primitive at every pivot.
-The pivot rules compare ratios that no row scaling changes, so when a row is
-reduced changes no pivot and no result.  No rounding happens anywhere, so
+The pivot rules compare ratios that no row scaling changes, so the moment a
+row is reduced changes no pivot and no result.  No rounding happens anywhere, so
 every boundary question (feasible at visibility 1/2, infeasible just above)
 is decided exactly; entries must be :class:`numbers.Rational`, and
 :class:`fractions.Fraction` appears only where the result is read out.

@@ -169,7 +169,7 @@ def test_verdicts_carry_exact_evidence(system):
         assert verify_farkas(rows, rhs, result.certificate)
 
 
-# Word-sized and larger primes, so that row denominators outgrow
+# Mostly word-sized primes, so that row denominators outgrow
 # simplex.WORD_BITS within a few pivots and the reducing branch runs.
 WIDE_DENOMINATORS = (1, 3, 999983, 2**31 - 1, 10**9 + 7, 2**61 - 1)
 wide_rationals = st.builds(
@@ -179,7 +179,7 @@ wide_rationals = st.builds(
 
 @st.composite
 def wide_systems(draw):
-    """Systems of up to 12 x 12 entries over large prime denominators; half
+    """Systems of up to 12 x 12 entries over WIDE_DENOMINATORS; half
     the draws are built around a non-negative point so that they are
     feasible."""
     m = draw(st.integers(4, 12))
