@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import prod
+from operator import mul
 from numbers import Rational
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -56,6 +57,7 @@ from .measurement import (
     correlation_from_table,
     outcome_code,
     outcome_distribution,
+    over_one_denominator,
 )
 from .simplex import solve_feasibility
 
@@ -73,7 +75,6 @@ VALUES = (1, -1, 0)
 
 
 StationAssignment = Tuple[int, int]  # value at linear45, value at circular
-_POSITION = {setting: index for index, setting in enumerate(AnalyzerSetting)}
 
 
 class LocalStrategy(Record):
@@ -88,8 +89,9 @@ class LocalStrategy(Record):
         self._set(g, h, z)
 
     def outcomes(self, triple: SettingTriple) -> Outcome:
-        return (self.g[_POSITION[triple.g]], self.h[_POSITION[triple.h]],
-                self.z[_POSITION[triple.z]])
+        circular = AnalyzerSetting.CIRCULAR  # index 1 of an assignment
+        return (self.g[triple.g is circular], self.h[triple.h is circular],
+                self.z[triple.z is circular])
 
 
 def enumerate_strategies() -> Tuple[LocalStrategy, ...]:
@@ -124,7 +126,9 @@ def sigma(strategy: LocalStrategy, triple: SettingTriple) -> int:
 
 
 def _sigmas(strategy: LocalStrategy) -> set:
-    return {sigma(strategy, triple) for triple in TRIPLES}
+    """The values of sigma over all eight triples: each station adds either modulus."""
+    g, h, z = ({abs(v) for v in values} for values in (strategy.g, strategy.h, strategy.z))
+    return {a + b + c for a in g for b in h for c in z}
 
 
 def has_setting_independent_moduli(strategy: LocalStrategy) -> bool:
@@ -183,9 +187,9 @@ def lemma_check() -> LemmaReport:
     caught with sigma equal to 0 or 2 at some setting triple.
     """
     strategies = enumerate_strategies()
-    sigmas = {strategy: _sigmas(strategy) for strategy in strategies}
-    allowed = [s for s in strategies if sigmas[s] <= {1, 3}]
-    excluded = [s for s in strategies if not sigmas[s] <= {1, 3}]
+    sigmas = list(map(_sigmas, strategies))
+    allowed = [s for s, values in zip(strategies, sigmas) if values <= {1, 3}]
+    excluded = [(s, values) for s, values in zip(strategies, sigmas) if not values <= {1, 3}]
     independent = [has_setting_independent_moduli(s) for s in allowed]
     chi_one = sum(ind and chi(s) == 1 for s, ind in zip(allowed, independent))
     return LemmaReport(
@@ -194,9 +198,9 @@ def lemma_check() -> LemmaReport:
         chi_one=chi_one,
         chi_zero=len(allowed) - chi_one,
         excluded=len(excluded),
-        excluded_with_even_sigma=sum(bool(sigmas[s] & {0, 2}) for s in excluded),
+        excluded_with_even_sigma=sum(bool(values & {0, 2}) for _, values in excluded),
         setting_dependent_excluded=sum(
-            not has_setting_independent_moduli(s) for s in excluded
+            not has_setting_independent_moduli(s) for s, _ in excluded
         ),
         all_admissible_moduli_setting_independent=all(independent),
     )
@@ -342,11 +346,8 @@ def _incidence() -> Tuple[Tuple[CertificateKey, ...], Incidence]:
 def _cell_rows(problem: FeasibilityProblem):
     """LP data: 64 cell rows + 1 mass row over 64 strategy columns."""
     keys, rows = _incidence()
-    rhs = [
-        problem.table(triple).probabilities[outcome]
-        for triple in TRIPLES
-        for outcome in OUTCOMES
-    ]
+    tables = {t.settings.code: t.probabilities for t in problem.targets}
+    rhs = [cells[outcome] for cells in (tables[t.code] for t in TRIPLES) for outcome in OUTCOMES]
     rhs.append(1 - problem.wrong_mass)
     return right_sector_strategies(), rows, rhs, keys
 
@@ -401,20 +402,27 @@ def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mappin
 
     Feasible evidence is the whole model: the mixture ``LocalStrategy →
     weight`` and the aggregated χ=0 weight under :data:`CHI_ZERO`.  Its
-    strategies are right-sector, its weights non-negative and summing to 1,
-    the χ=0 weight is the wrong mass, and every cell is within the slack of
-    its target.  Infeasible evidence is the certificate's coefficients; they
-    must pass :func:`evaluate_certificate`.
+    strategies are right-sector, its weights :class:`numbers.Rational`,
+    non-negative and summing to 1, the χ=0 weight is the wrong mass, and
+    every cell is within the slack of its target.  Infeasible evidence is the
+    certificate's coefficients; they must pass :func:`evaluate_certificate`.
     """
     if not feasible:
         return evaluate_certificate(problem, evidence).verified
     strategies, rows, rhs, _ = _cell_rows(problem)
-    if not set(evidence) <= {*strategies, CHI_ZERO} or any(w < 0 for w in evidence.values()):
+    if not set(evidence) <= {*strategies, CHI_ZERO} or not all(
+        isinstance(w, Rational) for w in evidence.values()
+    ) or evidence.get(CHI_ZERO) != problem.wrong_mass:
         return False
-    weights = [evidence.get(s, Fraction(0)) for s in strategies]
-    return evidence.get(CHI_ZERO) == problem.wrong_mass and sum(evidence.values()) == 1 and all(
-        abs(sum(w for w, hit in zip(weights, row) if hit) - target) <= problem.slack
-        for row, target in zip(rows[:-1], rhs[:-1])
+    # weights over one denominator d and targets over another, e: cell i
+    # passes when |w_i/d − t_i/e| <= p/q, that is |w_i·e − t_i·d|·q <= p·d·e
+    (*weights, chi_zero), d = over_one_denominator(
+        [evidence.get(s, 0) for s in strategies] + [evidence[CHI_ZERO]])
+    targets, e = over_one_denominator(rhs[:-1])
+    p, q = problem.slack.numerator, problem.slack.denominator
+    return min(weights) >= 0 and sum(weights) + chi_zero == d and all(
+        abs(sum(compress(weights, row)) * e - t * d) * q <= p * d * e
+        for row, t in zip(rows, targets)
     )
 
 
@@ -422,18 +430,19 @@ def evaluate_certificate(
     problem: FeasibilityProblem, coeffs: Mapping[CertificateKey, Fraction]
 ) -> Certificate:
     """Verify a Farkas functional against the targets, solver-free.  A
-    coefficient whose key names no LP row fails the check."""
+    coefficient whose key names no LP row, or whose value is not a
+    :class:`numbers.Rational`, is left out of the sums and fails the check."""
     _, rows, rhs, keys = _cell_rows(problem)
-    y = [coeffs.get(key, Fraction(0)) for key in keys]
-    # within the ±slack band, cell i moves y·(Aw) by at most slack·|y_i|
-    value = sum((c * b for c, b in zip(y, rhs)), start=Fraction(0))
-    value -= problem.slack * sum(abs(c) for c in y[:-1])
-    max_column = max(
-        sum((c for c, hit in zip(y, column) if hit), start=Fraction(0))
-        for column in zip(*rows)
-    )
+    exact = {key: c for key, c in coeffs.items() if isinstance(c, Rational)}
+    # y over d, targets over e; within the ±p/q band cell i moves y·(Aw) by (p/q)·|y_i|
+    y, d = over_one_denominator([exact.get(key, 0) for key in keys])
+    b, e = over_one_denominator(rhs)
+    p, q = problem.slack.numerator, problem.slack.denominator
+    value = Fraction(sum(map(mul, y, b)) * q - sum(map(abs, y[:-1])) * p * e, d * e * q)
+    top = max(sum(compress(y, column)) for column in zip(*rows))
+    max_column = Fraction(top, d)
     bound = max_column * (1 - problem.wrong_mass)
-    verified = max_column <= 0 < value and set(coeffs) <= set(keys)
+    verified = top <= 0 < value and len(exact) == len(coeffs) and set(coeffs) <= set(keys)
     return Certificate(dict(coeffs), value, bound, max_column, verified)
 
 

@@ -36,9 +36,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 from numbers import Rational
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .circuit import ModeTransform
 from .fock import (
@@ -180,12 +180,19 @@ def _merged_analyzer_rules(settings: SettingTriple, conjugate: bool) -> Dict[Mod
     return rules
 
 
+def over_one_denominator(values: Sequence[Rational]) -> Tuple[List[int], int]:
+    """Numerators of ``values`` over the lcm of their denominators, and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class OutcomeTable(Record):
     """Joint outcome probabilities for one setting triple.
 
     ``probabilities[(r_g, r_h, r_z)]`` is the exact probability of a
     triggered right event with those three readouts; ``wrong_mass`` is the
-    total probability of every non-right class.  Cells and wrong mass sum
+    total probability of every non-right class.  Cells and wrong mass are
+    :class:`numbers.Rational` (anything else raises ``TypeError``) and sum
     to one exactly.
     """
 
@@ -193,15 +200,18 @@ class OutcomeTable(Record):
 
     def __init__(self, settings: SettingTriple, probabilities: Mapping[Outcome, Fraction],
                  wrong_mass: Fraction) -> None:
-        cells = {outcome: Fraction(probabilities.get(outcome, 0)) for outcome in OUTCOMES}
+        values = [probabilities.get(outcome, 0) for outcome in OUTCOMES] + [wrong_mass]
+        if not all(isinstance(v, Rational) for v in values):
+            raise TypeError("cells and wrong mass must be exact rationals (numbers.Rational)")
         if set(probabilities) - set(OUTCOMES):
             raise ValueError("unknown outcome keys in table")
-        if any(p < 0 for p in cells.values()) or wrong_mass < 0:
+        nums, den = over_one_denominator(values)
+        if any(v < 0 for v in nums):
             raise ValueError("probabilities must be non-negative")
-        total = sum(cells.values()) + wrong_mass
-        if total != 1:
-            raise ValueError(f"table must sum to 1 exactly, got {total}")
-        self._set(settings, cells, Fraction(wrong_mass))
+        if sum(nums) != den:
+            raise ValueError(f"table must sum to 1 exactly, got {Fraction(sum(nums), den)}")
+        values = [v if type(v) is Fraction else Fraction(v) for v in values]
+        self._set(settings, dict(zip(OUTCOMES, values)), values[-1])
 
     @property
     def right_mass(self) -> Fraction:
@@ -313,14 +323,15 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
     """
     if not isinstance(visibility, Rational):
         raise TypeError(f"visibility must be an exact rational, got {visibility!r}")
-    visibility = Fraction(visibility)
-    if not 0 <= visibility <= 1:
-        raise VisibilityRangeError(f"visibility must lie in [0, 1], got {visibility}")
-    uniform = table.right_mass / 8
-    cells = {
-        outcome: visibility * p + (1 - visibility) * uniform
-        for outcome, p in table.probabilities.items()
-    }
+    a, b = visibility.numerator, visibility.denominator
+    if not 0 <= a <= b:
+        raise VisibilityRangeError(f"visibility must lie in [0, 1], got {Fraction(a, b)}")
+    # V = a/b; over the table's denominator d, cell p/d and right mass r/d,
+    # the noisy cell is (8a·p + (b−a)·r) / (8b·d)
+    nums, d = over_one_denominator([*table.probabilities.values(), table.wrong_mass])
+    noise, den = (b - a) * (d - nums[-1]), 8 * b * d
+    cells = {outcome: Fraction(8 * a * p + noise, den)
+             for outcome, p in zip(table.probabilities, nums)}
     return OutcomeTable(table.settings, cells, table.wrong_mass)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import compress, count, islice
 from numbers import Rational
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -39,12 +39,6 @@ class FeasibilityResult:
     certificate: Optional[List[Fraction]]  # Farkas vector if infeasible
     infeasibility_gap: Fraction  # Phase-I optimum: 0 iff feasible
     iterations: int
-
-
-def _integer_row(values: Sequence[Rational]) -> Tuple[List[int], int]:
-    """Numerators of ``values`` over the lcm of their denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _eliminate(
@@ -77,23 +71,28 @@ def solve_feasibility(
     n = len(rows[0]) if m else 0
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
-    if not all(issubclass(t, Rational) for t in set(map(type, chain(rhs, *rows)))):
+    kinds = [set(map(type, row)) for row in rows]
+    if not all(issubclass(t, Rational) for t in set(map(type, rhs)).union(*kinds)):
         raise TypeError("entries must be exact rationals (numbers.Rational)")
 
-    # tableau rows: [structural | artificial | rhs] / den, each row scaled
-    # to integers and flipped so that its rhs is non-negative
+    # tableau rows: [structural | artificial | rhs] / den, each row scaled to integers
+    # (an all-int row by its rhs denominator) and flipped so that its rhs is non-negative
     flip: List[int] = []
     tableau: List[List[int]] = []
     dens: List[int] = []
-    for i in range(m):
-        nums, den = _integer_row([*rows[i], rhs[i]])
-        sign = 1 if nums[-1] >= 0 else -1
-        row = [sign * v for v in nums[:-1]] + [0] * m + [sign * nums[-1]]
+    for i, (values, b, kind) in enumerate(zip(rows, rhs, kinds)):
+        sign = -1 if b.numerator < 0 else 1
+        if kind <= {int}:
+            den, scale = b.denominator, sign * b.denominator
+            row = [scale * v for v in values]
+        else:
+            den = math.lcm(b.denominator, *(v.denominator for v in values))
+            row = [sign * v.numerator * (den // v.denominator) for v in values]
+        row += [0] * m + [sign * b.numerator * (den // b.denominator)]
         row[n + i] = den
         flip.append(sign)
         tableau.append(row)
         dens.append(den)
-    width = n + m + 1
 
     # crash basis: a structural column that is a unit vector for a row can
     # start basic there, so only the remaining rows need a basic artificial
@@ -106,15 +105,15 @@ def solve_feasibility(
             if basis[i] >= n and value == dens[i]:
                 basis[i] = j
 
-    # reduced-cost row for min(sum of basic artificials): z_j - c_j, over
-    # the common denominator of the artificial rows
+    # reduced-cost row for min(sum of basic artificials): z_j - c_j, over the common
+    # denominator of the artificial rows; an artificial entry is 0 if basic, else -obj_den
     artificial_rows = [i for i in range(m) if basis[i] >= n]
     obj_den = math.lcm(*(dens[i] for i in artificial_rows))
     scales = [obj_den // dens[i] for i in artificial_rows]
-    obj = [sum(map(mul, scales, column))
-           for column in zip(*(tableau[i] for i in artificial_rows))] or [0] * width
-    for j in range(n, n + m):
-        obj[j] -= obj_den
+    columns = zip(*(tableau[i] for i in artificial_rows))
+    obj = [sum(map(mul, scales, column)) for column in islice(columns, n)] or [0] * n
+    obj += [0 if basis[i] >= n else -obj_den for i in range(m)]
+    obj.append(sum(map(mul, scales, (tableau[i][-1] for i in artificial_rows))))
 
     # artificials never enter: the crash ones never were basic, the others
     # are driven out and stay out
@@ -159,7 +158,7 @@ def solve_feasibility(
             pivot_row = [v // g for v in pivot_row]
         pivot = pivot_row[enter]
         tableau[leave], dens[leave] = pivot_row, pivot
-        support = [(k, v) for k, v in enumerate(pivot_row) if v]
+        support = list(zip(compress(count(), pivot_row), filter(None, pivot_row)))
         for i in range(m):
             if i != leave and tableau[i][enter]:
                 tableau[i], dens[i] = _eliminate(

@@ -3,8 +3,9 @@ itself and the standard library, no float enters any module (the verdicts
 and the Monte Carlo sampler alike are exact rational arithmetic), the
 settings of the four GHZ constraints are written in one place, only the
 detector readout reads the trigger mode, ``@dataclass`` decorates only
-the records that callers copy with ``dataclasses.replace``, and the simplex
-pivots on integers alone."""
+the records that callers copy with ``dataclasses.replace``, the simplex
+pivots on integers alone, and the evidence checks name nothing from the
+simplex and loop over integers alone."""
 
 import ast
 import sys
@@ -128,3 +129,36 @@ def test_the_simplex_kernel_is_integer_only():
     assert len(pivot_loops) == 1
     assert not _names_fraction(functions["_eliminate"])
     assert not _names_fraction(pivot_loops[0])
+
+
+def _functions(path: Path) -> dict:
+    return {node.name: node for node in _tree(path).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_evidence_checks_are_solver_free_and_integer_looped():
+    # verify_verdict, evaluate_certificate and every package function they call
+    # name nothing from the solver and build only the values they return as Fractions
+    functions = {**_functions(PACKAGE / "measurement.py"), **_functions(PACKAGE / "lhv.py")}
+    solver = {"simplex"} | {
+        alias.asname or alias.name
+        for node in ast.walk(_tree(PACKAGE / "lhv.py"))
+        if isinstance(node, ast.ImportFrom) and node.module == "simplex"
+        for alias in node.names
+    }
+    checks, todo = set(), ["verify_verdict", "evaluate_certificate"]
+    while todo:
+        name = todo.pop()
+        if name not in checks:
+            checks.add(name)
+            todo += [node.func.id for node in ast.walk(functions[name])
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id in functions]
+    assert {"_cell_rows", "_incidence", "over_one_denominator"} < checks
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for name in checks:
+        for node in ast.walk(functions[name]):
+            named = getattr(node, "id", getattr(node, "attr", None))
+            assert named not in solver, f"{name}:{node.lineno} names {named}"
+            assert not (isinstance(node, loops) and _names_fraction(node)), (
+                f"{name}:{node.lineno} names Fraction in a loop"
+            )

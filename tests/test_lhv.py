@@ -1,6 +1,7 @@
 """Strategy enumeration, the sigma lemma, the GHZ paradox, and the LP boundary."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from ghzsim.lhv import (
     verify_verdict,
 )
 from ghzsim.measurement import (
+    AnalyzerSetting,
     OUTCOMES,
     OutcomeTable,
     SettingTriple,
@@ -105,6 +107,21 @@ def test_lemma_enumeration_counts():
     assert report.setting_dependent_excluded == 604
     assert report.all_admissible_moduli_setting_independent
     assert report.consistent
+
+
+def test_sigmas_sum_per_station_moduli():
+    # _sigmas adds one modulus per station; sigma reads the outcomes at a triple
+    for strategy in enumerate_strategies():
+        assert lhv._sigmas(strategy) == {sigma(strategy, triple) for triple in TRIPLES}
+
+
+def test_outcomes_read_each_station_at_its_setting():
+    position = {setting: index for index, setting in enumerate(AnalyzerSetting)}
+    for strategy in enumerate_strategies():
+        for triple in TRIPLES:
+            assert strategy.outcomes(triple) == (strategy.g[position[triple.g]],
+                                                 strategy.h[position[triple.h]],
+                                                 strategy.z[position[triple.z]])
 
 
 def test_every_setting_dependent_strategy_hits_even_sigma():
@@ -530,6 +547,28 @@ def test_solver_evidence_that_fails_the_check_is_reported_unverified(
     monkeypatch.setattr(lhv, "solve_feasibility", lambda rows, rhs: replace(real, **evidence))
     outcome = feasibility_at_visibility(visibility)
     assert outcome.feasible == real.feasible and not outcome.verified
+
+
+def test_traced_layers_stay_module_attributes_that_lhv_calls_through(monkeypatch):
+    # a benchmark traces these layers by replacing the module attributes
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    names = ("solve_feasibility", "evaluate_certificate", "quantum_targets",
+             "feasibility_at_visibility", "lemma_check")
+    for name in names:
+        monkeypatch.setattr(lhv, name, counted(name, getattr(lhv, name)))
+    assert critical_visibility(2).v_star == Fraction(1, 2)
+    lhv.lemma_check()
+    # solves at 0, 1 and 1/2; the targets once more at the origin; the
+    # certificate from V = 1 once in its verdict and once for its intercept
+    assert calls == {"feasibility_at_visibility": 3, "solve_feasibility": 3,
+                     "quantum_targets": 4, "evaluate_certificate": 2, "lemma_check": 1}
 
 
 def test_outcome_built_positionally_defaults_to_unverified():

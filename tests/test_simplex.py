@@ -3,6 +3,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,3 +214,17 @@ def test_when_a_wide_row_is_reduced_never_changes_a_result(system):
     assert result == _solve_reducing_every_row(*system)
     if not result.feasible:
         assert verify_farkas(*system, result.certificate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.lists(st.booleans(), min_size=8, max_size=8))
+def test_an_int_row_reads_in_as_its_fractions(system, as_int):
+    # a flagged row is scaled to ints and takes the all-int read-in path; the
+    # same values as Fractions take the general one, with the same result
+    rows, rhs = [], []
+    for row, b, flag in zip(*system, as_int):
+        scale = lcm(*(v.denominator for v in row)) if flag else 1
+        rows.append([int(v * scale) for v in row] if flag else row)
+        rhs.append(b * scale)
+    fractions = [[F(v) for v in row] for row in rows]
+    assert solve_feasibility(rows, rhs) == solve_feasibility(fractions, rhs)
