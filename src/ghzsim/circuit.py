@@ -182,8 +182,8 @@ def polarizing_beamsplitter(
     return ModeTransform(_make_rules(pairs), name=f"PBS({label})")
 
 
-def half_wave_plate_22_5(input_beam: Beam, output_beam: Beam = Beam.A_45) -> ModeTransform:
-    """Wave plate rotating a V-only arm onto 45°: V -> (H + V)/sqrt2.
+def half_wave_plate_22_5(input_beam: Beam) -> ModeTransform:
+    """Wave plate rotating a V-only arm onto 45° in arm a_45: V -> (H + V)/sqrt2.
 
     The arm is V-only by construction; a beam that can carry H is rejected
     as a modeling error.
@@ -196,10 +196,7 @@ def half_wave_plate_22_5(input_beam: Beam, output_beam: Beam = Beam.A_45) -> Mod
     if carried != (Polarization.V,):
         raise CircuitConfigError(f"beam {input_beam.value!r} carries no V polarization")
     source = Mode(input_beam, Polarization.V)
-    targets = [
-        (_output_mode(output_beam, Polarization.H, "half-wave plate"), INV_SQRT2),
-        (_output_mode(output_beam, Polarization.V, "half-wave plate"), INV_SQRT2),
-    ]
+    targets = [(Mode(Beam.A_45, pol), INV_SQRT2) for pol in (Polarization.H, Polarization.V)]
     return ModeTransform(_make_rules([(source, targets)]), name=f"WP({input_beam.value})")
 
 

@@ -27,7 +27,14 @@ from typing import Optional
 from . import circuit as circuit_mod
 from . import events as events_mod
 from . import measurement as measurement_mod
-from .fock import GhzsimError, Record, StatePolynomial, pattern_from_json, render_polynomial
+from .fock import (
+    GhzsimError,
+    Record,
+    StatePolynomial,
+    parse_rational,
+    pattern_from_json,
+    render_polynomial,
+)
 
 
 class RunConfig(Record):
@@ -44,14 +51,6 @@ class RunConfig(Record):
                  slack: Fraction = Fraction(0)) -> None:
         self._set(command, output, fmt, seed, visibility, pulses, pair_prob, loss_prob,
                   redefined_trigger, pattern, depth, slack)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Exact parse of ``p/q`` or a decimal literal ("13/20" == "0.65")."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r} ({exc})") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -326,12 +325,15 @@ def run(config: RunConfig) -> int:
         return 2
     try:
         return _DISPATCH[config.command](config)
-    except (GhzsimError, ValueError, json.JSONDecodeError) as exc:
+    except (GhzsimError, ValueError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 2
     except OSError as exc:
         _emit_error("io", str(exc))
         return 1
+    except KeyboardInterrupt:  # SIGINT: an --output file is left as it was
+        _emit_error("interrupted", "interrupted before the artifact was complete")
+        return 130
 
 
 def main(argv=None) -> None:

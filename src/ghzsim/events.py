@@ -23,11 +23,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import comb, lcm, prod
+from math import comb, prod
+from numbers import Rational
 from random import Random
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from .circuit import OpticalCircuit, innsbruck_circuit
+from .circuit import innsbruck_circuit
 from .fock import (
     AH,
     AV,
@@ -43,6 +44,7 @@ from .fock import (
     Record,
     StatePolynomial,
     TERM,
+    TEXT,
     as_pattern,
     creation,
     derived_codec,
@@ -56,7 +58,7 @@ from .fock import (
     terms_codec,
     tuple_codec,
 )
-from .measurement import STATIONS, Station, pattern_distribution, read_pattern
+from .measurement import STATIONS, Station, over_one_denominator, pattern_distribution, read_pattern
 
 
 class ConfigurationError(GhzsimError):
@@ -285,14 +287,14 @@ def remove_photons(state: StatePolynomial, mode: Mode, count: int = 1) -> StateP
     coefficients are unchanged and terms with fewer than ``count`` photons
     in ``mode`` are dropped.
     """
-    out = {}
+    out = []
     for pattern, coeff in state.terms.items():
         have = occupation(pattern, mode)
         if have < count:
             continue
         reduced = {m: n for m, n in pattern}
         reduced[mode] = have - count
-        out[as_pattern(reduced)] = coeff
+        out.append((reduced, coeff))
     return StatePolynomial(out)
 
 
@@ -313,7 +315,7 @@ class FilterLossDemo(Record):
                   redefined_accepted, redefined_outcomes)
 
 
-def filter_loss_demo(removed: str, circuit: Optional[OpticalCircuit] = None) -> FilterLossDemo:
+def filter_loss_demo(removed: str) -> FilterLossDemo:
     """Demonstrate what a filter removal does to the trigger statistics.
 
     ``removed`` selects the scenario: ``"none"`` (no loss, applied to the
@@ -326,7 +328,6 @@ def filter_loss_demo(removed: str, circuit: Optional[OpticalCircuit] = None) -> 
         raise ConfigurationError(
             f"unknown removal scenario {removed!r}; choose one of {LOSS_SCENARIOS}"
         )
-    circuit = circuit or innsbruck_circuit()
     if removed == "none":
         component, herald = trigger_select(two_pair_emission()), 0
     elif removed == "one-a-H":
@@ -336,7 +337,7 @@ def filter_loss_demo(removed: str, circuit: Optional[OpticalCircuit] = None) -> 
     else:  # one-b-V
         component, herald = remove_photons(trigger_select(two_pair_emission()), BV, 1), 1
 
-    expanded = circuit.apply(component)
+    expanded = _circuit().apply(component)
     outcomes = tuple(
         (pattern, classify_pattern(pattern)) for pattern in expanded.terms
     )
@@ -365,7 +366,8 @@ class SampledEvent:
     herald_veto: bool
 
 
-EVENT_CLASS = (lambda event_class: event_class.wire, lambda text: event_class_from_wire(str(text)))
+EVENT_CLASS = (lambda event_class: event_class.wire,
+               lambda text: event_class_from_wire(TEXT[1](text)))
 EVENT = record_codec(
     SampledEvent,
     ("pulse", "pulse_index", INT),
@@ -432,11 +434,6 @@ class _Table:
                 return i
 
 
-def _numerators(dist: Mapping[Pattern, Fraction], den: int) -> list:
-    """(pattern, weight * den) in term order; ``den`` is a common denominator."""
-    return [(pattern, w.numerator * (den // w.denominator)) for pattern, w in dist.items()]
-
-
 _circuit = lru_cache(maxsize=None)(innsbruck_circuit)  # built once per process
 
 
@@ -446,9 +443,8 @@ def _output_table(component: Pattern) -> _Table:
     circuit.  Built once per process: at most 25, one per non-empty sub-pattern
     of the five emission components."""
     dist = pattern_distribution(_circuit().apply(monomial(component)))
-    den = lcm(*(w.denominator for w in dist.values()))
-    return _Table(((pattern, classify_pattern(pattern)), n)
-                  for pattern, n in _numerators(dist, den))
+    weights, _ = over_one_denominator(list(dist.values()))
+    return _Table(((pattern, classify_pattern(pattern)), n) for pattern, n in zip(dist, weights))
 
 
 _ALL_LOST = ((), classify_pattern(()))  # every photon lost: drawn without a random word
@@ -522,11 +518,11 @@ class _Sampler:
     def __init__(self, pair_prob: Fraction, loss_prob: Fraction, pulses: int):
         one_pair = pattern_distribution(single_pair_emission())
         two_pair = pattern_distribution(two_pair_emission())
-        common = lcm(*(w.denominator for w in (*one_pair.values(), *two_pair.values())))
+        weights, common = over_one_denominator([*one_pair.values(), *two_pair.values()])
         a, b = pair_prob.numerator, pair_prob.denominator
         # per-pulse weights over b^2 * common, and q = q_num / b^2
-        per_pulse = ([(c, a * b * n) for c, n in _numerators(one_pair, common)]
-                     + [(c, a * a * n) for c, n in _numerators(two_pair, common)])
+        per_pulse = ([(c, a * b * n) for c, n in zip(one_pair, weights)]
+                     + [(c, a * a * n) for c, n in zip(two_pair, weights[len(one_pair):])])
         pulse_den, q_num = b * b, b * b - a * b - a * a
         # the shortest block that emits at least half the time, if one fits:
         # then a joint draw that may skip the block costs at most two draws
@@ -612,6 +608,9 @@ def sample_events(
     sampled law is the rational law exactly, and the work of a call grows
     with the events it emits, not with ``pulses``.
 
+    Both probabilities are :class:`numbers.Rational`; a float raises
+    ``TypeError``.
+
     Identical arguments yield byte-identical streams.  Draws are made per
     emitted event, not per pulse, so changing a probability or the seed
     gives another stream.  For parallel generation split the pulse range
@@ -624,6 +623,8 @@ def sample_events(
     """
     if pulses < 0:
         raise ConfigurationError(f"pulse count {pulses} is negative")
+    if not isinstance(pair_prob, Rational) or not isinstance(loss_prob, Rational):
+        raise TypeError(f"probabilities must be exact rationals, got {pair_prob!r}, {loss_prob!r}")
     pair_prob, loss_prob = Fraction(pair_prob), Fraction(loss_prob)
     if not 0 <= pair_prob < 1 or pair_prob + pair_prob**2 > 1:
         raise ConfigurationError(

@@ -246,38 +246,75 @@ def render_amplitude(amp: Amplitude) -> str:
 
 Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]  # (encode, decode)
 
-INT: Codec = (int, int)
-BOOL: Codec = (bool, bool)
-TEXT: Codec = (str, str)
-RATIONAL: Codec = (str, lambda text: Fraction(str(text)))  # "p/q" text, never a JSON number
+
+def _json(kind: type, name: str) -> Callable[[Any], Any]:
+    """The decoder of one JSON type: it returns a value of exactly ``kind`` (so
+    no bool passes as an int) and raises ValueError for any other."""
+
+    def decode(value: Any) -> Any:
+        if type(value) is not kind:
+            raise ValueError(f"expected a JSON {name}, got {value!r:.60}")
+        return value
+
+    return decode
+
+
+_LIST, _OBJECT = _json(list, "list"), _json(dict, "object")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exact parse of ``p/q`` or a decimal literal ("13/20" == "0.65")."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {text!r} ({exc})") from None
+
+
+INT: Codec = (int, _json(int, "integer"))
+BOOL: Codec = (bool, _json(bool, "boolean"))
+TEXT: Codec = (str, _json(str, "string"))
+RATIONAL: Codec = (str, lambda text: parse_rational(TEXT[1](text)))  # "p/q", never a number
 
 
 def sequence_codec(item: Codec) -> Codec:
     """A JSON list of ``item`` values, decoded to a tuple."""
     encode, decode = item
-    return lambda values: [encode(v) for v in values], lambda obj: tuple(decode(v) for v in obj)
+    return (lambda values: [encode(v) for v in values],
+            lambda obj: tuple(decode(v) for v in _LIST(obj)))
 
 
 def mapping_codec(key: Codec, value: Codec) -> Codec:
     """A JSON object with encoded keys and values, decoded to a dict."""
     (encode_key, decode_key), (encode_value, decode_value) = key, value
     return (lambda mapping: {encode_key(k): encode_value(v) for k, v in mapping.items()},
-            lambda obj: {decode_key(k): decode_value(v) for k, v in obj.items()})
+            lambda obj: {decode_key(k): decode_value(v) for k, v in _OBJECT(obj).items()})
 
 
 def record_codec(build: Callable[..., Any], *fields: Tuple[str, str, Codec]) -> Codec:
     """A JSON object with one ``(wire key, attribute, codec)`` per field; the
-    decoder calls ``build`` with the decoded fields as keyword arguments."""
-    return (lambda value: {key: enc(getattr(value, attr)) for key, attr, (enc, _) in fields},
-            lambda obj: build(**{attr: dec(obj[key]) for key, attr, (_, dec) in fields}))
+    decoder calls ``build`` with the decoded fields as keyword arguments, and
+    a missing key raises ValueError."""
+
+    def decode(obj: Any) -> Any:
+        obj = _OBJECT(obj)
+        for key, _, _ in fields:
+            if key not in obj:
+                raise ValueError(f"JSON object lacks the key {key!r}")
+        return build(**{attr: dec(obj[key]) for key, attr, (_, dec) in fields})
+
+    return lambda value: {key: enc(getattr(value, attr)) for key, attr, (enc, _) in fields}, decode
 
 
 def tuple_codec(*fields: Tuple[str, Codec]) -> Codec:
     """A tuple as a JSON object with one ``(wire key, codec)`` per item; an
     item that is ``None`` is left out, and decodes from its absent key."""
+
+    def decode(obj: Any) -> tuple:
+        obj = _OBJECT(obj)
+        return tuple(dec(obj[key]) if key in obj else None for key, (_, dec) in fields)
+
     return (lambda values: {key: enc(v) for (key, (enc, _)), v in zip(fields, values)
-                            if v is not None},
-            lambda obj: tuple(dec(obj[key]) if key in obj else None for key, (_, dec) in fields))
+                            if v is not None}, decode)
 
 
 def derived_codec(codec: Codec, key: str, derive: Callable[[Any], Any]) -> Codec:
@@ -505,15 +542,15 @@ def pattern_to_json(pattern: Pattern) -> dict:
     return {mode.name: count for mode, count in pattern}
 
 
-def pattern_from_json(obj: Mapping[str, int]) -> Pattern:
-    # JSON true and 1.5 would pass int(); only a JSON integer is a count
-    if not isinstance(obj, dict) or any(type(count) is not int for count in obj.values()):
-        raise ValueError(f"a pattern is a JSON object of integer counts, got {obj!r}")
-    return as_pattern({mode_from_name(name): count for name, count in obj.items()})
-
-
-# hand-written, because the decoders report an unknown mode name as such
+# hand-written, because the decoder reports an unknown mode name as such
 MODE: Codec = (lambda mode: mode.name, mode_from_name)
+_COUNTS = mapping_codec(MODE, INT)
+
+
+def pattern_from_json(obj: Mapping[str, int]) -> Pattern:
+    return as_pattern(_COUNTS[1](obj))
+
+
 PATTERN: Codec = (pattern_to_json, pattern_from_json)
 
 
@@ -630,7 +667,7 @@ def creation(mode: Mode, coeff: Amplitude = ONE) -> StatePolynomial:
 
 
 def monomial(pattern: PatternLike, coeff: Amplitude = ONE) -> StatePolynomial:
-    return StatePolynomial({as_pattern(pattern): coeff})
+    return StatePolynomial(((pattern, coeff),))
 
 
 def multiply(p: StatePolynomial, q: StatePolynomial) -> StatePolynomial:

@@ -94,17 +94,17 @@ class LocalStrategy(Record):
                 self.z[triple.z is circular])
 
 
+@lru_cache(maxsize=None)
 def enumerate_strategies() -> Tuple[LocalStrategy, ...]:
-    """All 729 joint strategies (9 per station)."""
+    """All 729 joint strategies (9 per station), built once per process."""
     per_station = tuple(product(VALUES, repeat=2))
     return tuple(LocalStrategy(*s) for s in product(per_station, repeat=3))
 
 
 @lru_cache(maxsize=None)
 def right_sector_strategies() -> Tuple[LocalStrategy, ...]:
-    """The 64 all-±1 strategies (χ = 1)."""
-    signs = tuple(product((1, -1), repeat=2))
-    return tuple(LocalStrategy(*s) for s in product(signs, repeat=3))
+    """The 64 all-±1 strategies (χ = 1), in the order of the enumeration."""
+    return tuple(s for s in enumerate_strategies() if 0 not in (*s.g, *s.h, *s.z))
 
 
 # The four perfect GHZ correlations as (settings code, sign): E(xxx) = +1,

@@ -52,6 +52,7 @@ from .fock import (
     RATIONAL,
     Record,
     StatePolynomial,
+    TEXT,
     TRIGGER,
     mapping_codec,
     mode_from_name,
@@ -335,7 +336,7 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
     return OutcomeTable(table.settings, cells, table.wrong_mass)
 
 
-SETTING_TRIPLE = (lambda triple: triple.code, lambda code: SettingTriple.from_code(str(code)))
+SETTING_TRIPLE = (lambda triple: triple.code, lambda code: SettingTriple.from_code(TEXT[1](code)))
 TABLE = record_codec(
     OutcomeTable,
     ("settings", "settings", SETTING_TRIPLE),

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ghzsim
 from ghzsim import lhv
-from ghzsim.cli import RunConfig, _stream_events, parse_argv, parse_rational, run
+from ghzsim.cli import RunConfig, _stream_events, main, parse_argv, parse_rational, run
 from ghzsim.events import EVENT, classify_pattern, sample_events
 from ghzsim.lhv import (
     FeasibilityProblem,
@@ -221,6 +221,23 @@ def test_negative_pulses_exit_through_the_envelope(capsys, tmp_path):
         assert _one_envelope(err) == {"type": "ConfigurationError",
                                       "message": "pulse count -5 is negative"}
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sigint_exits_130_through_one_envelope(capsys, monkeypatch, tmp_path):
+    first = next(sample_events(2000, Fraction(1, 20), 1))
+
+    def interrupted(*args):
+        yield first
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("ghzsim.events.sample_events", interrupted)
+    target = tmp_path / "events.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sample", "--pulses", "2000", "--output", str(target)])
+    assert excinfo.value.code == 130
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_envelope(captured.err)["type"] == "interrupted"
+    assert list(tmp_path.iterdir()) == []  # neither the artifact nor its temp file
 
 
 def _child_env() -> dict:

@@ -31,14 +31,19 @@ from ghzsim.events import (
 )
 from ghzsim.fock import (
     AMPLITUDE,
+    INT,
     MODE_BY_NAME,
     PATTERN,
+    RATIONAL,
     TERMS,
+    TEXT,
     Amplitude,
     InvalidModeError,
     StatePolynomial,
     as_pattern,
+    mapping_codec,
     pattern_from_json,
+    sequence_codec,
 )
 from ghzsim.lhv import (
     CERTIFICATE,
@@ -194,6 +199,35 @@ def test_table_decoder_rejects_a_table_that_does_not_sum_to_one(table, excess):
     obj = TABLE[0](table)
     with pytest.raises(ValueError, match="sum to 1"):
         TABLE[1](_corrupt(obj, wrong_mass=str(table.wrong_mass + excess)))
+
+
+_RIGHT_EVENT = {"pulse": 3, "pattern": {}, "class": "right", "veto": False}
+
+
+# each decoder accepts only its own JSON type, and a record only with all its keys
+@pytest.mark.parametrize("decode,obj", [
+    (FEASIBILITY_VERDICT[1], {"visibility": "13/20", "feasible": "false",
+                              "chi_zero_weight": "3/4", "distribution": []}),
+    (FEASIBILITY_VERDICT[1], {"visibility": 0.65, "feasible": False,
+                              "chi_zero_weight": "3/4", "distribution": []}),
+    (EVENT[1], {**_RIGHT_EVENT, "pulse": 3.7}),
+    (EVENT[1], {**_RIGHT_EVENT, "veto": "false"}),
+    (lhv.DISTRIBUTION[1], [{"g": [1.9, -1], "h": [1, 1], "z": [1, 1], "weight": "1"}]),
+    (sequence_codec(INT)[1], "12"),
+    (INT[1], True),
+    (TEXT[1], 5),
+    (RATIONAL[1], 1),
+    (RATIONAL[1], "1/0"),
+    (mapping_codec(TEXT, RATIONAL)[1], []),
+    (CLASSIFICATION[1], []),
+    (CERTIFICATE[1], []),
+    (TABLE[1], {"settings": "xxx"}),
+], ids=["bool text", "float rational", "float int", "text bool", "float in list", "text list",
+        "bool int", "int text", "int rational", "zero denominator", "list object",
+        "list tuple", "list record", "missing keys"])
+def test_decoders_take_only_their_json_type(decode, obj):
+    with pytest.raises(ValueError):
+        decode(obj)
 
 
 @pytest.mark.parametrize("code", ["+1,+1", "+1,+1,+1,+1", "+2,+1,-1", "0,+1,+1", "x"])

@@ -354,6 +354,13 @@ def test_sampler_rejects_bad_probabilities():
         list(sample_events(10, Fraction(1, 10), seed=0, loss_prob=Fraction(2)))
 
 
+@pytest.mark.parametrize("pair_prob,loss_prob", [(0.05, Fraction(0)), (Fraction(1, 20), 0.1)])
+def test_sampler_rejects_float_probabilities(pair_prob, loss_prob):
+    # a float is a binary fraction: 0.05 would sample p = 3602879701896397/2^56
+    with pytest.raises(TypeError, match="exact rationals"):
+        list(sample_events(2000, pair_prob, 1, loss_prob))
+
+
 def test_sampler_one_pair_statistics():
     pulses, p = 10**6, Fraction(1, 10000)
     events = list(sample_events(pulses, p, seed=42))

@@ -4,8 +4,10 @@ and the Monte Carlo sampler alike are exact rational arithmetic), the
 settings of the four GHZ constraints are written in one place, only the
 detector readout reads the trigger mode, ``@dataclass`` decorates only
 the records that callers copy with ``dataclasses.replace``, the simplex
-pivots on integers alone, and the evidence checks name nothing from the
-simplex and loop over integers alone."""
+pivots on integers alone, the evidence checks name nothing from the
+simplex and loop over integers alone, only the ring, the outcome tables and
+the simplex name ``lcm``, and only the strategy enumeration and the decoder
+of a mixture build a ``LocalStrategy``."""
 
 import ast
 import sys
@@ -79,6 +81,34 @@ def test_only_the_detector_readout_names_the_trigger_mode():
         or (isinstance(node, ast.Attribute) and node.attr == "TRIGGER")
     }
     assert places == {"fock.py", "measurement.py"}
+
+
+def test_only_the_ring_the_tables_and_the_simplex_name_lcm():
+    # every other module puts its weights over one denominator through
+    # measurement.over_one_denominator
+    places = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) == "lcm"
+    }
+    assert places == {"fock.py", "measurement.py", "simplex.py"}
+
+
+def test_strategies_are_built_only_by_the_enumeration_and_the_mixture_decoder():
+    def statement_name(node: ast.stmt) -> str:
+        if isinstance(node, ast.Assign):
+            return node.targets[0].id
+        return node.name
+
+    places = {
+        f"{path.name}:{statement_name(statement)}"
+        for path in SOURCES
+        for statement in _tree(path).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LocalStrategy"
+    }
+    assert places == {"lhv.py:enumerate_strategies", "lhv.py:DISTRIBUTION"}
 
 
 # Generating a dataclass costs about a millisecond at import, paid by every

@@ -109,6 +109,15 @@ def test_lemma_enumeration_counts():
     assert report.consistent
 
 
+def test_strategies_are_enumerated_once():
+    # the right sector is the chi = 1 slice of the one enumeration, in its order
+    strategies = enumerate_strategies()
+    assert strategies is enumerate_strategies()
+    chi_one = tuple(s for s in strategies if all(abs(v) == 1 for v in (*s.g, *s.h, *s.z)))
+    right = right_sector_strategies()
+    assert right == chi_one and all(a is b for a, b in zip(right, chi_one))
+
+
 def test_sigmas_sum_per_station_moduli():
     # _sigmas adds one modulus per station; sigma reads the outcomes at a triple
     for strategy in enumerate_strategies():
