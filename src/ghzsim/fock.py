@@ -305,12 +305,17 @@ def record_codec(build: Callable[..., Any], *fields: Tuple[str, str, Codec]) -> 
     return lambda value: {key: enc(getattr(value, attr)) for key, attr, (enc, _) in fields}, decode
 
 
-def tuple_codec(*fields: Tuple[str, Codec]) -> Codec:
+def tuple_codec(*fields: Tuple[str, Codec], optional: Tuple[str, ...] = ()) -> Codec:
     """A tuple as a JSON object with one ``(wire key, codec)`` per item; an
-    item that is ``None`` is left out, and decodes from its absent key."""
+    item that is ``None`` is left out.  Only the keys named in ``optional``
+    may be absent, and decode to ``None``; any other missing key raises
+    ValueError."""
 
     def decode(obj: Any) -> tuple:
         obj = _OBJECT(obj)
+        for key, _ in fields:
+            if key not in obj and key not in optional:
+                raise ValueError(f"JSON object lacks the key {key!r}")
         return tuple(dec(obj[key]) if key in obj else None for key, (_, dec) in fields)
 
     return (lambda values: {key: enc(v) for (key, (enc, _)), v in zip(fields, values)

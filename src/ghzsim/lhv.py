@@ -10,6 +10,17 @@ into a right sector (64 all-±1 strategies) and an aggregated wrong-sector
 weight, and reproducing the quantum tables becomes a small exact-rational
 linear program solved in :mod:`ghzsim.simplex`.
 
+That LP is solved over orbits.  Permuting the stations, and negating one
+station's outcome at one of its settings, map strategies to strategies and
+outcome cells to cells: 384 relabellings in all.  Those that fix every target
+cell form a group (of order 48 for the quantum tables at every visibility
+above 0).  Averaging a mixture over that group keeps it a solution, so an LP
+with one column per strategy orbit and one row per cell orbit has the full
+LP's verdict (Bödi, Herr & Joswig, Math. Program. 137, 2013).  The kernel is
+handed the full 65 rows with their orbits, pivots on the orbit LP, and lifts
+its mixture or Farkas certificate back to the 64 strategies and 65 rows,
+where it is checked by code that shares nothing with the solver.
+
 The GHZ contradiction itself needs no inequalities
 (:func:`ghz_paradox_check`), while the noise tolerance is an LP boundary:
 white-noise-mixed quantum tables are feasible exactly up to visibility 1/2
@@ -21,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress, permutations, product
 from math import prod
-from operator import mul
+from operator import itemgetter, mul, xor
 from numbers import Rational
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -75,6 +86,8 @@ VALUES = (1, -1, 0)
 
 
 StationAssignment = Tuple[int, int]  # value at linear45, value at circular
+_ASSIGNMENTS: Tuple[StationAssignment, ...] = tuple(product(VALUES, repeat=2))
+_ASSIGNMENT_SET = frozenset(_ASSIGNMENTS)
 
 
 class LocalStrategy(Record):
@@ -83,9 +96,8 @@ class LocalStrategy(Record):
     __slots__ = _fields = ("g", "h", "z")
 
     def __init__(self, g: StationAssignment, h: StationAssignment, z: StationAssignment) -> None:
-        for assignment in (g, h, z):
-            if any(v not in VALUES for v in assignment):
-                raise ValueError("strategy values must lie in {+1, -1, 0}")
+        if not _ASSIGNMENT_SET.issuperset((g, h, z)):
+            raise ValueError("each station assigns one of {+1, -1, 0} to each of its 2 settings")
         self._set(g, h, z)
 
     def outcomes(self, triple: SettingTriple) -> Outcome:
@@ -97,8 +109,7 @@ class LocalStrategy(Record):
 @lru_cache(maxsize=None)
 def enumerate_strategies() -> Tuple[LocalStrategy, ...]:
     """All 729 joint strategies (9 per station), built once per process."""
-    per_station = tuple(product(VALUES, repeat=2))
-    return tuple(LocalStrategy(*s) for s in product(per_station, repeat=3))
+    return tuple(LocalStrategy(*s) for s in product(_ASSIGNMENTS, repeat=3))
 
 
 @lru_cache(maxsize=None)
@@ -354,22 +365,118 @@ def _cell_rows(problem: FeasibilityProblem):
 
 def _with_slack(rows, rhs, slack: Fraction):
     """Relax cell equalities to a ±slack band via surplus columns."""
+    wide_rhs = [b + side for b in rhs[:-1] for side in (slack, -slack)]
+    wide_rhs.append(rhs[-1])  # mass row stays exact
+    return _band_rows(tuple(map(tuple, rows))), wide_rhs
+
+
+@lru_cache(maxsize=4)
+def _band_rows(rows: Incidence) -> Incidence:
+    """Each cell row as an upper band row, with a +1 surplus column, and a
+    lower one, with a −1 surplus column; then the mass row.  They depend on
+    the rows alone, so every slack shares them, read-only."""
     n = len(rows[0])
-    cells = len(rows) - 1  # mass row stays exact
-    wide_rows: List[List[int]] = []
-    wide_rhs: List[Fraction] = []
+    cells = len(rows) - 1
+    wide_rows: List[Tuple[int, ...]] = []
     for i in range(cells):
-        upper = list(rows[i]) + [0] * (2 * cells)
-        upper[n + i] = 1
-        wide_rows.append(upper)
-        wide_rhs.append(rhs[i] + slack)
-        lower = list(rows[i]) + [0] * (2 * cells)
-        lower[n + cells + i] = -1
-        wide_rows.append(lower)
-        wide_rhs.append(rhs[i] - slack)
-    wide_rows.append(list(rows[-1]) + [0] * (2 * cells))
-    wide_rhs.append(rhs[-1])
-    return wide_rows, wide_rhs
+        for surplus, sign in ((n + i, 1), (n + cells + i, -1)):
+            band = list(rows[i]) + [0] * (2 * cells)
+            band[surplus] = sign
+            wide_rows.append(tuple(band))
+    wide_rows.append(tuple(rows[-1]) + (0,) * (2 * cells))
+    return tuple(wide_rows)
+
+
+Permutation = bytes  # the image of each index
+Orbits = Tuple[Tuple[int, ...], ...]  # each sorted, ordered by least index
+
+
+@lru_cache(maxsize=None)
+def _candidate_maps() -> Tuple[Tuple[Permutation, Permutation], ...]:
+    """The 384 relabellings that keep the LP's incidence, each as a permutation
+    of the 64 cell rows and one of the 64 strategy columns (as ``bytes``, about
+    a sixth of a tuple's memory).
+
+    A relabelling moves station k to place ``order[k]`` (6 orders), then
+    negates the outcome of station k at setting x for each (k, x) of a set
+    ``f`` of the 6 pairs.  A strategy gives a cell exactly when its image
+    gives the image cell.  Both indices are bit fields, as the product
+    orders of :data:`TRIPLES`, :data:`OUTCOMES` and the enumeration make
+    them (x = 0 linear, 1 circular; a bit is set for −1):
+
+    * strategy j holds station k's value at setting x in bit 5 − 2k − x;
+    * cell 8t + o holds station k's setting in bit 2 − k of t, and its
+      outcome in bit 2 − k of o.
+
+    So ``f``, written as a strategy bit field, maps strategy j to j ^ f.
+    Built on the first solve of a process, never at import.
+    """
+    flips = [((0,) * 8, 0)]  # (the outcome bits flipped in each triple t, the strategy bits)
+    for k, x in product(range(3), (0, 1)):
+        single = tuple(((t >> 2 - k & 1) == x) << 2 - k for t in range(8))
+        flips += [(tuple(map(xor, masks, single)), bits ^ (1 << 5 - 2 * k - x))
+                  for masks, bits in flips]
+    flips = [(tuple([8 * t + (o ^ mask) for t, mask in enumerate(masks) for o in range(8)]),
+              tuple([j ^ bits for j in range(64)])) for masks, bits in flips]
+    maps = []
+    for order in permutations(range(3)):
+        # where the order moves a 3-bit field of settings or outcomes, and a strategy
+        moved = [sum(v << 2 - to for v, to in zip(field, order))
+                 for field in product((0, 1), repeat=3)]
+        strategies = itemgetter(*[sum(v << 4 - 2 * to for v, to in zip(field, order))
+                                  for field in product(range(4), repeat=3)])
+        cells = itemgetter(*[8 * t + o for t in moved for o in moved])
+        maps += [(bytes(cells(cell_flip)), bytes(strategies(strategy_flip)))
+                 for cell_flip, strategy_flip in flips]
+    return tuple(maps)
+
+
+def _orbits(group: Sequence[Permutation]) -> Orbits:
+    """The orbits of a group given as the list of all its permutations."""
+    orbits: List[Tuple[int, ...]] = []
+    seen = set()
+    for i in range(len(group[0])):
+        if i not in seen:
+            orbits.append(tuple(sorted({p[i] for p in group})))
+            seen.update(orbits[-1])
+    return tuple(orbits)
+
+
+@lru_cache(maxsize=64)
+def _symmetry(partition: Tuple[int, ...]) -> Tuple[Orbits, Orbits]:
+    """The row and column orbits of the maps that fix every target cell: the
+    cell orbits, then the mass row alone, and the strategy orbits, each
+    ordered by least index (see :func:`ghzsim.simplex.orbit_system`).  The
+    orbit LP's entry counts the members of the column's orbit that give the
+    row's cell, so its mass row is the orbit sizes, and a trivial stabiliser
+    gives back the full rows.
+
+    ``partition`` labels each cell by the first cell with an equal target,
+    so it alone decides which candidate maps fix the targets."""
+    stabiliser = [m for m in _candidate_maps() if itemgetter(*m[0])(partition) == partition]
+    cells = _orbits([cell_map for cell_map, _ in stabiliser])
+    strategies = _orbits([strategy_map for _, strategy_map in stabiliser])
+    return (*cells, (len(partition),)), strategies
+
+
+@lru_cache(maxsize=64)
+def _slack_symmetry(rows: Orbits, columns: Orbits) -> Tuple[Orbits, Orbits]:
+    """The orbits of :func:`_with_slack`'s rows and columns: each cell orbit
+    becomes the orbit of its upper band rows and that of its lower ones, and
+    adds the orbits of their surplus columns."""
+    *cells, (mass,) = rows
+    n = sum(map(len, columns))
+    wide_rows = tuple(tuple(2 * i + side for i in orbit) for orbit in cells for side in (0, 1))
+    surplus = tuple(tuple(n + offset + i for i in orbit)
+                    for offset in (0, mass) for orbit in cells)
+    return (*wide_rows, (2 * mass,)), columns + surplus
+
+
+def _partition(cells: Sequence[Rational]) -> Tuple[int, ...]:
+    """Each cell labelled by the first cell of equal value (rationals are
+    kept in lowest terms, so equal values have equal numerator and denominator)."""
+    first: Dict[Tuple[int, int], int] = {}
+    return tuple(first.setdefault((v.numerator, v.denominator), i) for i, v in enumerate(cells))
 
 
 def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
@@ -379,11 +486,22 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     the targets, validated at problem build time, and carried by the
     aggregated χ=0 weight), so the LP only asks whether non-negative
     weights on the 64 all-±1 strategies reproduce every right-event cell.
+
+    The kernel solves it over the orbits of the targets' stabiliser (see
+    :func:`_symmetry`): averaging a solution over the stabiliser keeps it a
+    solution, so the orbit LP has the full LP's verdict.  Its evidence comes
+    back lifted to the full problem and is checked there by
+    :func:`verify_verdict` or :func:`evaluate_certificate`: a mixture gives
+    every member of a strategy orbit the orbit's weight, and a certificate
+    gives each cell of orbit o the coefficient y_o/|o|, with the mass
+    coefficient as solved.
     """
     strategies, rows, rhs, keys = _cell_rows(problem)
+    orbits = _symmetry(_partition(rhs[:-1]))
     if problem.slack:
         rows, rhs = _with_slack(rows, rhs, problem.slack)
-    result = solve_feasibility(rows, rhs)
+        orbits = _slack_symmetry(*orbits)
+    result = solve_feasibility(rows, rhs, orbits)
     if result.feasible:
         mixture = {s: w for s, w in zip(strategies, result.solution) if w}
         return FeasibilityOutcome(True, mixture, problem.wrong_mass, None, result.iterations,
@@ -478,6 +596,7 @@ DISTRIBUTION = (
 FEASIBILITY_VERDICT = tuple_codec(
     ("visibility", RATIONAL), ("feasible", BOOL), ("chi_zero_weight", RATIONAL),
     ("distribution", DISTRIBUTION), ("certificate", CERTIFICATE),
+    optional=("chi_zero_weight", "distribution", "certificate"),
 )
 
 

@@ -230,6 +230,39 @@ def test_decoders_take_only_their_json_type(decode, obj):
         decode(obj)
 
 
+@pytest.mark.parametrize("decode,obj", [
+    (lhv.DISTRIBUTION[1], [{"g": [1, 1]}]),
+    (TERMS[1], [{}]),
+], ids=["strategy without h, z and weight", "term without pattern and amplitude"])
+def test_a_missing_required_key_raises_value_error(decode, obj):
+    with pytest.raises(ValueError, match="lacks the key"):
+        decode(obj)
+
+
+def test_a_verdict_decodes_without_the_evidence_it_does_not_carry():
+    feasible = {"visibility": "1/2", "feasible": True, "chi_zero_weight": "3/4",
+                "distribution": []}
+    assert FEASIBILITY_VERDICT[1](feasible) == (Fraction(1, 2), True, Fraction(3, 4), {}, None)
+    certificate = lhv.feasibility_at_visibility(Fraction(1)).certificate
+    infeasible = FEASIBILITY_VERDICT[0]((Fraction(1), False, None, None, certificate))
+    assert set(infeasible) == {"visibility", "feasible", "certificate"}
+    assert FEASIBILITY_VERDICT[1](infeasible) == (
+        Fraction(1), False, None, None, certificate.coefficients)
+    # the verdict itself is required
+    with pytest.raises(ValueError, match="lacks the key 'feasible'"):
+        FEASIBILITY_VERDICT[1]({"visibility": "1/2", "chi_zero_weight": "3/4",
+                                "distribution": []})
+
+
+@pytest.mark.parametrize("assignments", [
+    {"g": [1], "h": [1, 1, 1], "z": [1, 1]},
+    {"g": [], "h": [1, 1], "z": [1, 1]},
+], ids=["one and three values", "no value"])
+def test_strategy_decoder_rejects_an_assignment_without_two_values(assignments):
+    with pytest.raises(ValueError, match="2 settings"):
+        lhv.DISTRIBUTION[1]([{**assignments, "weight": "1/4"}])
+
+
 @pytest.mark.parametrize("code", ["+1,+1", "+1,+1,+1,+1", "+2,+1,-1", "0,+1,+1", "x"])
 def test_table_decoder_rejects_a_bad_outcome_code(code):
     obj = TABLE[0](_fixed_table())

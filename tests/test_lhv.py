@@ -1,11 +1,18 @@
 """Strategy enumeration, the sigma lemma, the GHZ paradox, and the LP boundary."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzsim import lhv
 from ghzsim.fock import GhzsimError
@@ -14,6 +21,7 @@ from ghzsim.lhv import (
     CHI_ZERO,
     CRITICAL_RESULT,
     Certificate,
+    FEASIBILITY_VERDICT,
     FeasibilityOutcome,
     FeasibilityProblem,
     GHZ_REPORT,
@@ -48,7 +56,7 @@ from ghzsim.measurement import (
     outcome_code,
     outcome_from_code,
 )
-from ghzsim.simplex import FeasibilityResult, solve_feasibility
+from ghzsim.simplex import FeasibilityResult, orbit_system, solve_feasibility, verify_farkas
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +155,20 @@ def test_every_setting_dependent_strategy_hits_even_sigma():
 # ---------------------------------------------------------------------------
 
 
-def _strategy_point_targets(strategy: LocalStrategy):
+def _mixture_tables(mixture, wrong_mass):
+    """The tables that the right-sector ``mixture`` (strategy → weight) reproduces."""
     tables = []
     for triple in all_setting_triples():
         cells = {outcome: Fraction(0) for outcome in OUTCOMES}
-        cells[strategy.outcomes(triple)] = Fraction(1)
-        tables.append(OutcomeTable(triple, cells, Fraction(0)))
+        for strategy, weight in mixture.items():
+            cells[strategy.outcomes(triple)] += weight
+        tables.append(OutcomeTable(triple, cells, wrong_mass))
     return tuple(tables)
 
 
 def test_deterministic_vertex_is_feasible_with_point_mass():
     strategy = right_sector_strategies()[17]
-    outcome = lhv_feasibility(FeasibilityProblem(_strategy_point_targets(strategy)))
+    outcome = lhv_feasibility(FeasibilityProblem(_mixture_tables({strategy: 1}, Fraction(0))))
     assert outcome.feasible
     assert outcome.distribution == {strategy: Fraction(1)}
     assert outcome.chi_zero_weight == 0
@@ -360,10 +370,21 @@ def test_no_float_enters_a_verdict():
     )
 
 
-# Pivot counts and exact values of the Phase-I solve, pinned from the dense
-# Fraction tableau that preceded the integer-row one: the same pivot rule on
-# the same exact values must take the same path to the same answer.
+# Pivot counts of each verdict's orbit LP (see test_orbit_lp_of_the_quantum_targets):
+# 5 rows by 1 column at V = 0, where every cell is equal, and 7 by 4 above it
 PINNED_PIVOTS = {
+    Fraction(0): 1,
+    Fraction(1, 4): 3,
+    Fraction(1, 2): 3,
+    Fraction(51, 100): 2,
+    Fraction(13, 20): 2,
+    Fraction(3, 4): 2,
+    Fraction(1): 2,
+}
+# The same verdicts as the kernel solves them on the full 65 x 64 rows, pinned
+# from the dense Fraction tableau that preceded the integer-row one: the same
+# pivot rule on the same exact values must take the same path to the same answer.
+FULL_LP_PIVOTS = {
     Fraction(0): 45,
     Fraction(1, 4): 51,
     Fraction(1, 2): 51,
@@ -384,14 +405,24 @@ def test_pivot_counts_are_pinned(visibility):
     assert outcome.feasible or outcome.certificate.verified
 
 
+@pytest.mark.parametrize("visibility", sorted(FULL_LP_PIVOTS))
+def test_full_lp_pivot_counts_are_pinned(visibility):
+    result = solve_feasibility(*_lp(visibility))
+    assert result.iterations == FULL_LP_PIVOTS[visibility]
+    assert result.feasible == feasibility_at_visibility(visibility).feasible
+
+
 def test_slack_lp_pivot_count_is_pinned():
     problem = FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(1, 64))
+    outcome = lhv_feasibility(problem)
+    assert outcome.feasible and outcome.verified
+    assert outcome.iterations == 4  # on 13 rows by 16 columns
+    # the kernel on the full rows: the same verdict after 118 pivots
     _, rows, rhs, _ = lhv._cell_rows(problem)
     wide_rows, wide_rhs = lhv._with_slack(rows, rhs, problem.slack)
     assert (len(wide_rows), len(wide_rows[0])) == (129, 192)
-    outcome = lhv_feasibility(problem)
-    assert outcome.feasible and outcome.verified
-    assert outcome.iterations == 118
+    full = solve_feasibility(wide_rows, wide_rhs)
+    assert full.feasible and full.iterations == 118
 
 
 def _lp(visibility):
@@ -460,6 +491,182 @@ def test_incidence_is_shared_and_read_only():
             assert row == tuple(int(s.outcomes(triple) == outcome) for s in strategies)
 
 
+# ---------------------------------------------------------------------------
+# The orbit LP and its lifted evidence
+# ---------------------------------------------------------------------------
+
+
+def test_candidate_maps_keep_the_incidence_and_form_a_group():
+    maps = lhv._candidate_maps()
+    assert len(maps) == len(set(maps)) == 384
+    _, rows = lhv._incidence()
+    for cells, strategies in maps:
+        assert sorted(cells) == sorted(strategies) == list(range(64))
+        # strategy s gives cell c exactly when its image gives the image cell
+        permuted = itemgetter(*strategies)
+        assert all(permuted(rows[cells[c]]) == rows[c] for c in range(64))
+    # closed under composition, so the maps that fix a table form a group
+    known = set(maps)
+    for first in maps[::11]:
+        for second in maps:
+            assert tuple(bytes(b[i] for i in a) for a, b in zip(first, second)) in known
+
+
+def test_candidate_maps_are_built_on_the_first_solve_not_at_import():
+    code = ("from fractions import Fraction; from ghzsim import lhv; "
+            "lhv.quantum_targets(Fraction(1, 2)); "
+            "before = lhv._candidate_maps.cache_info().currsize; "
+            "lhv.feasibility_at_visibility(Fraction(1, 2)); "
+            "print(before, lhv._candidate_maps.cache_info().currsize)")
+    src = str(Path(lhv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]
+
+
+def _orbit_lp_of(problem):
+    """(cell orbits, strategy orbits, rows) of the problem's orbit LP."""
+    _, rows, rhs, _ = lhv._cell_rows(problem)
+    orbits = lhv._symmetry(lhv._partition(rhs[:-1]))
+    assert orbits[0][-1] == (64,)  # the mass row is an orbit of its own
+    reduced, _ = orbit_system(rows, rhs, orbits)
+    return orbits[0][:-1], orbits[1], tuple(reduced)
+
+
+def _stabiliser(problem):
+    """The candidate maps that fix every target cell, compared as values."""
+    _, _, rhs, _ = lhv._cell_rows(problem)
+    return [m for m in lhv._candidate_maps() if all(rhs[m[0][c]] == rhs[c] for c in range(64))]
+
+
+def test_orbit_lp_of_the_quantum_targets():
+    _, rows = lhv._incidence()
+    for visibility in (Fraction(1, 4), Fraction(13, 20), Fraction(1)):
+        problem = FeasibilityProblem(quantum_targets(visibility))
+        assert len(_stabiliser(problem)) == 48
+        cells, strategies, reduced = _orbit_lp_of(problem)
+        assert [len(orbit) for orbit in cells] == [4, 4, 24, 12, 12, 8]
+        assert [len(orbit) for orbit in strategies] == [8, 24, 24, 8]
+        assert reduced[-1] == (8, 24, 24, 8)  # the mass row: the orbit sizes
+        # an entry counts the members of the strategy orbit that give the row's
+        # cell, and every cell of the row's orbit gives the same count
+        for orbit, row in zip(cells, reduced):
+            for c in orbit:
+                assert row == tuple(sum(rows[c][s] for s in members) for members in strategies)
+    # at V = 0 every cell is equal: all 384 maps fix the targets
+    problem = FeasibilityProblem(quantum_targets(0))
+    assert len(_stabiliser(problem)) == 384
+    cells, strategies, _ = _orbit_lp_of(problem)
+    assert [len(orbit) for orbit in cells] == [8, 24, 24, 8]
+    assert strategies == (tuple(range(64)),)
+
+
+@pytest.mark.parametrize("slack,shape", [(Fraction(0), (65, 64, 7, 4)),
+                                         (Fraction(1, 64), (129, 192, 13, 16))])
+def test_the_kernel_is_handed_the_full_rows_and_their_orbits(monkeypatch, slack, shape):
+    seen = []
+
+    def recorded(rows, rhs, orbits):
+        seen.append((len(rows), len(rows[0]), len(orbits[0]), len(orbits[1])))
+        return solve_feasibility(rows, rhs, orbits)
+
+    monkeypatch.setattr(lhv, "solve_feasibility", recorded)
+    outcome = lhv_feasibility(FeasibilityProblem(quantum_targets(Fraction(1)), slack=slack))
+    assert outcome.verified and seen == [shape]
+
+
+def _moved(tables, moves):
+    """``tables`` with mass ``delta`` moved from cell ``a`` to cell ``b`` of
+    table ``i``, for each ``(i, a, b, delta)`` of ``moves``."""
+    tables = list(tables)
+    for i, a, b, delta in moves:
+        cells = dict(tables[i].probabilities)
+        cells[a] -= delta
+        cells[b] += delta
+        tables[i] = OutcomeTable(tables[i].settings, cells, tables[i].wrong_mass)
+    return tables
+
+
+# Two problems whose stabiliser is trivial, so that the orbit LP is the full
+# LP: (feasible, pivots, sha256 of the FEASIBILITY_VERDICT JSON), pinned from
+# the full-LP solve that preceded the orbit LP
+ASYMMETRIC_PROBLEMS = {
+    # the V = 3/5 tables with (i + 1)/1000 moved from cell i to cell i + 1 of table i
+    "moved cells": (lambda: (Fraction(3, 5), FeasibilityProblem(_moved(
+        quantum_targets(Fraction(3, 5)),
+        [(i, OUTCOMES[i], OUTCOMES[(i + 1) % 8], Fraction(i + 1, 1000)) for i in range(8)]))),
+        False, 30, "d33b760dcb84867c78909c8d7816791aa6763eb9bbf831ae553436b4d0e317c2"),
+    # strategy j of the right sector weighted (j + 1)/8320
+    "distinct weights": (lambda: (None, FeasibilityProblem(_mixture_tables(
+        {s: Fraction(j + 1, 4 * 2080) for j, s in enumerate(right_sector_strategies())},
+        Fraction(3, 4)))),
+        True, 63, "e5d4d24904e23e114918df9f6c22cbb1397547f5d1f1444c68d085cfdd76b6e2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASYMMETRIC_PROBLEMS))
+def test_a_trivial_stabiliser_keeps_the_full_lp(name):
+    build, feasible, pivots, digest = ASYMMETRIC_PROBLEMS[name]
+    visibility, problem = build()
+    cells, strategies, reduced = _orbit_lp_of(problem)
+    _, rows, _, _ = lhv._cell_rows(problem)
+    assert len(_stabiliser(problem)) == 1
+    assert reduced == rows and len(cells) == len(strategies) == 64
+    outcome = lhv_feasibility(problem)
+    assert (outcome.feasible, outcome.verified, outcome.iterations) == (feasible, True, pivots)
+    payload = FEASIBILITY_VERDICT[0]((visibility, outcome.feasible, outcome.chi_zero_weight,
+                                      outcome.distribution, outcome.certificate))
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == digest
+
+
+@st.composite
+def _problems(draw):
+    """Quantum or random-mixture targets at a random slack, with mass moved
+    between two cells of up to three tables, which breaks their symmetry."""
+    if draw(st.booleans()):
+        tables = quantum_targets(draw(st.fractions(0, 1, max_denominator=10**4)))
+    else:
+        counts = draw(st.lists(st.integers(0, 4), min_size=64, max_size=64).filter(any))
+        right = draw(st.fractions(Fraction(1, 16), 1, max_denominator=64))
+        tables = _mixture_tables({s: right * n / sum(counts)
+                                  for s, n in zip(right_sector_strategies(), counts)}, 1 - right)
+    for _ in range(draw(st.integers(0, 3))):
+        i, a, b = draw(st.integers(0, 7)), *draw(st.lists(st.sampled_from(OUTCOMES),
+                                                          min_size=2, max_size=2))
+        share = draw(st.fractions(0, 1, max_denominator=20))
+        tables = _moved(tables, [(i, a, b, tables[i].probabilities[a] * share)])
+    slack = draw(st.one_of(st.just(Fraction(0)),
+                           st.fractions(0, Fraction(1, 100), max_denominator=1000)))
+    return FeasibilityProblem(tables, slack=slack)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_problems(), st.data())
+def test_the_orbit_lp_has_the_full_lps_verdict_and_lifted_evidence(problem, data):
+    outcome = lhv_feasibility(problem)
+    _, rows, rhs, keys = lhv._cell_rows(problem)
+    full = (lhv._with_slack(rows, rhs, problem.slack) if problem.slack else (rows, rhs))
+    assert outcome.feasible == solve_feasibility(*full).feasible
+    assert outcome.verified
+    if outcome.feasible:
+        assert verify_verdict(problem, True, {**outcome.distribution,
+                                              CHI_ZERO: outcome.chi_zero_weight})
+        return
+    coefficients = outcome.certificate.coefficients
+    assert list(coefficients) == list(keys)  # every row, in row order
+    assert verify_verdict(problem, False, coefficients)
+    assert verify_farkas(rows, rhs, [coefficients[key] for key in keys])
+    # the check reads every cell, not one per orbit: raising one cell's
+    # coefficient past every column's size makes its strategies' columns positive
+    cell = data.draw(st.sampled_from(data.draw(st.sampled_from(_orbit_lp_of(problem)[0]))))
+    changed = dict(coefficients)
+    changed[keys[cell]] += 1 + sum(map(abs, coefficients.values()))
+    assert not evaluate_certificate(problem, changed).verified
+
+
 def test_feasible_verdicts_are_verified_apart_from_the_solver():
     problem = FeasibilityProblem(quantum_targets(Fraction(1, 2)))
     outcome = lhv_feasibility(problem)
@@ -525,13 +732,22 @@ def test_certificates_are_checked_against_the_slack_they_claim():
 def test_slack_certificate_value_subtracts_the_band():
     problem = FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(1, 100))
     outcome = lhv_feasibility(problem)
-    assert not outcome.feasible and outcome.verified and outcome.iterations == 47
-    # y·b = 9/4 on the exact targets; the band of ±1/100 costs Σ|y_i|/100
+    assert not outcome.feasible and outcome.verified and outcome.iterations == 2
+    # y·b = 7/16 on the exact targets; the band of ±1/100 costs Σ|y_i|/100 = 30/100
     coefficients = outcome.certificate.coefficients
     band = sum(abs(c) for key, c in coefficients.items() if key != ("mass", ""))
-    assert outcome.certificate.value == Fraction(49, 100) == Fraction(9, 4) - band / 100
+    assert outcome.certificate.value == Fraction(11, 80) == Fraction(7, 16) - band / 100
     exact = evaluate_certificate(FeasibilityProblem(problem.targets), coefficients)
-    assert exact.value == Fraction(9, 4) and exact.verified
+    assert exact.value == Fraction(7, 16) and exact.verified
+    # the kernel on the full rows: infeasible after 47 pivots, and its folded
+    # certificate is worth 49/100 = 9/4 - 176/100 at this slack
+    _, rows, rhs, keys = lhv._cell_rows(problem)
+    full = solve_feasibility(*lhv._with_slack(rows, rhs, problem.slack))
+    assert not full.feasible and full.iterations == 47
+    dual = full.certificate  # each cell's two band rows summed
+    folded = [dual[i] + dual[i + 1] for i in range(0, len(dual) - 1, 2)] + [dual[-1]]
+    folded = evaluate_certificate(problem, dict(zip(keys, folded)))
+    assert folded.verified and folded.value == Fraction(49, 100)
 
 
 def test_certificate_keys_that_name_no_row_fail_the_check():
@@ -553,7 +769,7 @@ def test_solver_evidence_that_fails_the_check_is_reported_unverified(
     monkeypatch, visibility, evidence
 ):
     real = solve_feasibility(*_lp(visibility))
-    monkeypatch.setattr(lhv, "solve_feasibility", lambda rows, rhs: replace(real, **evidence))
+    monkeypatch.setattr(lhv, "solve_feasibility", lambda rows, rhs, orbits: replace(real, **evidence))
     outcome = feasibility_at_visibility(visibility)
     assert outcome.feasible == real.feasible and not outcome.verified
 
