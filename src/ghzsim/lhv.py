@@ -14,12 +14,15 @@ That LP is solved over orbits.  Permuting the stations, and negating one
 station's outcome at one of its settings, map strategies to strategies and
 outcome cells to cells: 384 relabellings in all.  Those that fix every target
 cell form a group (of order 48 for the quantum tables at every visibility
-above 0).  Averaging a mixture over that group keeps it a solution, so an LP
-with one column per strategy orbit and one row per cell orbit has the full
-LP's verdict (Bödi, Herr & Joswig, Math. Program. 137, 2013).  The kernel is
-handed the full 65 rows with their orbits, pivots on the orbit LP, and lifts
-its mixture or Farkas certificate back to the 64 strategies and 65 rows,
-where it is checked by code that shares nothing with the solver.
+above 0).  Averaging a mixture over that group keeps it a solution, so the LP
+over mixtures that give every member of a strategy orbit one weight has the
+full LP's verdict (Bödi, Herr & Joswig, Math. Program. 137, 2013).  Its
+columns are the strategy orbits (4 in place of 64); its 65 rows stay, and
+the rows of one cell orbit come out equal.  The evidence is lifted back to
+the 64 strategies, and a Farkas certificate is averaged over each cell orbit,
+which makes it fix the group too, so it bounds every strategy column and not
+only their orbit sums.  Both are then checked on the full 65 × 64 problem by
+code that shares nothing with the solver.
 
 The GHZ contradiction itself needs no inequalities
 (:func:`ghz_paradox_check`), while the noise tolerance is an LP boundary:
@@ -365,26 +368,22 @@ def _cell_rows(problem: FeasibilityProblem):
 
 def _with_slack(rows, rhs, slack: Fraction):
     """Relax cell equalities to a ±slack band via surplus columns."""
-    wide_rhs = [b + side for b in rhs[:-1] for side in (slack, -slack)]
-    wide_rhs.append(rhs[-1])  # mass row stays exact
-    return _band_rows(tuple(map(tuple, rows))), wide_rhs
-
-
-@lru_cache(maxsize=4)
-def _band_rows(rows: Incidence) -> Incidence:
-    """Each cell row as an upper band row, with a +1 surplus column, and a
-    lower one, with a −1 surplus column; then the mass row.  They depend on
-    the rows alone, so every slack shares them, read-only."""
     n = len(rows[0])
-    cells = len(rows) - 1
-    wide_rows: List[Tuple[int, ...]] = []
+    cells = len(rows) - 1  # mass row stays exact
+    wide_rows: List[List[int]] = []
+    wide_rhs: List[Fraction] = []
     for i in range(cells):
-        for surplus, sign in ((n + i, 1), (n + cells + i, -1)):
-            band = list(rows[i]) + [0] * (2 * cells)
-            band[surplus] = sign
-            wide_rows.append(tuple(band))
-    wide_rows.append(tuple(rows[-1]) + (0,) * (2 * cells))
-    return tuple(wide_rows)
+        upper = list(rows[i]) + [0] * (2 * cells)
+        upper[n + i] = 1
+        wide_rows.append(upper)
+        wide_rhs.append(rhs[i] + slack)
+        lower = list(rows[i]) + [0] * (2 * cells)
+        lower[n + cells + i] = -1
+        wide_rows.append(lower)
+        wide_rhs.append(rhs[i] - slack)
+    wide_rows.append(list(rows[-1]) + [0] * (2 * cells))
+    wide_rhs.append(rhs[-1])
+    return wide_rows, wide_rhs
 
 
 Permutation = bytes  # the image of each index
@@ -443,33 +442,22 @@ def _orbits(group: Sequence[Permutation]) -> Orbits:
 
 
 @lru_cache(maxsize=64)
-def _symmetry(partition: Tuple[int, ...]) -> Tuple[Orbits, Orbits]:
-    """The row and column orbits of the maps that fix every target cell: the
-    cell orbits, then the mass row alone, and the strategy orbits, each
-    ordered by least index (see :func:`ghzsim.simplex.orbit_system`).  The
-    orbit LP's entry counts the members of the column's orbit that give the
-    row's cell, so its mass row is the orbit sizes, and a trivial stabiliser
-    gives back the full rows.
+def _orbit_lp(partition: Tuple[int, ...]) -> Tuple[Orbits, Orbits, Incidence]:
+    """The cell orbits and the strategy orbits of the maps that fix every
+    target cell, each ordered by least index, and the LP's 65 rows over the
+    strategy orbits: one column per orbit, whose entry counts the members
+    of the orbit that give the row's cell, so the mass row holds the orbit
+    sizes.  The rows of one cell orbit are equal.  A trivial stabiliser gives
+    back the full rows.
 
     ``partition`` labels each cell by the first cell with an equal target,
     so it alone decides which candidate maps fix the targets."""
     stabiliser = [m for m in _candidate_maps() if itemgetter(*m[0])(partition) == partition]
     cells = _orbits([cell_map for cell_map, _ in stabiliser])
     strategies = _orbits([strategy_map for _, strategy_map in stabiliser])
-    return (*cells, (len(partition),)), strategies
-
-
-@lru_cache(maxsize=64)
-def _slack_symmetry(rows: Orbits, columns: Orbits) -> Tuple[Orbits, Orbits]:
-    """The orbits of :func:`_with_slack`'s rows and columns: each cell orbit
-    becomes the orbit of its upper band rows and that of its lower ones, and
-    adds the orbits of their surplus columns."""
-    *cells, (mass,) = rows
-    n = sum(map(len, columns))
-    wide_rows = tuple(tuple(2 * i + side for i in orbit) for orbit in cells for side in (0, 1))
-    surplus = tuple(tuple(n + offset + i for i in orbit)
-                    for offset in (0, mass) for orbit in cells)
-    return (*wide_rows, (2 * mass,)), columns + surplus
+    _, rows = _incidence()
+    return cells, strategies, tuple(
+        tuple([sum([row[j] for j in orbit]) for orbit in strategies]) for row in rows)
 
 
 def _partition(cells: Sequence[Rational]) -> Tuple[int, ...]:
@@ -487,29 +475,36 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     aggregated χ=0 weight), so the LP only asks whether non-negative
     weights on the 64 all-±1 strategies reproduce every right-event cell.
 
-    The kernel solves it over the orbits of the targets' stabiliser (see
-    :func:`_symmetry`): averaging a solution over the stabiliser keeps it a
-    solution, so the orbit LP has the full LP's verdict.  Its evidence comes
-    back lifted to the full problem and is checked there by
-    :func:`verify_verdict` or :func:`evaluate_certificate`: a mixture gives
-    every member of a strategy orbit the orbit's weight, and a certificate
-    gives each cell of orbit o the coefficient y_o/|o|, with the mass
-    coefficient as solved.
+    The LP's columns are the orbits of the targets' stabiliser on the
+    strategies (see :func:`_orbit_lp`): averaging a solution over the
+    stabiliser keeps it a solution, so one weight per orbit decides the full
+    LP's verdict.  The evidence is lifted to the full problem and checked
+    there by :func:`verify_verdict` or :func:`evaluate_certificate`: a
+    mixture gives every member of a strategy orbit the orbit's weight, and a
+    certificate gives each cell of orbit o the coefficient y_o/|o|, y_o the
+    total over the orbit's cells, with the mass coefficient as solved.  That
+    certificate is constant on cell orbits, so its value on a strategy's
+    column is the same across the strategy's orbit: the orbit column's value
+    over the orbit size, which the solve makes non-positive.
     """
-    strategies, rows, rhs, keys = _cell_rows(problem)
-    orbits = _symmetry(_partition(rhs[:-1]))
+    strategies, _, rhs, keys = _cell_rows(problem)
+    cells, columns, rows = _orbit_lp(_partition(rhs[:-1]))
     if problem.slack:
         rows, rhs = _with_slack(rows, rhs, problem.slack)
-        orbits = _slack_symmetry(*orbits)
-    result = solve_feasibility(rows, rhs, orbits)
+    result = solve_feasibility(rows, rhs)
     if result.feasible:
-        mixture = {s: w for s, w in zip(strategies, result.solution) if w}
+        weight = {j: w for orbit, w in zip(columns, result.solution) for j in orbit}
+        mixture = {s: weight[j] for j, s in enumerate(strategies) if weight[j]}
         return FeasibilityOutcome(True, mixture, problem.wrong_mass, None, result.iterations,
                                   verify_verdict(problem, True,
                                                  {**mixture, CHI_ZERO: problem.wrong_mass}))
-    dual = result.certificate
+    dual = list(result.certificate)
     if problem.slack:  # the dual covers doubled cell rows; fold the pairs back
         dual = [dual[i] + dual[i + 1] for i in range(0, len(dual) - 1, 2)] + [dual[-1]]
+    for orbit in cells:  # each cell of orbit o gets y_o/|o|, y_o the orbit's total
+        share = sum([dual[i] for i in orbit]) / len(orbit)
+        for i in orbit:
+            dual[i] = share
     certificate = evaluate_certificate(problem, dict(zip(keys, dual)))
     return FeasibilityOutcome(False, None, None, certificate, result.iterations,
                               certificate.verified)

@@ -17,12 +17,6 @@ degenerate runs, which keeps the method finite.  An infeasible system yields
 a Farkas certificate ``y`` with ``y·A <= 0`` componentwise and ``y·b > 0``,
 which :func:`verify_farkas` re-checks from scratch, independently of the
 solver's internal state.
-
-A system that a group of row and column permutations leaves unchanged can be
-solved over the group's orbits (:func:`orbit_system`): averaging a solution
-over the group keeps it a solution, so the orbit system has the same verdict
-(Bödi, Herr & Joswig, Math. Program. 137, 2013), and its solution or
-certificate lifts back to one of the full system.
 """
 
 from __future__ import annotations
@@ -30,16 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, islice
+from itertools import compress, count, islice
 from numbers import Rational
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 WORD_BITS = 64  # rows are divided by their gcd only above this denominator width
-
-# (row orbits, column orbits): each a partition of the indices, ordered as the
-# orbit system's rows and columns
-Symmetry = Tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]
 
 
 @dataclass(frozen=True)
@@ -73,55 +63,14 @@ def _eliminate(
     return row, den
 
 
-def orbit_system(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], orbits: Symmetry
-) -> Tuple[List[Tuple[Fraction, ...]], List[Fraction]]:
-    """The system over ``orbits``: one row per row orbit, read at its first
-    index, and one column per column orbit, whose variable is the value of
-    every member, so that its entry sums the row over the orbit's members.
-
-    Singleton orbits give back the system itself.  The orbits must be those
-    of a group of permutations that leaves ``rows`` and ``rhs`` unchanged;
-    then every row of an orbit gives the same reduced row.
-    """
-    row_orbits, column_orbits = orbits
-    reduced = [tuple([sum([row[j] for j in orbit]) for orbit in column_orbits])
-               for row in (rows[orbit[0]] for orbit in row_orbits)]
-    return reduced, [rhs[orbit[0]] for orbit in row_orbits]
-
-
-def _lift(orbits: Sequence[Sequence[int]], values: Sequence[Fraction]) -> List[Fraction]:
-    """Each orbit's value given to every member, in index order."""
-    lifted: List[Fraction] = [Fraction(0)] * sum(map(len, orbits))
-    for orbit, value in zip(orbits, values):
-        for i in orbit:
-            lifted[i] = value
-    return lifted
-
-
 def solve_feasibility(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
-    orbits: Optional[Symmetry] = None,
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> FeasibilityResult:
-    """Decide whether ``rows · x = rhs`` admits a non-negative solution.
-
-    Given ``orbits`` (see :func:`orbit_system`), the pivots run on the orbit
-    system and the result is lifted to the full one: a solution gives every
-    member of a column orbit the orbit's value, and a certificate gives each
-    row of orbit o the value y_o/|o|, so its product with every column of
-    orbit c is the orbit system's product with c over |c|.  ``iterations``
-    counts the orbit system's pivots.
-    """
+    """Decide whether ``rows · x = rhs`` admits a non-negative solution."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
-    if orbits is not None:
-        if any(sorted(chain.from_iterable(part)) != list(range(size))
-               for part, size in zip(orbits, (m, n))):
-            raise ValueError("orbits must partition the rows and the columns")
-        rows, rhs = orbit_system(rows, rhs, orbits)
-        m, n = len(rows), len(orbits[1])
     kinds = [set(map(type, row)) for row in rows]
     if not all(issubclass(t, Rational) for t in set(map(type, rhs)).union(*kinds)):
         raise TypeError("entries must be exact rationals (numbers.Rational)")
@@ -232,16 +181,12 @@ def solve_feasibility(
         for i, var in enumerate(basis):
             if var < n:
                 solution[var] = Fraction(tableau[i][-1], dens[i])
-        if orbits is not None:
-            solution = _lift(orbits[1], solution)
         return FeasibilityResult(True, solution, None, gap, iterations)
 
     # dual values: for artificial column j, reduced cost = y_j - 1
     certificate = [
         Fraction(flip[i] * (obj[n + i] + obj_den), obj_den) for i in range(m)
     ]
-    if orbits is not None:
-        certificate = _lift(orbits[0], [y / len(o) for o, y in zip(orbits[0], certificate)])
     return FeasibilityResult(False, None, certificate, gap, iterations)
 
 

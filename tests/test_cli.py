@@ -429,12 +429,13 @@ def test_lhv_feasibility_feasible_report(capsys):
     assert Fraction(payload["chi_zero_weight"]) == Fraction(3, 4)
 
 
-# sha256 of `lhv-feasibility --format json` as the orbit LP writes it: the
-# mixture or certificate is the orbit LP's, lifted to the full problem (the
-# full-row kernel solves are pinned in tests/test_lhv.py)
+# sha256 of `lhv-feasibility --format json` as the LP over strategy orbits
+# writes it: a feasible mixture gives every member of an orbit one weight (the
+# 13/20 certificate is the full LP's, byte for byte; the full-row kernel
+# solves are pinned in tests/test_lhv.py)
 LHV_ARTIFACT_SHA256 = {
     ("1/2", "0"): "108a824bfe4f4aab9dc77d2369def261f18689109149ecee149d44c20d001b99",
-    ("13/20", "0"): "d79370db539374a6137782df94d60760026f0f017a221957295393ad41dfbf78",
+    ("13/20", "0"): "6df62d95788750c5de1d53f5890002b2a80239d37e4bbe0862d22ca3dc4c432c",
     ("1", "1/64"): "275e9892e037ee6faffe37038dc29b106aff7d160e25bd0280752a154689bc5a",
 }
 
@@ -490,9 +491,8 @@ REPORT_ARTIFACT_SHA256 = {
         "bfcb938ca3c2fec5397a9acdc7258fd63dc79fdc1ecb70b4fb38eb75bbcc73a0",
     ("expand", "--format", "text"):
         "c7286c9bf0ec48541e1ff564bd49a96e7a1957fc155d021d78a1a044bcd28c50",
-    # the lifted certificate's value, 21/160, since the orbit LP
     ("lhv-feasibility", "--visibility", "13/20", "--format", "text"):
-        "af0daac4cf34c0ae99d8e6361a6974439644a71d773da5006d61f2ac51e903ea",
+        "5bda57a4b6d5ac86ff5defcb4bfd84cfec9591a207683f73c27ff52fe462cf83",
 }
 
 
@@ -540,7 +540,7 @@ OUTPUT_SUMMARY_SHA256 = {
     ("lhv-feasibility", "--visibility", "1/2"):
         "1e05bee6a5419dc789893edfb0a3802363d53456609234167d35d98071d70f17",
     ("lhv-feasibility", "--visibility", "13/20"):
-        "af0daac4cf34c0ae99d8e6361a6974439644a71d773da5006d61f2ac51e903ea",
+        "5bda57a4b6d5ac86ff5defcb4bfd84cfec9591a207683f73c27ff52fe462cf83",
     ("critical-visibility", "--depth", "3"):
         "ef0bef7f47f12048b150ac2750f81a2ada081af42356f8a6c9d99ac5dacb8491",
     ("ghz-paradox",): "8db355e298b9e42473001bf6e85d54d5dc3320178d205af5728d517c353ec50b",
@@ -646,11 +646,12 @@ def test_identical_configs_are_byte_identical(capsys):
 
 
 # sha256 of `lhv-feasibility --visibility 1 --slack 1/100`: its certificate
-# value is y·b less slack·Σ|y_i| over the cells (11/80 = 7/16 − 30/100 for
-# the orbit LP's lifted certificate, not 7/16)
+# value is y·b less slack·Σ|y_i| over the cells (49/100, not 9/4); the
+# certificate averaged over each cell orbit differs from the full LP's, with
+# the same value, so only the JSON moved
 SLACK_CERTIFICATE_SHA256 = {
-    "json": "b6acb5232aef7a1e13deb8b10c3270b2594855a2b5490830a053b3f971e5694d",
-    "text": "d9abe84515336e55d66f2e009462726cb7939ce9fea4e8a694df0576a9ffbb8f",
+    "json": "4bda36c762576bf610f70d7502888f6ef07c401431ebaeaf90ec0e1eb005aed1",
+    "text": "52b6686ad6192b90eb2f27be8239d28c9abab37300d35009c9318991852d56f0",
 }
 
 

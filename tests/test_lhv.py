@@ -56,7 +56,7 @@ from ghzsim.measurement import (
     outcome_code,
     outcome_from_code,
 )
-from ghzsim.simplex import FeasibilityResult, orbit_system, solve_feasibility, verify_farkas
+from ghzsim.simplex import FeasibilityResult, solve_feasibility, verify_farkas
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +370,9 @@ def test_no_float_enters_a_verdict():
     )
 
 
-# Pivot counts of each verdict's orbit LP (see test_orbit_lp_of_the_quantum_targets):
-# 5 rows by 1 column at V = 0, where every cell is equal, and 7 by 4 above it
+# Pivot counts of each verdict's LP over strategy orbits (see
+# test_orbit_lp_of_the_quantum_targets): 65 rows by 1 column at V = 0, where
+# every cell is equal, and 65 by 4 above it
 PINNED_PIVOTS = {
     Fraction(0): 1,
     Fraction(1, 4): 3,
@@ -416,7 +417,7 @@ def test_slack_lp_pivot_count_is_pinned():
     problem = FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(1, 64))
     outcome = lhv_feasibility(problem)
     assert outcome.feasible and outcome.verified
-    assert outcome.iterations == 4  # on 13 rows by 16 columns
+    assert outcome.iterations == 34  # on 129 rows by 4 + 128 columns
     # the kernel on the full rows: the same verdict after 118 pivots
     _, rows, rhs, _ = lhv._cell_rows(problem)
     wide_rows, wide_rhs = lhv._with_slack(rows, rhs, problem.slack)
@@ -529,11 +530,8 @@ def test_candidate_maps_are_built_on_the_first_solve_not_at_import():
 
 def _orbit_lp_of(problem):
     """(cell orbits, strategy orbits, rows) of the problem's orbit LP."""
-    _, rows, rhs, _ = lhv._cell_rows(problem)
-    orbits = lhv._symmetry(lhv._partition(rhs[:-1]))
-    assert orbits[0][-1] == (64,)  # the mass row is an orbit of its own
-    reduced, _ = orbit_system(rows, rhs, orbits)
-    return orbits[0][:-1], orbits[1], tuple(reduced)
+    _, _, rhs, _ = lhv._cell_rows(problem)
+    return lhv._orbit_lp(lhv._partition(rhs[:-1]))
 
 
 def _stabiliser(problem):
@@ -550,12 +548,12 @@ def test_orbit_lp_of_the_quantum_targets():
         cells, strategies, reduced = _orbit_lp_of(problem)
         assert [len(orbit) for orbit in cells] == [4, 4, 24, 12, 12, 8]
         assert [len(orbit) for orbit in strategies] == [8, 24, 24, 8]
-        assert reduced[-1] == (8, 24, 24, 8)  # the mass row: the orbit sizes
+        assert len(reduced) == 65 and reduced[-1] == (8, 24, 24, 8)  # mass row: orbit sizes
         # an entry counts the members of the strategy orbit that give the row's
-        # cell, and every cell of the row's orbit gives the same count
-        for orbit, row in zip(cells, reduced):
-            for c in orbit:
-                assert row == tuple(sum(rows[c][s] for s in members) for members in strategies)
+        # cell, and every cell of one orbit gives the same counts
+        for c, row in enumerate(reduced[:-1]):
+            assert row == tuple(sum(rows[c][s] for s in members) for members in strategies)
+        assert all(len({reduced[c] for c in orbit}) == 1 for orbit in cells)
     # at V = 0 every cell is equal: all 384 maps fix the targets
     problem = FeasibilityProblem(quantum_targets(0))
     assert len(_stabiliser(problem)) == 384
@@ -564,14 +562,13 @@ def test_orbit_lp_of_the_quantum_targets():
     assert strategies == (tuple(range(64)),)
 
 
-@pytest.mark.parametrize("slack,shape", [(Fraction(0), (65, 64, 7, 4)),
-                                         (Fraction(1, 64), (129, 192, 13, 16))])
-def test_the_kernel_is_handed_the_full_rows_and_their_orbits(monkeypatch, slack, shape):
+@pytest.mark.parametrize("slack,shape", [(Fraction(0), (65, 4)), (Fraction(1, 64), (129, 132))])
+def test_the_kernel_is_handed_every_row_over_the_strategy_orbits(monkeypatch, slack, shape):
     seen = []
 
-    def recorded(rows, rhs, orbits):
-        seen.append((len(rows), len(rows[0]), len(orbits[0]), len(orbits[1])))
-        return solve_feasibility(rows, rhs, orbits)
+    def recorded(rows, rhs):
+        seen.append((len(rows), len(rows[0])))
+        return solve_feasibility(rows, rhs)
 
     monkeypatch.setattr(lhv, "solve_feasibility", recorded)
     outcome = lhv_feasibility(FeasibilityProblem(quantum_targets(Fraction(1)), slack=slack))
@@ -733,14 +730,14 @@ def test_slack_certificate_value_subtracts_the_band():
     problem = FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(1, 100))
     outcome = lhv_feasibility(problem)
     assert not outcome.feasible and outcome.verified and outcome.iterations == 2
-    # y·b = 7/16 on the exact targets; the band of ±1/100 costs Σ|y_i|/100 = 30/100
+    # y·b = 9/4 on the exact targets; the band of ±1/100 costs Σ|y_i|/100
     coefficients = outcome.certificate.coefficients
     band = sum(abs(c) for key, c in coefficients.items() if key != ("mass", ""))
-    assert outcome.certificate.value == Fraction(11, 80) == Fraction(7, 16) - band / 100
+    assert outcome.certificate.value == Fraction(49, 100) == Fraction(9, 4) - band / 100
     exact = evaluate_certificate(FeasibilityProblem(problem.targets), coefficients)
-    assert exact.value == Fraction(7, 16) and exact.verified
+    assert exact.value == Fraction(9, 4) and exact.verified
     # the kernel on the full rows: infeasible after 47 pivots, and its folded
-    # certificate is worth 49/100 = 9/4 - 176/100 at this slack
+    # certificate is worth 49/100 as well
     _, rows, rhs, keys = lhv._cell_rows(problem)
     full = solve_feasibility(*lhv._with_slack(rows, rhs, problem.slack))
     assert not full.feasible and full.iterations == 47
@@ -769,7 +766,7 @@ def test_solver_evidence_that_fails_the_check_is_reported_unverified(
     monkeypatch, visibility, evidence
 ):
     real = solve_feasibility(*_lp(visibility))
-    monkeypatch.setattr(lhv, "solve_feasibility", lambda rows, rhs, orbits: replace(real, **evidence))
+    monkeypatch.setattr(lhv, "solve_feasibility", lambda rows, rhs: replace(real, **evidence))
     outcome = feasibility_at_visibility(visibility)
     assert outcome.feasible == real.feasible and not outcome.verified
 

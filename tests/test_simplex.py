@@ -4,13 +4,12 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzsim import simplex
-from ghzsim.simplex import FeasibilityResult, orbit_system, solve_feasibility, verify_farkas
+from ghzsim.simplex import FeasibilityResult, solve_feasibility, verify_farkas
 
 
 def F(*args):
@@ -229,48 +228,3 @@ def test_an_int_row_reads_in_as_its_fractions(system, as_int):
         rhs.append(b * scale)
     fractions = [[F(v) for v in row] for row in rows]
     assert solve_feasibility(rows, rhs) == solve_feasibility(fractions, rhs)
-
-
-@settings(max_examples=100, deadline=None)
-@given(systems())
-def test_singleton_orbits_give_back_the_system(system):
-    rows, rhs = system
-    orbits = ([(i,) for i in range(len(rows))], [(j,) for j in range(len(rows[0]))])
-    assert orbit_system(rows, rhs, orbits) == ([tuple(row) for row in rows], list(rhs))
-    assert solve_feasibility(rows, rhs, orbits) == solve_feasibility(rows, rhs)
-
-
-# a 3-cycle moves row i to i + 1 and column j to j + 1 (mod 3) and keeps these
-# circulant rows; the last row and column are fixed
-CYCLIC_ROWS = [[1, 2, 0, 1], [0, 1, 2, 1], [2, 0, 1, 1], [1, 1, 1, 0]]
-CYCLIC_ORBITS = ([(0, 1, 2), (3,)], [(0, 1, 2), (3,)])
-
-
-def test_orbit_system_sums_each_column_orbit_at_a_representative_row():
-    rhs = [F(3), F(3), F(3), F(1)]
-    assert orbit_system(CYCLIC_ROWS, rhs, CYCLIC_ORBITS) == ([(3, 1), (3, 0)], [F(3), F(1)])
-
-
-@pytest.mark.parametrize("rhs,feasible", [
-    ([F(4), F(4), F(4), F(1)], True),  # x = (1/3, 1/3, 1/3, 3)
-    ([F(1), F(1), F(1), F(2)], False),  # over the orbits: 3x + x_3 = 1 and 3x = 2
-])
-def test_orbit_results_are_lifted_to_the_full_system(rhs, feasible):
-    result = solve_feasibility(CYCLIC_ROWS, rhs, CYCLIC_ORBITS)
-    assert result.feasible == feasible == solve_feasibility(CYCLIC_ROWS, rhs).feasible
-    if feasible:
-        assert len(result.solution) == 4 and min(result.solution) >= 0
-        assert [sum(map(mul, row, result.solution)) for row in CYCLIC_ROWS] == rhs
-    else:
-        assert len(result.certificate) == 4
-        assert verify_farkas(CYCLIC_ROWS, rhs, result.certificate)
-        # the orbit's value is shared among its rows
-        assert len(set(result.certificate[:3])) == 1
-
-
-def test_orbits_must_partition_the_rows_and_columns():
-    rhs = [F(4), F(4), F(4), F(1)]
-    for orbits in (([(0, 1), (3,)], CYCLIC_ORBITS[1]),  # row 2 missing
-                   (CYCLIC_ORBITS[0], [(0, 1, 2), (2, 3)])):  # column 2 twice
-        with pytest.raises(ValueError):
-            solve_feasibility(CYCLIC_ROWS, rhs, orbits)
