@@ -341,20 +341,18 @@ Incidence = Tuple[Tuple[int, ...], ...]
 def _incidence() -> Tuple[Tuple[CertificateKey, ...], Incidence]:
     """Row keys and 0/1 rows of the LP: 64 cell rows, then the mass row,
     over the 64 right-sector strategy columns.  Only the targets vary from
-    problem to problem, so this is built once and shared, read-only."""
-    responses = [
-        [strategy.outcomes(triple) for triple in TRIPLES]
-        for strategy in right_sector_strategies()
-    ]
-    keys: List[CertificateKey] = []
-    rows: List[Tuple[int, ...]] = []
-    for t, triple in enumerate(TRIPLES):
-        for outcome in OUTCOMES:
-            keys.append((triple.code, outcome_code(outcome)))
-            rows.append(tuple(int(r[t] == outcome) for r in responses))
-    keys.append(("mass", ""))
-    rows.append((1,) * len(responses))
-    return tuple(keys), tuple(rows)
+    problem to problem, so this is built once and shared, read-only.
+
+    Row 8t + o holds a 1 at strategy j when j gives outcome o at settings t,
+    read off the bit layout :func:`_candidate_maps` states: station k's
+    outcome (bit 2 − k of o) is bit 5 − 2k − x of j, x its setting in t."""
+    rows = [[0] * 64 for _ in range(64)]
+    for t in range(8):
+        g, h, z = (5 - 2 * k - (t >> 2 - k & 1) for k in range(3))
+        for j in range(64):
+            rows[8 * t + ((j >> g & 1) << 2 | (j >> h & 1) << 1 | j >> z & 1)][j] = 1
+    keys = product([triple.code for triple in TRIPLES], map(outcome_code, OUTCOMES))
+    return (*keys, ("mass", "")), (*map(tuple, rows), (1,) * 64)
 
 
 def _cell_rows(problem: FeasibilityProblem):

@@ -25,10 +25,12 @@ outcome tables and ``events.classify_pattern`` both read.
 
 Outcome tables are exact: cells are joint probabilities of a triggered
 right event with a given outcome triple, and ``wrong_mass`` collects the
-total probability of every other detection pattern.  Station photon
-number is preserved by the analyzer basis change, so ``wrong_mass`` cannot
-depend on the chosen settings; the test suite verifies this rather than
-assuming it.
+total probability of every other detection pattern.  An analyzer maps a
+station's modes into its own by orthonormal columns, so it keeps each term's
+sector (trigger photons, photons per station) and each sector's mass: only
+right-sector terms are analyzed, and the setting-independent wrong mass is
+read off the unanalyzed state.  ``test_analyzer_rules_stay_in_their_station``
+and ``test_tables_equal_the_full_expansion*`` check this.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from numbers import Rational
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -54,6 +56,7 @@ from .fock import (
     StatePolynomial,
     TEXT,
     TRIGGER,
+    filter_terms,
     mapping_codec,
     mode_from_name,
     norm_squared,
@@ -219,19 +222,16 @@ class OutcomeTable(Record):
         return 1 - self.wrong_mass
 
 
-def pattern_distribution(state: StatePolynomial) -> Dict[Pattern, Fraction]:
-    """Exact Born probabilities of every occupation pattern of ``state``."""
-    if state.is_zero:
+def pattern_distribution(state: StatePolynomial,
+                         norm: Amplitude | None = None) -> Dict[Pattern, Fraction]:
+    """Exact Born probabilities of every occupation pattern of ``state``, over
+    ``norm`` (by default the squared norm of ``state``)."""
+    norm = norm_squared(state) if norm is None else norm
+    if norm.is_zero:
         raise EmptyStateError("the zero state has no outcome distribution")
-    norm = norm_squared(state)
     inv_norm = norm.inverse()
-    dist: Dict[Pattern, Fraction] = {}
-    for pattern, coeff in state.terms.items():
-        weight = coeff.abs_squared()
-        for _, count in pattern:
-            weight = weight * factorial(count)
-        dist[pattern] = (weight * inv_norm).to_fraction()
-    return dist
+    return {pattern: (coeff.abs_squared() * prod([factorial(n) for _, n in pattern])
+                      * inv_norm).to_fraction() for pattern, coeff in state.terms.items()}
 
 
 # (station index, readout) of each station mode, keyed by mode name
@@ -272,28 +272,24 @@ def read_pattern(pattern: Pattern) -> Tuple[int, Tuple[int, int, int], Outcome |
     return trigger, tuple(hits), tuple(reads) if right else None  # type: ignore[return-value]
 
 
-def outcome_distribution(
-    state: StatePolynomial, settings: SettingTriple, conjugate: bool = False
-) -> OutcomeTable:
+def outcome_distribution(state: StatePolynomial, settings: SettingTriple,
+                         conjugate: bool = False) -> OutcomeTable:
     """Measure ``state`` in the three analyzer bases of ``settings``.
 
-    The three analyzer basis changes are applied and every resulting
-    occupation pattern receives its exact Born weight; triggered
-    single-photon-per-station patterns land in the outcome cells, all other
-    patterns accumulate in ``wrong_mass``.  A photon outside
-    :data:`DETECTOR_MODES` raises ValueError: ``state`` must be a state behind
-    the circuit, not an emission state.
+    Analyzers keep each term's sector and each sector's mass, so only the
+    right-sector terms are analyzed; cells and ``wrong_mass`` are Born weights
+    over the full squared norm (``test_tables_equal_the_full_expansion*``).  A
+    photon outside :data:`DETECTOR_MODES` raises ValueError: ``state`` must be
+    a state behind the circuit, not an emission state.
     """
-    analyzed = substitute(state, _merged_analyzer_rules(settings, conjugate))
-    dist = pattern_distribution(analyzed)
-    cells: Dict[Outcome, Fraction] = {outcome: Fraction(0) for outcome in OUTCOMES}
-    wrong = Fraction(0)
-    for pattern, probability in dist.items():
-        outcome = read_pattern(pattern)[2]
-        if outcome is None:
-            wrong += probability
-        else:
-            cells[outcome] += probability
+    norm = norm_squared(state)
+    right = filter_terms(state, lambda pattern: read_pattern(pattern)[2] is not None)
+    analyzed = substitute(right, _merged_analyzer_rules(settings, conjugate))
+    cells: Dict[Outcome, Fraction] = dict.fromkeys(OUTCOMES, Fraction(0))
+    for pattern, probability in pattern_distribution(analyzed, norm).items():
+        cells[read_pattern(pattern)[2]] += probability
+    # the other terms' Born weight: the full norm less the right sector's
+    wrong = ((norm - norm_squared(right)) * norm.inverse()).to_fraction()
     return OutcomeTable(settings, cells, wrong)
 
 

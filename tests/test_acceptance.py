@@ -56,6 +56,7 @@ from ghzsim.measurement import all_setting_triples, outcome_distribution, Settin
 from statevector_oracle import oracle_correlation, oracle_distribution
 
 from test_events import _variant_circuit
+from test_measurement import full_expansion_table
 
 
 @contextmanager
@@ -252,3 +253,6 @@ def test_criterion_8_wrong_mass_setting_independence():
             for triple in all_setting_triples()
         }
         assert masses == {Fraction(3, 4)}
+        # read off the fully analyzed state too: verified, not assumed
+        for triple in all_setting_triples():
+            assert outcome_distribution(state, triple) == full_expansion_table(state, triple)

@@ -54,7 +54,6 @@ from ghzsim.measurement import (
     SettingTriple,
     all_setting_triples,
     outcome_code,
-    outcome_from_code,
 )
 from ghzsim.simplex import FeasibilityResult, solve_feasibility, verify_farkas
 
@@ -484,12 +483,22 @@ def test_incidence_is_shared_and_read_only():
     _, rows_b, rhs_b, keys_b = lhv._cell_rows(FeasibilityProblem(quantum_targets(1)))
     assert rows_a is rows_b is rows and keys_a is keys_b is keys
     assert rhs_a != rhs_b
-    strategies = right_sector_strategies()
-    for (code, cell), row in zip(keys, rows):
-        if code != "mass":
-            triple = SettingTriple.from_code(code)
-            outcome = outcome_from_code(cell)
-            assert row == tuple(int(s.outcomes(triple) == outcome) for s in strategies)
+    # read off the bit layout, they are the rows and keys the outcomes give
+    assert (keys, rows) == _incidence_from_outcomes()
+
+
+def _incidence_from_outcomes():
+    """The LP's keys and rows read from ``LocalStrategy.outcomes``, one call per
+    strategy and triple."""
+    responses = [[s.outcomes(triple) for triple in TRIPLES] for s in right_sector_strategies()]
+    keys, rows = [], []
+    for t, triple in enumerate(TRIPLES):
+        for outcome in OUTCOMES:
+            keys.append((triple.code, outcome_code(outcome)))
+            rows.append(tuple(int(r[t] == outcome) for r in responses))
+    keys.append(("mass", ""))
+    rows.append((1,) * len(responses))
+    return tuple(keys), tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""Analyzer statistics against the independent state-vector oracle."""
+"""Analyzer statistics against the independent state-vector oracle, and the
+right-sector tables against the fully analyzed state."""
 
+import hashlib
+import json
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ghzsim import measurement
 from ghzsim.circuit import innsbruck_circuit
 from ghzsim.events import trigger_select, two_pair_emission
 from ghzsim.fock import (
     Amplitude,
+    Beam,
     GH,
     GV,
     HH,
@@ -25,12 +31,15 @@ from ghzsim.fock import (
     gamma_power,
     monomial,
     norm_squared,
+    substitute,
 )
 from ghzsim.measurement import (
     AnalyzerSetting,
+    DETECTOR_MODES,
     EmptyStateError,
     OUTCOMES,
     OutcomeTable,
+    STATIONS,
     SettingTriple,
     Station,
     TABLE,
@@ -43,6 +52,7 @@ from ghzsim.measurement import (
     correlation_from_table,
     outcome_distribution,
     pattern_distribution,
+    read_pattern,
 )
 from statevector_oracle import oracle_correlation, oracle_distribution
 
@@ -58,6 +68,28 @@ def right_part():
     )
 
 
+def full_expansion_table(state, settings, conjugate=False):
+    """The reference table: the whole ``state`` goes through the three analyzer
+    basis changes, and every resulting pattern's Born weight lands in its
+    outcome cell or in the wrong mass."""
+    rules = {}
+    for station in STATIONS:
+        rules.update(analyzer_transform(station, settings.setting(station), conjugate).rules)
+    cells = {outcome: Fraction(0) for outcome in OUTCOMES}
+    wrong = Fraction(0)
+    for pattern, probability in pattern_distribution(substitute(state, rules)).items():
+        outcome = read_pattern(pattern)[2]
+        if outcome is None:
+            wrong += probability
+        else:
+            cells[outcome] += probability
+    return OutcomeTable(settings, cells, wrong)
+
+
+SETTING_PAIRS = [(triple, conjugate) for conjugate in (False, True)
+                 for triple in all_setting_triples()]
+
+
 # ---------------------------------------------------------------------------
 # analyzer elements
 # ---------------------------------------------------------------------------
@@ -70,6 +102,18 @@ def test_single_photon_h_is_unbiased(station, setting):
     photon = creation(Mode(station.beam, Polarization.H))
     dist = pattern_distribution(transform.apply(photon))
     assert set(dist.values()) == {Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("setting", list(AnalyzerSetting))
+@pytest.mark.parametrize("station", list(Station))
+def test_analyzer_rules_stay_in_their_station(station, setting, conjugate):
+    # an analyzer that kept every target in its source's station keeps each
+    # term's photons per station, so it cannot move a term across sectors
+    rules = analyzer_transform(station, setting, conjugate).rules
+    assert {source.beam for source in rules} == {station.beam}
+    assert all(target.beam == source.beam
+               for source, targets in rules.items() for target, _ in targets)
 
 
 def test_analyzer_transforms_are_isometries():
@@ -125,10 +169,90 @@ def test_full_state_wrong_mass_setting_independent():
         for triple in all_setting_triples()
     }
     assert set(masses.values()) == {Fraction(3, 4)}
+    # verified on the fully analyzed state, not assumed from the sector argument
+    assert masses == {
+        triple.code: full_expansion_table(state, triple).wrong_mass
+        for triple in all_setting_triples()
+    }
     # cross-check against the Fock norms: right part carries 1/4 of the state
     assert norm_squared(right_part() * gamma_power(2)) / norm_squared(state) == Amplitude(
         Fraction(1, 4)
     )
+
+
+def test_tables_equal_the_full_expansion_on_the_heralded_state():
+    state = heralded_state()
+    for triple, conjugate in SETTING_PAIRS:
+        table = outcome_distribution(state, triple, conjugate)
+        assert table == full_expansion_table(state, triple, conjugate)
+
+
+# sha256 of the JSON list of the 8 ideal then the 8 conjugate tables (each
+# `TABLE`-encoded, triples in `all_setting_triples` order), taken from the
+# code that analyzed the whole state
+SIXTEEN_TABLES_SHA256 = "b52ef3855623348b13c3cfac52c47c3856a959b2a022a2f8198621b970f9aea3"
+
+
+def test_the_sixteen_tables_keep_their_bytes():
+    state = heralded_state()
+    tables = [TABLE[0](outcome_distribution(state, triple, conjugate))
+              for triple, conjugate in SETTING_PAIRS]
+    text = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SIXTEEN_TABLES_SHA256
+
+
+_STATION_MODES = sorted(DETECTOR_MODES - {TRIGGER}, key=lambda mode: mode.sort_key)
+
+
+@st.composite
+def _detector_states(draw):
+    """1–4 terms on the detector modes: 0–2 trigger photons and 0–2 photons per
+    station mode, or a right-sector term; Gaussian-rational amplitudes of one
+    gamma order."""
+    order = draw(st.integers(0, 3))
+    counts = st.integers(0, 2)
+    right = st.tuples(*[st.sampled_from([{h: 1}, {v: 1}])
+                        for h, v in zip(_STATION_MODES[::2], _STATION_MODES[1::2])])
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            pattern = {TRIGGER: 1}
+            for photon in draw(right):
+                pattern.update(photon)
+        else:
+            pattern = {mode: draw(counts) for mode in (TRIGGER, *_STATION_MODES)}
+        parts = st.fractions(-3, 3, max_denominator=4)
+        re, im = draw(st.tuples(parts, parts).filter(any))
+        terms.append((pattern, Amplitude(re, im, 0, 0, order)))
+    return StatePolynomial(terms)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(state=_detector_states(), triple=st.sampled_from(all_setting_triples()),
+       conjugate=st.booleans())
+def test_tables_equal_the_full_expansion_on_random_states(state, triple, conjugate):
+    if state.is_zero:  # the terms may cancel
+        with pytest.raises(EmptyStateError):
+            outcome_distribution(state, triple, conjugate)
+        return
+    assert outcome_distribution(state, triple, conjugate) == full_expansion_table(
+        state, triple, conjugate)
+
+
+def test_only_the_right_sector_terms_are_analyzed(monkeypatch):
+    handed = []
+
+    def recording_substitute(state, rules):
+        handed.append(state)
+        return substitute(state, rules)
+
+    monkeypatch.setattr(measurement, "substitute", recording_substitute)
+    state = heralded_state()
+    assert len(state) == 8
+    for triple, conjugate in SETTING_PAIRS:
+        outcome_distribution(state, triple, conjugate)
+    # one substitution per table, of the 2 right-sector terms alone
+    assert handed == [right_part() * gamma_power(2) * -1] * len(SETTING_PAIRS)
 
 
 @pytest.mark.parametrize("conjugate", [False, True])
@@ -185,6 +309,18 @@ def test_a_photon_outside_the_detector_modes_is_an_error():
     # an emission state, not yet through the circuit: its aH photon reaches no detector
     with pytest.raises(ValueError, match="mode aH is not a detector mode"):
         outcome_distribution(trigger_select(two_pair_emission()), SettingTriple.from_code("xxx"))
+
+
+def test_a_foreign_photon_in_a_wrong_sector_term_is_an_error():
+    # the foreign photon sits only in a term that is never analyzed
+    foreign = Mode(Beam.C, Polarization.V)
+    state = right_part() + monomial({TRIGGER: 1, GH: 1, HH: 1, foreign: 1}, INV_SQRT2)
+    assert foreign not in DETECTOR_MODES
+    for triple, conjugate in SETTING_PAIRS:
+        with pytest.raises(ValueError, match=f"mode {foreign.name} is not a detector mode"):
+            outcome_distribution(state, triple, conjugate)
+        with pytest.raises(ValueError, match=f"mode {foreign.name} is not a detector mode"):
+            full_expansion_table(state, triple, conjugate)
 
 
 def test_correlation_undefined_without_right_mass():
