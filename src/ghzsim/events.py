@@ -25,6 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, prod
 from numbers import Rational
+from operator import mul
 from random import Random
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
@@ -400,9 +401,11 @@ class _Table:
     Value i is drawn with probability (cuts[i] - cuts[i-1]) / den exactly,
     where ``cuts`` are the running sums of the weights and ``den`` the total.
     A draw reads one word u as the leading bits of a uniform U in [0, 1) and
-    bisects it against the cut points cuts[i] / den truncated to one word;
-    only when u equals a truncated cut point does it read further words and
-    compare exactly with the integer cut points.
+    bisects it against ``_leading``, the cut points cuts[i] / den truncated to
+    one word.  U lies between cut points i-1 and i unless u equals the
+    truncated cut point i-1 (for i = 0 that reads the last one, 2^WORD, never
+    u); only then does :meth:`_settle` read further words and compare exactly
+    with the integer cut points.  :func:`sample_events` makes its draws inline.
     """
 
     __slots__ = ("values", "cuts", "den", "_leading")
@@ -414,16 +417,8 @@ class _Table:
         self.den = self.cuts[-1]
         self._leading = [(cut << WORD) // self.den for cut in self.cuts]
 
-    def draw(self, rng: Random):
-        u = rng.getrandbits(WORD)
-        i = bisect_right(self._leading, u)
-        # U lies between cut points i-1 and i unless u equals the truncated
-        # cut point i-1 (for i = 0 that reads the last one, 2^WORD, never u)
-        if self._leading[i - 1] != u:
-            return self.values[i]
-        return self.values[self._settle(rng, u)]
-
     def _settle(self, rng: Random, value: int) -> int:
+        """The index drawn by the words that start with ``value``, a tied first word."""
         bits = WORD
         while True:
             value = value << WORD | rng.getrandbits(WORD)
@@ -513,6 +508,14 @@ class _Sampler:
     E = p + p^2 and the gap before the next emitting pulse is geometric,
     P(G = k) = q^k * E with q = 1 - E.  Pulses are taken in blocks of ``block``;
     ``skip`` = q^block is the chance that a block emits nothing.
+
+    ``steps`` holds, for each value of ``emission``, None (the block emits
+    nothing) or (offset, chain), the component's draw chain resolved once per
+    call.  With loss the chain is the survivor draw (truncated cut points,
+    (output link, herald veto) per value, and the table); without loss it is
+    the component's output link.  An output link is [table, component], its
+    table None until the first event that needs it; a fully lost component
+    has the link None.
     """
 
     def __init__(self, pair_prob: Fraction, loss_prob: Fraction, pulses: int):
@@ -526,16 +529,21 @@ class _Sampler:
         pulse_den, q_num = b * b, b * b - a * b - a * a
         # the shortest block that emits at least half the time, if one fits:
         # then a joint draw that may skip the block costs at most two draws
-        block = next((m for m in range(1, MAX_BLOCK + 1) if 2 * q_num**m <= pulse_den**m),
-                     MAX_BLOCK)
+        q_powers, den_powers = [1], [1]  # q_num^k and pulse_den^k for k <= block
+        for block in range(1, MAX_BLOCK + 1):
+            q_powers.append(q_powers[-1] * q_num)
+            den_powers.append(den_powers[-1] * pulse_den)
+            if 2 * q_powers[block] <= den_powers[block]:
+                break
         self.block = block
-        self.skip = Fraction(q_num**block, pulse_den**block)
+        self.skip = Fraction(q_powers[block], den_powers[block])
         # (offset, component) over pulse_den^block * common: q^offset * weight
-        offsets = [((offset, c), q_num**offset * pulse_den ** (block - 1 - offset) * n)
-                   for offset in range(block) for c, n in per_pulse]
+        scales = map(mul, q_powers[:block], reversed(den_powers[:block]))
+        offsets = [((offset, c), scale * n)
+                   for offset, scale in enumerate(scales) for c, n in per_pulse]
         self.dense = 2 * self.skip <= 1
         if self.dense:  # one joint table; None skips the whole block
-            self.emission = _Table([*offsets, (None, q_num**block * common)])
+            self.emission = _Table([*offsets, (None, q_powers[block] * common)])
         else:  # the emitting block comes from the skip levels, then this table
             self.emission = _Table(offsets)
             levels = (-(-pulses // block) - 1).bit_length() + 1
@@ -543,29 +551,19 @@ class _Sampler:
         # per emission component, (surviving pattern, herald veto); none without loss
         self.survivors = {c: _survivors_table(c, loss_prob)
                           for c in (*one_pair, *two_pair) if loss_prob}
+        links: Dict[Pattern, list] = {}  # one output link per surviving component
 
-    def next_emission(self, rng: Random, pulse: int, pulses: int):
-        """(index, component) of the first emitting pulse from ``pulse`` on,
-        or None when there is none below ``pulses``."""
-        if pulse >= pulses:  # nothing left to draw for
-            return None
-        if self.dense:
-            while pulse < pulses:
-                drawn = self.emission.draw(rng)
-                if drawn is not None:
-                    break
-                pulse += self.block
-            else:
-                return None
+        def link(component: Pattern) -> Optional[list]:
+            return links.setdefault(component, [None, component]) if component else None
+
+        if loss_prob:
+            chains = {c: (table._leading, [(link(kept), veto) for kept, veto in table.values],
+                          table)
+                      for c, table in self.survivors.items()}
         else:
-            blocks = self.skipped_blocks(rng, -(-(pulses - pulse) // self.block))
-            if blocks is None:
-                return None
-            pulse += blocks * self.block
-            drawn = self.emission.draw(rng)
-        offset, component = drawn
-        pulse += offset
-        return (pulse, component) if pulse < pulses else None
+            chains = {c: link(c) for c in (*one_pair, *two_pair)}
+        self.steps = [None if drawn is None else (drawn[0], chains[drawn[1]])
+                      for drawn in self.emission.values]
 
     def skipped_blocks(self, rng: Random, blocks: int) -> Optional[int]:
         """The number K of blocks that emit nothing before one that does,
@@ -608,8 +606,8 @@ def sample_events(
     sampled law is the rational law exactly, and the work of a call grows
     with the events it emits, not with ``pulses``.
 
-    Both probabilities are :class:`numbers.Rational`; a float raises
-    ``TypeError``.
+    ``pulses`` is an ``int`` and both probabilities are
+    :class:`numbers.Rational`; a float raises ``TypeError``.
 
     Identical arguments yield byte-identical streams.  Draws are made per
     emitted event, not per pulse, so changing a probability or the seed
@@ -621,6 +619,8 @@ def sample_events(
     the survival factor ``(1-loss_prob)**n`` of an n-photon component,
     which is the physical effect of a heralded loss channel.
     """
+    if not isinstance(pulses, int):
+        raise TypeError(f"pulse count must be an int, got {pulses!r}")
     if pulses < 0:
         raise ConfigurationError(f"pulse count {pulses} is negative")
     if not isinstance(pair_prob, Rational) or not isinstance(loss_prob, Rational):
@@ -636,13 +636,50 @@ def sample_events(
         return
     sampler = _Sampler(pair_prob, loss_prob, pulses)
     rng = Random(seed)
+    # each event reads its chain from ``steps``, so no per-event lookup is
+    # keyed by a pattern; each draw bisects one word, and settles a tie
+    getrandbits, skipped_blocks = rng.getrandbits, sampler.skipped_blocks
+    emission, steps, block = sampler.emission, sampler.steps, sampler.block
+    emission_cuts, dense, lossy = emission._leading, sampler.dense, bool(loss_prob)
     pulse = 0
-    while (emitted := sampler.next_emission(rng, pulse, pulses)) is not None:
-        pulse, component = emitted
+    while pulse < pulses:
+        if not dense:  # the empty blocks first, then (offset, component)
+            blocks = skipped_blocks(rng, -(-(pulses - pulse) // block))
+            if blocks is None:
+                return
+            pulse += blocks * block
+        u = getrandbits(WORD)
+        i = bisect_right(emission_cuts, u)
+        if emission_cuts[i - 1] == u:
+            i = emission._settle(rng, u)
+        step = steps[i]
+        if step is None:  # the whole block emits nothing
+            pulse += block
+            continue
+        offset, chain = step
+        pulse += offset
+        if pulse >= pulses:
+            return
         veto = False
-        if sampler.survivors:
-            component, veto = sampler.survivors[component].draw(rng)
-        pattern, event_class = _output_table(component).draw(rng) if component else _ALL_LOST
+        if lossy:
+            cuts, survivors, table = chain
+            u = getrandbits(WORD)
+            i = bisect_right(cuts, u)
+            if cuts[i - 1] == u:
+                i = table._settle(rng, u)
+            chain, veto = survivors[i]
+        if chain is None:
+            pattern, event_class = _ALL_LOST
+        else:
+            table = chain[0]
+            if table is None:
+                table = chain[0] = _output_table(chain[1])
+            cuts = table._leading
+            u = getrandbits(WORD)
+            i = bisect_right(cuts, u)
+            if cuts[i - 1] == u:
+                i = table._settle(rng, u)
+            pattern, event_class = table.values[i]
         yield SampledEvent(pulse, pattern, event_class, veto)
         pulse += 1
 

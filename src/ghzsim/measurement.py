@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial, lcm, prod
 from numbers import Rational
@@ -102,15 +103,13 @@ STATIONS = (Station.G, Station.H, Station.Z)
 class SettingTriple(Record):
     """The three analyzer choices for stations G, H and Z."""
 
-    __slots__ = _fields = ("g", "h", "z")
+    _fields = ("g", "h", "z")
+    __slots__ = (*_fields, "code")
 
     def __init__(self, g: AnalyzerSetting, h: AnalyzerSetting, z: AnalyzerSetting) -> None:
+        # compact form, e.g. ``xyy`` (x = linear45, y = circular): verdicts read it often
+        object.__setattr__(self, "code", _SETTING_CODE[g] + _SETTING_CODE[h] + _SETTING_CODE[z])
         self._set(g, h, z)
-
-    @property
-    def code(self) -> str:
-        """Compact form: x = linear45, y = circular; e.g. ``xyy``."""
-        return "".join(_SETTING_CODE[s] for s in (self.g, self.h, self.z))
 
     @classmethod
     def from_code(cls, code: str) -> "SettingTriple":
@@ -177,10 +176,14 @@ def analyzer_transform(
     return ModeTransform(rules, name=f"AN({beam.value},{setting.value})")
 
 
+# built and Gram-checked once per process: 12 (station, setting, conjugate)
+_analyzer = lru_cache(maxsize=None)(analyzer_transform)
+
+
 def _merged_analyzer_rules(settings: SettingTriple, conjugate: bool) -> Dict[Mode, tuple]:
     rules: Dict[Mode, tuple] = {}
     for station in STATIONS:
-        rules.update(analyzer_transform(station, settings.setting(station), conjugate).rules)
+        rules.update(_analyzer(station, settings.setting(station), conjugate).rules)
     return rules
 
 

@@ -5,16 +5,19 @@ import hashlib
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from ghzsim.circuit import ModeTransform, OpticalCircuit, innsbruck_circuit
 from ghzsim.events import (
     EVENT,
     EVENT_CLASSES,
+    MAX_BLOCK,
     SKIP_PRECISION,
     WORD,
     ConfigurationError,
@@ -69,6 +72,7 @@ from ghzsim.measurement import (
     Station,
     _merged_analyzer_rules,
     all_setting_triples,
+    over_one_denominator,
     pattern_distribution,
     read_pattern,
 )
@@ -361,6 +365,18 @@ def test_sampler_rejects_float_probabilities(pair_prob, loss_prob):
         list(sample_events(2000, pair_prob, 1, loss_prob))
 
 
+@pytest.mark.parametrize("pulses,pair_prob", [(5000.5, Fraction(1, 20)), (1e6, Fraction(1, 10**4))])
+def test_sampler_rejects_a_float_pulse_count(monkeypatch, pulses, pair_prob):
+    import ghzsim.events
+
+    # one count per regime: dense at p = 1/20, sparse at p = 1/10^4
+    seeded = []
+    monkeypatch.setattr(ghzsim.events, "Random", lambda seed: seeded.append(seed))
+    with pytest.raises(TypeError, match="pulse count must be an int"):
+        next(sample_events(pulses, pair_prob, 1))
+    assert seeded == []  # rejected before any draw
+
+
 def test_sampler_one_pair_statistics():
     pulses, p = 10**6, Fraction(1, 10000)
     events = list(sample_events(pulses, p, seed=42))
@@ -638,7 +654,9 @@ def _word_for(table, value):
 
 
 @pytest.mark.parametrize("p", [DENSE_P, SPARSE_P])
-def test_an_emission_lands_after_the_skipped_blocks_at_its_offset(p):
+def test_an_emission_lands_after_the_skipped_blocks_at_its_offset(monkeypatch, p):
+    import ghzsim.events
+
     sampler = _Sampler(p, Fraction(0), 10**6)
     m, table = sampler.block, sampler.emission
     offset, component = drawn = next(v for v in table.values if v and v[0] == 3)
@@ -646,29 +664,37 @@ def test_an_emission_lands_after_the_skipped_blocks_at_its_offset(p):
         words = [_word_for(table, None)] * 2 + [_word_for(table, drawn)]
     else:  # U just below skip^2 gives two empty blocks
         words = [math.floor(sampler.skip**2 * 2**WORD) - 1, _word_for(table, drawn)]
-    assert sampler.next_emission(_Words(*words), 10, 10**6) == (10 + 2 * m + 3, component)
-    assert sampler.next_emission(_Words(*words), 10, 10 + 2 * m + 3) is None
+    # then a zero word: the first pattern of the component's output table
+    first_pattern = _output_table(component).values[0][0]
+    for pulses, landed in ((10**6, (2 * m + 3, first_pattern)), (2 * m + 3, None)):
+        monkeypatch.setattr(ghzsim.events, "Random", lambda seed: _Words(*words))
+        event = next(sample_events(pulses, p, seed=0), None)
+        assert landed == (event and (event.pulse_index, event.pattern))
 
 
 @pytest.mark.parametrize("pulses", [1, 64])
 def test_an_emission_on_the_last_pulse_ends_the_stream(monkeypatch, pulses):
     import ghzsim.events
 
-    # at p = 1/100 even a block of 64 pulses is empty more than half the
-    # time, so the gap comes from the skip levels, here a single one
-    p = Fraction(1, 100)
-    sampler = _Sampler(p, Fraction(0), pulses)
-    assert not sampler.dense and sampler.block == 64 and len(sampler.skip_bounds) == 1
-    drawn = next(v for v in sampler.emission.values if v[0] == pulses - 1)
-    # U near 1 skips no block, then (last offset, component), then the pattern
-    rng = _Words(MASK, _word_for(sampler.emission, drawn))
-    monkeypatch.setattr(ghzsim.events, "Random", lambda seed: rng)
-    events = list(sample_events(pulses, p, seed=0))
-    assert [event.pulse_index for event in events] == [pulses - 1]
-    assert rng.drawn == 3  # no word is drawn once the pulses are used up
-    for either in (DENSE_P, p):  # either gap path
-        assert _Sampler(either, Fraction(0), pulses).next_emission(rng, pulses, pulses) is None
-    assert rng.drawn == 3
+    for p in (Fraction(1, 100), DENSE_P):  # either gap path
+        sampler = _Sampler(p, Fraction(0), pulses)
+        table = sampler.emission
+        blocks, offset = divmod(pulses - 1, sampler.block)
+        last = _word_for(table, next(v for v in table.values if v and v[0] == offset))
+        if sampler.dense:  # skip the blocks before the last pulse's, then its offset
+            words = [_word_for(table, None)] * blocks + [last]
+        else:
+            # at p = 1/100 even a block of 64 pulses is empty more than half
+            # the time, so the gap comes from the skip levels, here a single
+            # one; U near 1 skips no block
+            assert sampler.block == 64 and len(sampler.skip_bounds) == 1
+            words = [MASK, last]
+        rng = _Words(*words)
+        monkeypatch.setattr(ghzsim.events, "Random", lambda seed: rng)
+        events = list(sample_events(pulses, p, seed=0))
+        assert [event.pulse_index for event in events] == [pulses - 1]
+        # then the pattern's word, and no word once the pulses are used up
+        assert rng.drawn == len(words) + 1
 
 
 @pytest.mark.parametrize("tied", [1, 2])
@@ -683,7 +709,7 @@ def test_words_on_a_truncated_cut_point_settle_on_the_exact_bucket(tied):
             rng = _Words(*words, last)
             u = Fraction((leading << WORD) + last, 2 ** ((tied + 1) * WORD))  # then zeros
             bucket = sum(1 for c in table.cuts if c <= u * table.den)
-            assert table.draw(rng) == table.values[bucket] and rng.drawn >= tied + 1
+            assert _draw(table, rng) == table.values[bucket] and rng.drawn >= tied + 1
 
 
 @pytest.mark.parametrize("precision", [SKIP_PRECISION, 2 * SKIP_PRECISION])
@@ -737,3 +763,168 @@ def test_seeded_chunks_concatenate_to_one_deterministic_stream(p, loss):
     indices = [event.pulse_index for event in first]
     assert all(a < b for a, b in zip(indices, indices[1:]))
     assert 0 <= indices[0] and indices[-1] < chunks * chunk_pulses
+
+
+# ---------------------------------------------------------------------------
+# the draw chains, held word for word to the reference loop
+# ---------------------------------------------------------------------------
+
+
+def _draw(table, rng):
+    """One draw from a ``_Table``: a word bisected on the truncated cut
+    points, settled exactly when it ties with one."""
+    u = rng.getrandbits(WORD)
+    i = bisect_right(table._leading, u)
+    if table._leading[i - 1] != u:
+        return table.values[i]
+    return table.values[table._settle(rng, u)]
+
+
+def _next_emission(sampler, rng, pulse, pulses):
+    """(index, component) of the first emitting pulse from ``pulse`` on, or
+    None when there is none below ``pulses``."""
+    if pulse >= pulses:
+        return None
+    if sampler.dense:
+        while pulse < pulses:
+            drawn = _draw(sampler.emission, rng)
+            if drawn is not None:
+                break
+            pulse += sampler.block
+        else:
+            return None
+    else:
+        blocks = sampler.skipped_blocks(rng, -(-(pulses - pulse) // sampler.block))
+        if blocks is None:
+            return None
+        pulse += blocks * sampler.block
+        drawn = _draw(sampler.emission, rng)
+    offset, component = drawn
+    pulse += offset
+    return (pulse, component) if pulse < pulses else None
+
+
+def _reference_stream(pulses, pair_prob, rng, loss_prob=Fraction(0)):
+    """The event stream of ``sample_events`` drawn one lookup at a time: the
+    next emission, then the survivor table looked up by its component, then
+    the output table looked up by the surviving pattern, each through
+    :func:`_draw`."""
+    sampler = _Sampler(pair_prob, loss_prob, pulses)
+    pulse = 0
+    while (emitted := _next_emission(sampler, rng, pulse, pulses)) is not None:
+        pulse, component = emitted
+        veto = False
+        if sampler.survivors:
+            component, veto = _draw(sampler.survivors[component], rng)
+        if component:
+            pattern, event_class = _draw(_output_table(component), rng)
+        else:
+            pattern, event_class = (), classify_pattern(())
+        yield SampledEvent(pulse, pattern, event_class, veto)
+        pulse += 1
+
+
+class _CountingRandom(random.Random):
+    """A seeded ``Random`` that records each ``getrandbits`` call: (bits, word)."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, bits):
+        word = super().getrandbits(bits)
+        self.calls.append((bits, word))
+        return word
+
+
+def _sample_through(monkeypatch, rng, *args):
+    """``sample_events(*args)`` with ``rng`` as its random source."""
+    import ghzsim.events
+
+    monkeypatch.setattr(ghzsim.events, "Random", lambda seed: rng)
+    return list(sample_events(*args))
+
+
+# (pair probability, most pulses): two dense and two sparse regimes, each
+# sized to emit a few hundred events at most
+REGIMES = [(DENSE_P, 6000), (Fraction(2, 7), 1000), (SPARSE_P, 10**6), (Fraction(3, 10**6), 10**8)]
+LOSSES = (st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1)])
+          | st.fractions(0, 1, max_denominator=1000))
+
+
+def test_the_regimes_cover_both_gap_paths():
+    assert [_Sampler(p, Fraction(0), pulses).dense for p, pulses in REGIMES] == [
+        True, True, False, False]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REGIMES).flatmap(
+           lambda regime: st.tuples(st.just(regime[0]), st.integers(1, regime[1]))),
+       LOSSES, st.integers(0, 2**64))
+def test_the_stream_is_the_reference_stream_word_for_word(regime, loss, seed):
+    p, pulses = regime
+    rng = _CountingRandom(seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        events = _sample_through(monkeypatch, rng, pulses, p, seed, loss)
+    reference = _CountingRandom(seed)
+    assert events == list(_reference_stream(pulses, p, reference, loss))
+    assert rng.calls == reference.calls
+
+
+@pytest.mark.parametrize("last", [0, MASK])
+@pytest.mark.parametrize("stage", ["emission", "survivors", "output"])
+def test_a_tied_word_settles_as_in_the_reference_at_each_stage(monkeypatch, stage, last):
+    # one pulse and one event: the emission at offset 0, the survivors, then
+    # the pattern.  The stage's first word is a truncated cut point, so it
+    # reads ``last`` and maybe more before it decides; with no tie an event
+    # reads at most 3 words
+    loss = Fraction(1, 10)
+    sampler = _Sampler(DENSE_P, loss, 1)
+    emission = sampler.emission
+    k = 1  # the cut point between the first two offset-0 values
+    assert emission.values[k][0] == emission.values[k + 1][0] == 0
+    component = emission.values[k][1]
+    survivors, output = sampler.survivors[component], _output_table(component)
+    j = len(survivors.values) // 2
+    words = {
+        "emission": [emission._leading[k], last, MASK],  # MASK: every photon survives
+        "survivors": [_word_for(emission, emission.values[k]), survivors._leading[j], last],
+        "output": [_word_for(emission, emission.values[k]),
+                   _word_for(survivors, (component, False)),
+                   output._leading[len(output.values) // 2], last],
+    }[stage]
+    rng, reference = _Words(*words), _Words(*words)
+    assert _sample_through(monkeypatch, rng, 1, DENSE_P, 0, loss) == list(
+        _reference_stream(1, DENSE_P, reference, loss))
+    assert rng.drawn == reference.drawn >= 4
+
+
+@pytest.mark.parametrize("p", [DENSE_P, Fraction(2, 7), SPARSE_P, Fraction(1, 100),
+                               Fraction(3, 10**6)])
+def test_offset_weights_are_the_pow_formula(p):
+    # per (offset, component): q^offset * den^(block-1-offset) * weight, each
+    # power taken with pow, over den^block * common
+    one_pair = pattern_distribution(single_pair_emission())
+    two_pair = pattern_distribution(two_pair_emission())
+    weights, common = over_one_denominator([*one_pair.values(), *two_pair.values()])
+    a, b = p.numerator, p.denominator
+    per_pulse = ([(c, a * b * n) for c, n in zip(one_pair, weights)]
+                 + [(c, a * a * n) for c, n in zip(two_pair, weights[len(one_pair):])])
+    den, q_num = b * b, b * b - a * b - a * a
+    block = next((m for m in range(1, MAX_BLOCK + 1) if 2 * q_num**m <= den**m), MAX_BLOCK)
+    weighted = [((offset, c), q_num**offset * den ** (block - 1 - offset) * n)
+                for offset in range(block) for c, n in per_pulse]
+    sampler = _Sampler(p, Fraction(0), 10**6)
+    if sampler.dense:
+        weighted.append((None, q_num**block * common))
+    assert sampler.block == block
+    assert sampler.emission.values == [value for value, _ in weighted]
+    assert sampler.emission.cuts == list(accumulate(w for _, w in weighted))
+
+
+@pytest.mark.parametrize("p", [DENSE_P, SPARSE_P])
+def test_the_first_event_of_a_cold_call_builds_one_output_table(p):
+    # output tables are built as events need them, not when a call starts
+    _output_table.cache_clear()
+    first = next(sample_events(50000 if p == DENSE_P else 10**6, p, 3, Fraction(1, 10)))
+    assert first.pattern and _output_table.cache_info().misses == 1

@@ -3,6 +3,7 @@ right-sector tables against the fully analyzed state."""
 
 import hashlib
 import json
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -114,6 +115,38 @@ def test_analyzer_rules_stay_in_their_station(station, setting, conjugate):
     assert {source.beam for source in rules} == {station.beam}
     assert all(target.beam == source.beam
                for source, targets in rules.items() for target, _ in targets)
+
+
+def test_analyzer_transforms_are_built_and_checked_once_per_process(monkeypatch):
+    from ghzsim.circuit import ModeTransform
+
+    state, checked = heralded_state(), []
+    validate = ModeTransform._validate
+
+    def counting_validate(transform):
+        checked.append(transform)
+        validate(transform)
+
+    monkeypatch.setattr(ModeTransform, "_validate", counting_validate)
+    measurement._analyzer.cache_clear()
+    for triple, conjugate in SETTING_PAIRS * 2:
+        outcome_distribution(state, triple, conjugate)
+    # one Gram check per (station, setting, conjugate)
+    assert len(checked) == len(Station) * len(AnalyzerSetting) * 2 == 12
+    triple = SettingTriple.from_code("xyy")
+    rules = measurement._merged_analyzer_rules(triple, False)
+    rules.clear()  # each call hands out a fresh dict
+    assert len(measurement._merged_analyzer_rules(triple, False)) == 6
+
+
+def test_setting_codes_are_fixed_at_construction():
+    codes = {AnalyzerSetting.LINEAR45: "x", AnalyzerSetting.CIRCULAR: "y"}
+    for triple in all_setting_triples():
+        assert triple.code == "".join(codes[s] for s in (triple.g, triple.h, triple.z))
+        assert str(triple) == triple.code and SettingTriple.from_code(triple.code) == triple
+        assert pickle.loads(pickle.dumps(triple)).code == triple.code
+        with pytest.raises(AttributeError):
+            triple.code = "xxx"
 
 
 def test_analyzer_transforms_are_isometries():
