@@ -17,12 +17,16 @@ cell form a group (of order 48 for the quantum tables at every visibility
 above 0).  Averaging a mixture over that group keeps it a solution, so the LP
 over mixtures that give every member of a strategy orbit one weight has the
 full LP's verdict (Bödi, Herr & Joswig, Math. Program. 137, 2013).  Its
-columns are the strategy orbits (4 in place of 64); its 65 rows stay, and
-the rows of one cell orbit come out equal.  The evidence is lifted back to
-the 64 strategies, and a Farkas certificate is averaged over each cell orbit,
-which makes it fix the group too, so it bounds every strategy column and not
-only their orbit sums.  Both are then checked on the full 65 × 64 problem by
-code that shares nothing with the solver.
+columns are the strategy orbits (4 in place of 64).  It is handed all 65
+rows, and the rows of one cell orbit come out equal, targets included: the
+simplex kernel merges such repeated equations and pivots on the distinct
+ones (at most 7 for the quantum tables), each weighted in Phase I by its
+number of copies, and shares each merged row's dual out evenly over its
+copies.  The evidence is lifted back to the 64 strategies, and a Farkas
+certificate is averaged over each cell orbit, which makes it fix the group
+too, so it bounds every strategy column and not only their orbit sums.  Both
+are then checked on the full 65 × 64 problem by code that shares nothing
+with the solver.
 
 The GHZ contradiction itself needs no inequalities
 (:func:`ghz_paradox_check`), while the noise tolerance is an LP boundary:
@@ -365,21 +369,28 @@ def _cell_rows(problem: FeasibilityProblem):
 
 
 def _with_slack(rows, rhs, slack: Fraction):
-    """Relax cell equalities to a ±slack band via surplus columns."""
+    """Relax cell equalities to a ±slack band via surplus columns.
+
+    Cells with equal rows and equal targets share one surplus pair, so their
+    band rows are repeats, which the kernel merges into one.  No two cells of
+    the full 65 × 64 rows are equal, so there every cell has its own pair."""
     n = len(rows[0])
-    cells = len(rows) - 1  # mass row stays exact
+    pairs: Dict[Tuple, int] = {}
+    shared = [pairs.setdefault((row, t.numerator, t.denominator), len(pairs))
+              for row, t in zip(rows[:-1], rhs)]  # the mass row stays exact
+    width = 2 * len(pairs)
     wide_rows: List[List[int]] = []
     wide_rhs: List[Fraction] = []
-    for i in range(cells):
-        upper = list(rows[i]) + [0] * (2 * cells)
-        upper[n + i] = 1
+    for row, t, p in zip(rows, rhs, shared):
+        upper = list(row) + [0] * width
+        upper[n + p] = 1
         wide_rows.append(upper)
-        wide_rhs.append(rhs[i] + slack)
-        lower = list(rows[i]) + [0] * (2 * cells)
-        lower[n + cells + i] = -1
+        wide_rhs.append(t + slack)
+        lower = list(row) + [0] * width
+        lower[n + len(pairs) + p] = -1
         wide_rows.append(lower)
-        wide_rhs.append(rhs[i] - slack)
-    wide_rows.append(list(rows[-1]) + [0] * (2 * cells))
+        wide_rhs.append(t - slack)
+    wide_rows.append(list(rows[-1]) + [0] * width)
     wide_rhs.append(rhs[-1])
     return wide_rows, wide_rhs
 
@@ -476,7 +487,11 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     The LP's columns are the orbits of the targets' stabiliser on the
     strategies (see :func:`_orbit_lp`): averaging a solution over the
     stabiliser keeps it a solution, so one weight per orbit decides the full
-    LP's verdict.  The evidence is lifted to the full problem and checked
+    LP's verdict.  Its 65 rows are handed to the kernel as they are: the rows
+    of one cell orbit are equal, and so are their targets, so the kernel
+    merges them and pivots on the distinct ones; with slack, equal cells
+    share one surplus pair (see :func:`_with_slack`), so their band rows are
+    merged too.  The evidence is lifted to the full problem and checked
     there by :func:`verify_verdict` or :func:`evaluate_certificate`: a
     mixture gives every member of a strategy orbit the orbit's weight, and a
     certificate gives each cell of orbit o the coefficient y_o/|o|, y_o the

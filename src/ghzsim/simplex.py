@@ -17,6 +17,18 @@ degenerate runs, which keeps the method finite.  An infeasible system yields
 a Farkas certificate ``y`` with ``y·A <= 0`` componentwise and ``y·b > 0``,
 which :func:`verify_farkas` re-checks from scratch, independently of the
 solver's internal state.
+
+Repeated equations are merged before Phase I, a standard presolve step
+(Andersen & Andersen, Math. Program. 71, 1995): a row whose entries and
+right-hand side equal those of an earlier row joins that row's class, and
+only the first row of each class enters the tableau.  Its artificial stands
+for the artificials of every row of the class, so its Phase-I cost is the
+class's size, in the reduced costs, in the objective and in the gap, and
+Dantzig's rule sees the costs of the rows as given.  A system with every row
+repeated k times takes the same pivots to the same solution as the system
+itself, with k times its gap.  An infeasible system's certificate gives each
+row of a class the class's dual over its size, so it is a Farkas certificate
+for the rows as given.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from fractions import Fraction
 from itertools import compress, count, islice
 from numbers import Rational
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 WORD_BITS = 64  # rows are divided by their gcd only above this denominator width
 
@@ -76,11 +88,18 @@ def solve_feasibility(
         raise TypeError("entries must be exact rationals (numbers.Rational)")
 
     # tableau rows: [structural | artificial | rhs] / den, each row scaled to integers
-    # (an all-int row by its rhs denominator) and flipped so that its rhs is non-negative
+    # (an all-int row by its rhs denominator) and flipped so that its rhs is
+    # non-negative.  Equal rows scale to equal integers over equal denominators,
+    # so a repeat of an earlier row, rhs included, is found by an integer key
+    # (the signed denominator, then the row): it joins that row's class, and
+    # only the first row of a class is kept
+    classes: Dict[Tuple[int, ...], int] = {}
+    owner: List[int] = []  # the class of each given row
+    weight: List[int] = []  # the number of given rows in each class
     flip: List[int] = []
     tableau: List[List[int]] = []
     dens: List[int] = []
-    for i, (values, b, kind) in enumerate(zip(rows, rhs, kinds)):
+    for values, b, kind in zip(rows, rhs, kinds):
         sign = -1 if b.numerator < 0 else 1
         if kind <= {int}:
             den, scale = b.denominator, sign * b.denominator
@@ -88,14 +107,23 @@ def solve_feasibility(
         else:
             den = math.lcm(b.denominator, *(v.denominator for v in values))
             row = [sign * v.numerator * (den // v.denominator) for v in values]
-        row += [0] * m + [sign * b.numerator * (den // b.denominator)]
-        row[n + i] = den
+        row.append(sign * b.numerator * (den // b.denominator))
+        c = classes.setdefault((sign * den, *row), len(tableau))
+        owner.append(c)
+        if c < len(tableau):
+            weight[c] += 1
+            continue
+        weight.append(1)
         flip.append(sign)
         tableau.append(row)
         dens.append(den)
+    m = len(tableau)
+    for i, row in enumerate(tableau):
+        row[n:n] = [0] * m
+        row[n + i] = dens[i]
 
-    # crash basis: a structural column that is a unit vector for a row can
-    # start basic there, so only the remaining rows need a basic artificial
+    # crash basis: a structural column that is a unit vector for a kept row
+    # can start basic there, so only the remaining rows need a basic artificial
     # (all artificial columns are kept, passively, to read the dual off)
     basis = [n + i for i in range(m)]
     for j, column in zip(range(n), zip(*tableau)):
@@ -105,14 +133,16 @@ def solve_feasibility(
             if basis[i] >= n and value == dens[i]:
                 basis[i] = j
 
-    # reduced-cost row for min(sum of basic artificials): z_j - c_j, over the common
-    # denominator of the artificial rows; an artificial entry is 0 if basic, else -obj_den
+    # reduced-cost row for min(sum of basic artificials of the given rows): a
+    # class's artificial stands for those of all its rows, so it costs the
+    # class's size.  It holds z_j - c_j over the common denominator of the
+    # artificial rows; an artificial entry is 0 if basic, else -cost·obj_den
     artificial_rows = [i for i in range(m) if basis[i] >= n]
     obj_den = math.lcm(*(dens[i] for i in artificial_rows))
-    scales = [obj_den // dens[i] for i in artificial_rows]
+    scales = [weight[i] * obj_den // dens[i] for i in artificial_rows]
     columns = zip(*(tableau[i] for i in artificial_rows))
     obj = [sum(map(mul, scales, column)) for column in islice(columns, n)] or [0] * n
-    obj += [0 if basis[i] >= n else -obj_den for i in range(m)]
+    obj += [0 if basis[i] >= n else -weight[i] * obj_den for i in range(m)]
     obj.append(sum(map(mul, scales, (tableau[i][-1] for i in artificial_rows))))
 
     # artificials never enter: the crash ones never were basic, the others
@@ -171,9 +201,10 @@ def solve_feasibility(
         basis[leave] = enter
         iterations += 1
 
-    # current sum of artificial variables: basic ones carry their rhs value
+    # current sum of artificial variables: basic ones carry their rhs value,
+    # once for each row of their class
     gap = sum(
-        (Fraction(tableau[i][-1], dens[i]) for i in range(m) if basis[i] >= n),
+        (Fraction(weight[i] * tableau[i][-1], dens[i]) for i in range(m) if basis[i] >= n),
         start=Fraction(0),
     )
     if gap == 0:
@@ -183,10 +214,13 @@ def solve_feasibility(
                 solution[var] = Fraction(tableau[i][-1], dens[i])
         return FeasibilityResult(True, solution, None, gap, iterations)
 
-    # dual values: for artificial column j, reduced cost = y_j - 1
-    certificate = [
-        Fraction(flip[i] * (obj[n + i] + obj_den), obj_den) for i in range(m)
+    # dual values: for artificial column j, reduced cost = y_j - cost_j; a
+    # class's dual is shared out evenly over its rows
+    duals = [
+        Fraction(flip[i] * (obj[n + i] + weight[i] * obj_den), weight[i] * obj_den)
+        for i in range(m)
     ]
+    certificate = [duals[i] for i in owner]
     return FeasibilityResult(False, None, certificate, gap, iterations)
 
 
@@ -195,10 +229,16 @@ def verify_farkas(
     rhs: Sequence[Fraction],
     certificate: Sequence[Fraction],
 ) -> bool:
-    """Independent exact check that ``certificate`` proves infeasibility."""
+    """Independent exact check that ``certificate`` proves infeasibility.
+
+    An entry of ``certificate`` that is not a :class:`numbers.Rational` fails
+    the check; a system of inconsistent dimensions raises ``ValueError``, as
+    in :func:`solve_feasibility`."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    if len(certificate) != m:
+    if any(len(row) != n for row in rows) or len(rhs) != m:
+        raise ValueError("inconsistent system dimensions")
+    if len(certificate) != m or not all(isinstance(c, Rational) for c in certificate):
         return False
     for j in range(n):
         if sum(certificate[i] * rows[i][j] for i in range(m)) > 0:

@@ -416,7 +416,9 @@ def test_slack_lp_pivot_count_is_pinned():
     problem = FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(1, 64))
     outcome = lhv_feasibility(problem)
     assert outcome.feasible and outcome.verified
-    assert outcome.iterations == 34  # on 129 rows by 4 + 128 columns
+    # handed 129 rows by 4 + 2·5 columns (5 cell classes share surplus pairs),
+    # the kernel pivots on the 11 distinct ones
+    assert outcome.iterations == 3
     # the kernel on the full rows: the same verdict after 118 pivots
     _, rows, rhs, _ = lhv._cell_rows(problem)
     wide_rows, wide_rhs = lhv._with_slack(rows, rhs, problem.slack)
@@ -571,7 +573,7 @@ def test_orbit_lp_of_the_quantum_targets():
     assert strategies == (tuple(range(64)),)
 
 
-@pytest.mark.parametrize("slack,shape", [(Fraction(0), (65, 4)), (Fraction(1, 64), (129, 132))])
+@pytest.mark.parametrize("slack,shape", [(Fraction(0), (65, 4)), (Fraction(1, 64), (129, 14))])
 def test_the_kernel_is_handed_every_row_over_the_strategy_orbits(monkeypatch, slack, shape):
     seen = []
 

@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzsim import simplex
+from ghzsim import lhv, simplex
 from ghzsim.simplex import FeasibilityResult, solve_feasibility, verify_farkas
 
 
@@ -68,6 +68,47 @@ def test_verify_farkas_rejects_bogus_vectors():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         solve_feasibility([[F(1), F(2)], [F(1)]], [F(0), F(0)])
+
+
+def test_verify_farkas_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        verify_farkas([[F(1), F(2)], [F(1)]], [F(0), F(1)], [F(0), F(1)])
+    with pytest.raises(ValueError):
+        verify_farkas([[F(1)]], [F(1), F(2)], [F(1)])
+
+
+def test_verify_farkas_rejects_a_float_certificate():
+    # a float a hair off each exact entry sums to a passing value in binary
+    rows, rhs = _handed(lhv.FeasibilityProblem(lhv.quantum_targets(F(13, 20))))
+    certificate = solve_feasibility(rows, rhs).certificate
+    assert verify_farkas(rows, rhs, certificate)
+    assert not verify_farkas(rows, rhs, [float(c) + 1e-17 for c in certificate])
+    assert not verify_farkas(rows, rhs, [*certificate[:-1], float(certificate[-1])])
+
+
+def _handed(problem):
+    """The rows and targets that ``lhv_feasibility`` hands the kernel: the
+    orbit LP, with its slack band if the problem has one."""
+    _, _, rhs, _ = lhv._cell_rows(problem)
+    _, _, rows = lhv._orbit_lp(lhv._partition(rhs[:-1]))
+    return lhv._with_slack(rows, rhs, problem.slack) if problem.slack else (rows, rhs)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("visibility,slack", [(F(13, 20), F(0)), (F(1), F(1, 64))],
+                         ids=["13/20", "slack1/64"])
+def test_repeating_every_row_keeps_pivots_and_evidence(visibility, slack, k):
+    problem = lhv.FeasibilityProblem(lhv.quantum_targets(visibility), slack=slack)
+    rows, rhs = _handed(problem)
+    once = solve_feasibility(rows, rhs)
+    repeated = solve_feasibility([row for row in rows for _ in range(k)],
+                                 [b for b in rhs for _ in range(k)])
+    assert repeated.iterations == once.iterations
+    assert repeated.feasible == once.feasible == bool(problem.slack)
+    assert repeated.solution == once.solution
+    assert repeated.infeasibility_gap == k * once.infeasibility_gap
+    if once.certificate is not None:
+        assert repeated.certificate == [y for y in once.certificate for _ in range(k)]
 
 
 def test_random_mixtures_are_recovered_exactly():
@@ -168,6 +209,45 @@ def test_verdicts_carry_exact_evidence(system):
     else:
         assert result.infeasibility_gap > 0 and result.solution is None
         assert verify_farkas(rows, rhs, result.certificate)
+
+
+@st.composite
+def repeated_systems(draw):
+    """``(rows, rhs, distinct)``: small integer equations, each repeated 1 to
+    4 times, then shuffled; ``distinct`` lists each equation once, in the
+    order of its first copy.  Half the draws are built around a non-negative
+    point so that they are feasible."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    rows = [tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+            for _ in range(m)]
+    if draw(st.booleans()):
+        hidden = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        rhs = [sum(a * x for a, x in zip(row, hidden)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    copies = [i for i in range(m) for _ in range(draw(st.integers(1, 4)))]
+    order = draw(st.permutations(copies))
+    system = [(rows[i], F(rhs[i])) for i in order]
+    return [row for row, _ in system], [b for _, b in system], list(dict.fromkeys(system))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_systems())
+def test_repeated_rows_are_merged_without_changing_the_verdict(system):
+    rows, rhs, distinct = system
+    result = solve_feasibility(rows, rhs)
+    assert result.feasible == solve_feasibility(*map(list, zip(*distinct))).feasible
+    if result.feasible:
+        x = result.solution
+        assert all(v >= 0 for v in x)
+        assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
+    else:
+        assert verify_farkas(rows, rhs, result.certificate)
+        # every copy of an equation gets the same coefficient
+        coefficients = {}
+        for equation, y in zip(zip(rows, rhs), result.certificate):
+            assert coefficients.setdefault(equation, y) == y
 
 
 # Mostly word-sized primes, so that row denominators outgrow
