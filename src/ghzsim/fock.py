@@ -509,7 +509,8 @@ def as_pattern(obj: PatternLike) -> Pattern:
     for mode, count in items:
         if not isinstance(mode, Mode):
             raise TypeError(f"pattern keys must be Mode, got {mode!r}")
-        count = int(count)
+        if type(count) is not int:  # no float, string or bool is a photon count
+            raise TypeError(f"occupation counts must be ints, got {count!r}")
         if count < 0:
             raise ValueError("occupation counts must be non-negative")
         if count:

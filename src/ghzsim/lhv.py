@@ -18,14 +18,13 @@ above 0).  Averaging a mixture over that group keeps it a solution, so the LP
 over mixtures that give every member of a strategy orbit one weight has the
 full LP's verdict (Bödi, Herr & Joswig, Math. Program. 137, 2013).  Its
 columns are the strategy orbits (4 in place of 64).  It is handed all 65
-rows, and the rows of one cell orbit come out equal, targets included: the
-simplex kernel merges such repeated equations and pivots on the distinct
-ones (at most 7 for the quantum tables), each weighted in Phase I by its
-number of copies, and shares each merged row's dual out evenly over its
-copies.  The evidence is lifted back to the 64 strategies, and a Farkas
-certificate is averaged over each cell orbit, which makes it fix the group
-too, so it bounds every strategy column and not only their orbit sums.  Both
-are then checked on the full 65 × 64 problem by code that shares nothing
+rows, and the rows of one cell orbit are equal, and so are their targets: the
+simplex kernel merges such repeated equations, pivots on the distinct ones (at
+most 7 for the quantum tables), and gives every copy of a merged row the same
+share of its dual.  A Farkas certificate is therefore constant on cell orbits,
+so the group fixes it, and it bounds every strategy column and not only their
+orbit sums.  The mixture is lifted back to the 64 strategies, and either
+evidence is checked on the full 65 × 64 problem by code that shares nothing
 with the solver.
 
 The GHZ contradiction itself needs no inequalities
@@ -451,21 +450,20 @@ def _orbits(group: Sequence[Permutation]) -> Orbits:
 
 
 @lru_cache(maxsize=64)
-def _orbit_lp(partition: Tuple[int, ...]) -> Tuple[Orbits, Orbits, Incidence]:
-    """The cell orbits and the strategy orbits of the maps that fix every
-    target cell, each ordered by least index, and the LP's 65 rows over the
-    strategy orbits: one column per orbit, whose entry counts the members
-    of the orbit that give the row's cell, so the mass row holds the orbit
-    sizes.  The rows of one cell orbit are equal.  A trivial stabiliser gives
-    back the full rows.
+def _orbit_lp(partition: Tuple[int, ...]) -> Tuple[Orbits, Incidence]:
+    """The strategy orbits of the maps that fix every target cell, ordered by
+    least index, and the LP's 65 rows over them: one column per orbit, whose
+    entry counts the members of the orbit that give the row's cell, so the
+    mass row holds the orbit sizes.  A trivial stabiliser gives back the full
+    rows.  The rows of one cell orbit are equal, and so are their targets, so
+    the kernel merges them and shares each merged dual evenly over them.
 
     ``partition`` labels each cell by the first cell with an equal target,
     so it alone decides which candidate maps fix the targets."""
     stabiliser = [m for m in _candidate_maps() if itemgetter(*m[0])(partition) == partition]
-    cells = _orbits([cell_map for cell_map, _ in stabiliser])
     strategies = _orbits([strategy_map for _, strategy_map in stabiliser])
     _, rows = _incidence()
-    return cells, strategies, tuple(
+    return strategies, tuple(
         tuple([sum([row[j] for j in orbit]) for orbit in strategies]) for row in rows)
 
 
@@ -494,14 +492,14 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     merged too.  The evidence is lifted to the full problem and checked
     there by :func:`verify_verdict` or :func:`evaluate_certificate`: a
     mixture gives every member of a strategy orbit the orbit's weight, and a
-    certificate gives each cell of orbit o the coefficient y_o/|o|, y_o the
-    total over the orbit's cells, with the mass coefficient as solved.  That
-    certificate is constant on cell orbits, so its value on a strategy's
-    column is the same across the strategy's orbit: the orbit column's value
-    over the orbit size, which the solve makes non-positive.
+    certificate is the kernel's dual as solved, each slack pair folded into
+    its cell.  The kernel gives every copy of a merged row the same share of
+    its dual, so the certificate is constant on cell orbits and its value on
+    a strategy's column is the same across the strategy's orbit: the orbit
+    column's value over the orbit size, which the solve makes non-positive.
     """
     strategies, _, rhs, keys = _cell_rows(problem)
-    cells, columns, rows = _orbit_lp(_partition(rhs[:-1]))
+    columns, rows = _orbit_lp(_partition(rhs[:-1]))
     if problem.slack:
         rows, rhs = _with_slack(rows, rhs, problem.slack)
     result = solve_feasibility(rows, rhs)
@@ -511,13 +509,9 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
         return FeasibilityOutcome(True, mixture, problem.wrong_mass, None, result.iterations,
                                   verify_verdict(problem, True,
                                                  {**mixture, CHI_ZERO: problem.wrong_mass}))
-    dual = list(result.certificate)
+    dual = result.certificate
     if problem.slack:  # the dual covers doubled cell rows; fold the pairs back
         dual = [dual[i] + dual[i + 1] for i in range(0, len(dual) - 1, 2)] + [dual[-1]]
-    for orbit in cells:  # each cell of orbit o gets y_o/|o|, y_o the orbit's total
-        share = sum([dual[i] for i in orbit]) / len(orbit)
-        for i in orbit:
-            dual[i] = share
     certificate = evaluate_certificate(problem, dict(zip(keys, dual)))
     return FeasibilityOutcome(False, None, None, certificate, result.iterations,
                               certificate.verified)

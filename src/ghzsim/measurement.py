@@ -140,11 +140,13 @@ def outcome_code(outcome: Outcome) -> str:
     return ",".join(f"{r:+d}" for r in outcome)
 
 
+_OUTCOME_BY_CODE = {outcome_code(o): o for o in OUTCOMES}  # one exact code each
+
+
 def outcome_from_code(code: str) -> Outcome:
-    parts = tuple(int(p) for p in code.split(","))
-    if parts not in OUTCOMES:
+    if code not in _OUTCOME_BY_CODE:
         raise ValueError(f"bad outcome code {code!r}")
-    return parts  # type: ignore[return-value]
+    return _OUTCOME_BY_CODE[code]
 
 
 # circular handedness called +1, per station; G is mirrored (see module doc)

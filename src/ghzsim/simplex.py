@@ -26,9 +26,7 @@ for the artificials of every row of the class, so its Phase-I cost is the
 class's size, in the reduced costs, in the objective and in the gap, and
 Dantzig's rule sees the costs of the rows as given.  A system with every row
 repeated k times takes the same pivots to the same solution as the system
-itself, with k times its gap.  An infeasible system's certificate gives each
-row of a class the class's dual over its size, so it is a Farkas certificate
-for the rows as given.
+itself, with k times its gap.
 """
 
 from __future__ import annotations
@@ -78,7 +76,9 @@ def _eliminate(
 def solve_feasibility(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> FeasibilityResult:
-    """Decide whether ``rows · x = rhs`` admits a non-negative solution."""
+    """Decide whether ``rows · x = rhs`` admits a non-negative solution.  If
+    not, the certificate gives every row of a class of repeated equations the
+    class's dual divided by its size, so equal rows get equal coefficients."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(row) != n for row in rows) or len(rhs) != m:

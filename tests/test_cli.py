@@ -646,8 +646,8 @@ def test_identical_configs_are_byte_identical(capsys):
 
 
 # sha256 of `lhv-feasibility --visibility 1 --slack 1/100`: its certificate
-# value is y·b less slack·Σ|y_i| over the cells (49/100, not 9/4); the
-# certificate averaged over each cell orbit differs from the full LP's, with
+# value is y·b less slack·Σ|y_i| over the cells (49/100, not 9/4); the orbit
+# LP's certificate, constant on cell orbits, differs from the full LP's, with
 # the same value, so only the JSON moved
 SLACK_CERTIFICATE_SHA256 = {
     "json": "4bda36c762576bf610f70d7502888f6ef07c401431ebaeaf90ec0e1eb005aed1",

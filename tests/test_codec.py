@@ -263,7 +263,11 @@ def test_strategy_decoder_rejects_an_assignment_without_two_values(assignments):
         lhv.DISTRIBUTION[1]([{**assignments, "weight": "1/4"}])
 
 
-@pytest.mark.parametrize("code", ["+1,+1", "+1,+1,+1,+1", "+2,+1,-1", "0,+1,+1", "x"])
+@pytest.mark.parametrize("code", [
+    "+1,+1", "+1,+1,+1,+1", "+2,+1,-1", "0,+1,+1", "x",
+    # each names +1,+1,+1 or +1,-1,+1, but not as their one code
+    "1,1,1", "+01,+1,+1", " +1,+1,+1", "+1, -1,+1",
+])
 def test_table_decoder_rejects_a_bad_outcome_code(code):
     obj = TABLE[0](_fixed_table())
     cells = dict(obj["cells"])

@@ -158,6 +158,21 @@ def test_pattern_json_roundtrip():
         pattern_from_json({"nope": 1})
 
 
+@pytest.mark.parametrize("count", [1.5, 0.9, "2", 2.7, True, False, Fraction(2)])
+def test_as_pattern_rejects_a_count_that_is_not_an_int(count):
+    with pytest.raises(TypeError, match="ints"):
+        as_pattern({GH: count})
+    with pytest.raises(TypeError, match="ints"):
+        monomial({GH: count})
+
+
+def test_as_pattern_takes_int_counts_and_drops_zeros():
+    assert as_pattern({GH: 2, HV: 0}) == ((GH, 2),)
+    assert as_pattern([(GH, 1), (GH, 1)]) == ((GH, 2),)
+    with pytest.raises(ValueError, match="non-negative"):
+        as_pattern({GH: -1})
+
+
 # ---------------------------------------------------------------------------
 # polynomial operations: spec examples
 # ---------------------------------------------------------------------------

@@ -540,9 +540,11 @@ def test_candidate_maps_are_built_on_the_first_solve_not_at_import():
 
 
 def _orbit_lp_of(problem):
-    """(cell orbits, strategy orbits, rows) of the problem's orbit LP."""
+    """(cell orbits, strategy orbits, rows) of the problem's orbit LP; the cell
+    orbits are computed here, since the solver leaves them to the kernel."""
     _, _, rhs, _ = lhv._cell_rows(problem)
-    return lhv._orbit_lp(lhv._partition(rhs[:-1]))
+    cells = lhv._orbits([cell_map for cell_map, _ in _stabiliser(problem)])
+    return (cells, *lhv._orbit_lp(lhv._partition(rhs[:-1])))
 
 
 def _stabiliser(problem):
@@ -667,12 +669,35 @@ def test_the_orbit_lp_has_the_full_lps_verdict_and_lifted_evidence(problem, data
     assert list(coefficients) == list(keys)  # every row, in row order
     assert verify_verdict(problem, False, coefficients)
     assert verify_farkas(rows, rhs, [coefficients[key] for key in keys])
+    cells = _orbit_lp_of(problem)[0]
+    _assert_constant_on(cells, [coefficients[key] for key in keys])
     # the check reads every cell, not one per orbit: raising one cell's
     # coefficient past every column's size makes its strategies' columns positive
-    cell = data.draw(st.sampled_from(data.draw(st.sampled_from(_orbit_lp_of(problem)[0]))))
+    cell = data.draw(st.sampled_from(data.draw(st.sampled_from(cells))))
     changed = dict(coefficients)
     changed[keys[cell]] += 1 + sum(map(abs, coefficients.values()))
     assert not evaluate_certificate(problem, changed).verified
+
+
+def _assert_constant_on(cells, coefficients):
+    """The kernel gives every copy of a merged row the same share of its dual,
+    so an infeasible certificate takes one coefficient across each cell orbit."""
+    assert all(len({coefficients[c] for c in orbit}) == 1 for orbit in cells)
+
+
+@pytest.mark.parametrize("slack", [Fraction(0), Fraction(1, 100)])
+@pytest.mark.parametrize("visibility", [Fraction(13, 20), Fraction(1)])
+def test_certificates_are_constant_on_cell_orbits(visibility, slack):
+    problem = FeasibilityProblem(quantum_targets(visibility), slack=slack)
+    outcome = lhv_feasibility(problem)
+    # a verdict takes a slack below (V − 1/2)/32, so 1/100 makes V = 13/20 feasible
+    assert outcome.feasible == (slack >= (visibility - Fraction(1, 2)) / 32)
+    if not outcome.feasible:
+        _, _, _, keys = lhv._cell_rows(problem)
+        cells = _orbit_lp_of(problem)[0]
+        assert len(cells) == 6
+        _assert_constant_on(cells, [outcome.certificate.coefficients[key] for key in keys])
+    assert outcome.verified
 
 
 def test_feasible_verdicts_are_verified_apart_from_the_solver():
