@@ -23,6 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from numbers import Rational
 from typing import Any, Callable, Iterable, Mapping, Tuple, Union
 
 
@@ -273,7 +274,15 @@ def parse_rational(text: str) -> Fraction:
 INT: Codec = (int, _json(int, "integer"))
 BOOL: Codec = (bool, _json(bool, "boolean"))
 TEXT: Codec = (str, _json(str, "string"))
-RATIONAL: Codec = (str, lambda text: parse_rational(TEXT[1](text)))  # "p/q", never a number
+
+
+def _rational_text(value: Rational) -> str:  # "p/q"; a bool or an inexact number: TypeError
+    if isinstance(value, bool) or not isinstance(value, Rational):
+        raise TypeError(f"expected an exact rational, got {value!r:.60}")
+    return str(value)
+
+
+RATIONAL: Codec = (_rational_text, lambda text: parse_rational(TEXT[1](text)))  # never a number
 
 
 def sequence_codec(item: Codec) -> Codec:

@@ -5,10 +5,11 @@ a value in {+1, −1, 0}; zero encodes a locally wrong event (a two-photon
 count or a non-detection).  The sum of outcome moduli can only take the
 values 3 (all right) and 1 (wrong events come in pairs), which forces the
 moduli to be independent of the local settings — enumerated exhaustively in
-:func:`lemma_check`.  The hidden-variable distribution therefore splits
-into a right sector (64 all-±1 strategies) and an aggregated wrong-sector
-weight, and reproducing the quantum tables becomes a small exact-rational
-linear program solved in :mod:`ghzsim.simplex`.
+:func:`lemma_check`, on masks whose bit v is set where a station's modulus
+is v: a strategy's σ values are the bits of its masks' shift-and-OR sum.  The
+hidden-variable distribution therefore splits into a right sector (64 all-±1
+strategies) and an aggregated wrong-sector weight, and reproducing the
+quantum tables becomes a small exact-rational LP solved in :mod:`ghzsim.simplex`.
 
 That LP is solved over orbits.  Permuting the stations, and negating one
 station's outcome at one of its settings, map strategies to strategies and
@@ -35,9 +36,10 @@ white-noise-mixed quantum tables are feasible exactly up to visibility 1/2
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, permutations, product
 from math import prod
 from operator import itemgetter, mul, xor
@@ -93,7 +95,12 @@ VALUES = (1, -1, 0)
 
 StationAssignment = Tuple[int, int]  # value at linear45, value at circular
 _ASSIGNMENTS: Tuple[StationAssignment, ...] = tuple(product(VALUES, repeat=2))
-_ASSIGNMENT_SET = frozenset(_ASSIGNMENTS)
+# station modulus masks (1 dead, 2 live, 3 setting-dependent); per mask triple,
+# the shift-and-OR mask of the sums of one modulus per station, and its even bits
+_MODULUS_MASK = {a: 1 << abs(a[0]) | 1 << abs(a[1]) for a in _ASSIGNMENTS}
+_SIGMA_MASK = {m: reduce(lambda a, b: (a if b & 1 else 0) | (a << 1 if b & 2 else 0), m)
+               for m in product((1, 2, 3), repeat=3)}
+_EVEN = 0b0101
 
 
 class LocalStrategy(Record):
@@ -102,7 +109,7 @@ class LocalStrategy(Record):
     __slots__ = _fields = ("g", "h", "z")
 
     def __init__(self, g: StationAssignment, h: StationAssignment, z: StationAssignment) -> None:
-        if not _ASSIGNMENT_SET.issuperset((g, h, z)):
+        if not _MODULUS_MASK.keys() >= {g, h, z}:
             raise ValueError("each station assigns one of {+1, -1, 0} to each of its 2 settings")
         self._set(g, h, z)
 
@@ -142,26 +149,23 @@ def sigma(strategy: LocalStrategy, triple: SettingTriple) -> int:
     return sum(abs(v) for v in strategy.outcomes(triple))
 
 
-def _sigmas(strategy: LocalStrategy) -> set:
-    """The values of sigma over all eight triples: each station adds either modulus."""
-    g, h, z = ({abs(v) for v in values} for values in (strategy.g, strategy.h, strategy.z))
-    return {a + b + c for a in g for b in h for c in z}
+def _masks(strategy: LocalStrategy) -> Tuple[int, int, int]:
+    return _MODULUS_MASK[strategy.g], _MODULUS_MASK[strategy.h], _MODULUS_MASK[strategy.z]
 
 
-def has_setting_independent_moduli(strategy: LocalStrategy) -> bool:
-    return all(
-        abs(assignment[0]) == abs(assignment[1])
-        for assignment in (strategy.g, strategy.h, strategy.z)
-    )
+def _sigmas(strategy: LocalStrategy) -> int:
+    """The values of sigma over all eight triples, as a mask with bit s set
+    when some triple gives sigma s: each station adds either modulus."""
+    return _SIGMA_MASK[_masks(strategy)]
 
 
 def chi(strategy: LocalStrategy) -> int:
     """Indicator of an all-right strategy; defined only on admissible ones."""
-    if not has_setting_independent_moduli(strategy):
-        raise InadmissibleStrategyError(
-            "outcome modulus depends on a local setting; chi is undefined"
-        )
-    return int(all(abs(a[0]) == 1 for a in (strategy.g, strategy.h, strategy.z)))
+    masks = _masks(strategy)
+    if 3 in masks:
+        raise InadmissibleStrategyError("outcome modulus depends on a local setting; "
+                                        "chi is undefined")
+    return int(masks == (2, 2, 2))
 
 
 class LemmaReport(Record):
@@ -192,7 +196,7 @@ class LemmaReport(Record):
 
 
 def admissible(strategy: LocalStrategy) -> bool:
-    return _sigmas(strategy) <= {1, 3}
+    return not _sigmas(strategy) & _EVEN
 
 
 def lemma_check() -> LemmaReport:
@@ -200,26 +204,23 @@ def lemma_check() -> LemmaReport:
 
     The admissible set is exactly: per-station moduli independent of the
     local setting, with either all three stations live (χ = 1) or exactly
-    one live (the paired-wrong sector, χ = 0).  Every excluded strategy is
-    caught with sigma equal to 0 or 2 at some setting triple.
+    one live (the paired-wrong sector, χ = 0).  Every excluded strategy has
+    sigma 0 or 2 at some triple.  Counts are read off :func:`_sigmas`' masks:
+    admissible is no even sigma bit, setting-dependent a mask 3, χ = 1 all 2.
     """
     strategies = enumerate_strategies()
-    sigmas = list(map(_sigmas, strategies))
-    allowed = [s for s, values in zip(strategies, sigmas) if values <= {1, 3}]
-    excluded = [(s, values) for s, values in zip(strategies, sigmas) if not values <= {1, 3}]
-    independent = [has_setting_independent_moduli(s) for s in allowed]
-    chi_one = sum(ind and chi(s) == 1 for s, ind in zip(allowed, independent))
+    tally = Counter(map(_masks, strategies))
+    allowed = {masks: n for masks, n in tally.items() if not _SIGMA_MASK[masks] & _EVEN}
+    excluded = {masks: n for masks, n in tally.items() if masks not in allowed}
     return LemmaReport(
         total=len(strategies),
-        admissible=len(allowed),
-        chi_one=chi_one,
-        chi_zero=len(allowed) - chi_one,
-        excluded=len(excluded),
-        excluded_with_even_sigma=sum(bool(values & {0, 2}) for _, values in excluded),
-        setting_dependent_excluded=sum(
-            not has_setting_independent_moduli(s) for s, _ in excluded
-        ),
-        all_admissible_moduli_setting_independent=all(independent),
+        admissible=sum(allowed.values()),
+        chi_one=allowed.get((2, 2, 2), 0),
+        chi_zero=sum(n for masks, n in allowed.items() if masks != (2, 2, 2)),
+        excluded=sum(excluded.values()),
+        excluded_with_even_sigma=sum(n for m, n in excluded.items() if _SIGMA_MASK[m] & _EVEN),
+        setting_dependent_excluded=sum(n for masks, n in excluded.items() if 3 in masks),
+        all_admissible_moduli_setting_independent=not any(3 in masks for masks in allowed),
     )
 
 
@@ -356,6 +357,14 @@ def _incidence() -> Tuple[Tuple[CertificateKey, ...], Incidence]:
             rows[8 * t + ((j >> g & 1) << 2 | (j >> h & 1) << 1 | j >> z & 1)][j] = 1
     keys = product([triple.code for triple in TRIPLES], map(outcome_code, OUTCOMES))
     return (*keys, ("mass", "")), (*map(tuple, rows), (1,) * 64)
+
+
+@lru_cache(maxsize=None)
+def _supports() -> Tuple[Tuple[itemgetter, ...], Tuple[itemgetter, ...]]:
+    """Each row's strategies (8 per cell) and each column's 9 rows, as ``itemgetter``s."""
+    _, rows = _incidence()
+    return (tuple(itemgetter(*compress(range(64), row)) for row in rows),
+            tuple(itemgetter(*compress(range(65), column)) for column in zip(*rows)))
 
 
 def _cell_rows(problem: FeasibilityProblem):
@@ -529,7 +538,7 @@ def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mappin
     """
     if not feasible:
         return evaluate_certificate(problem, evidence).verified
-    strategies, rows, rhs, _ = _cell_rows(problem)
+    strategies, _, rhs, _ = _cell_rows(problem)
     if not set(evidence) <= {*strategies, CHI_ZERO} or not all(
         isinstance(w, Rational) for w in evidence.values()
     ) or evidence.get(CHI_ZERO) != problem.wrong_mass:
@@ -541,8 +550,8 @@ def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mappin
     targets, e = over_one_denominator(rhs[:-1])
     p, q = problem.slack.numerator, problem.slack.denominator
     return min(weights) >= 0 and sum(weights) + chi_zero == d and all(
-        abs(sum(compress(weights, row)) * e - t * d) * q <= p * d * e
-        for row, t in zip(rows, targets)
+        abs(sum(row(weights)) * e - t * d) * q <= p * d * e
+        for row, t in zip(_supports()[0], targets)
     )
 
 
@@ -552,14 +561,14 @@ def evaluate_certificate(
     """Verify a Farkas functional against the targets, solver-free.  A
     coefficient whose key names no LP row, or whose value is not a
     :class:`numbers.Rational`, is left out of the sums and fails the check."""
-    _, rows, rhs, keys = _cell_rows(problem)
+    _, _, rhs, keys = _cell_rows(problem)
     exact = {key: c for key, c in coeffs.items() if isinstance(c, Rational)}
     # y over d, targets over e; within the ±p/q band cell i moves y·(Aw) by (p/q)·|y_i|
     y, d = over_one_denominator([exact.get(key, 0) for key in keys])
     b, e = over_one_denominator(rhs)
     p, q = problem.slack.numerator, problem.slack.denominator
     value = Fraction(sum(map(mul, y, b)) * q - sum(map(abs, y[:-1])) * p * e, d * e * q)
-    top = max(sum(compress(y, column)) for column in zip(*rows))
+    top = max([sum(column(y)) for column in _supports()[1]])
     max_column = Fraction(top, d)
     bound = max_column * (1 - problem.wrong_mass)
     verified = top <= 0 < value and len(exact) == len(coeffs) and set(coeffs) <= set(keys)
@@ -793,6 +802,8 @@ def critical_visibility(depth: int = 8) -> CriticalVisibilityResult:
     * a midpoint at or below V* is feasible by convexity: the targets are
       affine in V, and V = 0 and V = V* were both solved feasible.
     """
+    if type(depth) is not int:
+        raise TypeError(f"bisection depth must be an int, got {depth!r}")
     if depth < 1:
         raise ValueError("bisection depth must be at least 1")
     v_star = _affine_boundary(

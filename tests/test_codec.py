@@ -230,6 +230,28 @@ def test_decoders_take_only_their_json_type(decode, obj):
         decode(obj)
 
 
+# the rational encoder writes only what its decoder reads back: no bool, no float
+@pytest.mark.parametrize("value", [True, False, 2.5, 0.0, float("nan"), 1j, "1/2", None],
+                         ids=["true", "false", "float", "float zero", "nan", "complex", "text",
+                              "none"])
+def test_the_rational_encoder_takes_only_exact_rationals(value):
+    with pytest.raises(TypeError, match="exact rational"):
+        RATIONAL[0](value)
+
+
+def test_the_rational_encoder_writes_ints_and_fractions_as_before():
+    assert [RATIONAL[0](v) for v in (0, -3, Fraction(13, 20), Fraction(4, 2))] == [
+        "0", "-3", "13/20", "2"]
+
+
+def test_a_table_artifact_at_a_bool_visibility_is_refused_before_it_is_written():
+    # a bool passes as a visibility (an int), but its text would not decode
+    with pytest.raises(ValueError, match="not a rational"):
+        RATIONAL[1]("True")
+    with pytest.raises(TypeError, match="exact rational"):
+        QUANTUM_TABLES[0]((True, quantum_targets(True)))
+
+
 @pytest.mark.parametrize("decode,obj", [
     (lhv.DISTRIBUTION[1], [{"g": [1, 1]}]),
     (TERMS[1], [{}]),

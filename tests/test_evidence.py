@@ -6,7 +6,9 @@ read through ``problem.table``.  The library's checks put the weights or
 coefficients over one common denominator and sum integers.  On random and
 tampered evidence every ``Certificate`` field and every verified bit must
 equal the reference's, on exact inputs; an inexact weight or coefficient
-fails the library's check.
+fails the library's check.  A functional positive on one strategy column
+alone, and a mixture outside the band of one cell alone, fail too: the checks
+sum over the incidence's supports and must miss none of their entries.
 """
 
 from fractions import Fraction
@@ -206,6 +208,84 @@ def test_solved_evidence_verifies_as_in_the_reference(visibility, slack, conjuga
             problem, outcome.certificate.coefficients)
         assert outcome.certificate.verified
     assert outcome.verified
+
+
+# ---------------------------------------------------------------------------
+# the checks read every one of the incidence: one column or one cell alone fails
+# ---------------------------------------------------------------------------
+
+BAND = Fraction(1, 200)
+
+
+def _problem(cells, slack=Fraction(0)):
+    """The problem whose 64 right cells are ``cells``, with no wrong mass."""
+    return FeasibilityProblem([
+        OutcomeTable(triple, dict(zip(OUTCOMES, cells[8 * t:8 * t + 8])), Fraction(0))
+        for t, triple in enumerate(TRIPLES)], slack=slack)
+
+
+def _column_sums(y):
+    _, rows = lhv._incidence()
+    return [sum((c for c, hit in zip(y, column) if hit), start=Fraction(0))
+            for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("column", range(64))
+def test_a_certificate_with_one_positive_column_fails(column):
+    # raise the V = 1 certificate on the column's 8 cells by delta and lower
+    # its mass by 6·delta: the column gains 2·delta, every other column (at
+    # most 4 cells shared) loses at least 2·delta
+    _, outcome = _solved(Fraction(1), Fraction(0), False)
+    _, rows = lhv._incidence()
+    y = [outcome.certificate.coefficients.get(key, Fraction(0)) for key in KEYS]
+    delta = (1 - _column_sums(y)[column]) / 2
+    raised = [c + delta * row[column] for c, row in zip(y[:-1], rows)] + [y[-1] - 6 * delta]
+    sums = _column_sums(raised)
+    assert [j for j, total in enumerate(sums) if total > 0] == [column] and sums[column] == 1
+    # no entry of the column is 0, so leaving any one out moves its sum
+    assert all(c for c, row in zip(raised, rows) if row[column])
+    # against the column's own deterministic tables the value is the column's
+    # sum, 1, so only the column check can refuse the functional
+    own = _problem([Fraction(row[column]) for row in rows[:-1]])
+    for problem in (own, FeasibilityProblem(quantum_targets(Fraction(1)))):
+        certificate = evaluate_certificate(problem, dict(zip(KEYS, raised)))
+        assert not certificate.verified and certificate.max_strategy_column == 1
+    assert evaluate_certificate(own, dict(zip(KEYS, raised))).value == 1
+
+
+def _cells(weights):
+    _, rows = lhv._incidence()
+    return [sum((w for w, hit in zip(weights, row) if hit), start=Fraction(0))
+            for row in rows[:-1]]
+
+
+@pytest.mark.parametrize("cell", range(64))
+def test_a_mixture_with_one_cell_out_of_its_band_fails(cell):
+    # move BAND of weight from a strategy b to a strategy a that gives the cell,
+    # b differing from a at one setting the cell's triple reads; the uniform
+    # mixture sits inside every band and the moved one outside the cell's only
+    _, rows = lhv._incidence()
+    a = rows[cell].index(1)
+    changed = {b: [i for i, row in enumerate(rows[:-1]) if row[a] != row[b]]
+               for b in range(64) if not rows[cell][b]}
+    b = min(changed, key=lambda b: len(changed[b]))
+    uniform = [Fraction(1, 64)] * 64
+    moved = [w + BAND * (j == a) - BAND * (j == b) for j, w in enumerate(uniform)]
+    before, after = _cells(uniform), _cells(moved)
+    # targets halfway between, but BAND/2 on the other side for the cell, and
+    # an untouched cell of its triple takes up what that takes from the triple
+    targets = [(x + y) / 2 for x, y in zip(before, after)]
+    targets[cell] = before[cell] - BAND / 2
+    spare = next(i for i in range(cell - cell % 8, cell - cell % 8 + 8) if i not in changed[b])
+    targets[spare] += BAND
+    problem = _problem(targets, BAND)
+    assert all(abs(x - t) <= BAND for x, t in zip(before, targets))
+    assert [i for i, (x, t) in enumerate(zip(after, targets)) if abs(x - t) > BAND] == [cell]
+    strategies = right_sector_strategies()
+    for weights, verified in ((uniform, True), (moved, False)):
+        evidence = {**dict(zip(strategies, weights)), CHI_ZERO: Fraction(0)}
+        assert verify_verdict(problem, True, evidence) is verified
+        assert reference_verify_verdict(problem, True, evidence) is verified
 
 
 # ---------------------------------------------------------------------------

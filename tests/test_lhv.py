@@ -26,6 +26,7 @@ from ghzsim.lhv import (
     FeasibilityProblem,
     GHZ_REPORT,
     InadmissibleStrategyError,
+    LemmaReport,
     LocalStrategy,
     TRIPLES,
     TargetFormatError,
@@ -103,6 +104,42 @@ def test_chi_values_and_setting_invariance():
             assert len(moduli) == 1
 
 
+def reference_sigmas(strategy):
+    """The sigma values over all eight triples as a set, as first written:
+    each station adds either of its moduli."""
+    g, h, z = ({abs(v) for v in values} for values in (strategy.g, strategy.h, strategy.z))
+    return {a + b + c for a in g for b in h for c in z}
+
+
+def reference_lemma_check():
+    """The set-based audit that the mask audit replaced."""
+    def independent(s):
+        return all(abs(a[0]) == abs(a[1]) for a in (s.g, s.h, s.z))
+
+    strategies = enumerate_strategies()
+    sigmas = list(map(reference_sigmas, strategies))
+    allowed = [s for s, values in zip(strategies, sigmas) if values <= {1, 3}]
+    excluded = [(s, values) for s, values in zip(strategies, sigmas) if not values <= {1, 3}]
+    chi_one = sum(independent(s) and all(abs(a[0]) == 1 for a in (s.g, s.h, s.z))
+                  for s in allowed)
+    return LemmaReport(
+        total=len(strategies),
+        admissible=len(allowed),
+        chi_one=chi_one,
+        chi_zero=len(allowed) - chi_one,
+        excluded=len(excluded),
+        excluded_with_even_sigma=sum(bool(values & {0, 2}) for _, values in excluded),
+        setting_dependent_excluded=sum(not independent(s) for s, _ in excluded),
+        all_admissible_moduli_setting_independent=all(map(independent, allowed)),
+    )
+
+
+def test_mask_audit_equals_the_set_based_reference_field_by_field():
+    report, reference = lemma_check(), reference_lemma_check()
+    for field, expected in zip(LemmaReport._fields, (729, 76, 64, 12, 653, 653, 604, True)):
+        assert getattr(report, field) == getattr(reference, field) == expected, field
+
+
 def test_lemma_enumeration_counts():
     report = lemma_check()
     assert report.total == 729
@@ -126,9 +163,13 @@ def test_strategies_are_enumerated_once():
 
 
 def test_sigmas_sum_per_station_moduli():
-    # _sigmas adds one modulus per station; sigma reads the outcomes at a triple
+    # bit s of _sigmas's mask is set exactly when sigma is s at some triple
     for strategy in enumerate_strategies():
-        assert lhv._sigmas(strategy) == {sigma(strategy, triple) for triple in TRIPLES}
+        mask = lhv._sigmas(strategy)
+        bits = {s for s in range(mask.bit_length()) if mask >> s & 1}
+        assert bits == {sigma(strategy, triple) for triple in TRIPLES}
+        assert bits == reference_sigmas(strategy)
+        assert admissible(strategy) == (bits <= {1, 3})
 
 
 def test_outcomes_read_each_station_at_its_setting():
@@ -333,6 +374,15 @@ def test_threshold_depth_is_checked_before_any_solve(monkeypatch):
     calls = _solve_with(monkeypatch, feasibility_at_visibility)
     with pytest.raises(ValueError):
         critical_visibility(0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("depth", [2.5, 8.0, True, Fraction(8), "8", None],
+                         ids=["float", "whole float", "bool", "fraction", "text", "none"])
+def test_threshold_depth_must_be_an_int_before_any_solve(monkeypatch, depth):
+    calls = _solve_with(monkeypatch, feasibility_at_visibility)
+    with pytest.raises(TypeError, match="bisection depth must be an int"):
+        critical_visibility(depth)
     assert calls == []
 
 
