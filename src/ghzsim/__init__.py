@@ -32,14 +32,15 @@ _EXPORTS = {
     ),
     "events": (
         "EventClass", "EventKind", "SampledEvent", "classify_pattern", "filter_loss_demo",
-        "pairing_report", "sample_events", "single_pair_emission", "trigger_select",
-        "two_pair_emission",
+        "pairing_report", "quantum_targets", "sample_events", "single_pair_emission",
+        "trigger_select", "two_pair_emission",
     ),
     "lhv": (
         "FeasibilityProblem", "LocalStrategy", "chi", "critical_visibility",
-        "ghz_paradox_check", "lemma_check", "lhv_feasibility", "quantum_targets", "sigma",
+        "ghz_paradox_check", "lemma_check", "lhv_feasibility", "sigma",
     ),
     "simplex": (),
+    "sampler": (),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

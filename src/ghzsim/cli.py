@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 # a command that needs lhv (and with it simplex) imports it itself, so that
-# sample, dump-circuit and classify --pattern never load the LP
+# only the verdict commands load the LP; only sample_events loads the sampler
 from . import circuit as circuit_mod
 from . import events as events_mod
 from . import measurement as measurement_mod
@@ -88,7 +88,8 @@ def build_parser() -> _Parser:
     p.add_argument("--slack", type=parse_rational,
                    help="cell tolerance; write a negative value as --slack=-1/10")
     p = command("critical-visibility", "exact feasibility boundary from LP certificates")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=int,
+                   help="bisection depth of the reported bracket, from 1 to 1000")
     command("ghz-paradox", "the inequality-free contradiction count")
     return parser
 
@@ -157,11 +158,9 @@ def _csv_text(header, rows) -> str:
 
 
 def _cmd_expand(config: RunConfig) -> int:
-    from . import lhv as lhv_mod
-
     emission = events_mod.two_pair_emission()
-    post_trigger, heralded = events_mod.trigger_select(emission), lhv_mod.heralded_state()
-    payload = lhv_mod.DERIVATION[0]((emission, post_trigger, heralded))
+    post_trigger, heralded = events_mod.trigger_select(emission), events_mod.heralded_state()
+    payload = events_mod.DERIVATION[0]((emission, post_trigger, heralded))
     labels = [term["class"] for term in payload["behind_circuit"]]
     lines = ["# two-pair emission", render_polynomial(emission),
              "# post-trigger", render_polynomial(post_trigger), "# behind circuit"]
@@ -179,9 +178,7 @@ def _cmd_classify(config: RunConfig) -> int:
         event = events_mod.classify_pattern(pattern)
         return _finish(config, events_mod.CLASSIFICATION[0]((pattern, event)),
                        [event.wire], event.wire)
-    from . import lhv as lhv_mod
-
-    report = events_mod.pairing_report(lhv_mod.heralded_state())
+    report = events_mod.pairing_report(events_mod.heralded_state())
     payload = events_mod.PAIRING_REPORT[0](report)
     census = sorted(payload["census"].items())
     lines = [f"right terms: {report.right_terms}", f"wrong terms: {report.wrong_terms}"]
@@ -200,10 +197,8 @@ def _cmd_dump_circuit(config: RunConfig) -> int:
 
 
 def _cmd_correlations(config: RunConfig) -> int:
-    from . import lhv as lhv_mod
-
-    tables = lhv_mod.quantum_targets(config.visibility)
-    payload = lhv_mod.QUANTUM_TABLES[0]((config.visibility, tables))
+    tables = events_mod.quantum_targets(config.visibility)
+    payload = events_mod.QUANTUM_TABLES[0]((config.visibility, tables))
     correlations = payload["correlations"]
     lines = [f"visibility {config.visibility}"]
     lines += [f"E({code}) = {value}" for code, value in sorted(correlations.items())]
@@ -223,9 +218,10 @@ def _line_parts(event) -> tuple:
     """The ``EVENT`` line of ``event`` before and after its pulse index, and its
     class wire.  Only the pulse index differs between events of one pattern
     and veto flag, so the line is split around a marker index."""
-    probe = events_mod.SampledEvent(_PULSE_MARK, event.pattern, event.event_class,
-                                    event.herald_veto)
-    text = json.dumps(events_mod.EVENT[0](probe), sort_keys=True)
+    from .sampler import EVENT, SampledEvent  # loaded by the call that drew ``event``
+
+    probe = SampledEvent(_PULSE_MARK, event.pattern, event.event_class, event.herald_veto)
+    text = json.dumps(EVENT[0](probe), sort_keys=True)
     head, tail = text.split(str(_PULSE_MARK))
     return head, tail + "\n", event.event_class.wire
 

@@ -1,4 +1,5 @@
-"""Emission states, trigger post-selection, event classification and sampling.
+"""Emission states, trigger post-selection, event classification, the
+heralded state with its outcome tables, and the event stream.
 
 The pulsed source emits polarization-entangled pairs into beams a and b.
 The first-order process creates one pair, the second-order process two
@@ -12,29 +13,31 @@ Filter loss is modeled as an event-level heralded removal channel: a
 removed photon simply disappears from the pattern and raises the herald
 flag.  The redefined trigger — a single trigger photon *and* no herald
 click — discards every loss-contaminated event.
+
+The heralded state is derived once per process, and so are its eight exact
+outcome tables, which :func:`quantum_targets` mixes with white noise.  The
+event stream (:func:`sample_events`) draws through the tables of
+:mod:`ghzsim.sampler`, which only a call of it loads.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
-from math import comb, prod
 from numbers import Rational
-from operator import mul
 from random import Random
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
+import ghzsim  # names the sampler's event type in sample_events' annotation, loading nothing
+
+from . import measurement
 from .circuit import innsbruck_circuit
 from .fock import (
     AH,
     AV,
     BH,
-    BOOL,
     BV,
     Beam,
     GhzsimError,
@@ -42,9 +45,11 @@ from .fock import (
     Mode,
     PATTERN,
     Pattern,
+    RATIONAL,
     Record,
     StatePolynomial,
     TERM,
+    TERMS,
     TEXT,
     as_pattern,
     creation,
@@ -52,14 +57,23 @@ from .fock import (
     filter_terms,
     gamma_power,
     mapping_codec,
-    monomial,
     occupation,
     pattern_to_json,
     record_codec,
+    sequence_codec,
     terms_codec,
     tuple_codec,
 )
-from .measurement import STATIONS, Station, over_one_denominator, pattern_distribution, read_pattern
+from .measurement import (
+    STATIONS,
+    TABLE,
+    OutcomeTable,
+    Station,
+    add_noise,
+    all_setting_triples,
+    correlation_from_table,
+    read_pattern,
+)
 
 
 class ConfigurationError(GhzsimError):
@@ -229,6 +243,14 @@ def classify_pattern(pattern) -> EventClass:
     return EventClass.trigger_failure(REASON_UNPAIRED)
 
 
+EVENT_CLASS = (lambda event_class: event_class.wire,
+               lambda text: event_class_from_wire(TEXT[1](text)))
+# a (pattern, class) pair; and the terms of a heralded state, each with its class
+CLASSIFICATION = tuple_codec(("pattern", PATTERN), ("class", EVENT_CLASS))
+CLASSIFIED_TERMS = terms_codec(derived_codec(TERM, "class",
+                                             lambda term: classify_pattern(term[0]).wire))
+
+
 class PairingReport(Record):
     """Census of the wrong-pair structure of a post-trigger expansion.
 
@@ -301,6 +323,8 @@ def remove_photons(state: StatePolynomial, mode: Mode, count: int = 1) -> StateP
 
 LOSS_SCENARIOS = ("none", "one-a-H", "two-a-H", "one-b-V")
 
+_circuit = lru_cache(maxsize=None)(innsbruck_circuit)  # built once per process
+
 
 class FilterLossDemo(Record):
     """Side-by-side classification under the naive and redefined triggers."""
@@ -355,31 +379,44 @@ def filter_loss_demo(removed: str) -> FilterLossDemo:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo event sampler
+# The heralded state and the quantum outcome tables
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampledEvent:
-    pulse_index: int
-    pattern: Pattern
-    event_class: EventClass
-    herald_veto: bool
+@lru_cache(maxsize=None)
+def heralded_state() -> StatePolynomial:
+    """The post-trigger three-station state behind the circuit."""
+    return innsbruck_circuit().apply(trigger_select(two_pair_emission()))
 
 
-EVENT_CLASS = (lambda event_class: event_class.wire,
-               lambda text: event_class_from_wire(TEXT[1](text)))
-EVENT = record_codec(
-    SampledEvent,
-    ("pulse", "pulse_index", INT),
-    ("pattern", "pattern", PATTERN),
-    ("class", "event_class", EVENT_CLASS),
-    ("veto", "herald_veto", BOOL),
+@lru_cache(maxsize=None)
+def _ideal_tables(conjugate: bool) -> Tuple[OutcomeTable, ...]:
+    state = heralded_state()
+    # looked up on measurement at call time, so perfbench's tracer, which wraps it there, sees it
+    return tuple(measurement.outcome_distribution(state, triple, conjugate)
+                 for triple in all_setting_triples())
+
+
+def quantum_targets(
+    visibility: Fraction = Fraction(1), conjugate: bool = False
+) -> Tuple[OutcomeTable, ...]:
+    """The eight outcome tables at the given fringe visibility."""
+    return tuple(add_noise(t, visibility) for t in _ideal_tables(conjugate))
+
+
+# the stages of heralded_state: (emission, post-trigger, heralded)
+DERIVATION = tuple_codec(("two_pair_emission", TERMS), ("post_trigger", TERMS),
+                         ("behind_circuit", CLASSIFIED_TERMS))
+# (visibility, tables), with the correlations derived from the tables
+QUANTUM_TABLES = derived_codec(
+    tuple_codec(("visibility", RATIONAL), ("tables", sequence_codec(TABLE))), "correlations",
+    lambda value: {t.settings.code: str(correlation_from_table(t)) for t in value[1]},
 )
-# a (pattern, class) pair; and the terms of a heralded state, each with its class
-CLASSIFICATION = tuple_codec(("pattern", PATTERN), ("class", EVENT_CLASS))
-CLASSIFIED_TERMS = terms_codec(derived_codec(TERM, "class",
-                                             lambda term: classify_pattern(term[0]).wire))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo event sampler
+# ---------------------------------------------------------------------------
 
 
 def derived_seed(seed: int, chunk_index: int) -> int:
@@ -390,205 +427,12 @@ def derived_seed(seed: int, chunk_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-WORD = 64  # bits per random word; every draw reads whole words
-SKIP_PRECISION = 256  # fractional bits of the fixed-precision skip-level bounds
-MAX_BLOCK = 64  # the most pulses one emission-table draw covers
-
-
-class _Table:
-    """An exact draw from (value, integer weight) pairs; zero weights drop out.
-
-    Value i is drawn with probability (cuts[i] - cuts[i-1]) / den exactly,
-    where ``cuts`` are the running sums of the weights and ``den`` the total.
-    A draw reads one word u as the leading bits of a uniform U in [0, 1) and
-    bisects it against ``_leading``, the cut points cuts[i] / den truncated to
-    one word.  U lies between cut points i-1 and i unless u equals the
-    truncated cut point i-1 (for i = 0 that reads the last one, 2^WORD, never
-    u); only then does :meth:`_settle` read further words and compare exactly
-    with the integer cut points.  :func:`sample_events` makes its draws inline.
-    """
-
-    __slots__ = ("values", "cuts", "den", "_leading")
-
-    def __init__(self, weighted: Iterable[tuple]):
-        weighted = [(value, weight) for value, weight in weighted if weight]
-        self.values = [value for value, _ in weighted]
-        self.cuts = list(accumulate(weight for _, weight in weighted))
-        self.den = self.cuts[-1]
-        self._leading = [(cut << WORD) // self.den for cut in self.cuts]
-
-    def _settle(self, rng: Random, value: int) -> int:
-        """The index drawn by the words that start with ``value``, a tied first word."""
-        bits = WORD
-        while True:
-            value = value << WORD | rng.getrandbits(WORD)
-            bits += WORD
-            low = value * self.den  # U * den lies in [low, low + den) / 2^bits
-            i = bisect_right(self.cuts, low >> bits)
-            if low + self.den <= self.cuts[i] << bits:
-                return i
-
-
-_circuit = lru_cache(maxsize=None)(innsbruck_circuit)  # built once per process
-
-
-@lru_cache(maxsize=None)
-def _output_table(component: Pattern) -> _Table:
-    """(pattern, class) with the exact detection law of ``component`` behind the
-    circuit.  Built once per process: at most 25, one per non-empty sub-pattern
-    of the five emission components."""
-    dist = pattern_distribution(_circuit().apply(monomial(component)))
-    weights, _ = over_one_denominator(list(dist.values()))
-    return _Table(((pattern, classify_pattern(pattern)), n) for pattern, n in zip(dist, weights))
-
-
-_ALL_LOST = ((), classify_pattern(()))  # every photon lost: drawn without a random word
-
-
-def _survivors_table(component: Pattern, loss: Fraction) -> _Table:
-    """(surviving pattern, herald veto) of ``component`` when each photon is
-    removed independently with probability ``loss``; weights over den^n."""
-    lost, den = loss.numerator, loss.denominator
-    per_mode = [
-        [(mode, kept, comb(count, kept) * (den - lost) ** kept * lost ** (count - kept))
-         for kept in range(count + 1)]
-        for mode, count in component
-    ]
-    photons = sum(count for _, count in component)
-    weighted = []
-    for choice in product(*per_mode):
-        survivors = tuple((mode, kept) for mode, kept, _ in choice if kept)
-        kept = sum(count for _, count in survivors)
-        weighted.append(((survivors, kept < photons), prod(w for _, _, w in choice)))
-    return _Table(weighted)
-
-
-def _skip_bounds(skip: Fraction, levels: int, precision: int) -> list:
-    """(lo, hi) with lo <= skip^(2^j) * 2^precision <= hi for each j < levels:
-    ``skip`` rounded down and up once, then squared with floor and ceiling."""
-    scaled = skip.numerator << precision
-    lo, hi = scaled // skip.denominator, -(-scaled // skip.denominator)
-    bounds = []
-    for _ in range(levels):
-        bounds.append((lo, hi))
-        lo, hi = lo * lo >> precision, -(-(hi * hi) >> precision)
-    return bounds
-
-
-def _skipped(value: int, bits: int, bounds: list, precision: int, top: int) -> Optional[int]:
-    """K = #{k >= 1 : U < skip^k} capped at 2^top, for U in [value, value + 1) / 2^bits.
-
-    A binary search from digit ``top`` down: each digit compares U with the
-    bounds of one power of ``skip``.  None when the bits of U do not decide
-    a comparison.
-    """
-    low = value << (precision - bits)
-    high = low + (1 << (precision - bits))  # U * 2^precision lies in [low, high)
-    lo, hi = bounds[top]
-    if high <= lo:
-        return 1 << top
-    if low < hi:
-        return None
-    k, lo, hi = 0, 1 << precision, 1 << precision  # bounds on skip^k * 2^precision
-    for j in reversed(range(top)):
-        lo_j, hi_j = bounds[j]
-        lo_next, hi_next = lo * lo_j >> precision, -(-(hi * hi_j) >> precision)
-        if high <= lo_next:  # U < skip^(k + 2^j)
-            k, lo, hi = k + (1 << j), lo_next, hi_next
-        elif low < hi_next:
-            return None
-    return k
-
-
-class _Sampler:
-    """Emission and loss tables for one call of :func:`sample_events`, 0 < pair_prob.
-
-    A pulse emits component c of the one-pair state with probability p * w1(c)
-    and of the two-pair state with p^2 * w2(c), so it emits at all with
-    E = p + p^2 and the gap before the next emitting pulse is geometric,
-    P(G = k) = q^k * E with q = 1 - E.  Pulses are taken in blocks of ``block``;
-    ``skip`` = q^block is the chance that a block emits nothing.
-
-    ``steps`` holds, for each value of ``emission``, None (the block emits
-    nothing) or (offset, chain), the component's draw chain resolved once per
-    call.  With loss the chain is the survivor draw (truncated cut points,
-    (output link, herald veto) per value, and the table); without loss it is
-    the component's output link.  An output link is [table, component], its
-    table None until the first event that needs it; a fully lost component
-    has the link None.
-    """
-
-    def __init__(self, pair_prob: Fraction, loss_prob: Fraction, pulses: int):
-        one_pair = pattern_distribution(single_pair_emission())
-        two_pair = pattern_distribution(two_pair_emission())
-        weights, common = over_one_denominator([*one_pair.values(), *two_pair.values()])
-        a, b = pair_prob.numerator, pair_prob.denominator
-        # per-pulse weights over b^2 * common, and q = q_num / b^2
-        per_pulse = ([(c, a * b * n) for c, n in zip(one_pair, weights)]
-                     + [(c, a * a * n) for c, n in zip(two_pair, weights[len(one_pair):])])
-        pulse_den, q_num = b * b, b * b - a * b - a * a
-        # the shortest block that emits at least half the time, if one fits:
-        # then a joint draw that may skip the block costs at most two draws
-        q_powers, den_powers = [1], [1]  # q_num^k and pulse_den^k for k <= block
-        for block in range(1, MAX_BLOCK + 1):
-            q_powers.append(q_powers[-1] * q_num)
-            den_powers.append(den_powers[-1] * pulse_den)
-            if 2 * q_powers[block] <= den_powers[block]:
-                break
-        self.block = block
-        self.skip = Fraction(q_powers[block], den_powers[block])
-        # (offset, component) over pulse_den^block * common: q^offset * weight
-        scales = map(mul, q_powers[:block], reversed(den_powers[:block]))
-        offsets = [((offset, c), scale * n)
-                   for offset, scale in enumerate(scales) for c, n in per_pulse]
-        self.dense = 2 * self.skip <= 1
-        if self.dense:  # one joint table; None skips the whole block
-            self.emission = _Table([*offsets, (None, q_powers[block] * common)])
-        else:  # the emitting block comes from the skip levels, then this table
-            self.emission = _Table(offsets)
-            levels = (-(-pulses // block) - 1).bit_length() + 1
-            self.skip_bounds = _skip_bounds(self.skip, levels, SKIP_PRECISION)
-        # per emission component, (surviving pattern, herald veto); none without loss
-        self.survivors = {c: _survivors_table(c, loss_prob)
-                          for c in (*one_pair, *two_pair) if loss_prob}
-        links: Dict[Pattern, list] = {}  # one output link per surviving component
-
-        def link(component: Pattern) -> Optional[list]:
-            return links.setdefault(component, [None, component]) if component else None
-
-        if loss_prob:
-            chains = {c: (table._leading, [(link(kept), veto) for kept, veto in table.values],
-                          table)
-                      for c, table in self.survivors.items()}
-        else:
-            chains = {c: link(c) for c in (*one_pair, *two_pair)}
-        self.steps = [None if drawn is None else (drawn[0], chains[drawn[1]])
-                      for drawn in self.emission.values]
-
-    def skipped_blocks(self, rng: Random, blocks: int) -> Optional[int]:
-        """The number K of blocks that emit nothing before one that does,
-        P(K >= k) = skip^k, decided from one uniform U; None when K >= blocks.
-
-        U's first word is compared with the fixed-precision skip levels; a
-        comparison those bounds leave open reads another word and redoes the
-        search with bounds of twice the precision.
-        """
-        top = (blocks - 1).bit_length()
-        value, bits = rng.getrandbits(WORD), WORD
-        bounds, precision = self.skip_bounds, SKIP_PRECISION
-        while (k := _skipped(value, bits, bounds, precision, top)) is None:
-            value, bits = value << WORD | rng.getrandbits(WORD), bits + WORD
-            precision *= 2
-            bounds = _skip_bounds(self.skip, top + 1, precision)
-        return k if k < blocks else None
-
-
 def sample_events(
     pulses: int,
     pair_prob: Fraction,
     seed: int,
     loss_prob: Fraction = Fraction(0),
-) -> Iterator[SampledEvent]:
+) -> Iterator[ghzsim.sampler.SampledEvent]:
     """Deterministic event stream for ``pulses`` pump pulses, drawn exactly.
 
     A pulse emits two pairs with probability ``pair_prob**2``, one pair with
@@ -619,6 +463,8 @@ def sample_events(
     the survival factor ``(1-loss_prob)**n`` of an n-photon component,
     which is the physical effect of a heralded loss channel.
     """
+    from .sampler import _ALL_LOST, WORD, SampledEvent, _output_table, _Sampler
+
     if not isinstance(pulses, int):
         raise TypeError(f"pulse count must be an int, got {pulses!r}")
     if pulses < 0:
@@ -684,11 +530,13 @@ def sample_events(
         pulse += 1
 
 
-def summarize_events(events: Iterable[SampledEvent], redefined: bool = False) -> Counter:
-    """Class counts; with ``redefined`` only herald-clean events are counted."""
-    counts: Counter = Counter()
-    for event in events:
-        if redefined and event.herald_veto:
-            continue
-        counts[event.event_class.wire] += 1
-    return counts
+# the sampler's public names, once defined here: each loads the sampler on first access
+_SAMPLER_NAMES = frozenset({"EVENT", "SampledEvent", "summarize_events"})
+
+
+def __getattr__(name: str):
+    if name not in _SAMPLER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sampler
+
+    return getattr(sampler, name)

@@ -46,16 +46,13 @@ from operator import itemgetter, mul, xor
 from numbers import Rational
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .circuit import innsbruck_circuit
-from .events import CLASSIFIED_TERMS, trigger_select, two_pair_emission
+from .events import heralded_state, quantum_targets
 from .fock import (
     BOOL,
     GhzsimError,
     INT,
     RATIONAL,
     Record,
-    StatePolynomial,
-    TERMS,
     TEXT,
     derived_codec,
     mapping_codec,
@@ -69,16 +66,17 @@ from .measurement import (
     Outcome,
     OutcomeTable,
     SettingTriple,
-    TABLE,
-    add_noise,
     all_setting_triples,
     correlation,
     correlation_from_table,
     outcome_code,
-    outcome_distribution,
     over_one_denominator,
 )
 from .simplex import solve_feasibility
+
+# perfbench traces and resets these through lhv (tracing.BOUNDARIES, workloads.clear_caches)
+from .events import _ideal_tables, trigger_select, two_pair_emission  # noqa: F401
+from .measurement import outcome_distribution  # noqa: F401
 
 
 class InadmissibleStrategyError(GhzsimError):
@@ -222,40 +220,6 @@ def lemma_check() -> LemmaReport:
         setting_dependent_excluded=sum(n for masks, n in excluded.items() if 3 in masks),
         all_admissible_moduli_setting_independent=not any(3 in masks for masks in allowed),
     )
-
-
-# ---------------------------------------------------------------------------
-# Quantum targets
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def heralded_state() -> StatePolynomial:
-    """The post-trigger three-station state behind the circuit."""
-    return innsbruck_circuit().apply(trigger_select(two_pair_emission()))
-
-
-@lru_cache(maxsize=None)
-def _ideal_tables(conjugate: bool) -> Tuple[OutcomeTable, ...]:
-    state = heralded_state()
-    return tuple(outcome_distribution(state, triple, conjugate) for triple in TRIPLES)
-
-
-def quantum_targets(
-    visibility: Fraction = Fraction(1), conjugate: bool = False
-) -> Tuple[OutcomeTable, ...]:
-    """The eight outcome tables at the given fringe visibility."""
-    return tuple(add_noise(t, visibility) for t in _ideal_tables(conjugate))
-
-
-# the stages of heralded_state: (emission, post-trigger, heralded)
-DERIVATION = tuple_codec(("two_pair_emission", TERMS), ("post_trigger", TERMS),
-                         ("behind_circuit", CLASSIFIED_TERMS))
-# (visibility, tables), with the correlations derived from the tables
-QUANTUM_TABLES = derived_codec(
-    tuple_codec(("visibility", RATIONAL), ("tables", sequence_codec(TABLE))), "correlations",
-    lambda value: {t.settings.code: str(correlation_from_table(t)) for t in value[1]},
-)
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +748,11 @@ def _affine_boundary(
     return v
 
 
+# the deepest reported bracket: the evaluations hold about depth^2 / 2 bits of
+# midpoints (0.3 MB at this depth), while V* itself is exact from 3 solves
+MAX_DEPTH = 1000
+
+
 def critical_visibility(depth: int = 8) -> CriticalVisibilityResult:
     """Exact LP boundary V* over the visibility interval [0, 1].
 
@@ -791,11 +760,11 @@ def critical_visibility(depth: int = 8) -> CriticalVisibilityResult:
     from LP solves at V = 0, V = 1 and the root of each Farkas certificate
     (for the quantum targets: 0, 1 and 1/2, so V* = 1/2).
 
-    ``depth`` sets only the width 2^(−depth) of the reported bracket
-    ``feasible_at`` ≤ V* < ``infeasible_above``, whose ends are bisection
-    midpoints of [0, 1].  ``evaluations`` lists the verdicts at 0 and 1,
-    then at each midpoint; the entries after the first two are verdicts
-    deduced from the solves, not LP calls:
+    ``depth``, from 1 to :data:`MAX_DEPTH`, sets only the width 2^(−depth)
+    of the reported bracket ``feasible_at`` ≤ V* < ``infeasible_above``,
+    whose ends are bisection midpoints of [0, 1].  ``evaluations`` lists the
+    verdicts at 0 and 1, then at each midpoint; the entries after the first
+    two are verdicts deduced from the solves, not LP calls:
 
     * a midpoint above V* is infeasible: the last certificate's columns
       are non-positive for every V, and its value there is positive;
@@ -804,8 +773,8 @@ def critical_visibility(depth: int = 8) -> CriticalVisibilityResult:
     """
     if type(depth) is not int:
         raise TypeError(f"bisection depth must be an int, got {depth!r}")
-    if depth < 1:
-        raise ValueError("bisection depth must be at least 1")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"bisection depth must be from 1 to {MAX_DEPTH}, got {depth}")
     v_star = _affine_boundary(
         feasibility_at_visibility, lambda v: FeasibilityProblem(quantum_targets(v))
     )

@@ -212,6 +212,37 @@ def _one_envelope(err: str) -> dict:
     return json.loads(lines[0])["error"]
 
 
+def test_a_depth_past_the_maximum_exits_through_one_envelope(capsys, tmp_path):
+    from ghzsim.lhv import MAX_DEPTH
+
+    target = tmp_path / "threshold.json"
+    code, out, err = _run(capsys, ["critical-visibility", "--depth", str(MAX_DEPTH + 1),
+                                   "--output", str(target)])
+    assert code == 2 and out == "" and not target.exists()
+    assert _one_envelope(err) == {
+        "type": "ValueError",
+        "message": f"bisection depth must be from 1 to {MAX_DEPTH}, got {MAX_DEPTH + 1}"}
+    code, out, err = _run(capsys, ["critical-visibility", "--depth", str(MAX_DEPTH),
+                                   "--format", "json", "--output", str(target)])
+    assert code == 0 and not err and out == "V* = 1/2\n"
+    assert len(json.loads(target.read_text())["evaluations"]) == MAX_DEPTH + 2
+
+
+def test_the_help_states_the_depth_maximum(capsys):
+    from ghzsim.lhv import MAX_DEPTH
+
+    with pytest.raises(SystemExit) as exit_info:
+        parse_argv(["critical-visibility", "--help"])
+    assert exit_info.value.code == 0
+    assert f"from 1 to {MAX_DEPTH}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_the_quantum_tables_load_no_lp_and_no_sampler():
+    loaded = _modules_loaded_by("import ghzsim\nghzsim.quantum_targets()")
+    assert "ghzsim.events" in loaded
+    assert not {"ghzsim.lhv", "ghzsim.simplex", "ghzsim.sampler", "dataclasses"} & loaded
+
+
 def test_negative_pulses_exit_through_the_envelope(capsys, tmp_path):
     target = tmp_path / "events.jsonl"
     for argv in (["sample", "--pulses", "-5"],
@@ -278,18 +309,25 @@ def test_a_bare_import_loads_no_submodule():
     assert not [name for name in loaded if name.startswith("ghzsim.")]
 
 
-# (argv, loads the LP): a command imports lhv, and with it simplex, only if it uses them
+# (argv, loads the LP): a command imports lhv, and with it simplex, only if it
+# uses them.  Only sample loads the sampler; the LP's records and the sampled
+# event are the only dataclasses, so the other commands never load dataclasses
 COMMAND_MODULES = [
     (("sample", "--pulses", "20000", "--pair-prob", "1/20", "--loss-prob", "1/10"), False),
     (("dump-circuit",), False),
     (("classify", "--pattern", '{"a_H":1,"g_H":1,"h_V":1,"z_H":1}'), False),
-    (("classify",), True),
+    (("classify",), False),
     (("ghz-paradox",), True),
+    (("correlations", "--visibility", "2/3"), False),
+    (("expand",), False),
+    (("lhv-feasibility", "--visibility", "13/20"), True),
+    (("critical-visibility", "--depth", "2"), True),
 ]
 
 
 @pytest.mark.parametrize("argv,loads_lp", COMMAND_MODULES, ids=[
-    "sample", "dump-circuit", "classify-pattern", "classify-census", "ghz-paradox"])
+    "sample", "dump-circuit", "classify-pattern", "classify-census", "ghz-paradox",
+    "correlations", "expand", "lhv-feasibility", "critical-visibility"])
 def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, loads_lp):
     full = [*argv, "--output", str(tmp_path / "artifact")]
     loaded = _modules_loaded_by(
@@ -297,6 +335,10 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, loads_lp):
     assert {"ghzsim.cli", "ghzsim.events"} <= loaded
     lp = {"ghzsim.lhv", "ghzsim.simplex"}
     assert lp & loaded == (lp if loads_lp else set())
+    samples = argv[0] == "sample"
+    assert ("ghzsim.sampler" in loaded) == samples
+    if not (loads_lp or samples):
+        assert not {"dataclasses", "inspect"} & loaded
     # only events.derived_seed uses hashlib, and no command calls it
     assert "hashlib" not in loaded
 

@@ -20,13 +20,13 @@ from ghzsim.cli import parse_argv, run
 from ghzsim.events import (
     CLASSIFICATION,
     CLASSIFIED_TERMS,
-    EVENT,
+    DERIVATION,
     EVENT_CLASSES,
     PAIRING_REPORT,
+    QUANTUM_TABLES,
     EventClass,
     EventKind,
     PairingReport,
-    SampledEvent,
     event_class_from_wire,
 )
 from ghzsim.fock import (
@@ -48,11 +48,9 @@ from ghzsim.fock import (
 from ghzsim.lhv import (
     CERTIFICATE,
     CRITICAL_RESULT,
-    DERIVATION,
     FEASIBILITY_VERDICT,
     GHZ_PARADOX,
     GHZ_REPORT,
-    QUANTUM_TABLES,
     Certificate,
     CriticalVisibilityResult,
     Evaluation,
@@ -70,6 +68,7 @@ from ghzsim.measurement import (
     all_setting_triples,
     outcome_code,
 )
+from ghzsim.sampler import EVENT, SampledEvent
 
 _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 _counts = st.integers(min_value=0, max_value=10**6)

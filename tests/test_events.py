@@ -15,11 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ghzsim.circuit import ModeTransform, OpticalCircuit, innsbruck_circuit
 from ghzsim.events import (
-    EVENT,
     EVENT_CLASSES,
-    MAX_BLOCK,
-    SKIP_PRECISION,
-    WORD,
     ConfigurationError,
     EventClass,
     EventKind,
@@ -27,22 +23,18 @@ from ghzsim.events import (
     REASON_MULTI_TRIGGER,
     REASON_NO_TRIGGER,
     REASON_UNPAIRED,
-    SampledEvent,
     classify_pattern,
     derived_seed,
     double_trigger_component,
     event_class_from_wire,
     filter_loss_demo,
+    heralded_state,
     pairing_report,
     remove_photons,
     sample_events,
     single_pair_emission,
-    summarize_events,
     trigger_select,
     two_pair_emission,
-    _Sampler,
-    _output_table,
-    _skip_bounds,
 )
 from ghzsim.fock import (
     AH,
@@ -66,7 +58,6 @@ from ghzsim.fock import (
     rational,
     substitute,
 )
-from ghzsim.lhv import heralded_state
 from ghzsim.measurement import (
     DETECTOR_MODES,
     Station,
@@ -75,6 +66,17 @@ from ghzsim.measurement import (
     over_one_denominator,
     pattern_distribution,
     read_pattern,
+)
+from ghzsim.sampler import (
+    EVENT,
+    MAX_BLOCK,
+    SKIP_PRECISION,
+    WORD,
+    SampledEvent,
+    summarize_events,
+    _Sampler,
+    _output_table,
+    _skip_bounds,
 )
 
 
@@ -473,7 +475,7 @@ def test_event_json_roundtrip():
 
 
 def test_detection_tables_are_built_once_per_process(monkeypatch):
-    import ghzsim.events
+    import ghzsim.sampler
 
     applied, classified = [], []
     apply = OpticalCircuit.apply
@@ -487,7 +489,7 @@ def test_detection_tables_are_built_once_per_process(monkeypatch):
         return classify_pattern(pattern)
 
     monkeypatch.setattr(OpticalCircuit, "apply", counting_apply)
-    monkeypatch.setattr(ghzsim.events, "classify_pattern", counting_classify)
+    monkeypatch.setattr(ghzsim.sampler, "classify_pattern", counting_classify)
     _output_table.cache_clear()
     args = (20000, Fraction(1, 10), 3, Fraction(1, 5))
     first = list(sample_events(*args))
@@ -513,6 +515,49 @@ def test_detection_table_cache_holds_at_most_one_table_per_sub_pattern():
                            (Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1))):
         list(sample_events(20000, p, 7, loss))
     assert 0 < _output_table.cache_info().currsize <= len(sub_patterns)
+
+
+@pytest.mark.parametrize("p,loss", [(Fraction(1, 20), Fraction(1, 10)),
+                                    (Fraction(1, 10**4), Fraction(0))])
+def test_a_second_call_derives_no_emission_law(monkeypatch, p, loss):
+    # the emission laws are kept per process, like the detection tables; the
+    # tables of one pair and loss probability are built again per call
+    import ghzsim.sampler
+
+    derived = []
+    real = ghzsim.sampler.pattern_distribution
+
+    def counting(state):
+        derived.append(state)
+        return real(state)
+
+    monkeypatch.setattr(ghzsim.sampler, "pattern_distribution", counting)
+    ghzsim.sampler._emission_laws.cache_clear()
+    _output_table.cache_clear()
+    args = (20000 if p == DENSE_P else 10**6, p, 3, loss)
+    first = list(sample_events(*args))
+    assert first and len(derived) > 2
+    derived.clear()
+    assert list(sample_events(*args)) == first
+    assert derived == []
+
+
+def test_the_public_sampler_names_stay_reachable_through_events():
+    import ghzsim.events
+    import ghzsim.sampler
+
+    for name in ("EVENT", "SampledEvent", "summarize_events"):
+        assert getattr(ghzsim.events, name) is getattr(ghzsim.sampler, name)
+    for name in ("no_such_name", "_Sampler", "_Table"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ghzsim.events, name)
+
+
+def test_the_event_stream_annotation_resolves():
+    import typing
+
+    hints = typing.get_type_hints(sample_events)
+    assert hints["return"] == typing.Iterator[SampledEvent]
 
 
 def test_derived_seed_is_stable():

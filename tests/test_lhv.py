@@ -377,6 +377,18 @@ def test_threshold_depth_is_checked_before_any_solve(monkeypatch):
     assert calls == []
 
 
+def test_threshold_depth_is_bounded_before_any_solve(monkeypatch):
+    # the evaluations grow as depth^2, so a depth past the maximum is refused
+    # before the search starts; the maximum itself runs
+    result = critical_visibility(lhv.MAX_DEPTH)
+    assert len(result.evaluations) == lhv.MAX_DEPTH + 2
+    assert result.infeasible_above - result.feasible_at == Fraction(1, 2**lhv.MAX_DEPTH)
+    calls = _solve_with(monkeypatch, feasibility_at_visibility)
+    with pytest.raises(ValueError, match=f"from 1 to {lhv.MAX_DEPTH}, got {lhv.MAX_DEPTH + 1}"):
+        critical_visibility(lhv.MAX_DEPTH + 1)
+    assert calls == []
+
+
 @pytest.mark.parametrize("depth", [2.5, 8.0, True, Fraction(8), "8", None],
                          ids=["float", "whole float", "bool", "fraction", "text", "none"])
 def test_threshold_depth_must_be_an_int_before_any_solve(monkeypatch, depth):

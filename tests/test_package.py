@@ -8,7 +8,7 @@ import pytest
 
 import ghzsim
 
-SUBMODULES = ["circuit", "events", "fock", "lhv", "measurement", "simplex"]
+SUBMODULES = ["circuit", "events", "fock", "lhv", "measurement", "sampler", "simplex"]
 PUBLIC = [
     "Amplitude", "AnalyzerSetting", "Beam", "EventClass", "EventKind", "FeasibilityProblem",
     "GhzsimError", "LocalStrategy", "Mode", "ModeTransform", "OpticalCircuit", "OutcomeTable",
@@ -19,7 +19,7 @@ PUBLIC = [
     "ghz_paradox_check", "half_wave_plate_22_5", "innsbruck_circuit", "lemma_check", "lhv",
     "lhv_feasibility", "measurement", "multiply", "norm_squared", "outcome_distribution",
     "pairing_report", "polarizing_beamsplitter", "quantum_targets", "render_polynomial",
-    "sample_events", "sigma", "simplex", "single_pair_emission", "substitute", "trigger_select",
+    "sample_events", "sampler", "sigma", "simplex", "single_pair_emission", "substitute", "trigger_select",
     "two_pair_emission",
 ]
 
