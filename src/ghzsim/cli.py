@@ -271,6 +271,8 @@ def _cmd_lhv_feasibility(config: RunConfig) -> int:
         lhv_mod.quantum_targets(config.visibility), slack=config.slack
     )
     outcome = lhv_mod.lhv_feasibility(problem)
+    if not outcome.verified:  # evidence that fails its check is no verdict to ship
+        raise GhzsimError(f"the verdict at V = {config.visibility} does not verify")
     certificate = outcome.certificate
     summary = (
         f"feasible at visibility {config.visibility}" if outcome.feasible else

@@ -70,6 +70,7 @@ from .measurement import (
     correlation,
     correlation_from_table,
     outcome_code,
+    over_common_denominator,
     over_one_denominator,
 )
 from .simplex import solve_feasibility
@@ -170,7 +171,14 @@ class LemmaReport(Record):
     """Exhaustive audit of which strategies keep sigma in {1, 3} everywhere.
 
     ``excluded_with_even_sigma`` counts the excluded strategies that hit
-    sigma 0 or 2.
+    sigma 0 or 2.  Sigma takes values in {0, 1, 2, 3}, so "not within
+    {1, 3}" and "hits 0 or 2" are one condition: on :func:`lemma_check`'s
+    output ``excluded_with_even_sigma == excluded`` holds by definition, and
+    ``consistent`` reads that clause as a check of the report against the
+    definition, beside the two counts that must add up (``admissible`` splits
+    into the χ = 1 and χ = 0 strategies, and ``admissible + excluded`` is
+    ``total``) and the lemma's finding that no admissible modulus depends on
+    a setting.
     """
 
     __slots__ = _fields = (
@@ -188,6 +196,7 @@ class LemmaReport(Record):
     def consistent(self) -> bool:
         return (
             self.admissible == self.chi_one + self.chi_zero
+            and self.admissible + self.excluded == self.total
             and self.excluded == self.excluded_with_even_sigma
             and self.all_admissible_moduli_setting_independent
         )
@@ -233,9 +242,17 @@ class FeasibilityProblem(Record):
     ``slack`` (an exact rational, default zero) loosens each cell equation
     to ``|model − target| <= slack`` for experiment-data ingestion; the
     wrong-mass match stays exact either way.
+
+    ``integer_targets`` is ``(numerators, e)``: the 65 right-hand sides of
+    the LP (the 64 cells in :data:`TRIPLES` × :data:`OUTCOMES` order, then
+    the right mass) as integers over one denominator ``e``, the lcm of the
+    tables' ``integer_form`` denominators, which is also the lcm of the 65
+    values'.  It is no field, so equality, ``repr`` and pickling read
+    ``targets`` and ``slack`` alone.
     """
 
-    __slots__ = _fields = ("targets", "slack")
+    _fields = ("targets", "slack")
+    __slots__ = (*_fields, "integer_targets")
 
     def __init__(self, targets: Sequence[OutcomeTable], slack: Fraction = Fraction(0)) -> None:
         if not isinstance(slack, Rational):
@@ -253,6 +270,11 @@ class FeasibilityProblem(Record):
             raise TargetFormatError(
                 f"wrong mass must be setting-independent, got {sorted(masses)}"
             )
+        # each table's cells, then the right mass: e less the scaled wrong mass
+        scaled, e = over_common_denominator([by_code[t.code].integer_form for t in TRIPLES])
+        cells = [n for nums in scaled for n in nums[:-1]]
+        cells.append(e - scaled[0][-1])
+        object.__setattr__(self, "integer_targets", (tuple(cells), e))
         self._set(targets, slack)
 
     def table(self, triple: SettingTriple) -> OutcomeTable:
@@ -340,19 +362,21 @@ def _cell_rows(problem: FeasibilityProblem):
     return right_sector_strategies(), rows, rhs, keys
 
 
-def _with_slack(rows, rhs, slack: Fraction):
+def _with_slack(rows, rhs, slack: Rational):
     """Relax cell equalities to a ±slack band via surplus columns.
 
     Cells with equal rows and equal targets share one surplus pair, so their
     band rows are repeats, which the kernel merges into one.  No two cells of
-    the full 65 × 64 rows are equal, so there every cell has its own pair."""
+    the full 65 × 64 rows are equal, so there every cell has its own pair.
+    The targets and the slack may be on any one scale: the integer targets
+    e·q·t with the band e·p for a slack p/q give the same rows, times e·q."""
     n = len(rows[0])
     pairs: Dict[Tuple, int] = {}
-    shared = [pairs.setdefault((row, t.numerator, t.denominator), len(pairs))
+    shared = [pairs.setdefault((row, t), len(pairs))
               for row, t in zip(rows[:-1], rhs)]  # the mass row stays exact
     width = 2 * len(pairs)
     wide_rows: List[List[int]] = []
-    wide_rhs: List[Fraction] = []
+    wide_rhs: List[Rational] = []
     for row, t, p in zip(rows, rhs, shared):
         upper = list(row) + [0] * width
         upper[n + p] = 1
@@ -441,10 +465,32 @@ def _orbit_lp(partition: Tuple[int, ...]) -> Tuple[Orbits, Incidence]:
 
 
 def _partition(cells: Sequence[Rational]) -> Tuple[int, ...]:
-    """Each cell labelled by the first cell of equal value (rationals are
-    kept in lowest terms, so equal values have equal numerator and denominator)."""
-    first: Dict[Tuple[int, int], int] = {}
-    return tuple(first.setdefault((v.numerator, v.denominator), i) for i, v in enumerate(cells))
+    """Each cell labelled by the first cell of equal value.  A verdict passes
+    its integer targets over one denominator, where equal values are equal
+    integers; equal rationals of any type hash alike, so ``Fraction`` cells
+    give the same labels."""
+    first: Dict[Rational, int] = {}
+    return tuple([first.setdefault(v, i) for i, v in enumerate(cells)])
+
+
+def _orbit_system(problem: FeasibilityProblem) -> Tuple[Orbits, Sequence, List[int], int]:
+    """The orbit LP a verdict hands the kernel, on the integer scale of the
+    problem's targets: the strategy orbits, the rows, the integer right-hand
+    sides and the scale s by which they multiply the targets.
+
+    Without slack the right-hand sides are the ``integer_targets`` e·t
+    (s = e); with a slack p/q they are e·q·t ± e·p and e·q times the right
+    mass (s = e·q).  One positive scaling of the right-hand sides changes no
+    pivot of the kernel (its entering rule reads the structural costs, and
+    its ratio test compares right-hand sides that all scale alike) and no
+    merge class or dual, and multiplies its solution by s."""
+    targets, e = problem.integer_targets
+    columns, rows = _orbit_lp(_partition(targets[:-1]))
+    if not problem.slack:
+        return columns, rows, list(targets), e
+    p, q = problem.slack.numerator, problem.slack.denominator
+    rows, rhs = _with_slack(rows, [q * t for t in targets], e * p)
+    return columns, rows, rhs, e * q
 
 
 def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
@@ -458,34 +504,36 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     The LP's columns are the orbits of the targets' stabiliser on the
     strategies (see :func:`_orbit_lp`): averaging a solution over the
     stabiliser keeps it a solution, so one weight per orbit decides the full
-    LP's verdict.  Its 65 rows are handed to the kernel as they are: the rows
-    of one cell orbit are equal, and so are their targets, so the kernel
-    merges them and pivots on the distinct ones; with slack, equal cells
-    share one surplus pair (see :func:`_with_slack`), so their band rows are
-    merged too.  The evidence is lifted to the full problem and checked
-    there by :func:`verify_verdict` or :func:`evaluate_certificate`: a
-    mixture gives every member of a strategy orbit the orbit's weight, and a
-    certificate is the kernel's dual as solved, each slack pair folded into
-    its cell.  The kernel gives every copy of a merged row the same share of
+    LP's verdict.  Its 65 rows are handed to the kernel as they are, with
+    the problem's ``integer_targets`` as right-hand sides (see
+    :func:`_orbit_system`), so the kernel reads every row in as integers and
+    the targets are put over one denominator once, when the problem is built;
+    the kernel's solution is divided by that scale, and its dual needs no
+    change.  The rows of one cell orbit are equal, and so are their targets,
+    so the kernel merges them and pivots on the distinct ones; with slack,
+    equal cells share one surplus pair (see :func:`_with_slack`), so their
+    band rows are merged too.  The evidence is lifted to the full problem
+    and checked there, against the same integer targets, by
+    :func:`verify_verdict` or :func:`evaluate_certificate`: a mixture gives
+    every member of a strategy orbit the orbit's weight, and a certificate
+    is the kernel's dual as solved, each slack pair folded into its cell.  The kernel gives every copy of a merged row the same share of
     its dual, so the certificate is constant on cell orbits and its value on
     a strategy's column is the same across the strategy's orbit: the orbit
     column's value over the orbit size, which the solve makes non-positive.
     """
-    strategies, _, rhs, keys = _cell_rows(problem)
-    columns, rows = _orbit_lp(_partition(rhs[:-1]))
-    if problem.slack:
-        rows, rhs = _with_slack(rows, rhs, problem.slack)
+    columns, rows, rhs, scale = _orbit_system(problem)
     result = solve_feasibility(rows, rhs)
     if result.feasible:
-        weight = {j: w for orbit, w in zip(columns, result.solution) for j in orbit}
-        mixture = {s: weight[j] for j, s in enumerate(strategies) if weight[j]}
+        weights = [w / scale for w in result.solution[:len(columns)]]
+        weight = {j: w for orbit, w in zip(columns, weights) for j in orbit}
+        mixture = {s: weight[j] for j, s in enumerate(right_sector_strategies()) if weight[j]}
         return FeasibilityOutcome(True, mixture, problem.wrong_mass, None, result.iterations,
                                   verify_verdict(problem, True,
                                                  {**mixture, CHI_ZERO: problem.wrong_mass}))
     dual = result.certificate
     if problem.slack:  # the dual covers doubled cell rows; fold the pairs back
         dual = [dual[i] + dual[i + 1] for i in range(0, len(dual) - 1, 2)] + [dual[-1]]
-    certificate = evaluate_certificate(problem, dict(zip(keys, dual)))
+    certificate = evaluate_certificate(problem, dict(zip(_incidence()[0], dual)))
     return FeasibilityOutcome(False, None, None, certificate, result.iterations,
                               certificate.verified)
 
@@ -497,39 +545,42 @@ def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mappin
     weight`` and the aggregated χ=0 weight under :data:`CHI_ZERO`.  Its
     strategies are right-sector, its weights :class:`numbers.Rational`,
     non-negative and summing to 1, the χ=0 weight is the wrong mass, and
-    every cell is within the slack of its target.  Infeasible evidence is the
-    certificate's coefficients; they must pass :func:`evaluate_certificate`.
+    every cell is within the slack of its target, read from the problem's
+    ``integer_targets``.  Infeasible evidence is the certificate's
+    coefficients; they must pass :func:`evaluate_certificate`.
     """
     if not feasible:
         return evaluate_certificate(problem, evidence).verified
-    strategies, _, rhs, _ = _cell_rows(problem)
+    strategies, _, _, _ = _cell_rows(problem)
     if not set(evidence) <= {*strategies, CHI_ZERO} or not all(
         isinstance(w, Rational) for w in evidence.values()
     ) or evidence.get(CHI_ZERO) != problem.wrong_mass:
         return False
     # weights over one denominator d and targets over another, e: cell i
     # passes when |w_i/d − t_i/e| <= p/q, that is |w_i·e − t_i·d|·q <= p·d·e
+    # (the mass row is the exact sum check)
     (*weights, chi_zero), d = over_one_denominator(
         [evidence.get(s, 0) for s in strategies] + [evidence[CHI_ZERO]])
-    targets, e = over_one_denominator(rhs[:-1])
+    targets, e = problem.integer_targets
     p, q = problem.slack.numerator, problem.slack.denominator
     return min(weights) >= 0 and sum(weights) + chi_zero == d and all(
         abs(sum(row(weights)) * e - t * d) * q <= p * d * e
-        for row, t in zip(_supports()[0], targets)
+        for row, t in zip(_supports()[0], targets[:-1])
     )
 
 
 def evaluate_certificate(
     problem: FeasibilityProblem, coeffs: Mapping[CertificateKey, Fraction]
 ) -> Certificate:
-    """Verify a Farkas functional against the targets, solver-free.  A
-    coefficient whose key names no LP row, or whose value is not a
-    :class:`numbers.Rational`, is left out of the sums and fails the check."""
-    _, _, rhs, keys = _cell_rows(problem)
+    """Verify a Farkas functional against the problem's ``integer_targets``,
+    solver-free.  A coefficient whose key names no LP row, or whose value is
+    not a :class:`numbers.Rational`, is left out of the sums and fails the
+    check."""
+    _, _, _, keys = _cell_rows(problem)
     exact = {key: c for key, c in coeffs.items() if isinstance(c, Rational)}
     # y over d, targets over e; within the ±p/q band cell i moves y·(Aw) by (p/q)·|y_i|
     y, d = over_one_denominator([exact.get(key, 0) for key in keys])
-    b, e = over_one_denominator(rhs)
+    b, e = problem.integer_targets
     p, q = problem.slack.numerator, problem.slack.denominator
     value = Fraction(sum(map(mul, y, b)) * q - sum(map(abs, y[:-1])) * p * e, d * e * q)
     top = max([sum(column(y)) for column in _supports()[1]])

@@ -195,6 +195,16 @@ def over_one_denominator(values: Sequence[Rational]) -> Tuple[List[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+IntegerForm = Tuple[Tuple[int, ...], int]  # numerators over one positive denominator
+
+
+def over_common_denominator(forms: Sequence[IntegerForm]) -> Tuple[List[List[int]], int]:
+    """The numerators of each integer form over the lcm of the forms'
+    denominators, and that lcm."""
+    den = lcm(*(d for _, d in forms))
+    return [[n * (den // d) for n in nums] for nums, d in forms], den
+
+
 class OutcomeTable(Record):
     """Joint outcome probabilities for one setting triple.
 
@@ -202,10 +212,14 @@ class OutcomeTable(Record):
     triggered right event with those three readouts; ``wrong_mass`` is the
     total probability of every non-right class.  Cells and wrong mass are
     :class:`numbers.Rational` (anything else raises ``TypeError``) and sum
-    to one exactly.
+    to one exactly.  ``integer_form`` holds the cells, in :data:`OUTCOMES`
+    order, and the wrong mass as numerators over the lcm of their
+    denominators, as the sum check puts them; it is no field, so equality,
+    ``repr`` and pickling read the three fields alone.
     """
 
-    __slots__ = _fields = ("settings", "probabilities", "wrong_mass")
+    _fields = ("settings", "probabilities", "wrong_mass")
+    __slots__ = (*_fields, "integer_form")
 
     def __init__(self, settings: SettingTriple, probabilities: Mapping[Outcome, Fraction],
                  wrong_mass: Fraction) -> None:
@@ -220,6 +234,7 @@ class OutcomeTable(Record):
         if sum(nums) != den:
             raise ValueError(f"table must sum to 1 exactly, got {Fraction(sum(nums), den)}")
         values = [v if type(v) is Fraction else Fraction(v) for v in values]
+        object.__setattr__(self, "integer_form", (tuple(nums), den))
         self._set(settings, dict(zip(OUTCOMES, values)), values[-1])
 
     @property
@@ -322,6 +337,9 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
     Right cells become ``V*p + (1−V)*(1−wrong_mass)/8``; the wrong mass is
     untouched, so conditional correlations scale by exactly ``V``, which
     must be a :class:`numbers.Rational` (a float raises ``TypeError``).
+    The cells are read from the table's ``integer_form``, and each distinct
+    noisy value is built once and shared by the cells that take it (an
+    ideal table has at most two distinct cells).
     """
     if not isinstance(visibility, Rational):
         raise TypeError(f"visibility must be an exact rational, got {visibility!r}")
@@ -330,11 +348,11 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
         raise VisibilityRangeError(f"visibility must lie in [0, 1], got {Fraction(a, b)}")
     # V = a/b; over the table's denominator d, cell p/d and right mass r/d,
     # the noisy cell is (8a·p + (b−a)·r) / (8b·d)
-    nums, d = over_one_denominator([*table.probabilities.values(), table.wrong_mass])
-    noise, den = (b - a) * (d - nums[-1]), 8 * b * d
-    cells = {outcome: Fraction(8 * a * p + noise, den)
-             for outcome, p in zip(table.probabilities, nums)}
-    return OutcomeTable(table.settings, cells, table.wrong_mass)
+    (*nums, wrong), d = table.integer_form
+    noise, den = (b - a) * (d - wrong), 8 * b * d
+    noisy = {p: Fraction(8 * a * p + noise, den) for p in set(nums)}
+    return OutcomeTable(table.settings, {outcome: noisy[p] for outcome, p in zip(OUTCOMES, nums)},
+                        table.wrong_mass)
 
 
 SETTING_TRIPLE = (lambda triple: triple.code, lambda code: SettingTriple.from_code(TEXT[1](code)))

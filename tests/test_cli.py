@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -457,6 +458,25 @@ def test_lhv_feasibility_infeasible_report(capsys, tmp_path):
         FeasibilityProblem(quantum_targets(Fraction(13, 20))), coefficients
     )
     assert rebuilt.verified
+
+
+@pytest.mark.parametrize("visibility,evidence", [
+    ("1/2", {"solution": [Fraction(1, 256)] * 4}),  # right mass, wrong cells
+    ("1", {"certificate": [Fraction(0)] * 65}),  # value 0 proves nothing
+])
+def test_a_verdict_whose_evidence_fails_its_check_is_refused(
+    capsys, tmp_path, monkeypatch, visibility, evidence
+):
+    real = lhv.solve_feasibility
+    monkeypatch.setattr(lhv, "solve_feasibility",
+                        lambda rows, rhs: replace(real(rows, rhs), **evidence))
+    target = tmp_path / "lhv.json"
+    for output in (["--output", str(target)], []):
+        code, out, err = _run(capsys, ["lhv-feasibility", "--visibility", visibility,
+                                       "--format", "json", *output])
+        assert code == 2 and out == "" and not target.exists()
+        assert _one_envelope(err) == {
+            "type": "GhzsimError", "message": f"the verdict at V = {visibility} does not verify"}
 
 
 def test_lhv_feasibility_feasible_report(capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -55,6 +56,7 @@ from ghzsim.measurement import (
     SettingTriple,
     all_setting_triples,
     outcome_code,
+    over_one_denominator,
 )
 from ghzsim.simplex import FeasibilityResult, solve_feasibility, verify_farkas
 
@@ -151,6 +153,20 @@ def test_lemma_enumeration_counts():
     assert report.setting_dependent_excluded == 604
     assert report.all_admissible_moduli_setting_independent
     assert report.consistent
+
+
+# each hand-built report breaks one clause of ``consistent`` and keeps the others
+@pytest.mark.parametrize("field,value", [
+    ("chi_zero", 13),  # admissible is no longer chi_one + chi_zero
+    ("total", 730),  # admissible + excluded is no longer total
+    ("excluded_with_even_sigma", 652),  # an excluded strategy without even sigma
+    ("all_admissible_moduli_setting_independent", False),
+])
+def test_a_report_that_breaks_one_clause_is_not_consistent(field, value):
+    fields = dict(zip(LemmaReport._fields, lemma_check()._values))
+    assert LemmaReport(**fields).consistent
+    fields[field] = value
+    assert not LemmaReport(**fields).consistent
 
 
 def test_strategies_are_enumerated_once():
@@ -643,6 +659,8 @@ def test_the_kernel_is_handed_every_row_over_the_strategy_orbits(monkeypatch, sl
 
     def recorded(rows, rhs):
         seen.append((len(rows), len(rows[0])))
+        # the integer-scaled LP: every entry and every right-hand side an int
+        assert {type(v) for row in rows for v in row} == {type(b) for b in rhs} == {int}
         return solve_feasibility(rows, rhs)
 
     monkeypatch.setattr(lhv, "solve_feasibility", recorded)
@@ -739,6 +757,31 @@ def test_the_orbit_lp_has_the_full_lps_verdict_and_lifted_evidence(problem, data
     changed = dict(coefficients)
     changed[keys[cell]] += 1 + sum(map(abs, coefficients.values()))
     assert not evaluate_certificate(problem, changed).verified
+
+
+@settings(max_examples=30, deadline=None)
+@given(_problems())
+def test_the_integer_hand_off_is_the_fraction_lp_times_its_scale(problem):
+    targets, e = problem.integer_targets
+    _, _, rhs, _ = lhv._cell_rows(problem)
+    assert (list(targets), e) == over_one_denominator(rhs)
+    # the integer forms are no fields: a pickle round trip rebuilds equal ones
+    copy = pickle.loads(pickle.dumps(problem))
+    assert copy == problem and copy.integer_targets == problem.integer_targets
+    assert [t.integer_form for t in copy.targets] == [t.integer_form for t in problem.targets]
+    # the orbit LP as handed to the kernel, and the same LP on the Fraction targets
+    columns, rows, scaled, scale = lhv._orbit_system(problem)
+    orbits, orbit_rows = lhv._orbit_lp(lhv._partition(rhs[:-1]))
+    fraction_lp = (lhv._with_slack(orbit_rows, rhs, problem.slack) if problem.slack
+                   else (orbit_rows, rhs))
+    assert all(type(b) is int for b in scaled)
+    assert columns == orbits and rows == fraction_lp[0]
+    assert scaled == [scale * b for b in fraction_lp[1]]
+    handed, exact = solve_feasibility(rows, scaled), solve_feasibility(*fraction_lp)
+    assert (handed.feasible, handed.iterations, handed.certificate) == (
+        exact.feasible, exact.iterations, exact.certificate)
+    if exact.feasible:
+        assert handed.solution == [scale * x for x in exact.solution]
 
 
 def _assert_constant_on(cells, coefficients):

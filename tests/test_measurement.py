@@ -52,6 +52,8 @@ from ghzsim.measurement import (
     correlation,
     correlation_from_table,
     outcome_distribution,
+    over_common_denominator,
+    over_one_denominator,
     pattern_distribution,
     read_pattern,
 )
@@ -395,6 +397,42 @@ def test_add_noise_scales_correlations_exactly():
             Fraction(13, 20),
         )
     ) == Fraction(13, 20)
+
+
+def test_a_table_keeps_its_integer_form_outside_its_fields():
+    table = OutcomeTable(SettingTriple.from_code("xyy"),
+                         {(1, 1, 1): Fraction(1, 6), (-1, -1, 1): Fraction(1, 12)}, Fraction(3, 4))
+    values = [table.probabilities[outcome] for outcome in OUTCOMES] + [table.wrong_mass]
+    nums, den = over_one_denominator(values)
+    assert table.integer_form == (tuple(nums), den) == ((2, 0, 0, 0, 0, 0, 1, 0, 9), 12)
+    # equality, repr and pickling read the three fields alone
+    assert "integer_form" not in repr(table) and table._values == (
+        table.settings, table.probabilities, table.wrong_mass)
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy == table and copy.integer_form == table.integer_form
+    with pytest.raises(AttributeError):
+        table.integer_form = ((1,) * 9, 9)
+
+
+def test_forms_over_a_common_denominator():
+    assert over_common_denominator([((1, 1), 2), ((1, 2), 3), ((0, 5), 5)]) == (
+        [[15, 15], [10, 20], [0, 30]], 30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=9, max_size=9).filter(any),
+       st.fractions(0, 1, max_denominator=10**4))
+def test_add_noise_builds_one_value_per_distinct_cell(weights, visibility):
+    *cells, wrong = (Fraction(w, sum(weights)) for w in weights)
+    table = OutcomeTable(SettingTriple.from_code("yxy"), dict(zip(OUTCOMES, cells)), wrong)
+    noisy = add_noise(table, visibility)
+    noise = (1 - visibility) * table.right_mass / 8
+    assert noisy.probabilities == {o: visibility * p + noise
+                                   for o, p in table.probabilities.items()}
+    assert noisy.wrong_mass == table.wrong_mass
+    # one value built per distinct cell, shared by the cells equal to it
+    built = {id(v) for v in noisy.probabilities.values()}
+    assert len(built) == len(set(table.probabilities.values()))
 
 
 def test_add_noise_range_check():
