@@ -239,9 +239,9 @@ def lemma_check() -> LemmaReport:
 class FeasibilityProblem(Record):
     """Can a strategy mixture reproduce all eight outcome tables exactly?
 
-    ``slack`` (an exact rational, default zero) loosens each cell equation
-    to ``|model − target| <= slack`` for experiment-data ingestion; the
-    wrong-mass match stays exact either way.
+    ``slack`` (an exact rational, not a ``bool``, default zero) loosens each
+    cell equation to ``|model − target| <= slack`` for experiment-data
+    ingestion; the wrong-mass match stays exact either way.
 
     ``integer_targets`` is ``(numerators, e)``: the 65 right-hand sides of
     the LP (the 64 cells in :data:`TRIPLES` × :data:`OUTCOMES` order, then
@@ -255,7 +255,7 @@ class FeasibilityProblem(Record):
     __slots__ = (*_fields, "integer_targets")
 
     def __init__(self, targets: Sequence[OutcomeTable], slack: Fraction = Fraction(0)) -> None:
-        if not isinstance(slack, Rational):
+        if type(slack) is bool or not isinstance(slack, Rational):
             raise TypeError(f"slack must be an exact rational, got {slack!r}")
         targets, slack = tuple(targets), Fraction(slack)
         if slack < 0:
@@ -551,7 +551,7 @@ def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mappin
     """
     if not feasible:
         return evaluate_certificate(problem, evidence).verified
-    strategies, _, _, _ = _cell_rows(problem)
+    strategies = right_sector_strategies()
     if not set(evidence) <= {*strategies, CHI_ZERO} or not all(
         isinstance(w, Rational) for w in evidence.values()
     ) or evidence.get(CHI_ZERO) != problem.wrong_mass:
@@ -576,7 +576,7 @@ def evaluate_certificate(
     solver-free.  A coefficient whose key names no LP row, or whose value is
     not a :class:`numbers.Rational`, is left out of the sums and fails the
     check."""
-    _, _, _, keys = _cell_rows(problem)
+    keys = _incidence()[0]
     exact = {key: c for key, c in coeffs.items() if isinstance(c, Rational)}
     # y over d, targets over e; within the ±p/q band cell i moves y·(Aw) by (p/q)·|y_i|
     y, d = over_one_denominator([exact.get(key, 0) for key in keys])

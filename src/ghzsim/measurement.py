@@ -39,7 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from numbers import Rational
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -205,17 +205,30 @@ def over_common_denominator(forms: Sequence[IntegerForm]) -> Tuple[List[List[int
     return [[n * (den // d) for n in nums] for nums, d in forms], den
 
 
+def _table_form(numerators: Sequence[int], den: int) -> IntegerForm:
+    """The one check of a table: cells and wrong mass as ``numerators`` over ``den``, ints (not
+    bools), non-negative and summing to ``den``; cut by their gcd, so over their values' lcm."""
+    if type(den) is not int or set(map(type, numerators)) != {int}:
+        raise TypeError("table numerators and denominator must be ints")
+    if min(numerators) < 0:
+        raise ValueError("probabilities must be non-negative")
+    if sum(numerators) != den:
+        raise ValueError(f"table must sum to 1 exactly, got {Fraction(sum(numerators), den)}")
+    g = gcd(den, *numerators)
+    return tuple([v // g for v in numerators] if g > 1 else numerators), den // g
+
+
 class OutcomeTable(Record):
     """Joint outcome probabilities for one setting triple.
 
     ``probabilities[(r_g, r_h, r_z)]`` is the exact probability of a
     triggered right event with those three readouts; ``wrong_mass`` is the
     total probability of every non-right class.  Cells and wrong mass are
-    :class:`numbers.Rational` (anything else raises ``TypeError``) and sum
-    to one exactly.  ``integer_form`` holds the cells, in :data:`OUTCOMES`
-    order, and the wrong mass as numerators over the lcm of their
-    denominators, as the sum check puts them; it is no field, so equality,
-    ``repr`` and pickling read the three fields alone.
+    :class:`numbers.Rational` (anything else, a ``bool`` included, raises
+    ``TypeError``) and sum to one exactly.  ``integer_form`` holds the
+    cells, in :data:`OUTCOMES` order, and the wrong mass as numerators over
+    the lcm of their denominators, as :func:`_table_form` puts them; it is
+    no field, so equality, ``repr`` and pickling read the three fields alone.
     """
 
     _fields = ("settings", "probabilities", "wrong_mass")
@@ -224,17 +237,19 @@ class OutcomeTable(Record):
     def __init__(self, settings: SettingTriple, probabilities: Mapping[Outcome, Fraction],
                  wrong_mass: Fraction) -> None:
         values = [probabilities.get(outcome, 0) for outcome in OUTCOMES] + [wrong_mass]
-        if not all(isinstance(v, Rational) for v in values):
+        kinds = set(map(type, values))
+        if bool in kinds or not all(issubclass(kind, Rational) for kind in kinds):
             raise TypeError("cells and wrong mass must be exact rationals (numbers.Rational)")
         if set(probabilities) - set(OUTCOMES):
             raise ValueError("unknown outcome keys in table")
-        nums, den = over_one_denominator(values)
-        if any(v < 0 for v in nums):
-            raise ValueError("probabilities must be non-negative")
-        if sum(nums) != den:
-            raise ValueError(f"table must sum to 1 exactly, got {Fraction(sum(nums), den)}")
-        values = [v if type(v) is Fraction else Fraction(v) for v in values]
-        object.__setattr__(self, "integer_form", (tuple(nums), den))
+        if kinds != {Fraction}:
+            values = [v if type(v) is Fraction else Fraction(v) for v in values]
+        self._fill(settings, values, *over_one_denominator(values))
+
+    def _fill(self, settings: SettingTriple, values: Sequence[Fraction],
+              numerators: Sequence[int], den: int) -> None:
+        """Set the fields to ``values`` (cells, then wrong mass) once their form passes."""
+        object.__setattr__(self, "integer_form", _table_form(numerators, den))
         self._set(settings, dict(zip(OUTCOMES, values)), values[-1])
 
     @property
@@ -336,23 +351,25 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
 
     Right cells become ``V*p + (1−V)*(1−wrong_mass)/8``; the wrong mass is
     untouched, so conditional correlations scale by exactly ``V``, which
-    must be a :class:`numbers.Rational` (a float raises ``TypeError``).
-    The cells are read from the table's ``integer_form``, and each distinct
-    noisy value is built once and shared by the cells that take it (an
-    ideal table has at most two distinct cells).
+    must be a :class:`numbers.Rational` (a float or a ``bool`` raises
+    ``TypeError``).  The noisy table is built from ``table.integer_form``,
+    one value per distinct cell (an ideal table has at most two), and passes
+    the tables' one check, :func:`_table_form`.
     """
-    if not isinstance(visibility, Rational):
+    if type(visibility) is bool or not isinstance(visibility, Rational):
         raise TypeError(f"visibility must be an exact rational, got {visibility!r}")
     a, b = visibility.numerator, visibility.denominator
     if not 0 <= a <= b:
         raise VisibilityRangeError(f"visibility must lie in [0, 1], got {Fraction(a, b)}")
     # V = a/b; over the table's denominator d, cell p/d and right mass r/d,
-    # the noisy cell is (8a·p + (b−a)·r) / (8b·d)
+    # the noisy cell is (8a·p + (b−a)·r) / (8b·d), and the wrong mass 8b·wrong
     (*nums, wrong), d = table.integer_form
     noise, den = (b - a) * (d - wrong), 8 * b * d
     noisy = {p: Fraction(8 * a * p + noise, den) for p in set(nums)}
-    return OutcomeTable(table.settings, {outcome: noisy[p] for outcome, p in zip(OUTCOMES, nums)},
-                        table.wrong_mass)
+    result = OutcomeTable.__new__(OutcomeTable)
+    result._fill(table.settings, [*map(noisy.get, nums), table.wrong_mass],
+                 [*(8 * a * p + noise for p in nums), 8 * b * wrong], den)
+    return result
 
 
 SETTING_TRIPLE = (lambda triple: triple.code, lambda code: SettingTriple.from_code(TEXT[1](code)))

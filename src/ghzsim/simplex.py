@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from numbers import Rational
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -83,36 +83,35 @@ def solve_feasibility(
     n = len(rows[0]) if m else 0
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
-    kinds = [set(map(type, row)) for row in rows]
-    if not all(issubclass(t, Rational) for t in set(map(type, rhs)).union(*kinds)):
+    kinds = set(map(type, chain(rhs, *rows)))
+    if not all(issubclass(kind, Rational) for kind in kinds):
         raise TypeError("entries must be exact rationals (numbers.Rational)")
 
     # tableau rows: [structural | artificial | rhs] / den, each row scaled to integers
     # (an all-int row by its rhs denominator) and flipped so that its rhs is
-    # non-negative.  Equal rows scale to equal integers over equal denominators,
-    # so a repeat of an earlier row, rhs included, is found by an integer key
-    # (the signed denominator, then the row): it joins that row's class, and
-    # only the first row of a class is kept
-    classes: Dict[Tuple[int, ...], int] = {}
+    # non-negative.  A repeat of an earlier row, rhs included, is found by its
+    # values as given (ints and Fractions hash alike by value): it joins that
+    # row's class, and only the first row of a class is scaled and kept
+    classes: Dict[Tuple[Rational, ...], int] = {}
     owner: List[int] = []  # the class of each given row
     weight: List[int] = []  # the number of given rows in each class
     flip: List[int] = []
     tableau: List[List[int]] = []
     dens: List[int] = []
-    for values, b, kind in zip(rows, rhs, kinds):
+    for values, b in zip(rows, rhs):
+        c = classes.setdefault((*values, b), len(tableau))
+        owner.append(c)
+        if c < len(tableau):
+            weight[c] += 1
+            continue
         sign = -1 if b.numerator < 0 else 1
-        if kind <= {int}:
+        if set(map(type, values)) <= {int}:
             den, scale = b.denominator, sign * b.denominator
             row = [scale * v for v in values]
         else:
             den = math.lcm(b.denominator, *(v.denominator for v in values))
             row = [sign * v.numerator * (den // v.denominator) for v in values]
         row.append(sign * b.numerator * (den // b.denominator))
-        c = classes.setdefault((sign * den, *row), len(tableau))
-        owner.append(c)
-        if c < len(tableau):
-            weight[c] += 1
-            continue
         weight.append(1)
         flip.append(sign)
         tableau.append(row)

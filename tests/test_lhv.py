@@ -447,6 +447,13 @@ def test_no_float_enters_a_verdict():
     )
 
 
+def test_a_bool_is_no_slack():
+    # True is an int, and so a Rational: it once gave slack 1
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="slack must be an exact rational"):
+            FeasibilityProblem(quantum_targets(Fraction(1)), slack=flag)
+
+
 # Pivot counts of each verdict's LP over strategy orbits (see
 # test_orbit_lp_of_the_quantum_targets): 65 rows by 1 column at V = 0, where
 # every cell is equal, and 65 by 4 above it

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ghzsim import measurement
 from ghzsim.circuit import innsbruck_circuit
-from ghzsim.events import trigger_select, two_pair_emission
+from ghzsim.events import _ideal_tables, trigger_select, two_pair_emission
 from ghzsim.fock import (
     Amplitude,
     Beam,
@@ -433,6 +433,78 @@ def test_add_noise_builds_one_value_per_distinct_cell(weights, visibility):
     # one value built per distinct cell, shared by the cells equal to it
     built = {id(v) for v in noisy.probabilities.values()}
     assert len(built) == len(set(table.probabilities.values()))
+
+
+def _reference_noise(table, visibility):
+    """The noisy cells and wrong mass by the Fraction formula, and their
+    numerators over the lcm of their denominators."""
+    noise = (1 - visibility) * table.right_mass / 8
+    cells = {o: visibility * p + noise for o, p in table.probabilities.items()}
+    values = [cells[outcome] for outcome in OUTCOMES] + [table.wrong_mass]
+    nums, den = over_one_denominator(values)
+    return cells, (tuple(nums), den)
+
+
+@st.composite
+def _valid_tables(draw):
+    """A heralded-state table in either circular convention, or nine random
+    non-negative weights, normalised."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_ideal_tables(False) + _ideal_tables(True)))
+    weights = draw(st.lists(st.integers(0, 10**6), min_size=9, max_size=9).filter(any))
+    *cells, wrong = (Fraction(w, sum(weights)) for w in weights)
+    return OutcomeTable(draw(st.sampled_from(all_setting_triples())),
+                        dict(zip(OUTCOMES, cells)), wrong)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_tables(), st.fractions(0, 1, max_denominator=10**6))
+def test_a_noisy_table_built_from_integers_is_the_fraction_formula(table, visibility):
+    cells, form = _reference_noise(table, visibility)
+    reference = OutcomeTable(table.settings, cells, table.wrong_mass)
+    noisy = add_noise(table, visibility)
+    assert noisy == reference and repr(noisy) == repr(reference)
+    assert noisy.integer_form == reference.integer_form == form
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_tables(), st.sampled_from(OUTCOMES),
+       st.sampled_from(["negative", "sum", "float", "bool"]))
+def test_the_constructor_and_the_integer_check_refuse_alike(table, outcome, fault):
+    # the constructor takes rationals, the check their numerators over one
+    # denominator; each fault raises one error class in both
+    cells, wrong = dict(table.probabilities), table.wrong_mass
+    if fault == "negative":  # the sum stays 1
+        cells[outcome], wrong = -cells[outcome] - 1, wrong + 2 * cells[outcome] + 1
+    elif fault == "sum":
+        wrong += Fraction(1, 3)
+    values = [cells[o] for o in OUTCOMES] + [wrong]
+    nums, den = over_one_denominator(values)
+    i = OUTCOMES.index(outcome)
+    if fault == "float":
+        cells[outcome], nums[i] = float(cells[outcome]), float(nums[i])
+    elif fault == "bool":
+        cells[outcome], nums[i] = True, True
+    expected = TypeError if fault in ("float", "bool") else ValueError
+    with pytest.raises(expected) as public:
+        OutcomeTable(table.settings, cells, wrong)
+    with pytest.raises(expected) as checked:
+        measurement._table_form(nums, den)
+    assert public.type is checked.type
+
+
+def test_a_bool_is_no_cell_no_wrong_mass_and_no_visibility():
+    # True is an int, and so a Rational: each of these once made a table
+    triple = SettingTriple.from_code("xxx")
+    zero = dict.fromkeys(OUTCOMES, Fraction(0))
+    with pytest.raises(TypeError, match="exact rationals"):
+        OutcomeTable(triple, {**zero, (1, 1, 1): True}, Fraction(0))
+    with pytest.raises(TypeError, match="exact rationals"):
+        OutcomeTable(triple, zero, True)
+    table = outcome_distribution(right_part(), triple)
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="visibility must be an exact rational"):
+            add_noise(table, flag)
 
 
 def test_add_noise_range_check():

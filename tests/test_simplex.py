@@ -308,3 +308,45 @@ def test_an_int_row_reads_in_as_its_fractions(system, as_int):
         rhs.append(b * scale)
     fractions = [[F(v) for v in row] for row in rows]
     assert solve_feasibility(rows, rhs) == solve_feasibility(fractions, rhs)
+
+
+@st.composite
+def int_systems(draw):
+    """``(rows, rhs)`` of ints alone: each of up to 6 equations repeated 1 to
+    4 times and shuffled, right-hand sides negative, zero and positive, and
+    each row given as a tuple or as a list.  Half the draws are built around
+    a non-negative point so that they are feasible."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        hidden = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        rhs = [sum(a * x for a, x in zip(row, hidden)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    copies = [i for i in range(m) for _ in range(draw(st.integers(1, 4)))]
+    order = draw(st.permutations(copies))
+    given = [tuple(rows[i]) if draw(st.booleans()) else list(rows[i]) for i in order]
+    return given, [rhs[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_systems())
+def test_an_int_system_solves_as_its_fractions(system):
+    # rows are merged on their values as given, ints and Fractions alike, and
+    # only the row that opens a class is scaled: an int row by its rhs
+    # denominator, any other by the lcm of its denominators
+    rows, rhs = system
+    fractions = [[F(v) for v in row] for row in rows], [F(b) for b in rhs]
+    mixed = [[F(v) for v in row] if i % 2 else row for i, row in enumerate(rows)], rhs
+    assert solve_feasibility(rows, rhs) == solve_feasibility(*fractions)
+    assert solve_feasibility(rows, rhs) == solve_feasibility(*mixed)
+
+
+def test_a_float_anywhere_in_an_int_system_is_rejected():
+    rows, rhs = [(1, 0), (0, 1), (1, 1)], [1, 2, 3]
+    assert solve_feasibility(rows, rhs).feasible
+    with pytest.raises(TypeError, match="exact rationals"):
+        solve_feasibility([*rows[:-1], (1, 1.0)], rhs)
+    with pytest.raises(TypeError, match="exact rationals"):
+        solve_feasibility(rows, [*rhs[:-1], 3.0])
