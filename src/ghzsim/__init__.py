@@ -31,16 +31,16 @@ _EXPORTS = {
         "all_setting_triples", "analyzer_transform", "correlation", "outcome_distribution",
     ),
     "events": (
-        "EventClass", "EventKind", "SampledEvent", "classify_pattern", "filter_loss_demo",
-        "pairing_report", "quantum_targets", "sample_events", "single_pair_emission",
-        "trigger_select", "two_pair_emission",
+        "EventClass", "EventKind", "classify_pattern", "filter_loss_demo", "pairing_report",
+        "quantum_targets", "sample_events", "single_pair_emission", "trigger_select",
+        "two_pair_emission",
     ),
     "lhv": (
         "FeasibilityProblem", "LocalStrategy", "chi", "critical_visibility",
         "ghz_paradox_check", "lemma_check", "lhv_feasibility", "sigma",
     ),
     "simplex": (),
-    "sampler": (),
+    "sampler": ("SampledEvent",),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

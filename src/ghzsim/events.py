@@ -22,7 +22,6 @@ event stream (:func:`sample_events`) draws through the tables of
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -436,22 +435,14 @@ def sample_events(
     """Deterministic event stream for ``pulses`` pump pulses, drawn exactly.
 
     A pulse emits two pairs with probability ``pair_prob**2``, one pair with
-    ``pair_prob``, and nothing otherwise.  The empty pulses are skipped, not
-    visited: the gap to the next emitting pulse follows its exact geometric
-    law, P(gap = k) = (1-E)^k * E with E = p + p^2, and is drawn with the
-    emission component.  When a block of pulses emits at least half the time
-    one joint table gives (offset in the block, component) or "skip the
-    block"; otherwise the number of empty blocks comes from a binary search
-    over the powers of the skip chance, then the (offset, component) table.
-    When loss is enabled each photon of the component is then removed with
-    probability ``loss_prob``, and finally the detection pattern is drawn
-    from the exact conditional distribution behind the circuit.  Every draw
-    is decided from 64-bit random words against integer weights, so the
-    sampled law is the rational law exactly, and the work of a call grows
-    with the events it emits, not with ``pulses``.
+    ``pair_prob``, and nothing otherwise; when loss is enabled each photon is
+    then removed with probability ``loss_prob``.  The events are drawn by
+    :meth:`ghzsim.sampler._Sampler.draw`, exactly and without visiting an
+    empty pulse, so the work of a call grows with the events it emits, not
+    with ``pulses``.
 
     ``pulses`` is an ``int`` and both probabilities are
-    :class:`numbers.Rational`; a float raises ``TypeError``.
+    :class:`numbers.Rational`; a float or a ``bool`` raises ``TypeError``.
 
     Identical arguments yield byte-identical streams.  Draws are made per
     emitted event, not per pulse, so changing a probability or the seed
@@ -463,13 +454,12 @@ def sample_events(
     the survival factor ``(1-loss_prob)**n`` of an n-photon component,
     which is the physical effect of a heralded loss channel.
     """
-    from .sampler import _ALL_LOST, WORD, SampledEvent, _output_table, _Sampler
-
-    if not isinstance(pulses, int):
+    if isinstance(pulses, bool) or not isinstance(pulses, int):
         raise TypeError(f"pulse count must be an int, got {pulses!r}")
     if pulses < 0:
         raise ConfigurationError(f"pulse count {pulses} is negative")
-    if not isinstance(pair_prob, Rational) or not isinstance(loss_prob, Rational):
+    if not all(isinstance(prob, Rational) and not isinstance(prob, bool)
+               for prob in (pair_prob, loss_prob)):
         raise TypeError(f"probabilities must be exact rationals, got {pair_prob!r}, {loss_prob!r}")
     pair_prob, loss_prob = Fraction(pair_prob), Fraction(loss_prob)
     if not 0 <= pair_prob < 1 or pair_prob + pair_prob**2 > 1:
@@ -480,63 +470,6 @@ def sample_events(
         raise ConfigurationError(f"loss probability {loss_prob} outside [0, 1]")
     if not pulses or not pair_prob:
         return
-    sampler = _Sampler(pair_prob, loss_prob, pulses)
-    rng = Random(seed)
-    # each event reads its chain from ``steps``, so no per-event lookup is
-    # keyed by a pattern; each draw bisects one word, and settles a tie
-    getrandbits, skipped_blocks = rng.getrandbits, sampler.skipped_blocks
-    emission, steps, block = sampler.emission, sampler.steps, sampler.block
-    emission_cuts, dense, lossy = emission._leading, sampler.dense, bool(loss_prob)
-    pulse = 0
-    while pulse < pulses:
-        if not dense:  # the empty blocks first, then (offset, component)
-            blocks = skipped_blocks(rng, -(-(pulses - pulse) // block))
-            if blocks is None:
-                return
-            pulse += blocks * block
-        u = getrandbits(WORD)
-        i = bisect_right(emission_cuts, u)
-        if emission_cuts[i - 1] == u:
-            i = emission._settle(rng, u)
-        step = steps[i]
-        if step is None:  # the whole block emits nothing
-            pulse += block
-            continue
-        offset, chain = step
-        pulse += offset
-        if pulse >= pulses:
-            return
-        veto = False
-        if lossy:
-            cuts, survivors, table = chain
-            u = getrandbits(WORD)
-            i = bisect_right(cuts, u)
-            if cuts[i - 1] == u:
-                i = table._settle(rng, u)
-            chain, veto = survivors[i]
-        if chain is None:
-            pattern, event_class = _ALL_LOST
-        else:
-            table = chain[0]
-            if table is None:
-                table = chain[0] = _output_table(chain[1])
-            cuts = table._leading
-            u = getrandbits(WORD)
-            i = bisect_right(cuts, u)
-            if cuts[i - 1] == u:
-                i = table._settle(rng, u)
-            pattern, event_class = table.values[i]
-        yield SampledEvent(pulse, pattern, event_class, veto)
-        pulse += 1
+    from .sampler import _Sampler
 
-
-# the sampler's public names, once defined here: each loads the sampler on first access
-_SAMPLER_NAMES = frozenset({"EVENT", "SampledEvent", "summarize_events"})
-
-
-def __getattr__(name: str):
-    if name not in _SAMPLER_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import sampler
-
-    return getattr(sampler, name)
+    yield from _Sampler(pair_prob, loss_prob, pulses).draw(Random(seed))

@@ -15,7 +15,7 @@ of the pair-creation coupling gamma.  Orders add under multiplication and
 amplitudes of different order never sum: they belong to different
 perturbation orders and only acquire a relative scale once a numeric
 pair-creation probability is supplied (see the Monte Carlo sampler in
-:mod:`ghzsim.events`).
+:mod:`ghzsim.sampler`).
 """
 
 from __future__ import annotations
@@ -56,16 +56,24 @@ class Amplitude:
     Stored as four integer numerators over one positive integer denominator
     with no common factor; zero is ``0/1`` at order 0.  Instances are
     immutable values, compared and hashed by value.  ``Fraction`` appears
-    only in the constructor and the component properties.
+    only in the constructor and the component properties.  A part that is
+    not :class:`numbers.Rational`, or is a ``bool``, and an order that is not
+    an ``int`` raise ``TypeError``.
     """
 
     __slots__ = ("_num", "_den", "_order")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0, re_sqrt2: RationalLike = 0,
                  im_sqrt2: RationalLike = 0, order: int = 0) -> None:
+        parts = (re, im, re_sqrt2, im_sqrt2)
+        kinds = set(map(type, parts))
+        if bool in kinds or not all(issubclass(kind, Rational) for kind in kinds):
+            raise TypeError(f"amplitude parts must be exact rationals, got {parts!r}")
+        if type(order) is not int:
+            raise TypeError(f"gamma order must be an int, got {order!r}")
         if order < 0:
             raise OrderMixError("gamma order must be non-negative")
-        parts = [Fraction(v) for v in (re, im, re_sqrt2, im_sqrt2)]
+        parts = [Fraction(v) for v in parts]
         den = lcm(*(v.denominator for v in parts))
         value = _new(*(v.numerator * (den // v.denominator) for v in parts), den, order)
         self._num, self._den, self._order = value._num, value._den, value._order
@@ -196,7 +204,7 @@ INV_SQRT2 = Amplitude(0, 0, Fraction(1, 2))
 
 
 def rational(value: RationalLike, order: int = 0) -> Amplitude:
-    return Amplitude(Fraction(value), 0, 0, 0, order)
+    return Amplitude(value, 0, 0, 0, order)
 
 
 def gamma_power(order: int) -> Amplitude:
@@ -388,6 +396,10 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self._values
+
+    def _replace(self, **changes: Any) -> "Record":
+        """A copy with ``changes`` applied, built and checked by ``__init__``."""
+        return self.__class__(**{**dict(zip(self._fields, self._values)), **changes})
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -553,7 +553,7 @@ def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mappin
         return evaluate_certificate(problem, evidence).verified
     strategies = right_sector_strategies()
     if not set(evidence) <= {*strategies, CHI_ZERO} or not all(
-        isinstance(w, Rational) for w in evidence.values()
+        issubclass(kind, Rational) for kind in set(map(type, evidence.values()))
     ) or evidence.get(CHI_ZERO) != problem.wrong_mass:
         return False
     # weights over one denominator d and targets over another, e: cell i
@@ -577,7 +577,9 @@ def evaluate_certificate(
     not a :class:`numbers.Rational`, is left out of the sums and fails the
     check."""
     keys = _incidence()[0]
-    exact = {key: c for key, c in coeffs.items() if isinstance(c, Rational)}
+    exact = coeffs  # the coefficient types are read once; only a stray type filters per item
+    if not all(issubclass(kind, Rational) for kind in set(map(type, coeffs.values()))):
+        exact = {key: c for key, c in coeffs.items() if isinstance(c, Rational)}
     # y over d, targets over e; within the ±p/q band cell i moves y·(Aw) by (p/q)·|y_i|
     y, d = over_one_denominator([exact.get(key, 0) for key in keys])
     b, e = problem.integer_targets

@@ -1,11 +1,12 @@
-"""The tables of the exact pulse sampler, and its event record.
+"""The exact pulse sampler: its tables, its draw loop and its event record.
 
-:func:`ghzsim.events.sample_events` draws every event through the tables
-built here.  A ``_Table`` draws a value from integer weights exactly, one
-64-bit word at a time.  A ``_Sampler`` holds, for one call, the emission
-table (the gap to the next emitting pulse and its component), the survivor
-tables of the loss channel, and the draw chains that link each component to
-its detection table (:func:`_output_table`).
+:func:`ghzsim.events.sample_events` checks its arguments and draws every
+event through :meth:`_Sampler.draw`, the only reader of the tables built
+here.  A ``_Table`` draws a value from integer weights exactly, one 64-bit
+word at a time.  A ``_Sampler`` holds, for one call, the emission table (the
+gap to the next emitting pulse and its component), the survivor tables of
+the loss channel, and the draw chains that link each component to its
+detection table (:func:`_output_table`).
 
 The two emission laws, which depend on no argument, are derived once per
 process, and so is each detection table, when an event first needs it;
@@ -25,7 +26,7 @@ from itertools import accumulate, product
 from math import comb, prod
 from operator import mul
 from random import Random
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 from .events import (
     EVENT_CLASS,
@@ -70,7 +71,7 @@ class _Table:
     one word.  U lies between cut points i-1 and i unless u equals the
     truncated cut point i-1 (for i = 0 that reads the last one, 2^WORD, never
     u); only then does :meth:`_settle` read further words and compare exactly
-    with the integer cut points.  ``sample_events`` makes its draws inline.
+    with the integer cut points.  :meth:`_Sampler.draw` makes its draws inline.
     """
 
     __slots__ = ("values", "cuts", "den", "_leading")
@@ -205,7 +206,7 @@ class _Sampler:
             den_powers.append(den_powers[-1] * pulse_den)
             if 2 * q_powers[block] <= den_powers[block]:
                 break
-        self.block = block
+        self.pulses, self.block = pulses, block
         self.skip = Fraction(q_powers[block], den_powers[block])
         # (offset, component) over pulse_den^block * common: q^offset * weight
         scales = map(mul, q_powers[:block], reversed(den_powers[:block]))
@@ -251,6 +252,69 @@ class _Sampler:
             precision *= 2
             bounds = _skip_bounds(self.skip, top + 1, precision)
         return k if k < blocks else None
+
+    def draw(self, rng: Random) -> Iterator[SampledEvent]:
+        """The events of the call's ``pulses`` pulses, every draw read from ``rng``.
+
+        The empty pulses are skipped, not visited: the geometric gap to the
+        next emitting pulse is drawn with the emission component.  When a
+        block of pulses emits at least half the time one joint table gives
+        (offset in the block, component) or "skip the block"; otherwise the
+        number of empty blocks comes from a binary search over the powers of
+        the skip chance, then the (offset, component) table.  When loss is
+        enabled each photon of the component is then removed with probability
+        ``loss_prob``, and finally the detection pattern is drawn from the
+        exact conditional distribution behind the circuit.  Every draw is
+        decided from 64-bit random words against integer weights, so the
+        sampled law is the rational law exactly, and the work of a call grows
+        with the events it emits, not with ``pulses``.
+        """
+        # each event reads its chain from ``steps``, so no per-event lookup is
+        # keyed by a pattern; each draw bisects one word, and settles a tie
+        getrandbits, skipped_blocks, pulses = rng.getrandbits, self.skipped_blocks, self.pulses
+        emission, steps, block = self.emission, self.steps, self.block
+        emission_cuts, dense, lossy = emission._leading, self.dense, bool(self.survivors)
+        pulse = 0
+        while pulse < pulses:
+            if not dense:  # the empty blocks first, then (offset, component)
+                blocks = skipped_blocks(rng, -(-(pulses - pulse) // block))
+                if blocks is None:
+                    return
+                pulse += blocks * block
+            u = getrandbits(WORD)
+            i = bisect_right(emission_cuts, u)
+            if emission_cuts[i - 1] == u:
+                i = emission._settle(rng, u)
+            step = steps[i]
+            if step is None:  # the whole block emits nothing
+                pulse += block
+                continue
+            offset, chain = step
+            pulse += offset
+            if pulse >= pulses:
+                return
+            veto = False
+            if lossy:
+                cuts, survivors, table = chain
+                u = getrandbits(WORD)
+                i = bisect_right(cuts, u)
+                if cuts[i - 1] == u:
+                    i = table._settle(rng, u)
+                chain, veto = survivors[i]
+            if chain is None:
+                pattern, event_class = _ALL_LOST
+            else:
+                table = chain[0]
+                if table is None:
+                    table = chain[0] = _output_table(chain[1])
+                cuts = table._leading
+                u = getrandbits(WORD)
+                i = bisect_right(cuts, u)
+                if cuts[i - 1] == u:
+                    i = table._settle(rng, u)
+                pattern, event_class = table.values[i]
+            yield SampledEvent(pulse, pattern, event_class, veto)
+            pulse += 1
 
 
 def summarize_events(events: Iterable[SampledEvent], redefined: bool = False) -> Counter:

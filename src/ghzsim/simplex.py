@@ -32,23 +32,28 @@ itself, with k times its gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, islice
 from numbers import Rational
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .fock import Record
+
 WORD_BITS = 64  # rows are divided by their gcd only above this denominator width
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    solution: Optional[List[Fraction]]  # structural variable values if feasible
-    certificate: Optional[List[Fraction]]  # Farkas vector if infeasible
-    infeasibility_gap: Fraction  # Phase-I optimum: 0 iff feasible
-    iterations: int
+class FeasibilityResult(Record):
+    """The solution (structural variable values) if feasible, else the Farkas
+    certificate; the Phase-I optimum, 0 iff feasible; and the pivot count."""
+
+    __slots__ = _fields = ("feasible", "solution", "certificate", "infeasibility_gap",
+                           "iterations")
+
+    def __init__(self, feasible: bool, solution: Optional[List[Fraction]],
+                 certificate: Optional[List[Fraction]], infeasibility_gap: Fraction,
+                 iterations: int) -> None:
+        self._set(feasible, solution, certificate, infeasibility_gap, iterations)
 
 
 def _eliminate(

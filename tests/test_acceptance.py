@@ -19,7 +19,6 @@ from ghzsim.events import (
     filter_loss_demo,
     pairing_report,
     sample_events,
-    summarize_events,
     trigger_select,
     two_pair_emission,
 )
@@ -53,6 +52,7 @@ from ghzsim.lhv import (
     TRIPLES,
 )
 from ghzsim.measurement import all_setting_triples, outcome_distribution, SettingTriple
+from ghzsim.sampler import summarize_events
 from statevector_oracle import oracle_correlation, oracle_distribution
 
 from test_events import _variant_circuit

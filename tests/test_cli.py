@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ghzsim
 from ghzsim import lhv
 from ghzsim.cli import RunConfig, _stream_events, main, parse_argv, parse_rational, run
-from ghzsim.events import EVENT, classify_pattern, sample_events
+from ghzsim.events import classify_pattern, sample_events
 from ghzsim.lhv import (
     FeasibilityProblem,
     certificate_from_json,
@@ -27,6 +26,7 @@ from ghzsim.lhv import (
     quantum_targets,
 )
 from ghzsim.measurement import TABLE
+from ghzsim.sampler import EVENT
 
 
 def _run(capsys, argv):
@@ -469,7 +469,7 @@ def test_a_verdict_whose_evidence_fails_its_check_is_refused(
 ):
     real = lhv.solve_feasibility
     monkeypatch.setattr(lhv, "solve_feasibility",
-                        lambda rows, rhs: replace(real(rows, rhs), **evidence))
+                        lambda rows, rhs: real(rows, rhs)._replace(**evidence))
     target = tmp_path / "lhv.json"
     for output in (["--output", str(target)], []):
         code, out, err = _run(capsys, ["lhv-feasibility", "--visibility", visibility,

@@ -360,14 +360,17 @@ def test_sampler_rejects_bad_probabilities():
         list(sample_events(10, Fraction(1, 10), seed=0, loss_prob=Fraction(2)))
 
 
-@pytest.mark.parametrize("pair_prob,loss_prob", [(0.05, Fraction(0)), (Fraction(1, 20), 0.1)])
+@pytest.mark.parametrize("pair_prob,loss_prob", [(0.05, Fraction(0)), (Fraction(1, 20), 0.1),
+                                                (True, Fraction(0)), (Fraction(1, 20), True)])
 def test_sampler_rejects_float_probabilities(pair_prob, loss_prob):
-    # a float is a binary fraction: 0.05 would sample p = 3602879701896397/2^56
+    # a float is a binary fraction: 0.05 would sample p = 3602879701896397/2^56;
+    # a bool is no probability: loss True would lose every photon
     with pytest.raises(TypeError, match="exact rationals"):
         list(sample_events(2000, pair_prob, 1, loss_prob))
 
 
-@pytest.mark.parametrize("pulses,pair_prob", [(5000.5, Fraction(1, 20)), (1e6, Fraction(1, 10**4))])
+@pytest.mark.parametrize("pulses,pair_prob", [(5000.5, Fraction(1, 20)), (1e6, Fraction(1, 10**4)),
+                                             (True, Fraction(1, 20))])
 def test_sampler_rejects_a_float_pulse_count(monkeypatch, pulses, pair_prob):
     import ghzsim.events
 
@@ -540,17 +543,6 @@ def test_a_second_call_derives_no_emission_law(monkeypatch, p, loss):
     derived.clear()
     assert list(sample_events(*args)) == first
     assert derived == []
-
-
-def test_the_public_sampler_names_stay_reachable_through_events():
-    import ghzsim.events
-    import ghzsim.sampler
-
-    for name in ("EVENT", "SampledEvent", "summarize_events"):
-        assert getattr(ghzsim.events, name) is getattr(ghzsim.sampler, name)
-    for name in ("no_such_name", "_Sampler", "_Table"):
-        with pytest.raises(AttributeError, match=name):
-            getattr(ghzsim.events, name)
 
 
 def test_the_event_stream_annotation_resolves():

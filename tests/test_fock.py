@@ -107,6 +107,23 @@ def test_order_bookkeeping():
         gamma_power(1).inverse()
 
 
+@pytest.mark.parametrize("make,args,kwargs", [
+    (Amplitude, (0.1,), {}),  # a float is a binary fraction: 3602879701896397/2^55
+    (Amplitude, (0, 0, "1/2"), {}),
+    (Amplitude, (0, True), {}),
+    (Amplitude, (1,), {"order": 1.5}),
+    (Amplitude, (1,), {"order": True}),
+    (rational, (0.5,), {}),
+    (rational, ("1/2",), {}),
+    (rational, (1, 2.0), {}),
+    (gamma_power, (True,), {}),
+    (gamma_power, (1.0,), {}),
+])
+def test_only_exact_rationals_and_int_orders_enter_the_ring(make, args, kwargs):
+    with pytest.raises(TypeError, match="exact rationals|must be an int"):
+        make(*args, **kwargs)
+
+
 def test_to_fraction():
     assert Amplitude(Fraction(5, 3)).to_fraction() == Fraction(5, 3)
     with pytest.raises(IrrationalValueError):

@@ -3,12 +3,12 @@ itself and the standard library, no float enters any module (the verdicts
 and the Monte Carlo sampler alike are exact rational arithmetic), the
 settings of the four GHZ constraints are written in one place, only the
 detector readout reads the trigger mode, ``@dataclass`` decorates only
-the records that callers copy with ``dataclasses.replace``, the simplex
-pivots on integers alone, the evidence checks name nothing from the
-simplex and loop over integers alone, only the ring, the outcome tables and
-the simplex name ``lcm``, only the strategy enumeration and the decoder of a
-mixture build a ``LocalStrategy``, and only the tables' integer check raises
-their sign and sum errors."""
+the records that callers copy with ``dataclasses.replace``, only the
+sampler reads its tables, the simplex pivots on integers alone, the
+evidence checks name nothing from the simplex and loop over integers alone,
+only the ring, the outcome tables and the simplex name ``lcm``, only the
+strategy enumeration and the decoder of a mixture build a ``LocalStrategy``,
+and only the tables' integer check raises their sign and sum errors."""
 
 import ast
 import sys
@@ -84,6 +84,23 @@ def test_only_the_detector_readout_names_the_trigger_mode():
     assert places == {"fock.py", "measurement.py"}
 
 
+# the sampler's private table layout: its tables' word-sized cut points and tie
+# break, the all-lost draw, the detection-table cache and the word size
+SAMPLER_INTERNALS = {"_leading", "_settle", "_ALL_LOST", "_output_table", "WORD"}
+
+
+def test_only_the_sampler_reads_its_tables():
+    # sample_events checks its arguments and leaves every draw to _Sampler.draw
+    places = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        in SAMPLER_INTERNALS
+    }
+    assert places == {"sampler.py"}
+
+
 def test_only_the_ring_the_tables_and_the_simplex_name_lcm():
     # every other module puts its weights over one denominator through
     # measurement.over_one_denominator
@@ -113,13 +130,13 @@ def test_strategies_are_built_only_by_the_enumeration_and_the_mixture_decoder():
 
 
 # Generating a dataclass costs about a millisecond at import, paid by every
-# CLI run; value types derive from ``fock.Record`` instead.  These four stay
-# dataclasses because tests and the benchmark copy them with ``replace``.
+# CLI run; value types derive from ``fock.Record`` and copy with ``_replace``
+# instead.  These three stay dataclasses because the benchmark's own tests
+# (perfbench/test_perfbench.py) copy them with ``dataclasses.replace``.
 REPLACEABLE_RECORDS = {
     "lhv.py:Certificate",
     "lhv.py:FeasibilityOutcome",
     "sampler.py:SampledEvent",
-    "simplex.py:FeasibilityResult",
 }
 
 

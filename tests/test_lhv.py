@@ -914,7 +914,7 @@ def test_solver_evidence_that_fails_the_check_is_reported_unverified(
     monkeypatch, visibility, evidence
 ):
     real = solve_feasibility(*_lp(visibility))
-    monkeypatch.setattr(lhv, "solve_feasibility", lambda rows, rhs: replace(real, **evidence))
+    monkeypatch.setattr(lhv, "solve_feasibility", lambda rows, rhs: real._replace(**evidence))
     outcome = feasibility_at_visibility(visibility)
     assert outcome.feasible == real.feasible and not outcome.verified
 

@@ -22,6 +22,7 @@ from ghzsim.lhv import (
     quantum_targets,
 )
 from ghzsim.measurement import AnalyzerSetting, OutcomeTable, SettingTriple, Station
+from ghzsim.simplex import FeasibilityResult
 
 X, Y = AnalyzerSetting.LINEAR45, AnalyzerSetting.CIRCULAR
 SWAP = ModeTransform({GH: ((GV, ONE),), GV: ((GH, ONE),)}, "swap")
@@ -59,6 +60,10 @@ CASES = {
     CriticalVisibilityResult: ({"v_star": Fraction(1, 2), "feasible_at": Fraction(1, 2),
                                 "infeasible_above": Fraction(129, 256), "evaluations": ()},
                                {"infeasible_above": Fraction(3, 4)}),
+    FeasibilityResult: ({"feasible": False, "solution": None,
+                         "certificate": [Fraction(1, 2), Fraction(-1)],
+                         "infeasibility_gap": Fraction(1, 4), "iterations": 3},
+                        {"iterations": 4}),
     RunConfig: ({"command": "sample", "output": None, "fmt": "json", "seed": 7,
                  "visibility": Fraction(1), "pulses": 0, "pair_prob": Fraction(1, 10000),
                  "loss_prob": Fraction(0), "redefined_trigger": False, "pattern": None,
@@ -90,6 +95,9 @@ REPRS = {
     CriticalVisibilityResult: "CriticalVisibilityResult(v_star=Fraction(1, 2), "
                               "feasible_at=Fraction(1, 2), "
                               "infeasible_above=Fraction(129, 256), evaluations=())",
+    FeasibilityResult: "FeasibilityResult(feasible=False, solution=None, "
+                       "certificate=[Fraction(1, 2), Fraction(-1, 1)], "
+                       "infeasibility_gap=Fraction(1, 4), iterations=3)",
     RunConfig: "RunConfig(command='sample', output=None, fmt='json', seed=7, "
                "visibility=Fraction(1, 1), pulses=0, pair_prob=Fraction(1, 10000), "
                "loss_prob=Fraction(0, 1), redefined_trigger=False, pattern=None, depth=8, "
@@ -129,6 +137,7 @@ def test_equality_and_hash_are_by_value(cls):
     value, same, other = cls(**fields), cls(**fields), cls(**{**fields, **change})
     assert value == same and not value != same
     assert value != other and not value == other
+    assert value._replace(**change) == other and value._replace() == value
     values = tuple(getattr(value, name) for name in fields)
     assert value != values and values != value
     try:
