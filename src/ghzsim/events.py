@@ -25,7 +25,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
 from random import Random
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
@@ -53,6 +52,7 @@ from .fock import (
     as_pattern,
     creation,
     derived_codec,
+    exact,
     filter_terms,
     gamma_power,
     mapping_codec,
@@ -146,6 +146,7 @@ REASON_NO_TRIGGER = "no-trigger"
 REASON_MULTI_TRIGGER = "multiple-trigger-photons"
 REASON_UNPAIRED = "unpaired-wrong-pattern"
 TRIGGER_FAILURE_REASONS = (REASON_NO_TRIGGER, REASON_MULTI_TRIGGER, REASON_UNPAIRED)
+
 
 def _station_pair(text: str) -> Tuple[Station, Station]:
     wrong_pair = event_class_from_wire(f"wrong-pair:{text}")
@@ -331,13 +332,6 @@ class FilterLossDemo(Record):
     __slots__ = _fields = ("scenario", "herald_clicks", "naive_trigger_fires", "naive_outcomes",
                            "redefined_accepted", "redefined_outcomes")
 
-    def __init__(self, scenario: str, herald_clicks: int, naive_trigger_fires: bool,
-                 naive_outcomes: Tuple[Tuple[Pattern, EventClass], ...],
-                 redefined_accepted: bool,
-                 redefined_outcomes: Tuple[Tuple[Pattern, EventClass], ...]) -> None:
-        self._set(scenario, herald_clicks, naive_trigger_fires, naive_outcomes,
-                  redefined_accepted, redefined_outcomes)
-
 
 def filter_loss_demo(removed: str) -> FilterLossDemo:
     """Demonstrate what a filter removal does to the trigger statistics.
@@ -441,8 +435,8 @@ def sample_events(
     empty pulse, so the work of a call grows with the events it emits, not
     with ``pulses``.
 
-    ``pulses`` is an ``int`` and both probabilities are
-    :class:`numbers.Rational`; a float or a ``bool`` raises ``TypeError``.
+    ``pulses`` is an ``int`` and both probabilities pass
+    :func:`ghzsim.fock.exact`; a float or a ``bool`` raises ``TypeError``.
 
     Identical arguments yield byte-identical streams.  Draws are made per
     emitted event, not per pulse, so changing a probability or the seed
@@ -454,12 +448,11 @@ def sample_events(
     the survival factor ``(1-loss_prob)**n`` of an n-photon component,
     which is the physical effect of a heralded loss channel.
     """
-    if isinstance(pulses, bool) or not isinstance(pulses, int):
+    if type(pulses) is not int:
         raise TypeError(f"pulse count must be an int, got {pulses!r}")
     if pulses < 0:
         raise ConfigurationError(f"pulse count {pulses} is negative")
-    if not all(isinstance(prob, Rational) and not isinstance(prob, bool)
-               for prob in (pair_prob, loss_prob)):
+    if not exact((pair_prob, loss_prob)):
         raise TypeError(f"probabilities must be exact rationals, got {pair_prob!r}, {loss_prob!r}")
     pair_prob, loss_prob = Fraction(pair_prob), Fraction(loss_prob)
     if not 0 <= pair_prob < 1 or pair_prob + pair_prob**2 > 1:

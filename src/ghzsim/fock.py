@@ -8,7 +8,7 @@ and equality is decidable with no tolerance.  A coefficient is stored as
 four integer numerators (rational and sqrt(2) parts of its real and
 imaginary components) over one positive integer denominator, reduced by a
 single gcd, so ring arithmetic is integer arithmetic; ``Fraction`` appears
-only at the edges (constructor, component properties, rendering, JSON).
+only at the edges (component properties, rendering, JSON).
 
 Each amplitude additionally carries an integer ``order`` tag counting powers
 of the pair-creation coupling gamma.  Orders add under multiplication and
@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from numbers import Rational
-from typing import Any, Callable, Iterable, Mapping, Tuple, Union
+from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 
 class GhzsimError(Exception):
@@ -50,15 +50,32 @@ class IrrationalValueError(GhzsimError):
 RationalLike = Union[int, Fraction]
 
 
+_PLAIN = frozenset((int, Fraction))
+
+
+def exact(values: Iterable[Any]) -> bool:
+    """The package's one test of exact values: every value is a
+    :class:`numbers.Rational` and none is a ``bool``.  The set of the values'
+    types is read once; ints and Fractions skip the abstract-class check."""
+    kinds = set(map(type, values))
+    return kinds <= _PLAIN or bool not in kinds and all(issubclass(k, Rational) for k in kinds)
+
+
+def over_one_denominator(values: Sequence[Rational]) -> Tuple[List[int], int]:
+    """Numerators of ``values`` over the lcm of their denominators, and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class Amplitude:
     """Element ``(re + im*i) + (re_sqrt2 + im_sqrt2*i)*sqrt(2)`` times gamma^order.
 
     Stored as four integer numerators over one positive integer denominator
     with no common factor; zero is ``0/1`` at order 0.  Instances are
     immutable values, compared and hashed by value.  ``Fraction`` appears
-    only in the constructor and the component properties.  A part that is
-    not :class:`numbers.Rational`, or is a ``bool``, and an order that is not
-    an ``int`` raise ``TypeError``.
+    only in the component properties.  A part that fails :func:`exact`
+    and an order that is not an ``int`` raise ``TypeError``; so does a
+    product with a scalar that fails it.
     """
 
     __slots__ = ("_num", "_den", "_order")
@@ -66,16 +83,14 @@ class Amplitude:
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0, re_sqrt2: RationalLike = 0,
                  im_sqrt2: RationalLike = 0, order: int = 0) -> None:
         parts = (re, im, re_sqrt2, im_sqrt2)
-        kinds = set(map(type, parts))
-        if bool in kinds or not all(issubclass(kind, Rational) for kind in kinds):
+        if not exact(parts):
             raise TypeError(f"amplitude parts must be exact rationals, got {parts!r}")
         if type(order) is not int:
             raise TypeError(f"gamma order must be an int, got {order!r}")
         if order < 0:
             raise OrderMixError("gamma order must be non-negative")
-        parts = [Fraction(v) for v in parts]
-        den = lcm(*(v.denominator for v in parts))
-        value = _new(*(v.numerator * (den // v.denominator) for v in parts), den, order)
+        nums, den = over_one_denominator(parts)
+        value = _new(*nums, den, order)
         self._num, self._den, self._order = value._num, value._den, value._order
 
     re = property(lambda self: Fraction(self._num[0], self._den))
@@ -122,22 +137,22 @@ class Amplitude:
 
     def __mul__(self, other: Union["Amplitude", RationalLike]) -> "Amplitude":
         a1, b1, c1, e1 = self._num
-        if isinstance(other, (int, Fraction)):
-            n = other.numerator
-            return _new(a1 * n, b1 * n, c1 * n, e1 * n, self._den * other.denominator, self._order)
-        if not isinstance(other, Amplitude):
+        if isinstance(other, Amplitude):
+            # (p1 + q1 s)(p2 + q2 s) = (p1 p2 + 2 q1 q2) + (p1 q2 + q1 p2) s with
+            # s = sqrt2, p = re + im*i and q = re_sqrt2 + im_sqrt2*i
+            a2, b2, c2, e2 = other._num
+            return _new(
+                a1 * a2 - b1 * b2 + 2 * (c1 * c2 - e1 * e2),
+                a1 * b2 + b1 * a2 + 2 * (c1 * e2 + e1 * c2),
+                a1 * c2 - b1 * e2 + c1 * a2 - e1 * b2,
+                a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2,
+                self._den * other._den,
+                self._order + other._order,
+            )
+        if not exact((other,)):
             return NotImplemented
-        # (p1 + q1 s)(p2 + q2 s) = (p1 p2 + 2 q1 q2) + (p1 q2 + q1 p2) s with
-        # s = sqrt2, p = re + im*i and q = re_sqrt2 + im_sqrt2*i
-        a2, b2, c2, e2 = other._num
-        return _new(
-            a1 * a2 - b1 * b2 + 2 * (c1 * c2 - e1 * e2),
-            a1 * b2 + b1 * a2 + 2 * (c1 * e2 + e1 * c2),
-            a1 * c2 - b1 * e2 + c1 * a2 - e1 * b2,
-            a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2,
-            self._den * other._den,
-            self._order + other._order,
-        )
+        n = other.numerator
+        return _new(a1 * n, b1 * n, c1 * n, e1 * n, self._den * other.denominator, self._order)
 
     __rmul__ = __mul__
 
@@ -284,8 +299,8 @@ BOOL: Codec = (bool, _json(bool, "boolean"))
 TEXT: Codec = (str, _json(str, "string"))
 
 
-def _rational_text(value: Rational) -> str:  # "p/q"; a bool or an inexact number: TypeError
-    if isinstance(value, bool) or not isinstance(value, Rational):
+def _rational_text(value: Rational) -> str:  # "p/q"; a value that fails exact(): TypeError
+    if not exact((value,)):
         raise TypeError(f"expected an exact rational, got {value!r:.60}")
     return str(value)
 
@@ -365,15 +380,28 @@ class Record:
     """Base of the package's immutable value types.
 
     A subclass names its fields in ``_fields`` and lists them, and any cached
-    attributes, in ``__slots__``; its ``__init__`` checks the arguments and
-    passes the field values, in ``_fields`` order, to :meth:`_set`.
-    Instances compare, hash, pickle and print by those values as a frozen
-    dataclass does, ``repr`` included, but a plain class costs a small
-    fraction of a dataclass's generation time at import.
+    attributes, in ``__slots__``.  The default ``__init__`` binds the fields
+    by position, then by name; a subclass that checks, converts or defaults
+    its arguments has its own ``__init__``, which passes the field values, in
+    ``_fields`` order, to :meth:`_set`.  Instances compare, hash, pickle and
+    print by those values as a frozen dataclass does, ``repr`` included, but
+    a plain class costs a small fraction of a dataclass's generation time at
+    import.
     """
 
     __slots__ = ("_values",)
     _fields: Tuple[str, ...] = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        """Bind ``_fields`` as a dataclass's ``__init__`` does; a missing, extra
+        or unknown field raises ``TypeError``."""
+        fields = self._fields
+        named = {**dict(zip(fields, args)), **kwargs}
+        if len(args) + len(kwargs) != len(fields) or named.keys() != set(fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes the fields "
+                            f"{', '.join(fields)}; got {len(args)} by position and "
+                            f"{', '.join(kwargs) or 'none'} by name")
+        self._set(*map(named.get, fields))
 
     def _set(self, *values: Any) -> None:
         """Set each field once, and keep the tuple of values for ``==``, ``hash``
@@ -591,7 +619,8 @@ class StatePolynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[PatternLike, Amplitude], Iterable[Tuple[PatternLike, Amplitude]]] = ()):
+    def __init__(self, terms: Union[Mapping[PatternLike, Amplitude],
+                                    Iterable[Tuple[PatternLike, Amplitude]]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         canonical: dict = {}
         for pattern_like, coeff in items:
@@ -636,7 +665,8 @@ class StatePolynomial:
     def __sub__(self, other: "StatePolynomial") -> "StatePolynomial":
         return self + (-other)
 
-    def __mul__(self, other: Union["StatePolynomial", Amplitude, RationalLike]) -> "StatePolynomial":
+    def __mul__(self,
+                other: Union["StatePolynomial", Amplitude, RationalLike]) -> "StatePolynomial":
         if isinstance(other, StatePolynomial):
             return multiply(self, other)
         return StatePolynomial._from_canonical({p: c * other for p, c in self._terms.items()})

@@ -55,7 +55,9 @@ from .fock import (
     Record,
     TEXT,
     derived_codec,
+    exact,
     mapping_codec,
+    over_one_denominator,
     record_codec,
     sequence_codec,
     tuple_codec,
@@ -71,7 +73,6 @@ from .measurement import (
     correlation_from_table,
     outcome_code,
     over_common_denominator,
-    over_one_denominator,
 )
 from .simplex import solve_feasibility
 
@@ -186,12 +187,6 @@ class LemmaReport(Record):
         "setting_dependent_excluded", "all_admissible_moduli_setting_independent",
     )
 
-    def __init__(self, total: int, admissible: int, chi_one: int, chi_zero: int, excluded: int,
-                 excluded_with_even_sigma: int, setting_dependent_excluded: int,
-                 all_admissible_moduli_setting_independent: bool) -> None:
-        self._set(total, admissible, chi_one, chi_zero, excluded, excluded_with_even_sigma,
-                  setting_dependent_excluded, all_admissible_moduli_setting_independent)
-
     @property
     def consistent(self) -> bool:
         return (
@@ -239,9 +234,9 @@ def lemma_check() -> LemmaReport:
 class FeasibilityProblem(Record):
     """Can a strategy mixture reproduce all eight outcome tables exactly?
 
-    ``slack`` (an exact rational, not a ``bool``, default zero) loosens each
-    cell equation to ``|model − target| <= slack`` for experiment-data
-    ingestion; the wrong-mass match stays exact either way.
+    ``slack`` (a value that passes :func:`ghzsim.fock.exact`, default zero)
+    loosens each cell equation to ``|model − target| <= slack`` for
+    experiment-data ingestion; the wrong-mass match stays exact either way.
 
     ``integer_targets`` is ``(numerators, e)``: the 65 right-hand sides of
     the LP (the 64 cells in :data:`TRIPLES` × :data:`OUTCOMES` order, then
@@ -255,7 +250,7 @@ class FeasibilityProblem(Record):
     __slots__ = (*_fields, "integer_targets")
 
     def __init__(self, targets: Sequence[OutcomeTable], slack: Fraction = Fraction(0)) -> None:
-        if type(slack) is bool or not isinstance(slack, Rational):
+        if not exact((slack,)):
             raise TypeError(f"slack must be an exact rational, got {slack!r}")
         targets, slack = tuple(targets), Fraction(slack)
         if slack < 0:
@@ -516,9 +511,10 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     and checked there, against the same integer targets, by
     :func:`verify_verdict` or :func:`evaluate_certificate`: a mixture gives
     every member of a strategy orbit the orbit's weight, and a certificate
-    is the kernel's dual as solved, each slack pair folded into its cell.  The kernel gives every copy of a merged row the same share of
-    its dual, so the certificate is constant on cell orbits and its value on
-    a strategy's column is the same across the strategy's orbit: the orbit
+    is the kernel's dual as solved, each slack pair folded into its cell.
+    The kernel gives every copy of a merged row the same share of its dual,
+    so the certificate is constant on cell orbits and its value on a
+    strategy's column is the same across the strategy's orbit: the orbit
     column's value over the orbit size, which the solve makes non-positive.
     """
     columns, rows, rhs, scale = _orbit_system(problem)
@@ -543,8 +539,8 @@ def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mappin
 
     Feasible evidence is the whole model: the mixture ``LocalStrategy →
     weight`` and the aggregated χ=0 weight under :data:`CHI_ZERO`.  Its
-    strategies are right-sector, its weights :class:`numbers.Rational`,
-    non-negative and summing to 1, the χ=0 weight is the wrong mass, and
+    strategies are right-sector, its weights pass :func:`ghzsim.fock.exact`,
+    are non-negative and sum to 1, the χ=0 weight is the wrong mass, and
     every cell is within the slack of its target, read from the problem's
     ``integer_targets``.  Infeasible evidence is the certificate's
     coefficients; they must pass :func:`evaluate_certificate`.
@@ -552,9 +548,9 @@ def verify_verdict(problem: FeasibilityProblem, feasible: bool, evidence: Mappin
     if not feasible:
         return evaluate_certificate(problem, evidence).verified
     strategies = right_sector_strategies()
-    if not set(evidence) <= {*strategies, CHI_ZERO} or not all(
-        issubclass(kind, Rational) for kind in set(map(type, evidence.values()))
-    ) or evidence.get(CHI_ZERO) != problem.wrong_mass:
+    if not set(evidence) <= {*strategies, CHI_ZERO} or not exact(evidence.values()) or (
+        evidence.get(CHI_ZERO) != problem.wrong_mass
+    ):
         return False
     # weights over one denominator d and targets over another, e: cell i
     # passes when |w_i/d − t_i/e| <= p/q, that is |w_i·e − t_i·d|·q <= p·d·e
@@ -573,22 +569,22 @@ def evaluate_certificate(
     problem: FeasibilityProblem, coeffs: Mapping[CertificateKey, Fraction]
 ) -> Certificate:
     """Verify a Farkas functional against the problem's ``integer_targets``,
-    solver-free.  A coefficient whose key names no LP row, or whose value is
-    not a :class:`numbers.Rational`, is left out of the sums and fails the
+    solver-free.  A coefficient whose key names no LP row, or whose value
+    fails :func:`ghzsim.fock.exact`, is left out of the sums and fails the
     check."""
     keys = _incidence()[0]
-    exact = coeffs  # the coefficient types are read once; only a stray type filters per item
-    if not all(issubclass(kind, Rational) for kind in set(map(type, coeffs.values()))):
-        exact = {key: c for key, c in coeffs.items() if isinstance(c, Rational)}
+    kept = coeffs  # the coefficient types are read once; only a stray type filters per item
+    if not exact(coeffs.values()):
+        kept = {key: c for key, c in coeffs.items() if exact((c,))}
     # y over d, targets over e; within the ±p/q band cell i moves y·(Aw) by (p/q)·|y_i|
-    y, d = over_one_denominator([exact.get(key, 0) for key in keys])
+    y, d = over_one_denominator([kept.get(key, 0) for key in keys])
     b, e = problem.integer_targets
     p, q = problem.slack.numerator, problem.slack.denominator
     value = Fraction(sum(map(mul, y, b)) * q - sum(map(abs, y[:-1])) * p * e, d * e * q)
     top = max([sum(column(y)) for column in _supports()[1]])
     max_column = Fraction(top, d)
     bound = max_column * (1 - problem.wrong_mass)
-    verified = top <= 0 < value and len(exact) == len(coeffs) and set(coeffs) <= set(keys)
+    verified = top <= 0 < value and len(kept) == len(coeffs) and set(coeffs) <= set(keys)
     return Certificate(dict(coeffs), value, bound, max_column, verified)
 
 
@@ -673,12 +669,6 @@ class GhzParadoxReport(Record):
     __slots__ = _fields = ("conjugate_convention", "quantum_correlations", "satisfying_all",
                            "satisfying_after_drop", "contradiction")
 
-    def __init__(self, conjugate_convention: bool, quantum_correlations: Mapping[str, Fraction],
-                 satisfying_all: int, satisfying_after_drop: Tuple[int, ...],
-                 contradiction: bool) -> None:
-        self._set(conjugate_convention, quantum_correlations, satisfying_all,
-                  satisfying_after_drop, contradiction)
-
 
 def ghz_paradox_check(conjugate: bool = False) -> GhzParadoxReport:
     """The inequality-free argument, restricted to the right sector.
@@ -739,10 +729,6 @@ class Evaluation(NamedTuple):
 
 class CriticalVisibilityResult(Record):
     __slots__ = _fields = ("v_star", "feasible_at", "infeasible_above", "evaluations")
-
-    def __init__(self, v_star: Fraction, feasible_at: Fraction, infeasible_above: Fraction,
-                 evaluations: Tuple[Evaluation, ...]) -> None:
-        self._set(v_star, feasible_at, infeasible_above, evaluations)
 
 
 CRITICAL_RESULT = record_codec(

@@ -40,7 +40,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm, prod
-from numbers import Rational
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .circuit import ModeTransform
@@ -57,10 +56,12 @@ from .fock import (
     StatePolynomial,
     TEXT,
     TRIGGER,
+    exact,
     filter_terms,
     mapping_codec,
     mode_from_name,
     norm_squared,
+    over_one_denominator,
     record_codec,
     substitute,
 )
@@ -189,12 +190,6 @@ def _merged_analyzer_rules(settings: SettingTriple, conjugate: bool) -> Dict[Mod
     return rules
 
 
-def over_one_denominator(values: Sequence[Rational]) -> Tuple[List[int], int]:
-    """Numerators of ``values`` over the lcm of their denominators, and that lcm."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 IntegerForm = Tuple[Tuple[int, ...], int]  # numerators over one positive denominator
 
 
@@ -223,8 +218,8 @@ class OutcomeTable(Record):
 
     ``probabilities[(r_g, r_h, r_z)]`` is the exact probability of a
     triggered right event with those three readouts; ``wrong_mass`` is the
-    total probability of every non-right class.  Cells and wrong mass are
-    :class:`numbers.Rational` (anything else, a ``bool`` included, raises
+    total probability of every non-right class.  Cells and wrong mass pass
+    :func:`ghzsim.fock.exact` (anything else, a ``bool`` included, raises
     ``TypeError``) and sum to one exactly.  ``integer_form`` holds the
     cells, in :data:`OUTCOMES` order, and the wrong mass as numerators over
     the lcm of their denominators, as :func:`_table_form` puts them; it is
@@ -237,13 +232,11 @@ class OutcomeTable(Record):
     def __init__(self, settings: SettingTriple, probabilities: Mapping[Outcome, Fraction],
                  wrong_mass: Fraction) -> None:
         values = [probabilities.get(outcome, 0) for outcome in OUTCOMES] + [wrong_mass]
-        kinds = set(map(type, values))
-        if bool in kinds or not all(issubclass(kind, Rational) for kind in kinds):
+        if not exact(values):
             raise TypeError("cells and wrong mass must be exact rationals (numbers.Rational)")
         if set(probabilities) - set(OUTCOMES):
             raise ValueError("unknown outcome keys in table")
-        if kinds != {Fraction}:
-            values = [v if type(v) is Fraction else Fraction(v) for v in values]
+        values = [v if type(v) is Fraction else Fraction(v) for v in values]
         self._fill(settings, values, *over_one_denominator(values))
 
     def _fill(self, settings: SettingTriple, values: Sequence[Fraction],
@@ -351,12 +344,12 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
 
     Right cells become ``V*p + (1−V)*(1−wrong_mass)/8``; the wrong mass is
     untouched, so conditional correlations scale by exactly ``V``, which
-    must be a :class:`numbers.Rational` (a float or a ``bool`` raises
+    must pass :func:`ghzsim.fock.exact` (a float or a ``bool`` raises
     ``TypeError``).  The noisy table is built from ``table.integer_form``,
     one value per distinct cell (an ideal table has at most two), and passes
     the tables' one check, :func:`_table_form`.
     """
-    if type(visibility) is bool or not isinstance(visibility, Rational):
+    if not exact((visibility,)):
         raise TypeError(f"visibility must be an exact rational, got {visibility!r}")
     a, b = visibility.numerator, visibility.denominator
     if not 0 <= a <= b:

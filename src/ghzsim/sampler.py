@@ -36,8 +36,8 @@ from .events import (
     single_pair_emission,
     two_pair_emission,
 )
-from .fock import BOOL, INT, PATTERN, Pattern, monomial, record_codec
-from .measurement import over_one_denominator, pattern_distribution
+from .fock import BOOL, INT, PATTERN, Pattern, monomial, over_one_denominator, record_codec
+from .measurement import pattern_distribution
 
 
 @dataclass(frozen=True)

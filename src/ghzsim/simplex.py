@@ -10,7 +10,8 @@ and its denominator only once that denominator is wider than
 The pivot rules compare ratios that no row scaling changes, so the moment a
 row is reduced changes no pivot and no result.  No rounding happens anywhere, so
 every boundary question (feasible at visibility 1/2, infeasible just above)
-is decided exactly; entries must be :class:`numbers.Rational`, and
+is decided exactly; entries must pass :func:`ghzsim.fock.exact` (a
+:class:`numbers.Rational` that is not a ``bool``), and
 :class:`fractions.Fraction` appears only where the result is read out.
 Pivoting uses Dantzig's rule and falls back to Bland's rule inside long
 degenerate runs, which keeps the method finite.  An infeasible system yields
@@ -36,9 +37,9 @@ from fractions import Fraction
 from itertools import chain, compress, count, islice
 from numbers import Rational
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .fock import Record
+from .fock import Record, exact, over_one_denominator
 
 WORD_BITS = 64  # rows are divided by their gcd only above this denominator width
 
@@ -49,11 +50,6 @@ class FeasibilityResult(Record):
 
     __slots__ = _fields = ("feasible", "solution", "certificate", "infeasibility_gap",
                            "iterations")
-
-    def __init__(self, feasible: bool, solution: Optional[List[Fraction]],
-                 certificate: Optional[List[Fraction]], infeasibility_gap: Fraction,
-                 iterations: int) -> None:
-        self._set(feasible, solution, certificate, infeasibility_gap, iterations)
 
 
 def _eliminate(
@@ -88,8 +84,7 @@ def solve_feasibility(
     n = len(rows[0]) if m else 0
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
-    kinds = set(map(type, chain(rhs, *rows)))
-    if not all(issubclass(kind, Rational) for kind in kinds):
+    if not exact(chain(rhs, *rows)):
         raise TypeError("entries must be exact rationals (numbers.Rational)")
 
     # tableau rows: [structural | artificial | rhs] / den, each row scaled to integers
@@ -113,10 +108,10 @@ def solve_feasibility(
         if set(map(type, values)) <= {int}:
             den, scale = b.denominator, sign * b.denominator
             row = [scale * v for v in values]
+            row.append(sign * b.numerator)
         else:
-            den = math.lcm(b.denominator, *(v.denominator for v in values))
-            row = [sign * v.numerator * (den // v.denominator) for v in values]
-        row.append(sign * b.numerator * (den // b.denominator))
+            row, den = over_one_denominator([*values, b])
+            row = [sign * v for v in row]
         weight.append(1)
         flip.append(sign)
         tableau.append(row)
@@ -235,14 +230,14 @@ def verify_farkas(
 ) -> bool:
     """Independent exact check that ``certificate`` proves infeasibility.
 
-    An entry of ``certificate`` that is not a :class:`numbers.Rational` fails
-    the check; a system of inconsistent dimensions raises ``ValueError``, as
-    in :func:`solve_feasibility`."""
+    A ``certificate`` that fails :func:`ghzsim.fock.exact` fails the check;
+    a system of inconsistent dimensions raises ``ValueError``, as in
+    :func:`solve_feasibility`."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
-    if len(certificate) != m or not all(isinstance(c, Rational) for c in certificate):
+    if len(certificate) != m or not exact(certificate):
         return False
     for j in range(n):
         if sum(certificate[i] * rows[i][j] for i in range(m)) > 0:

@@ -55,6 +55,7 @@ from ghzsim.fock import (
     creation,
     gamma_power,
     monomial,
+    over_one_denominator,
     rational,
     substitute,
 )
@@ -63,7 +64,6 @@ from ghzsim.measurement import (
     Station,
     _merged_analyzer_rules,
     all_setting_triples,
-    over_one_denominator,
     pattern_distribution,
     read_pattern,
 )

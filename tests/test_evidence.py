@@ -314,6 +314,15 @@ def test_a_float_weight_fails_the_mixture_check():
         inexact = {**evidence, key: float(evidence[key])}
         assert reference_verify_verdict(problem, True, inexact)
         assert not verify_verdict(problem, True, inexact)
+    # on the tables of one strategy, its weight is 1 and the χ=0 weight 0:
+    # True and False pass the Fraction formulas for them, and no more
+    _, rows = lhv._incidence()
+    own = _problem([Fraction(row[0]) for row in rows[:-1]])
+    strategy = right_sector_strategies()[0]
+    assert verify_verdict(own, True, {strategy: 1, CHI_ZERO: 0})
+    for evidence in ({strategy: True, CHI_ZERO: 0}, {strategy: 1, CHI_ZERO: False}):
+        assert reference_verify_verdict(own, True, evidence)
+        assert not verify_verdict(own, True, evidence)
 
 
 def test_a_float_coefficient_fails_the_certificate_check():
@@ -329,3 +338,7 @@ def test_a_float_coefficient_fails_the_certificate_check():
     assert (certificate.value, certificate.max_strategy_column) == (
         left_out.value, left_out.max_strategy_column)
     assert certificate.coefficients == inexact
+    # a coefficient 1 given as True is left out as well
+    flagged = {**coefficients, next(k for k, c in coefficients.items() if c == 1): True}
+    assert reference_evaluate_certificate(problem, flagged).verified
+    assert not evaluate_certificate(problem, flagged).verified

@@ -124,6 +124,23 @@ def test_only_exact_rationals_and_int_orders_enter_the_ring(make, args, kwargs):
         make(*args, **kwargs)
 
 
+class _Ratio(Fraction):
+    """A numbers.Rational whose type is not Fraction itself."""
+
+
+@pytest.mark.parametrize("value", [Amplitude(1, 1), creation(AH, SQRT2)], ids=str)
+def test_a_scalar_product_takes_only_an_exact_rational(value):
+    # the constructor refuses a bool part, and so does a product with a scalar
+    for scalar in (True, False, 0.5):
+        with pytest.raises(TypeError):
+            value * scalar
+        with pytest.raises(TypeError):
+            scalar * value
+    half = _Ratio(1, 2)
+    assert value * half == half * value == value * Fraction(1, 2)
+    assert value * 2 == value * Fraction(2) == 2 * value
+
+
 def test_to_fraction():
     assert Amplitude(Fraction(5, 3)).to_fraction() == Fraction(5, 3)
     with pytest.raises(IrrationalValueError):

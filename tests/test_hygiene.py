@@ -8,7 +8,9 @@ sampler reads its tables, the simplex pivots on integers alone, the
 evidence checks name nothing from the simplex and loop over integers alone,
 only the ring, the outcome tables and the simplex name ``lcm``, only the
 strategy enumeration and the decoder of a mixture build a ``LocalStrategy``,
-and only the tables' integer check raises their sign and sum errors."""
+only the tables' integer check raises their sign and sum errors, only
+``fock`` tests for an exact value by hand (every other module calls
+``fock.exact``), and no source line is over 100 columns."""
 
 import ast
 import sys
@@ -103,7 +105,7 @@ def test_only_the_sampler_reads_its_tables():
 
 def test_only_the_ring_the_tables_and_the_simplex_name_lcm():
     # every other module puts its weights over one denominator through
-    # measurement.over_one_denominator
+    # fock.over_one_denominator
     places = {
         path.name
         for path in SOURCES
@@ -186,7 +188,8 @@ def _functions(path: Path) -> dict:
 def test_the_evidence_checks_are_solver_free_and_integer_looped():
     # verify_verdict, evaluate_certificate and every package function they call
     # name nothing from the solver and build only the values they return as Fractions
-    functions = {**_functions(PACKAGE / "measurement.py"), **_functions(PACKAGE / "lhv.py")}
+    functions = {**_functions(PACKAGE / "fock.py"), **_functions(PACKAGE / "measurement.py"),
+                 **_functions(PACKAGE / "lhv.py")}
     solver = {"simplex"} | {
         alias.asname or alias.name
         for node in ast.walk(_tree(PACKAGE / "lhv.py"))
@@ -201,7 +204,7 @@ def test_the_evidence_checks_are_solver_free_and_integer_looped():
             todo += [node.func.id for node in ast.walk(functions[name])
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                      and node.func.id in functions]
-    assert {"_incidence", "over_one_denominator"} < checks
+    assert {"_incidence", "exact", "over_one_denominator"} < checks
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     for name in checks:
         for node in ast.walk(functions[name]):
@@ -233,3 +236,41 @@ def test_only_the_integer_check_raises_the_table_errors():
         for error in messages(node)
     }
     assert places == {("measurement.py:_table_form", error) for error in TABLE_ERRORS}
+
+
+def _hand_made_exact_tests(path: Path) -> list:
+    """The places in ``path`` that test for an exact value by hand: an
+    ``isinstance`` or ``issubclass`` call that names ``Rational`` or ``bool``,
+    or ``bool`` tested with ``is`` or ``in``."""
+    places = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "isinstance", "issubclass"
+        ):
+            operands, names = node.args, {"Rational", "bool"}
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn)) for op in node.ops
+        ):
+            operands, names = [node.left, *node.comparators], {"bool"}
+        else:
+            continue
+        if any(getattr(sub, "id", getattr(sub, "attr", None)) in names
+               for operand in operands for sub in ast.walk(operand)):
+            places.append(f"{path.name}:{node.lineno}")
+    return places
+
+
+def test_only_fock_tests_for_an_exact_value():
+    # fock.exact is the one rule of what enters a verdict: a rational that is
+    # not a bool; a second spelling of it could drift from the first
+    assert _hand_made_exact_tests(PACKAGE / "fock.py")
+    places = [place for path in SOURCES if path.name != "fock.py"
+              for place in _hand_made_exact_tests(path)]
+    assert places == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_line_is_over_100_columns(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [number for number, line in enumerate(lines, 1) if len(line) > 100]
+    assert long == [], f"{path.name}: lines {long} are over 100 columns"

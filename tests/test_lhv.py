@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzsim import lhv
-from ghzsim.fock import GhzsimError
+from ghzsim.fock import GhzsimError, over_one_denominator
 from ghzsim.lhv import (
     CERTIFICATE,
     CHI_ZERO,
@@ -56,7 +56,6 @@ from ghzsim.measurement import (
     SettingTriple,
     all_setting_triples,
     outcome_code,
-    over_one_denominator,
 )
 from ghzsim.simplex import FeasibilityResult, solve_feasibility, verify_farkas
 

@@ -32,6 +32,7 @@ from ghzsim.fock import (
     gamma_power,
     monomial,
     norm_squared,
+    over_one_denominator,
     substitute,
 )
 from ghzsim.measurement import (
@@ -53,7 +54,6 @@ from ghzsim.measurement import (
     correlation_from_table,
     outcome_distribution,
     over_common_denominator,
-    over_one_denominator,
     pattern_distribution,
     read_pattern,
 )

@@ -84,6 +84,9 @@ def test_verify_farkas_rejects_a_float_certificate():
     assert verify_farkas(rows, rhs, certificate)
     assert not verify_farkas(rows, rhs, [float(c) + 1e-17 for c in certificate])
     assert not verify_farkas(rows, rhs, [*certificate[:-1], float(certificate[-1])])
+    # nor does a bool pass for the int it equals
+    assert verify_farkas([[F(-1)]], [F(1)], [1])
+    assert not verify_farkas([[F(-1)]], [F(1)], [True])
 
 
 def _handed(problem):
@@ -155,8 +158,11 @@ def test_inexact_entries_are_rejected():
                       ([[Decimal("0.5")]], [F(1)]), ([["1/2"]], [F(1)])):
         with pytest.raises(TypeError):
             solve_feasibility(rows, rhs)
-    # ints and bools are rationals
-    assert solve_feasibility([[1, True]], [2]).feasible
+    # ints are rationals; a bool is not, as at every other entry point
+    assert solve_feasibility([[1, 1]], [2]).feasible
+    for rows, rhs in (([[1, True]], [2]), ([[1, 1]], [True])):
+        with pytest.raises(TypeError):
+            solve_feasibility(rows, rhs)
 
 
 def test_empty_system_is_trivially_feasible():

@@ -115,6 +115,32 @@ def test_every_value_type_has_a_pinned_repr():
     assert REPRS.keys() | REPR_SHA256.keys() == CASES.keys()
 
 
+# the records with no argument to check, convert or default: Record's __init__ binds them
+DEFAULT_INIT = [cls for cls in CASES if "__init__" not in vars(cls)]
+
+
+def test_the_forwarding_records_take_the_default_init():
+    assert {cls.__name__ for cls in DEFAULT_INIT} == {
+        "LemmaReport", "GhzParadoxReport", "CriticalVisibilityResult", "FilterLossDemo",
+        "FeasibilityResult"}
+
+
+@pytest.mark.parametrize("cls", DEFAULT_INIT, ids=lambda cls: cls.__name__)
+def test_the_default_init_binds_each_field_once(cls):
+    fields, _ = CASES[cls]
+    values, first = list(fields.values()), next(iter(fields))
+    assert cls(values[0], **dict(list(fields.items())[1:])) == cls(**fields)
+    for args, kwargs in (
+        (values[:-1], {}),  # a field missing
+        ([*values, None], {}),  # an extra field
+        (values[:-1], {"undeclared": None}),  # an unknown name
+        (values, {first: values[0]}),  # a field bound twice
+        (values[:-1], {first: values[0]}),  # one bound twice, one missing
+    ):
+        with pytest.raises(TypeError, match=f"{cls.__name__}\\(\\) takes the fields"):
+            cls(*args, **kwargs)
+
+
 @pytest.mark.parametrize("cls", CASES, ids=IDS)
 def test_positional_and_keyword_construction_agree(cls):
     fields, _ = CASES[cls]
