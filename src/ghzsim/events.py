@@ -68,7 +68,8 @@ from .measurement import (
     TABLE,
     OutcomeTable,
     Station,
-    add_noise,
+    _checked_visibility,
+    _mix_noise,
     all_setting_triples,
     correlation_from_table,
     read_pattern,
@@ -393,8 +394,9 @@ def _ideal_tables(conjugate: bool) -> Tuple[OutcomeTable, ...]:
 def quantum_targets(
     visibility: Fraction = Fraction(1), conjugate: bool = False
 ) -> Tuple[OutcomeTable, ...]:
-    """The eight outcome tables at the given fringe visibility."""
-    return tuple(add_noise(t, visibility) for t in _ideal_tables(conjugate))
+    """The eight outcome tables at the given fringe visibility, checked once."""
+    a, b = _checked_visibility(visibility)
+    return tuple(_mix_noise(t, a, b) for t in _ideal_tables(conjugate))
 
 
 # the stages of heralded_state: (emission, post-trigger, heralded)

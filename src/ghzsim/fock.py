@@ -564,22 +564,16 @@ def as_pattern(obj: PatternLike) -> Pattern:
             raise ValueError("occupation counts must be non-negative")
         if count:
             counts[mode] = counts.get(mode, 0) + count
-    return tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key))
+    return _canonical(counts)
 
 
-def _merge(a: Pattern, b: Pattern) -> Pattern:
-    """The canonical pattern of the product of two canonical monomials."""
-    counts = dict(a)
-    for mode, count in b:
-        counts[mode] = counts.get(mode, 0) + count
+def _canonical(counts: Mapping[Mode, int]) -> Pattern:
+    """The one canonical form of a pattern: the (all positive) counts, in mode order."""
     return tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key))
 
 
 def occupation(pattern: Pattern, mode: Mode) -> int:
-    for m, n in pattern:
-        if m == mode:
-            return n
-    return 0
+    return dict(pattern).get(mode, 0)
 
 
 def total_photons(pattern: Pattern) -> int:
@@ -701,12 +695,13 @@ TERMS = terms_codec(TERM)
 def _sorted_terms(terms: Mapping[Pattern, Amplitude]) -> dict:
     """Canonical term map: zero coefficients dropped, patterns in mode order."""
     kept = [(p, c) for p, c in terms.items() if not c.is_zero]
-    return dict(sorted(kept, key=lambda kv: tuple((m.sort_key, n) for m, n in kv[0])))
+    return dict(sorted(kept, key=lambda kv: [(m.sort_key, n) for m, n in kv[0]]))
 
 
 def _accumulate(terms: dict, pattern: Pattern, coeff: Amplitude) -> None:
-    previous = terms.get(pattern)
-    terms[pattern] = coeff if previous is None else previous + coeff
+    size, previous = len(terms), terms.setdefault(pattern, coeff)  # a new key: one hash
+    if len(terms) == size:
+        terms[pattern] = previous + coeff
 
 
 def scalar(coeff: Amplitude) -> StatePolynomial:
@@ -732,7 +727,9 @@ def multiply(p: StatePolynomial, q: StatePolynomial) -> StatePolynomial:
     out: dict = {}
     for pat_a, coeff_a in p._terms.items():
         for pat_b, coeff_b in q._terms.items():
-            _accumulate(out, _merge(pat_a, pat_b), coeff_a * coeff_b)
+            counts = dict(pat_a)
+            counts.update((mode, counts.get(mode, 0) + count) for mode, count in pat_b)
+            _accumulate(out, _canonical(counts), coeff_a * coeff_b)
     return StatePolynomial._from_canonical(out)
 
 
@@ -752,16 +749,19 @@ def substitute(p: StatePolynomial, transform) -> StatePolynomial:
         raise TypeError("substitute expects a ModeTransform or a rules mapping")
     out: dict = {}
     for pattern, coeff in p._terms.items():
-        partial = {(): coeff}
+        kept, image, products = {}, {}, [((), coeff)]  # products: (target modes, amplitude)
         for mode, count in pattern:
-            factor = [(((target, 1),), amp) for target, amp in rules.get(mode, ((mode, ONE),))]
-            for _ in range(count):
-                expanded: dict = {}
-                for key, value in partial.items():
-                    for single, amp in factor:
-                        _accumulate(expanded, _merge(key, single), value * amp)
-                partial = expanded
-        for key, value in partial.items():
+            if (targets := rules.get(mode)) is None:  # no rule: kept as is, unmultiplied
+                kept[mode] = count
+                continue
+            for _ in range(count):  # one product over the term's photons
+                products = [(ms + (t,), amp * f) for ms, amp in products for t, f in targets]
+        for modes, amp in products:  # one canonical pattern per output monomial
+            counts = dict(kept)
+            for mode in modes:
+                counts[mode] = counts.get(mode, 0) + 1
+            _accumulate(image, _canonical(counts), amp)
+        for key, value in image.items():  # the term's image joins the sum whole
             _accumulate(out, key, value)
     return StatePolynomial._from_canonical(out)
 
@@ -780,19 +780,21 @@ def amplitude(p: StatePolynomial, pattern: PatternLike) -> Amplitude:
 def norm_squared(p: StatePolynomial) -> Amplitude:
     """Fock-space squared norm with gamma treated as 1.
 
-    ``sum |coeff|^2 * prod_modes n!`` over all terms.  All terms must share
-    one coupling order, otherwise the relative gamma scale is ambiguous.
+    ``sum |coeff|^2 * prod_modes n!`` over all terms, in integers over one denominator.
+    All terms must share one coupling order, otherwise the relative gamma scale is ambiguous.
     """
     orders = {c.order for c in p._terms.values()}
     if len(orders) > 1:
-        raise OrderMixError(
-            f"norm of a mixed-order state is ambiguous (orders {sorted(orders)}); "
-            "separate the orders first"
-        )
-    total = ZERO
+        raise OrderMixError(f"norm of a mixed-order state is ambiguous (orders {sorted(orders)}); "
+                            "separate the orders first")
+    den = lcm(*(c._den for c in p._terms.values()))  # 1 for the empty polynomial
+    plain = root = 0  # |(a + b i + (c + e i)√2)/d|^2 · Πn!, over den^2
     for pattern, coeff in p._terms.items():
-        total = total + coeff.abs_squared() * prod(factorial(n) for _, n in pattern)
-    return total
+        a, b, c, e = coeff._num
+        scale = prod([factorial(n) for _, n in pattern], start=(den // coeff._den) ** 2)
+        plain += (a * a + b * b + 2 * (c * c + e * e)) * scale
+        root += 2 * (a * c + b * e) * scale
+    return _new(plain, 0, root, 0, den * den, 0)
 
 
 def equal_up_to_phase(p: StatePolynomial, q: StatePolynomial) -> bool:
@@ -809,9 +811,7 @@ def equal_up_to_phase(p: StatePolynomial, q: StatePolynomial) -> bool:
     cp_ref, cq_ref = p._terms[ref], q._terms[ref]
     if cp_ref.abs_squared() != cq_ref.abs_squared():
         return False  # the single phase must have modulus 1
-    return all(
-        p._terms[pat] * cq_ref == q._terms[pat] * cp_ref for pat in p._terms
-    )
+    return all(p._terms[pat] * cq_ref == q._terms[pat] * cp_ref for pat in p._terms)
 
 
 def render_polynomial(p: StatePolynomial) -> str:

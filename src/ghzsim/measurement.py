@@ -339,6 +339,17 @@ def correlation(
     return correlation_from_table(outcome_distribution(state, settings, conjugate))
 
 
+def _checked_visibility(visibility: Fraction) -> Tuple[int, int]:
+    """The numerator and denominator of ``visibility``, which must pass
+    :func:`ghzsim.fock.exact` and lie in [0, 1]."""
+    if not exact((visibility,)):
+        raise TypeError(f"visibility must be an exact rational, got {visibility!r}")
+    a, b = visibility.numerator, visibility.denominator
+    if not 0 <= a <= b:
+        raise VisibilityRangeError(f"visibility must lie in [0, 1], got {Fraction(a, b)}")
+    return a, b
+
+
 def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
     """Mix white noise into the right-event sector.
 
@@ -349,11 +360,11 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
     one value per distinct cell (an ideal table has at most two), and passes
     the tables' one check, :func:`_table_form`.
     """
-    if not exact((visibility,)):
-        raise TypeError(f"visibility must be an exact rational, got {visibility!r}")
-    a, b = visibility.numerator, visibility.denominator
-    if not 0 <= a <= b:
-        raise VisibilityRangeError(f"visibility must lie in [0, 1], got {Fraction(a, b)}")
+    return _mix_noise(table, *_checked_visibility(visibility))
+
+
+def _mix_noise(table: OutcomeTable, a: int, b: int) -> OutcomeTable:
+    """:func:`add_noise` at the visibility ``a/b``, already checked."""
     # V = a/b; over the table's denominator d, cell p/d and right mass r/d,
     # the noisy cell is (8a·p + (b−a)·r) / (8b·d), and the wrong mass 8b·wrong
     (*nums, wrong), d = table.integer_form

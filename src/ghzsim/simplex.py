@@ -230,14 +230,15 @@ def verify_farkas(
 ) -> bool:
     """Independent exact check that ``certificate`` proves infeasibility.
 
-    A ``certificate`` that fails :func:`ghzsim.fock.exact` fails the check;
+    A certificate, row entry or right-hand side that fails
+    :func:`ghzsim.fock.exact` fails the check, so the sums below are exact;
     a system of inconsistent dimensions raises ``ValueError``, as in
     :func:`solve_feasibility`."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
-    if len(certificate) != m or not exact(certificate):
+    if len(certificate) != m or not exact(chain(certificate, rhs, *rows)):
         return False
     for j in range(n):
         if sum(certificate[i] * rows[i][j] for i in range(m)) > 0:

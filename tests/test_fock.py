@@ -1,6 +1,7 @@
 """Exactness and algebra laws of the creation-operator polynomials."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,6 +392,129 @@ def test_canonicalization_is_idempotent(p):
 def test_filter_complement_recovers(p):
     pred = lambda pat: total_photons(pat) % 2 == 0
     assert filter_terms(p, pred) + filter_terms(p, lambda pat: not pred(pat)) == p
+
+
+# ---------------------------------------------------------------------------
+# substitute and norm_squared against per-photon and per-term references
+# ---------------------------------------------------------------------------
+
+
+def _merge(a, b):
+    counts = dict(a)
+    for mode, count in b:
+        counts[mode] = counts.get(mode, 0) + count
+    return tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key))
+
+
+def _reference_substitute(p, rules):
+    """Substitution one photon at a time: each partial product's pattern is
+    merged and re-sorted per photon, and equal partial patterns are summed
+    before the next photon."""
+    out = {}
+    for pattern, coeff in p.terms.items():
+        partial = {(): coeff}
+        for mode, count in pattern:
+            factor = [(((target, 1),), amp) for target, amp in rules.get(mode, ((mode, ONE),))]
+            for _ in range(count):
+                expanded = {}
+                for key, value in partial.items():
+                    for single, amp in factor:
+                        pat, term = _merge(key, single), value * amp
+                        expanded[pat] = expanded[pat] + term if pat in expanded else term
+                partial = expanded
+        for key, value in partial.items():
+            out[key] = out[key] + value if key in out else value
+    return StatePolynomial(out)
+
+
+def _outcome(compute):
+    try:
+        result = compute()
+    except OrderMixError as exc:
+        return type(exc)
+    return result, list(result.terms)
+
+
+# A rule is a linear map of one gamma order: the nonzero amplitudes of one
+# source's targets share an order (0 to 2), as in every ModeTransform (order 0)
+# and every analyzer.  Targets may repeat, be zero, be other sources or be
+# missing altogether (an empty rule removes the term).
+_rule = st.tuples(
+    st.lists(st.tuples(_MODES, _amplitudes), max_size=3), st.integers(min_value=0, max_value=2)
+).map(lambda rule: tuple((target, amp * gamma_power(rule[1])) for target, amp in rule[0]))
+_rules = st.dictionaries(_MODES, _rule, max_size=4)  # a mode with no rule passes through
+_mixed_order_polynomials = st.lists(
+    st.tuples(
+        st.dictionaries(_MODES, st.integers(min_value=1, max_value=3), max_size=3),
+        _amplitudes,
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=4,
+).map(lambda items: StatePolynomial(
+    {as_pattern(p): a * gamma_power(k) for p, a, k in items}
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_order_polynomials, _rules)
+def test_substitute_matches_the_per_photon_reference(p, rules):
+    # equal polynomials with the same term order, or the same error on a
+    # mixed-order collision
+    assert _outcome(lambda: substitute(p, rules)) == _outcome(
+        lambda: _reference_substitute(p, rules)
+    )
+
+
+def test_substitute_raises_on_a_mixed_order_collision_as_the_reference_does():
+    rules = {AH: ((BH, ONE),), AV: ((BH, gamma_power(1)),)}
+    state = creation(AH) + creation(AV)
+    with pytest.raises(OrderMixError):
+        _reference_substitute(state, rules)
+    with pytest.raises(OrderMixError):
+        substitute(state, rules)
+    # an empty rule removes its term, and an unruled mode passes through
+    assert substitute(state * creation(GH), {AH: (), AV: ((BV, I_UNIT),)}) == monomial(
+        {BV: 1, GH: 1}, I_UNIT
+    )
+    # a term's image joins the sum whole: the two paths of bH·bV to gH·gV cancel,
+    # so they meet the earlier order-1 term there with nothing
+    rules = {AH: ((GH, ONE),), AV: ((GV, ONE),),
+             BH: ((GH, ONE), (GV, ONE)), BV: ((GH, ONE), (GV, -ONE))}
+    state = monomial({AH: 1, AV: 1}, gamma_power(1)) + monomial({BH: 1, BV: 1})
+    expected = monomial({GH: 1, GV: 1}, gamma_power(1)) + monomial({GH: 2}) - monomial({GV: 2})
+    assert substitute(state, rules) == _reference_substitute(state, rules) == expected
+
+
+_single_order_polynomials = st.tuples(
+    st.lists(
+        st.tuples(
+            st.dictionaries(_MODES, st.integers(min_value=1, max_value=3), max_size=3),
+            _amplitudes,
+        ),
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=2),
+).map(lambda drawn: StatePolynomial(
+    {as_pattern(p): a * gamma_power(drawn[1]) for p, a in drawn[0]}
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_single_order_polynomials)
+def test_norm_squared_matches_the_per_term_ring_sum(p):
+    reference = ZERO
+    for pattern, coeff in p.terms.items():
+        weight = 1
+        for _, n in pattern:
+            weight *= factorial(n)
+        reference = reference + coeff.abs_squared() * weight
+    assert norm_squared(p) == reference
+
+
+def test_norm_squared_sums_sqrt2_imaginary_and_factorial_parts():
+    # |(1 + i) + √2|² = 4 + 2√2, times 3! for three photons in one mode
+    state = monomial({AH: 3}, Amplitude(1, 1, 1)) + monomial({BV: 2}, INV_SQRT2 * I_UNIT)
+    assert norm_squared(state) == Amplitude(24, 0, 12) + rational(1)
 
 
 # ---------------------------------------------------------------------------

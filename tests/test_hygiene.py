@@ -10,7 +10,9 @@ only the ring, the outcome tables and the simplex name ``lcm``, only the
 strategy enumeration and the decoder of a mixture build a ``LocalStrategy``,
 only the tables' integer check raises their sign and sum errors, only
 ``fock`` tests for an exact value by hand (every other module calls
-``fock.exact``), and no source line is over 100 columns."""
+``fock.exact``), no source line is over 100 columns, and ``as_pattern``,
+``multiply`` and ``substitute`` sort a pattern only through the one
+canonicaliser, ``fock._canonical``."""
 
 import ast
 import sys
@@ -274,3 +276,26 @@ def test_no_line_is_over_100_columns(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     long = [number for number, line in enumerate(lines, 1) if len(line) > 100]
     assert long == [], f"{path.name}: lines {long} are over 100 columns"
+
+
+def test_patterns_are_sorted_only_by_the_one_canonicaliser():
+    # as_pattern, multiply and substitute reach fock._canonical, and of the fock
+    # functions they reach only it sorts, besides _sorted_terms, which orders a
+    # term map by its patterns; a second sort of a pattern could drift from the first
+    functions = {node.name: node for node in ast.walk(_tree(PACKAGE / "fock.py"))
+                 if isinstance(node, ast.FunctionDef)}
+
+    def calls(name: str) -> set:
+        return {getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+
+    for entry in ("as_pattern", "multiply", "substitute"):
+        reached, todo = set(), [entry]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += calls(name) & functions.keys()
+        sorting = {name for name in reached if calls(name) & {"sorted", "sort"}}
+        assert "_canonical" in reached, f"{entry} does not reach _canonical"
+        assert sorting <= {"_canonical", "_sorted_terms"}, f"{entry} reaches sorts in {sorting}"

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzsim import lhv
+from ghzsim import lhv, measurement
 from ghzsim.fock import GhzsimError, over_one_denominator
 from ghzsim.lhv import (
     CERTIFICATE,
@@ -232,6 +232,23 @@ def test_deterministic_vertex_is_feasible_with_point_mass():
 def test_quantum_targets_have_uniform_wrong_mass():
     targets = quantum_targets()
     assert {t.wrong_mass for t in targets} == {Fraction(3, 4)}
+
+
+def test_quantum_targets_check_the_visibility_once_as_add_noise_does(monkeypatch):
+    ideal = quantum_targets()
+    out_of_range = measurement.VisibilityRangeError
+    for bad, error in ((0.5, TypeError), (True, TypeError), (Fraction(3, 2), out_of_range),
+                       (Fraction(-1, 3), out_of_range)):
+        with pytest.raises(error) as raised:
+            quantum_targets(bad)
+        with pytest.raises(error) as reference:
+            measurement.add_noise(ideal[0], bad)
+        assert str(raised.value) == str(reference.value)
+    checks = []
+    monkeypatch.setattr(measurement, "exact", lambda values: checks.append(values) or True)
+    noisy = quantum_targets(Fraction(13, 20))
+    assert len(checks) == 1
+    assert noisy == tuple(measurement.add_noise(t, Fraction(13, 20)) for t in ideal)
 
 
 def test_mismatched_wrong_mass_is_rejected():

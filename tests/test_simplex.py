@@ -89,6 +89,16 @@ def test_verify_farkas_rejects_a_float_certificate():
     assert not verify_farkas([[F(-1)]], [F(1)], [True])
 
 
+def test_verify_farkas_rejects_float_rows_and_right_hand_sides():
+    # 1e16 + 1 - 1e16 is 0 in binary, so the float column passes y.A <= 0,
+    # while its exact sum is 1 > 0: the certificate proves nothing
+    assert not verify_farkas([[1e16], [1], [-1e16]], [F(0), F(1), F(0)], [F(1)] * 3)
+    assert not verify_farkas([[F(-1)]], [1.0], [F(1)])
+    assert not verify_farkas([[F(-1)]], [True], [F(1)])
+    # 0/1 int rows with Fraction right-hand sides, as the benchmark hands them, still pass
+    assert verify_farkas([[1], [0]], [F(-1, 2), F(3)], [F(-1), F(0)])
+
+
 def _handed(problem):
     """The rows and targets that ``lhv_feasibility`` hands the kernel: the
     orbit LP, with its slack band if the problem has one."""
