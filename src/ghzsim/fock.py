@@ -777,24 +777,40 @@ def amplitude(p: StatePolynomial, pattern: PatternLike) -> Amplitude:
     return p._terms.get(as_pattern(pattern), ZERO)
 
 
-def norm_squared(p: StatePolynomial) -> Amplitude:
-    """Fock-space squared norm with gamma treated as 1.
-
-    ``sum |coeff|^2 * prod_modes n!`` over all terms, in integers over one denominator.
-    All terms must share one coupling order, otherwise the relative gamma scale is ambiguous.
-    """
+def born_terms(p: StatePolynomial) -> Tuple[dict, Tuple[int, int, int]]:
+    """The one computation of a Born weight, gamma treated as 1: each term's
+    ``|coeff|^2 * prod_modes n!`` as the integers (w, r) of (w + r·√2)/den, and
+    their sum, the squared norm, as (W, R, den).  All terms must share one
+    coupling order, otherwise the relative gamma scale is ambiguous."""
     orders = {c.order for c in p._terms.values()}
     if len(orders) > 1:
         raise OrderMixError(f"norm of a mixed-order state is ambiguous (orders {sorted(orders)}); "
                             "separate the orders first")
     den = lcm(*(c._den for c in p._terms.values()))  # 1 for the empty polynomial
-    plain = root = 0  # |(a + b i + (c + e i)√2)/d|^2 · Πn!, over den^2
+    weights = {}  # |(a + b i + (c + e i)√2)/d|^2 · Πn!, over den^2
     for pattern, coeff in p._terms.items():
         a, b, c, e = coeff._num
-        scale = prod([factorial(n) for _, n in pattern], start=(den // coeff._den) ** 2)
-        plain += (a * a + b * b + 2 * (c * c + e * e)) * scale
-        root += 2 * (a * c + b * e) * scale
-    return _new(plain, 0, root, 0, den * den, 0)
+        k = prod([factorial(n) for _, n in pattern], start=(den // coeff._den) ** 2)
+        weights[pattern] = (a * a + b * b + 2 * (c * c + e * e)) * k, 2 * (a * c + b * e) * k
+    return weights, (*map(sum, zip((0, 0), *weights.values())), den * den)  # (Σw, Σr, den^2)
+
+
+def norm_squared(p: StatePolynomial) -> Amplitude:
+    """Fock-space squared norm with gamma treated as 1: the sum of :func:`born_terms`."""
+    _, (plain, root, den) = born_terms(p)
+    return _new(plain, 0, root, 0, den, 0)
+
+
+def born_weights(weights: Mapping[Any, Tuple[int, int]],
+                 norm: Tuple[int, int, int]) -> Tuple[dict, int]:
+    """The Born weights (w, r) as w/g over W/g, g the gcd of the w and W: for one
+    state's terms, its probabilities over the lcm of their denominators.  A weight
+    with w·R ≠ r·W is no rational multiple of the norm (W, R, den): IrrationalValueError."""
+    plain, root, _ = norm
+    if any(w * root != r * plain for w, r in weights.values()):
+        raise IrrationalValueError("a Born weight is not a rational multiple of the squared norm")
+    g = gcd(plain, *(w for w, _ in weights.values())) or 1  # 0 over 1 for the zero state
+    return {key: w // g for key, (w, _) in weights.items()}, plain // g
 
 
 def equal_up_to_phase(p: StatePolynomial, q: StatePolynomial) -> bool:

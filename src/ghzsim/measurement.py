@@ -39,7 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .circuit import ModeTransform
@@ -56,11 +56,12 @@ from .fock import (
     StatePolynomial,
     TEXT,
     TRIGGER,
+    born_terms,
+    born_weights,
     exact,
     filter_terms,
     mapping_codec,
     mode_from_name,
-    norm_squared,
     over_one_denominator,
     record_codec,
     substitute,
@@ -250,16 +251,12 @@ class OutcomeTable(Record):
         return 1 - self.wrong_mass
 
 
-def pattern_distribution(state: StatePolynomial,
-                         norm: Amplitude | None = None) -> Dict[Pattern, Fraction]:
-    """Exact Born probabilities of every occupation pattern of ``state``, over
-    ``norm`` (by default the squared norm of ``state``)."""
-    norm = norm_squared(state) if norm is None else norm
-    if norm.is_zero:
+def pattern_distribution(state: StatePolynomial) -> Dict[Pattern, Fraction]:
+    """Exact Born probabilities of every occupation pattern of ``state``."""
+    weights, den = born_weights(*born_terms(state))
+    if not den:
         raise EmptyStateError("the zero state has no outcome distribution")
-    inv_norm = norm.inverse()
-    return {pattern: (coeff.abs_squared() * prod([factorial(n) for _, n in pattern])
-                      * inv_norm).to_fraction() for pattern, coeff in state.terms.items()}
+    return {pattern: Fraction(w, den) for pattern, w in weights.items()}
 
 
 # (station index, readout) of each station mode, keyed by mode name
@@ -310,26 +307,29 @@ def outcome_distribution(state: StatePolynomial, settings: SettingTriple,
     photon outside :data:`DETECTOR_MODES` raises ValueError: ``state`` must be
     a state behind the circuit, not an emission state.
     """
-    norm = norm_squared(state)
-    right = filter_terms(state, lambda pattern: read_pattern(pattern)[2] is not None)
-    analyzed = substitute(right, _merged_analyzer_rules(settings, conjugate))
-    cells: Dict[Outcome, Fraction] = dict.fromkeys(OUTCOMES, Fraction(0))
-    for pattern, probability in pattern_distribution(analyzed, norm).items():
-        cells[read_pattern(pattern)[2]] += probability
-    # the other terms' Born weight: the full norm less the right sector's
-    wrong = ((norm - norm_squared(right)) * norm.inverse()).to_fraction()
-    return OutcomeTable(settings, cells, wrong)
+    weights, norm = born_terms(state)
+    outcomes = {pattern: read_pattern(pattern)[2] for pattern in weights}
+    rules = _merged_analyzer_rules(settings, conjugate)
+    analyzed, (_, _, right_den) = born_terms(substitute(filter_terms(state, outcomes.get), rules))
+    # the other terms' Born weight, read off the unanalyzed state
+    wrong = tuple(map(sum, zip((0, 0), *(weights[p] for p, o in outcomes.items() if o is None))))
+    plain, den = born_weights({**analyzed, None: wrong}, norm)
+    if not den:
+        raise EmptyStateError("the zero state has no outcome distribution")
+    # over the whole state's norm, so the table's sum check sees any mass analysis lost
+    cells = {read_pattern(p)[2]: w * norm[2] for p, w in plain.items() if p is not None}
+    nums, den = [*(cells.get(o, 0) for o in OUTCOMES), plain[None] * right_den], den * right_den
+    table = OutcomeTable.__new__(OutcomeTable)
+    table._fill(settings, [Fraction(n, den) for n in nums], nums, den)
+    return table
 
 
 def correlation_from_table(table: OutcomeTable) -> Fraction:
-    if table.right_mass == 0:
-        raise UndefinedCorrelationError(
-            "no right-event mass: conditional correlation undefined"
-        )
-    total = sum(
-        r[0] * r[1] * r[2] * p for r, p in table.probabilities.items()
-    )
-    return Fraction(total) / table.right_mass
+    """E = Σ r_g·r_h·r_z·p over the right mass, read off the table's integer form."""
+    (*cells, wrong), den = table.integer_form
+    if wrong == den:
+        raise UndefinedCorrelationError("no right-event mass: conditional correlation undefined")
+    return Fraction(sum(g * h * z * n for (g, h, z), n in zip(OUTCOMES, cells)), den - wrong)
 
 
 def correlation(

@@ -36,8 +36,8 @@ from .events import (
     single_pair_emission,
     two_pair_emission,
 )
-from .fock import BOOL, INT, PATTERN, Pattern, monomial, over_one_denominator, record_codec
-from .measurement import pattern_distribution
+from .fock import BOOL, INT, PATTERN, Pattern, born_terms, born_weights, monomial, record_codec
+from .measurement import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,8 @@ def _output_table(component: Pattern) -> _Table:
     """(pattern, class) with the exact detection law of ``component`` behind the
     circuit.  Built once per process: at most 25, one per non-empty sub-pattern
     of the five emission components."""
-    dist = pattern_distribution(_circuit().apply(monomial(component)))
-    weights, _ = over_one_denominator(list(dist.values()))
-    return _Table(((pattern, classify_pattern(pattern)), n) for pattern, n in zip(dist, weights))
+    weights, _ = born_weights(*born_terms(_circuit().apply(monomial(component))))
+    return _Table(((pattern, classify_pattern(pattern)), n) for pattern, n in weights.items())
 
 
 _ALL_LOST = ((), classify_pattern(()))  # every photon lost: drawn without a random word
@@ -165,12 +164,12 @@ def _skipped(value: int, bits: int, bounds: list, precision: int, top: int) -> O
 
 @lru_cache(maxsize=1)
 def _emission_laws() -> tuple:
-    """(one-pair law, two-pair law, weights of both over one denominator, that
-    denominator): the exact emission components, built once per process."""
-    one_pair = pattern_distribution(single_pair_emission())
-    two_pair = pattern_distribution(two_pair_emission())
-    weights, common = over_one_denominator([*one_pair.values(), *two_pair.values()])
-    return one_pair, two_pair, weights, common
+    """(one-pair components, two-pair components, the weights of both laws over
+    one denominator, that denominator): the exact emission laws, built once per process."""
+    (one_pair, d1), (two_pair, d2) = (born_weights(*born_terms(state))
+                                      for state in (single_pair_emission(), two_pair_emission()))
+    (w1, w2), common = over_common_denominator([(one_pair.values(), d1), (two_pair.values(), d2)])
+    return one_pair, two_pair, w1 + w2, common
 
 
 class _Sampler:

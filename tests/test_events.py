@@ -528,13 +528,13 @@ def test_a_second_call_derives_no_emission_law(monkeypatch, p, loss):
     import ghzsim.sampler
 
     derived = []
-    real = ghzsim.sampler.pattern_distribution
+    real = ghzsim.sampler.born_terms
 
     def counting(state):
         derived.append(state)
         return real(state)
 
-    monkeypatch.setattr(ghzsim.sampler, "pattern_distribution", counting)
+    monkeypatch.setattr(ghzsim.sampler, "born_terms", counting)
     ghzsim.sampler._emission_laws.cache_clear()
     _output_table.cache_clear()
     args = (20000 if p == DENSE_P else 10**6, p, 3, loss)

@@ -1,7 +1,7 @@
 """Exactness and algebra laws of the creation-operator polynomials."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +34,8 @@ from ghzsim.fock import (
     ZH,
     amplitude,
     as_pattern,
+    born_terms,
+    born_weights,
     creation,
     equal_up_to_phase,
     filter_terms,
@@ -41,6 +43,7 @@ from ghzsim.fock import (
     monomial,
     multiply,
     norm_squared,
+    over_one_denominator,
     pattern_from_json,
     pattern_to_json,
     rational,
@@ -515,6 +518,78 @@ def test_norm_squared_sums_sqrt2_imaginary_and_factorial_parts():
     # |(1 + i) + √2|² = 4 + 2√2, times 3! for three photons in one mode
     state = monomial({AH: 3}, Amplitude(1, 1, 1)) + monomial({BV: 2}, INV_SQRT2 * I_UNIT)
     assert norm_squared(state) == Amplitude(24, 0, 12) + rational(1)
+
+
+def _ring_distribution(p):
+    """The Born probabilities by the ring formula, as ``pattern_distribution``
+    once had it: each term's |c|^2 · Πn! times the ring inverse of the squared
+    norm, read with ``to_fraction``."""
+    inv_norm = ZERO if p.is_zero else norm_squared(p).inverse()
+    return {pattern: (coeff.abs_squared() * prod(factorial(n) for _, n in pattern)
+                      * inv_norm).to_fraction() for pattern, coeff in p.terms.items()}
+
+
+def _born_outcome(compute):
+    try:
+        return compute()
+    except (IrrationalValueError, OrderMixError) as exc:
+        return type(exc)
+
+
+def _born(p):
+    return born_weights(*born_terms(p))
+
+
+def _born_distribution(p):
+    weights, den = _born(p)
+    assert (den == 0) == p.is_zero
+    distribution = {pattern: Fraction(w, den) for pattern, w in weights.items()}
+    # the denominator is the lcm of the probabilities' denominators
+    assert p.is_zero or (list(weights.values()), den) == over_one_denominator(
+        list(distribution.values()))
+    return distribution
+
+
+_gaussian = st.builds(Amplitude, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+# one-order polynomials with √2 and imaginary parts (a √2 part on some terms
+# alone mostly gives weights that are no rational multiple of the norm),
+# Gaussian ones times one factor with a √2 part (rational), and mixed orders
+_born_states = st.one_of(
+    _single_order_polynomials,
+    st.tuples(
+        st.lists(st.tuples(st.dictionaries(_MODES, st.integers(min_value=1, max_value=3),
+                                           min_size=1, max_size=3), _gaussian), max_size=4),
+        _amplitudes,
+        st.integers(min_value=0, max_value=2),
+    ).map(lambda drawn: StatePolynomial(
+        {as_pattern(p): a * drawn[1] * gamma_power(drawn[2]) for p, a in drawn[0]}
+    )),
+    _mixed_order_polynomials,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_born_states)
+def test_born_weights_are_the_ring_formula(p):
+    assert _born_outcome(lambda: _born_distribution(p)) == _born_outcome(
+        lambda: _ring_distribution(p))
+
+
+def test_born_weights_of_a_common_sqrt2_factor_a_mixed_sqrt2_state_and_mixed_orders():
+    # |1 + √2|^2 = 3 + 2√2 on both terms, times 2! on the second: 1/3 and 2/3
+    common = (creation(AH) + monomial({BV: 2}, I_UNIT)) * Amplitude(1, 0, 1)
+    assert _born(common) == ({((AH, 1),): 1, ((BV, 2),): 2}, 3)
+    assert _ring_distribution(common) == {((AH, 1),): Fraction(1, 3), ((BV, 2),): Fraction(2, 3)}
+    # weights 1 and 3 + 2√2: neither is a rational multiple of their sum
+    mixed = creation(AH) + creation(BV, Amplitude(1, 0, 1))
+    # one photon at order 1 beside one at order 0
+    orders = creation(AH) + creation(BV, gamma_power(1))
+    for state, error in ((mixed, IrrationalValueError), (orders, OrderMixError)):
+        for compute in (_born, _ring_distribution):
+            with pytest.raises(error):
+                compute(state)
 
 
 # ---------------------------------------------------------------------------

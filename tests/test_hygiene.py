@@ -10,7 +10,9 @@ only the ring, the outcome tables and the simplex name ``lcm``, only the
 strategy enumeration and the decoder of a mixture build a ``LocalStrategy``,
 only the tables' integer check raises their sign and sum errors, only
 ``fock`` tests for an exact value by hand (every other module calls
-``fock.exact``), no source line is over 100 columns, and ``as_pattern``,
+``fock.exact``), only ``fock`` computes a Born weight (no other module names
+``factorial`` or calls the ring's ``abs_squared``, ``inverse`` or
+``to_fraction``), no source line is over 100 columns, and ``as_pattern``,
 ``multiply`` and ``substitute`` sort a pattern only through the one
 canonicaliser, ``fock._canonical``."""
 
@@ -269,6 +271,32 @@ def test_only_fock_tests_for_an_exact_value():
     places = [place for path in SOURCES if path.name != "fock.py"
               for place in _hand_made_exact_tests(path)]
     assert places == []
+
+
+# the ring's steps of a Born weight: the squared modulus, the inverse of the
+# norm and the read-out of a rational
+BORN_RING_CALLS = {"abs_squared", "inverse", "to_fraction"}
+
+
+def test_only_fock_computes_a_born_weight():
+    # fock.born_terms computes each |c|^2 · Πn! once, and norm_squared,
+    # born_weights, the tables and the sampler read its integers; a second
+    # copy of the Born rule could drift from the first
+    factorials = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) == "factorial"
+    }
+    ring_calls = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "fock.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in BORN_RING_CALLS
+    ]
+    assert factorials == {"fock.py"}
+    assert ring_calls == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

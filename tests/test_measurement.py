@@ -6,6 +6,7 @@ import json
 import pickle
 from decimal import Decimal
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from ghzsim.fock import (
     HH,
     HV,
     INV_SQRT2,
+    IrrationalValueError,
     Mode,
     OrderMixError,
     Polarization,
@@ -29,6 +31,7 @@ from ghzsim.fock import (
     ZH,
     ZV,
     creation,
+    filter_terms,
     gamma_power,
     monomial,
     norm_squared,
@@ -274,6 +277,89 @@ def test_tables_equal_the_full_expansion_on_random_states(state, triple, conjuga
         state, triple, conjugate)
 
 
+def ring_table(state, settings, conjugate=False):
+    """The table by the ring formula, as ``outcome_distribution`` once had it:
+    each analyzed right-sector term's |c|^2 · Πn! times the ring inverse of the
+    whole state's squared norm, and the norm less the right sector's for the
+    wrong mass, each read with ``to_fraction``."""
+    norm = norm_squared(state)
+    right = filter_terms(state, lambda pattern: read_pattern(pattern)[2] is not None)
+    if norm.is_zero:
+        raise EmptyStateError("the zero state has no outcome distribution")
+    inv_norm = norm.inverse()
+    cells = dict.fromkeys(OUTCOMES, Fraction(0))
+    analyzed = substitute(right, measurement._merged_analyzer_rules(settings, conjugate))
+    for pattern, coeff in analyzed.terms.items():
+        cells[read_pattern(pattern)[2]] += (coeff.abs_squared() * prod(
+            factorial(n) for _, n in pattern) * inv_norm).to_fraction()
+    wrong = ((norm - norm_squared(right)) * inv_norm).to_fraction()
+    return OutcomeTable(settings, cells, wrong)
+
+
+def _table_outcome(compute):
+    try:
+        return compute()
+    except (IrrationalValueError, EmptyStateError) as exc:
+        return type(exc)
+
+
+_SQRT2_PART = st.fractions(-2, 2, max_denominator=2)
+
+
+@st.composite
+def _sqrt2_detector_states(draw):
+    """A detector state times a factor with a √2 part, on every term (the Born
+    weights stay rational multiples of the norm) or on its first term alone."""
+    state = draw(_detector_states())
+    factor = draw(st.builds(Amplitude, _SQRT2_PART, _SQRT2_PART, _SQRT2_PART, _SQRT2_PART))
+    if draw(st.booleans()):
+        return state * factor
+    terms = state.terms
+    first = next(iter(terms), None)
+    if first is not None:
+        terms[first] = terms[first] * factor
+    return StatePolynomial(terms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=_sqrt2_detector_states(), triple=st.sampled_from(all_setting_triples()),
+       conjugate=st.booleans())
+def test_tables_are_the_ring_formula_on_sqrt2_states(state, triple, conjugate):
+    # the same table, or the same error where a weight is no rational share of the norm
+    assert _table_outcome(lambda: outcome_distribution(state, triple, conjugate)) == (
+        _table_outcome(lambda: ring_table(state, triple, conjugate)))
+
+
+def test_a_common_sqrt2_factor_cancels_and_a_mixed_one_raises_as_in_the_ring():
+    triple = SettingTriple.from_code("xxx")
+    # |1 + √2|^2 = 3 + 2√2 on both terms cancels against the norm
+    common = right_part() * Amplitude(1, 0, 1)
+    assert outcome_distribution(common, triple) == ring_table(common, triple) == (
+        outcome_distribution(right_part(), triple))
+    # weights 1/2 and (3 + 2√2)/2: a cell is no rational share of their sum
+    mixed = (monomial({TRIGGER: 1, GH: 1, HV: 1, ZV: 1}, INV_SQRT2)
+             + monomial({TRIGGER: 1, GV: 1, HH: 1, ZH: 1}, INV_SQRT2 * Amplitude(1, 0, 1)))
+    for compute in (outcome_distribution, ring_table):
+        with pytest.raises(IrrationalValueError):
+            compute(mixed, triple)
+
+
+def test_the_sum_check_sees_mass_that_analysis_drops(monkeypatch):
+    # the cells are over the whole state's norm, not over what they sum to
+    real = measurement._merged_analyzer_rules
+
+    def dropping(settings, conjugate):
+        rules = dict(real(settings, conjugate))
+        mode = next(iter(rules))
+        rules[mode] = rules[mode][:1]  # one target of one rule is lost
+        return rules
+
+    monkeypatch.setattr(measurement, "_merged_analyzer_rules", dropping)
+    for compute in (outcome_distribution, ring_table):
+        with pytest.raises(ValueError, match="table must sum to 1 exactly, got 15/16"):
+            compute(heralded_state(), SettingTriple.from_code("xxx"))
+
+
 def test_only_the_right_sector_terms_are_analyzed(monkeypatch):
     handed = []
 
@@ -465,6 +551,26 @@ def test_a_noisy_table_built_from_integers_is_the_fraction_formula(table, visibi
     noisy = add_noise(table, visibility)
     assert noisy == reference and repr(noisy) == repr(reference)
     assert noisy.integer_form == reference.integer_form == form
+
+
+def _fraction_correlation(table):
+    """E by the Fraction formula: Σ r_g·r_h·r_z·p over the right mass."""
+    if table.right_mass == 0:
+        return UndefinedCorrelationError
+    return sum(g * h * z * p for (g, h, z), p in table.probabilities.items()) / table.right_mass
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_tables(), st.none() | st.fractions(0, 1, max_denominator=10**6))
+def test_a_correlation_read_off_the_integer_form_is_the_fraction_formula(table, visibility):
+    if visibility is not None:
+        table = add_noise(table, visibility)
+    try:
+        value = correlation_from_table(table)
+    except UndefinedCorrelationError as exc:
+        value = type(exc)
+    assert value == _fraction_correlation(table)
+    assert type(value) in (Fraction, type)
 
 
 @settings(max_examples=100, deadline=None)
