@@ -71,7 +71,7 @@ class Amplitude:
     """Element ``(re + im*i) + (re_sqrt2 + im_sqrt2*i)*sqrt(2)`` times gamma^order.
 
     Stored as four integer numerators over one positive integer denominator
-    with no common factor; zero is ``0/1`` at order 0.  Instances are
+    with no common factor (``integers``); zero is ``0/1`` at order 0.  Instances are
     immutable values, compared and hashed by value.  ``Fraction`` appears
     only in the component properties.  A part that fails :func:`exact`
     and an order that is not an ``int`` raise ``TypeError``; so does a
@@ -98,6 +98,7 @@ class Amplitude:
     re_sqrt2 = property(lambda self: Fraction(self._num[2], self._den))
     im_sqrt2 = property(lambda self: Fraction(self._num[3], self._den))
     order = property(lambda self: self._order)
+    integers = property(lambda self: (self._num, self._den))  # ((re, im, re√2, im√2), den)
 
     @property
     def is_zero(self) -> bool:
@@ -778,10 +779,10 @@ def amplitude(p: StatePolynomial, pattern: PatternLike) -> Amplitude:
 
 
 def born_terms(p: StatePolynomial) -> Tuple[dict, Tuple[int, int, int]]:
-    """The one computation of a Born weight, gamma treated as 1: each term's
-    ``|coeff|^2 * prod_modes n!`` as the integers (w, r) of (w + r·√2)/den, and
-    their sum, the squared norm, as (W, R, den).  All terms must share one
-    coupling order, otherwise the relative gamma scale is ambiguous."""
+    """Each term's ``|coeff|^2 * prod_modes n!`` (:func:`born_weight`, gamma treated
+    as 1) as the integers (w, r) of (w + r·√2)/den, den the square of the terms' lcm
+    denominator, and their sum, the squared norm, as (W, R, den).  All terms must
+    share one coupling order, otherwise the relative gamma scale is ambiguous."""
     orders = {c.order for c in p._terms.values()}
     if len(orders) > 1:
         raise OrderMixError(f"norm of a mixed-order state is ambiguous (orders {sorted(orders)}); "
@@ -789,10 +790,14 @@ def born_terms(p: StatePolynomial) -> Tuple[dict, Tuple[int, int, int]]:
     den = lcm(*(c._den for c in p._terms.values()))  # 1 for the empty polynomial
     weights = {}  # |(a + b i + (c + e i)√2)/d|^2 · Πn!, over den^2
     for pattern, coeff in p._terms.items():
-        a, b, c, e = coeff._num
         k = prod([factorial(n) for _, n in pattern], start=(den // coeff._den) ** 2)
-        weights[pattern] = (a * a + b * b + 2 * (c * c + e * e)) * k, 2 * (a * c + b * e) * k
+        weights[pattern] = born_weight(*coeff._num, k)
     return weights, (*map(sum, zip((0, 0), *weights.values())), den * den)  # (Σw, Σr, den^2)
+
+
+def born_weight(a: int, b: int, c: int, e: int, k: int) -> Tuple[int, int]:
+    """|a + b i + (c + e i)√2|^2 · k as the integers (w, r) of w + r·√2."""
+    return (a * a + b * b + 2 * (c * c + e * e)) * k, 2 * (a * c + b * e) * k
 
 
 def norm_squared(p: StatePolynomial) -> Amplitude:

@@ -46,7 +46,7 @@ from operator import itemgetter, mul, xor
 from numbers import Rational
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .events import heralded_state, quantum_targets
+from .events import _ideal_tables, quantum_targets
 from .fock import (
     BOOL,
     GhzsimError,
@@ -69,7 +69,6 @@ from .measurement import (
     OutcomeTable,
     SettingTriple,
     all_setting_triples,
-    correlation,
     correlation_from_table,
     outcome_code,
     over_common_denominator,
@@ -77,7 +76,7 @@ from .measurement import (
 from .simplex import solve_feasibility
 
 # perfbench traces and resets these through lhv (tracing.BOUNDARIES, workloads.clear_caches)
-from .events import _ideal_tables, trigger_select, two_pair_emission  # noqa: F401
+from .events import heralded_state, trigger_select, two_pair_emission  # noqa: F401
 from .measurement import outcome_distribution  # noqa: F401
 
 
@@ -673,15 +672,13 @@ class GhzParadoxReport(Record):
 def ghz_paradox_check(conjugate: bool = False) -> GhzParadoxReport:
     """The inequality-free argument, restricted to the right sector.
 
-    Verifies the four perfect quantum correlations from the derived state,
-    then counts the all-±1 strategies compatible with all four product
+    Verifies the four perfect quantum correlations from the derived state's
+    tables, then counts the all-±1 strategies compatible with all four product
     constraints (none) and with each constraint dropped (eight each).
     """
-    state = heralded_state()
-    correlations = {
-        code: correlation(state, SettingTriple.from_code(code), conjugate)
-        for code, _ in PERFECT_CORRELATIONS
-    }
+    by_code = {table.settings.code: table for table in _ideal_tables(conjugate)}
+    correlations = {code: correlation_from_table(by_code[code])
+                    for code, _ in PERFECT_CORRELATIONS}
     for code, expected in PERFECT_CORRELATIONS:
         if correlations[code] != expected:
             raise GhzsimError(

@@ -27,10 +27,12 @@ Outcome tables are exact: cells are joint probabilities of a triggered
 right event with a given outcome triple, and ``wrong_mass`` collects the
 total probability of every other detection pattern.  An analyzer maps a
 station's modes into its own by orthonormal columns, so it keeps each term's
-sector (trigger photons, photons per station) and each sector's mass: only
-right-sector terms are analyzed, and the setting-independent wrong mass is
-read off the unanalyzed state.  ``test_analyzer_rules_stay_in_their_station``
-and ``test_tables_equal_the_full_expansion*`` check this.
+sector (trigger photons, photons per station) and each sector's mass: the
+setting-independent wrong mass is read off the unanalyzed state.  A right-sector
+term holds one photon per station, so its cells come from contracting it with the
+three analyzers' 2×2 unit phases over √2, read off their Gram-checked rules as
+Gaussian integers, and no polynomial is expanded; the tests hold every table to
+the fully substituted state (``test_tables_equal_the_full_expansion*``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .circuit import ModeTransform
@@ -57,14 +59,13 @@ from .fock import (
     TEXT,
     TRIGGER,
     born_terms,
+    born_weight,
     born_weights,
     exact,
-    filter_terms,
     mapping_codec,
     mode_from_name,
     over_one_denominator,
     record_codec,
-    substitute,
 )
 
 
@@ -184,13 +185,6 @@ def analyzer_transform(
 _analyzer = lru_cache(maxsize=None)(analyzer_transform)
 
 
-def _merged_analyzer_rules(settings: SettingTriple, conjugate: bool) -> Dict[Mode, tuple]:
-    rules: Dict[Mode, tuple] = {}
-    for station in STATIONS:
-        rules.update(_analyzer(station, settings.setting(station), conjugate).rules)
-    return rules
-
-
 IntegerForm = Tuple[Tuple[int, ...], int]  # numerators over one positive denominator
 
 
@@ -297,30 +291,51 @@ def read_pattern(pattern: Pattern) -> Tuple[int, Tuple[int, int, int], Outcome |
     return trigger, tuple(hits), tuple(reads) if right else None  # type: ignore[return-value]
 
 
+def _phases(station: Station, setting: AnalyzerSetting,
+            conjugate: bool) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """The analyzer's 2×2 matrix as the Gaussian integers u of its factors u/√2,
+    keyed by (slot read, readout), read off the Gram-checked :func:`_analyzer`
+    on each call."""
+    rules = _analyzer(station, setting, conjugate).rules
+    return {(_STATION_READOUT[source.name][1], _STATION_READOUT[target.name][1]):
+            factor.integers[0][2:]  # u/√2 is stored as (0, 0, re u, im u) over 2
+            for source, targets in rules.items() for target, factor in targets}
+
+
 def outcome_distribution(state: StatePolynomial, settings: SettingTriple,
                          conjugate: bool = False) -> OutcomeTable:
     """Measure ``state`` in the three analyzer bases of ``settings``.
 
-    Analyzers keep each term's sector and each sector's mass, so only the
-    right-sector terms are analyzed; cells and ``wrong_mass`` are Born weights
-    over the full squared norm (``test_tables_equal_the_full_expansion*``).  A
-    photon outside :data:`DETECTOR_MODES` raises ValueError: ``state`` must be
-    a state behind the circuit, not an emission state.
+    A right-sector term is a product of three one-photon station operators, so each
+    cell amplitude is Σ c·u_g·u_h·u_z/(2√2) over those terms, summed in Gaussian
+    integers with the stations' :func:`_phases`.  Cells and ``wrong_mass`` (the other
+    terms' weight) are Born weights over the full squared norm.  A photon outside
+    :data:`DETECTOR_MODES` raises ValueError: ``state`` must be behind the circuit.
     """
-    weights, norm = born_terms(state)
-    outcomes = {pattern: read_pattern(pattern)[2] for pattern in weights}
-    rules = _merged_analyzer_rules(settings, conjugate)
-    analyzed, (_, _, right_den) = born_terms(substitute(filter_terms(state, outcomes.get), rules))
-    # the other terms' Born weight, read off the unanalyzed state
-    wrong = tuple(map(sum, zip((0, 0), *(weights[p] for p, o in outcomes.items() if o is None))))
-    plain, den = born_weights({**analyzed, None: wrong}, norm)
+    weights, (norm_w, norm_r, den) = born_terms(state)
+    phases = [_phases(station, settings.setting(station), conjugate) for station in STATIONS]
+    amplitudes, wrong = [(0, 0, 0, 0)] * len(OUTCOMES), (0, 0)  # cells × 2√2·√den, wrong × 8
+    for pattern, coeff in state.terms.items():
+        if (reads := read_pattern(pattern)[2]) is None:
+            wrong = wrong[0] + 8 * weights[pattern][0], wrong[1] + 8 * weights[pattern][1]
+            continue
+        (a, b, c, e), d = coeff.integers
+        units = [(isqrt(den) // d, 0)]  # u_g·u_h·u_z in OUTCOMES order; a lost target reads 0
+        for phase, read in zip(phases, reads):
+            row = [phase.get((read, out), (0, 0)) for out in (1, -1)]
+            units = [(ur * vr - ui * vi, ur * vi + ui * vr) for ur, ui in units for vr, vi in row]
+        amplitudes = [(p + a * ur - b * ui, q + a * ui + b * ur, s + c * ur - e * ui,
+                       t + c * ui + e * ur) for (p, q, s, t), (ur, ui) in zip(amplitudes, units)]
+    # cells over 8·den, and the wrong mass and norm scaled to match: the cells stay over
+    # the whole state's norm, so the table's sum check sees any mass analysis lost
+    cells = [*(born_weight(*amplitude, 1) for amplitude in amplitudes), wrong]
+    plain, den = born_weights(dict(enumerate(cells)), (8 * norm_w, 8 * norm_r, 8 * den))
     if not den:
         raise EmptyStateError("the zero state has no outcome distribution")
-    # over the whole state's norm, so the table's sum check sees any mass analysis lost
-    cells = {read_pattern(p)[2]: w * norm[2] for p, w in plain.items() if p is not None}
-    nums, den = [*(cells.get(o, 0) for o in OUTCOMES), plain[None] * right_den], den * right_den
+    nums = list(plain.values())
+    values = {n: Fraction(n, den) for n in set(nums)}  # one Fraction per distinct value
     table = OutcomeTable.__new__(OutcomeTable)
-    table._fill(settings, [Fraction(n, den) for n in nums], nums, den)
+    table._fill(settings, [*map(values.get, nums)], nums, den)
     return table
 
 

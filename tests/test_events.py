@@ -61,9 +61,10 @@ from ghzsim.fock import (
 )
 from ghzsim.measurement import (
     DETECTOR_MODES,
+    STATIONS,
     Station,
-    _merged_analyzer_rules,
     all_setting_triples,
+    analyzer_transform,
     pattern_distribution,
     read_pattern,
 )
@@ -202,6 +203,14 @@ def _sampler_output_patterns():
     return patterns
 
 
+def _analyzer_rules(triple, conjugate):
+    """The three stations' analyzer rules of ``triple``, merged into one map."""
+    rules = {}
+    for station in STATIONS:
+        rules.update(analyzer_transform(station, triple.setting(station), conjugate).rules)
+    return rules
+
+
 def test_tables_and_classifier_agree_on_right_events():
     # the outcome tables count a pattern as right exactly when the classifier does
     state = heralded_state()
@@ -209,8 +218,7 @@ def test_tables_and_classifier_agree_on_right_events():
         pattern
         for conjugate in (False, True)
         for triple in all_setting_triples()
-        for pattern in pattern_distribution(
-            substitute(state, _merged_analyzer_rules(triple, conjugate)))
+        for pattern in pattern_distribution(substitute(state, _analyzer_rules(triple, conjugate)))
     }
     sampled = _sampler_output_patterns()
     assert len(analysed) > 16 and len(sampled) > 16

@@ -4,6 +4,7 @@ right-sector tables against the fully analyzed state."""
 import hashlib
 import json
 import pickle
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial, prod
@@ -74,16 +75,22 @@ def right_part():
     )
 
 
+def analyzer_rules(settings, conjugate=False):
+    """The three stations' analyzer rules of ``settings``, merged into one map."""
+    rules = {}
+    for station in STATIONS:
+        rules.update(analyzer_transform(station, settings.setting(station), conjugate).rules)
+    return rules
+
+
 def full_expansion_table(state, settings, conjugate=False):
     """The reference table: the whole ``state`` goes through the three analyzer
     basis changes, and every resulting pattern's Born weight lands in its
     outcome cell or in the wrong mass."""
-    rules = {}
-    for station in STATIONS:
-        rules.update(analyzer_transform(station, settings.setting(station), conjugate).rules)
     cells = {outcome: Fraction(0) for outcome in OUTCOMES}
     wrong = Fraction(0)
-    for pattern, probability in pattern_distribution(substitute(state, rules)).items():
+    analyzed = substitute(state, analyzer_rules(settings, conjugate))
+    for pattern, probability in pattern_distribution(analyzed).items():
         outcome = read_pattern(pattern)[2]
         if outcome is None:
             wrong += probability
@@ -138,10 +145,6 @@ def test_analyzer_transforms_are_built_and_checked_once_per_process(monkeypatch)
         outcome_distribution(state, triple, conjugate)
     # one Gram check per (station, setting, conjugate)
     assert len(checked) == len(Station) * len(AnalyzerSetting) * 2 == 12
-    triple = SettingTriple.from_code("xyy")
-    rules = measurement._merged_analyzer_rules(triple, False)
-    rules.clear()  # each call hands out a fresh dict
-    assert len(measurement._merged_analyzer_rules(triple, False)) == 6
 
 
 def test_setting_codes_are_fixed_at_construction():
@@ -245,36 +248,40 @@ _STATION_MODES = sorted(DETECTOR_MODES - {TRIGGER}, key=lambda mode: mode.sort_k
 @st.composite
 def _detector_states(draw):
     """1–4 terms on the detector modes: 0–2 trigger photons and 0–2 photons per
-    station mode, or a right-sector term; Gaussian-rational amplitudes of one
-    gamma order."""
+    station mode with a Gaussian-rational amplitude, or a right-sector term
+    whose amplitude may also have √2 parts: none, only √2 parts, or all four
+    parts, one choice per state; the terms' denominators differ; one gamma order."""
     order = draw(st.integers(0, 3))
     counts = st.integers(0, 2)
     right = st.tuples(*[st.sampled_from([{h: 1}, {v: 1}])
                         for h, v in zip(_STATION_MODES[::2], _STATION_MODES[1::2])])
+    lanes = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    parts = st.fractions(-3, 3, max_denominator=6)
     terms = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
             pattern = {TRIGGER: 1}
             for photon in draw(right):
                 pattern.update(photon)
+            gaussian, sqrt2 = lanes
         else:
             pattern = {mode: draw(counts) for mode in (TRIGGER, *_STATION_MODES)}
-        parts = st.fractions(-3, 3, max_denominator=4)
-        re, im = draw(st.tuples(parts, parts).filter(any))
-        terms.append((pattern, Amplitude(re, im, 0, 0, order)))
+            gaussian, sqrt2 = True, False
+        lane = st.tuples(parts, parts).filter(any)
+        re, im = draw(lane) if gaussian else (0, 0)
+        re_sqrt2, im_sqrt2 = draw(lane) if sqrt2 else (0, 0)
+        terms.append((pattern, Amplitude(re, im, re_sqrt2, im_sqrt2, order)))
     return StatePolynomial(terms)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(state=_detector_states(), triple=st.sampled_from(all_setting_triples()),
        conjugate=st.booleans())
 def test_tables_equal_the_full_expansion_on_random_states(state, triple, conjugate):
-    if state.is_zero:  # the terms may cancel
-        with pytest.raises(EmptyStateError):
-            outcome_distribution(state, triple, conjugate)
-        return
-    assert outcome_distribution(state, triple, conjugate) == full_expansion_table(
-        state, triple, conjugate)
+    # the same table, or the same error where the terms cancel (EmptyStateError) or
+    # a weight is no rational share of the norm (IrrationalValueError)
+    assert _table_outcome(lambda: outcome_distribution(state, triple, conjugate)) == (
+        _table_outcome(lambda: full_expansion_table(state, triple, conjugate)))
 
 
 def ring_table(state, settings, conjugate=False):
@@ -288,7 +295,7 @@ def ring_table(state, settings, conjugate=False):
         raise EmptyStateError("the zero state has no outcome distribution")
     inv_norm = norm.inverse()
     cells = dict.fromkeys(OUTCOMES, Fraction(0))
-    analyzed = substitute(right, measurement._merged_analyzer_rules(settings, conjugate))
+    analyzed = substitute(right, analyzer_rules(settings, conjugate))
     for pattern, coeff in analyzed.terms.items():
         cells[read_pattern(pattern)[2]] += (coeff.abs_squared() * prod(
             factorial(n) for _, n in pattern) * inv_norm).to_fraction()
@@ -346,34 +353,32 @@ def test_a_common_sqrt2_factor_cancels_and_a_mixed_one_raises_as_in_the_ring():
 
 def test_the_sum_check_sees_mass_that_analysis_drops(monkeypatch):
     # the cells are over the whole state's norm, not over what they sum to
-    real = measurement._merged_analyzer_rules
+    real = measurement._phases
 
-    def dropping(settings, conjugate):
-        rules = dict(real(settings, conjugate))
-        mode = next(iter(rules))
-        rules[mode] = rules[mode][:1]  # one target of one rule is lost
-        return rules
+    def dropping(station, setting, conjugate):
+        phases = real(station, setting, conjugate)
+        if station is Station.G:
+            del phases[1, -1]  # the V target of the H slot's rule is lost
+        return phases
 
-    monkeypatch.setattr(measurement, "_merged_analyzer_rules", dropping)
-    for compute in (outcome_distribution, ring_table):
-        with pytest.raises(ValueError, match="table must sum to 1 exactly, got 15/16"):
-            compute(heralded_state(), SettingTriple.from_code("xxx"))
+    monkeypatch.setattr(measurement, "_phases", dropping)
+    with pytest.raises(ValueError, match="table must sum to 1 exactly, got 15/16"):
+        outcome_distribution(heralded_state(), SettingTriple.from_code("xxx"))
 
 
 def test_only_the_right_sector_terms_are_analyzed(monkeypatch):
-    handed = []
-
-    def recording_substitute(state, rules):
-        handed.append(state)
-        return substitute(state, rules)
-
-    monkeypatch.setattr(measurement, "substitute", recording_substitute)
-    state = heralded_state()
+    # the right-sector terms are contracted with the analyzers' phases: no table
+    # substitutes, and the tables are still those of the fully analyzed state
+    state, handed = heralded_state(), []
     assert len(state) == 8
-    for triple, conjugate in SETTING_PAIRS:
-        outcome_distribution(state, triple, conjugate)
-    # one substitution per table, of the 2 right-sector terms alone
-    assert handed == [right_part() * gamma_power(2) * -1] * len(SETTING_PAIRS)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "ghzsim" and getattr(module, "substitute", None) is substitute:
+            monkeypatch.setattr(module, "substitute", lambda *args: handed.append(args))
+    tables = [outcome_distribution(state, triple, conjugate) for triple, conjugate in SETTING_PAIRS]
+    monkeypatch.undo()
+    assert handed == []
+    assert tables == [full_expansion_table(state, triple, conjugate)
+                      for triple, conjugate in SETTING_PAIRS]
 
 
 @pytest.mark.parametrize("conjugate", [False, True])
