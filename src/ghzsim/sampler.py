@@ -12,7 +12,9 @@ The two emission laws, which depend on no argument, are derived once per
 process, and so is each detection table, when an event first needs it;
 the tables of one pair and loss probability are built per call.  Only
 ``sample_events`` loads this module, so the table and verdict commands
-never compile it.
+never compile it.  ``SampledEvent`` writes its fields into its ``__dict__``
+in a hand-written ``__init__``: the generated one calls ``object.__setattr__``
+once per field, about half of the cost of building an event.
 """
 
 from __future__ import annotations
@@ -40,12 +42,18 @@ from .fock import BOOL, INT, PATTERN, Pattern, born_terms, born_weights, monomia
 from .measurement import over_common_denominator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a tuple-backed Record (ROADMAP item 12) once perfbench uses _replace
 class SampledEvent:
     pulse_index: int
     pattern: Pattern
     event_class: EventClass
     herald_veto: bool
+
+    def __init__(self, pulse_index: int, pattern: Pattern, event_class: EventClass,
+                 herald_veto: bool):
+        fields = self.__dict__  # the generated __init__ would call object.__setattr__ four times
+        fields["pulse_index"], fields["pattern"] = pulse_index, pattern
+        fields["event_class"], fields["herald_veto"] = event_class, herald_veto
 
 
 EVENT = record_codec(
@@ -226,14 +234,15 @@ class _Sampler:
         def link(component: Pattern) -> Optional[list]:
             return links.setdefault(component, [None, component]) if component else None
 
+        # one chain per entry of ``per_pulse``, so ``steps`` follows the order of ``offsets``
         if loss_prob:
-            chains = {c: (table._leading, [(link(kept), veto) for kept, veto in table.values],
-                          table)
-                      for c, table in self.survivors.items()}
+            chains = [(table._leading, [(link(kept), veto) for kept, veto in table.values], table)
+                      for table in (self.survivors[c] for c, _ in per_pulse)]
         else:
-            chains = {c: link(c) for c in (*one_pair, *two_pair)}
-        self.steps = [None if drawn is None else (drawn[0], chains[drawn[1]])
-                      for drawn in self.emission.values]
+            chains = [link(c) for c, _ in per_pulse]
+        self.steps = [(offset, chain) for offset in range(block) for chain in chains]
+        self.steps += [None] * self.dense  # the skip entry of the joint table
+        assert len(self.steps) == len(self.emission.values)  # no emission weight is zero
 
     def skipped_blocks(self, rng: Random, blocks: int) -> Optional[int]:
         """The number K of blocks that emit nothing before one that does,

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import pickle
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -485,6 +487,46 @@ def test_event_json_roundtrip():
     assert EVENT[1](EVENT[0](event)) == event
 
 
+# the class ``@dataclass(frozen=True)`` makes of SampledEvent's fields, its
+# generated ``__init__`` included; SampledEvent's own ``__init__`` must match it
+_GeneratedEvent = dataclasses.make_dataclass(
+    "SampledEvent",
+    [(field.name, field.type) for field in dataclasses.fields(SampledEvent)],
+    frozen=True,
+)
+
+
+def test_sampled_event_keeps_the_frozen_dataclass_contract():
+    names = [field.name for field in dataclasses.fields(SampledEvent)]
+    assert list(inspect.signature(SampledEvent).parameters) == names
+    drawn = list(sample_events(2000, Fraction(1, 20), 11, Fraction(1, 10)))[:6]
+    assert len(drawn) == 6
+    first = drawn[0]
+    values = dataclasses.astuple(first)
+    assert SampledEvent(*values) == SampledEvent(**dict(zip(names, values))) == first
+    for bad in (values[:-1], values + (0,)):
+        with pytest.raises(TypeError):
+            SampledEvent(*bad)
+    with pytest.raises(TypeError):
+        SampledEvent(*values, extra=0)
+    moved = dataclasses.replace(first, pulse_index=first.pulse_index + 1)
+    assert moved.pulse_index == first.pulse_index + 1 and moved.pattern == first.pattern
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.pulse_index = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del first.pattern
+
+    events = drawn + [moved, SampledEvent(*values)]
+    twins = [_GeneratedEvent(*dataclasses.astuple(event)) for event in events]
+    for event, twin in zip(events, twins):
+        assert repr(event) == repr(twin) and hash(event) == hash(twin)
+        assert list(vars(event).items()) == list(vars(twin).items())
+        copied = pickle.loads(pickle.dumps(event))
+        assert type(copied) is SampledEvent and copied == event and vars(copied) == vars(twin)
+    for (a, twin_a), (b, twin_b) in product(zip(events, twins), repeat=2):
+        assert (a == b) is (twin_a == twin_b)
+
+
 def test_detection_tables_are_built_once_per_process(monkeypatch):
     import ghzsim.sampler
 
@@ -580,6 +622,17 @@ def test_dense_chunk_stream_is_pinned():
     stream = sample_events(50000, Fraction(1, 20), derived_seed(1, 0), Fraction(1, 10))
     text = repr([(e.pulse_index, e.pattern, e.event_class.wire, e.herald_veto) for e in stream])
     assert hashlib.sha256(text.encode()).hexdigest() == DENSE_CHUNK_DIGEST
+
+
+# the same digest of one sparse perfbench-shaped chunk, drawn through the
+# skip levels
+SPARSE_CHUNK_DIGEST = "ba6b94ac695f8702f81432da86c30c655607a2ddbaea9c563e52b670c0309f1d"
+
+
+def test_sparse_chunk_stream_is_pinned():
+    stream = sample_events(10**6, Fraction(1, 10**4), derived_seed(1, 1))
+    text = repr([(e.pulse_index, e.pattern, e.event_class.wire, e.herald_veto) for e in stream])
+    assert hashlib.sha256(text.encode()).hexdigest() == SPARSE_CHUNK_DIGEST
 
 
 # ---------------------------------------------------------------------------

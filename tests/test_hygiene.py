@@ -139,6 +139,9 @@ def test_strategies_are_built_only_by_the_enumeration_and_the_mixture_decoder():
 # CLI run; value types derive from ``fock.Record`` and copy with ``_replace``
 # instead.  These three stay dataclasses because the benchmark's own tests
 # (perfbench/test_perfbench.py) copy them with ``dataclasses.replace``.
+# ``SampledEvent``, built once per sampled event, has a hand-written
+# ``__init__`` that fills its ``__dict__`` without the generated one's
+# ``object.__setattr__`` calls; ``dataclasses.replace`` builds through it.
 REPLACEABLE_RECORDS = {
     "lhv.py:Certificate",
     "lhv.py:FeasibilityOutcome",
