@@ -137,6 +137,8 @@ def trigger_select(state: StatePolynomial) -> StatePolynomial:
 
 
 class EventKind(Enum):
+    __hash__ = object.__hash__  # members are singletons: hashed by identity, in C
+
     RIGHT = "right"
     WRONG_PAIR = "wrong-pair"
     DOUBLE_NON_DETECTION = "double-non-detection"

@@ -443,6 +443,8 @@ class Record:
 
 
 class Polarization(Enum):
+    __hash__ = object.__hash__  # members are singletons: hashed by identity, in C
+
     H = "H"
     V = "V"
 
@@ -458,6 +460,8 @@ class Beam(Enum):
     ``herald_veto`` flag (see :mod:`ghzsim.events`).
     """
 
+    __hash__ = object.__hash__
+
     A = "a"
     A_H = "a_H"
     A_V = "a_V"
@@ -469,32 +473,41 @@ class Beam(Enum):
     Z = "z"
 
 
-_BEAM_ORDER = {beam: index for index, beam in enumerate(Beam)}
-_POL_ORDER = {Polarization.H: 0, Polarization.V: 1}
+def not_a_member(call: str, argument: str, value: Any, kind: type) -> TypeError:
+    """The error of a call whose ``argument`` is ``value``, not a member of ``kind``."""
+    return TypeError(f"{call}: {argument} must be a member of {kind.__name__}, got {value!r:.60}")
 
 
 class Mode(Record):
-    """One bosonic mode: a beam together with a polarization (equal by value)."""
+    """One bosonic mode: a beam together with a polarization.
+
+    The setup's 16 modes are interned: ``Mode(beam, polarization)`` returns the
+    one instance that :data:`MODE_BY_NAME` holds for the pair, and so do
+    pickling, ``copy`` and ``_replace``.  Two modes are equal only when they
+    are the same object, so ``==`` and ``hash`` are ``object``'s, run in C.  An
+    argument that is not a :class:`Beam` or :class:`Polarization` member raises
+    ``TypeError``; a pair the setup lacks raises :class:`InvalidModeError`.
+    """
 
     _fields = ("beam", "polarization")
-    __slots__ = (*_fields, "name", "sort_key", "_hash")
+    __slots__ = (*_fields, "name", "sort_key")  # sort_key: canonicalisation sorts by it
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __init__ = object.__init__  # __new__ returns the interned instance, already bound
 
-    def __init__(self, beam: Beam, polarization: Polarization) -> None:
-        name = MODE_NAMES.get((beam, polarization))
-        if name is None:
-            raise InvalidModeError(
-                f"beam {beam.value!r} does not carry polarization "
-                f"{polarization.value!r} in this setup"
-            )
-        # pattern lookups hash modes and canonicalisation sorts them: compute once
-        sort_key = (_BEAM_ORDER[beam], _POL_ORDER[polarization])
-        _setattr(self, "name", name)
-        _setattr(self, "sort_key", sort_key)
-        _setattr(self, "_hash", hash(sort_key))
-        self._set(beam, polarization)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, beam: Beam, polarization: Polarization) -> "Mode":
+        try:
+            return _MODES[beam, polarization]
+        except (KeyError, TypeError):  # TypeError: an unhashable argument
+            pass
+        if type(beam) is not Beam:
+            raise not_a_member("Mode", "beam", beam, Beam)
+        if type(polarization) is not Polarization:
+            raise not_a_member("Mode", "polarization", polarization, Polarization)
+        raise InvalidModeError(
+            f"beam {beam.value!r} does not carry polarization "
+            f"{polarization.value!r} in this setup"
+        )
 
     def __lt__(self, other: "Mode") -> bool:
         return self.sort_key < other.sort_key
@@ -524,9 +537,21 @@ MODE_NAMES: Mapping[Tuple[Beam, Polarization], str] = {
     (Beam.Z, Polarization.V): "z_V",
 }
 
-MODE_BY_NAME: Mapping[str, Mode] = {
-    name: Mode(beam, pol) for (beam, pol), name in MODE_NAMES.items()
+
+def _intern(beam: Beam, polarization: Polarization, name: str) -> Mode:
+    mode = object.__new__(Mode)
+    _setattr(mode, "name", name)
+    _setattr(mode, "sort_key", (list(Beam).index(beam), list(Polarization).index(polarization)))
+    mode._set(beam, polarization)
+    return mode
+
+
+# the one instance of each legal mode, complete at import
+_MODES: Mapping[Tuple[Beam, Polarization], Mode] = {
+    pair: _intern(*pair, name) for pair, name in MODE_NAMES.items()
 }
+
+MODE_BY_NAME: Mapping[str, Mode] = {mode.name: mode for mode in _MODES.values()}
 
 AH = MODE_BY_NAME["aH"]
 AV = MODE_BY_NAME["aV"]

@@ -63,7 +63,7 @@ from .fock import (
     born_weights,
     exact,
     mapping_codec,
-    mode_from_name,
+    not_a_member,
     over_one_denominator,
     record_codec,
 )
@@ -82,6 +82,8 @@ class VisibilityRangeError(GhzsimError):
 
 
 class AnalyzerSetting(Enum):
+    __hash__ = object.__hash__  # members are singletons: hashed by identity, in C
+
     LINEAR45 = "linear45"
     CIRCULAR = "circular"
 
@@ -91,6 +93,8 @@ _SETTING_BY_CODE = {code: setting for setting, code in _SETTING_CODE.items()}
 
 
 class Station(Enum):
+    __hash__ = object.__hash__
+
     G = Beam.G
     H = Beam.H
     Z = Beam.Z
@@ -110,8 +114,13 @@ class SettingTriple(Record):
     __slots__ = (*_fields, "code")
 
     def __init__(self, g: AnalyzerSetting, h: AnalyzerSetting, z: AnalyzerSetting) -> None:
-        # compact form, e.g. ``xyy`` (x = linear45, y = circular): verdicts read it often
-        object.__setattr__(self, "code", _SETTING_CODE[g] + _SETTING_CODE[h] + _SETTING_CODE[z])
+        try:  # compact form, e.g. ``xyy`` (x = linear45, y = circular): verdicts read it often
+            code = _SETTING_CODE[g] + _SETTING_CODE[h] + _SETTING_CODE[z]
+        except (KeyError, TypeError):  # TypeError: an unhashable argument
+            name, value = next((name, value) for name, value in zip(self._fields, (g, h, z))
+                               if type(value) is not AnalyzerSetting)
+            raise not_a_member("SettingTriple", name, value, AnalyzerSetting) from None
+        object.__setattr__(self, "code", code)
         self._set(g, h, z)
 
     @classmethod
@@ -121,7 +130,10 @@ class SettingTriple(Record):
         return cls(*(_SETTING_BY_CODE[c] for c in code))
 
     def setting(self, station: Station) -> AnalyzerSetting:
-        return {Station.G: self.g, Station.H: self.h, Station.Z: self.z}[station]
+        try:
+            return self._values[STATIONS.index(station)]
+        except ValueError:
+            raise not_a_member("SettingTriple.setting", "station", station, Station) from None
 
     def __str__(self) -> str:
         return self.code
@@ -253,9 +265,9 @@ def pattern_distribution(state: StatePolynomial) -> Dict[Pattern, Fraction]:
     return {pattern: Fraction(w, den) for pattern, w in weights.items()}
 
 
-# (station index, readout) of each station mode, keyed by mode name
-_STATION_READOUT: Dict[str, Tuple[int, int]] = {
-    Mode(station.beam, polarization).name: (
+# (station index, readout) of each station mode
+_STATION_READOUT: Dict[Mode, Tuple[int, int]] = {
+    Mode(station.beam, polarization): (
         index, 1 if polarization is Polarization.H else -1
     )
     for index, station in enumerate(STATIONS)
@@ -263,7 +275,7 @@ _STATION_READOUT: Dict[str, Tuple[int, int]] = {
 }
 
 # the modes a detection pattern may occupy: the trigger and the six station modes
-DETECTOR_MODES = frozenset(map(mode_from_name, (TRIGGER.name, *_STATION_READOUT)))
+DETECTOR_MODES = frozenset((TRIGGER, *_STATION_READOUT))
 
 
 def read_pattern(pattern: Pattern) -> Tuple[int, Tuple[int, int, int], Outcome | None]:
@@ -278,12 +290,12 @@ def read_pattern(pattern: Pattern) -> Tuple[int, Tuple[int, int, int], Outcome |
     hits = [0, 0, 0]
     reads = [0, 0, 0]
     for mode, count in pattern:
-        if mode.name == TRIGGER.name:
+        if mode is TRIGGER:
             trigger = count
             continue
-        readout = _STATION_READOUT.get(mode.name)
+        readout = _STATION_READOUT.get(mode)
         if readout is None:
-            raise ValueError(f"mode {mode.name} is not a detector mode")
+            raise ValueError(f"mode {mode} is not a detector mode")
         station, read = readout
         hits[station] += count
         reads[station] = read
@@ -297,7 +309,7 @@ def _phases(station: Station, setting: AnalyzerSetting,
     keyed by (slot read, readout), read off the Gram-checked :func:`_analyzer`
     on each call."""
     rules = _analyzer(station, setting, conjugate).rules
-    return {(_STATION_READOUT[source.name][1], _STATION_READOUT[target.name][1]):
+    return {(_STATION_READOUT[source][1], _STATION_READOUT[target][1]):
             factor.integers[0][2:]  # u/√2 is stored as (0, 0, re u, im u) over 2
             for source, targets in rules.items() for target, factor in targets}
 

@@ -645,6 +645,28 @@ def test_threshold_artifacts_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == THRESHOLD_ARTIFACT_SHA256[argv]
 
 
+# modes and enum members hash by address and strings by PYTHONHASHSEED, so set
+# order may differ from one interpreter to the next; no artifact byte may
+CROSS_RUN_PINS = {
+    ("correlations", "--format", "json"):
+        EXPANSION_ARTIFACT_SHA256["correlations", "--format", "json"],
+    ("expand", "--format", "json"): EXPANSION_ARTIFACT_SHA256["expand", "--format", "json"],
+    ("critical-visibility", "--format", "json"):
+        THRESHOLD_ARTIFACT_SHA256["critical-visibility", "--format", "json"],
+    tuple(SAMPLE_ARGV): SAMPLE_STREAM_SHA256,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CROSS_RUN_PINS))
+def test_artifacts_are_the_same_in_interpreters_with_other_hashes(argv):
+    runs = [subprocess.run([sys.executable, "-m", "ghzsim.cli", *argv], capture_output=True,
+                           env={**_child_env(), "PYTHONHASHSEED": seed}, timeout=120)
+            for seed in ("1", "2718281")]
+    assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert _sha256(runs[0].stdout) == CROSS_RUN_PINS[argv]
+
+
 def test_threshold_search_solves_only_at_zero_one_and_the_root(monkeypatch):
     solved = []
     solve = lhv.feasibility_at_visibility

@@ -1,5 +1,7 @@
 """Exactness and algebra laws of the creation-operator polynomials."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial, prod
 
@@ -23,6 +25,8 @@ from ghzsim.fock import (
     I_UNIT,
     InvalidModeError,
     IrrationalValueError,
+    MODE_BY_NAME,
+    MODE_NAMES,
     Mode,
     ONE,
     OrderMixError,
@@ -180,6 +184,30 @@ def test_mode_validation():
         Mode(Beam.A_H, Polarization.V)  # the trigger arm carries only H
     with pytest.raises(InvalidModeError):
         Mode(Beam.A_V, Polarization.H)
+
+
+@pytest.mark.parametrize("beam,polarization,argument", [
+    ("g", "H", "beam"),
+    (Beam.G, "H", "polarization"),
+    (None, None, "beam"),
+    ([], Polarization.H, "beam"),  # unhashable
+    (Beam.G, Beam.H, "polarization"),
+])
+def test_mode_names_the_argument_that_is_not_a_member(beam, polarization, argument):
+    with pytest.raises(TypeError, match=f"Mode: {argument} must be a member of"):
+        Mode(beam, polarization)
+
+
+@pytest.mark.parametrize("name", sorted(MODE_BY_NAME))
+def test_each_mode_is_interned(name):
+    mode = MODE_BY_NAME[name]
+    assert Mode(mode.beam, mode.polarization) is mode
+    assert Mode(polarization=mode.polarization, beam=mode.beam) is mode
+    assert mode._replace() is mode
+    for copied in (pickle.loads(pickle.dumps(mode)), copy.copy(mode), copy.deepcopy(mode)):
+        assert copied is mode
+    assert mode != (mode.beam, mode.polarization) and (mode.beam, mode.polarization) != mode
+    assert MODE_NAMES[mode.beam, mode.polarization] == name == str(mode)
 
 
 def test_mode_ordering_is_total():

@@ -14,15 +14,20 @@ only the tables' integer check raises their sign and sum errors, only
 ``factorial`` or calls the ring's ``abs_squared``, ``inverse`` or
 ``to_fraction``), no source line is over 100 columns, and ``as_pattern``,
 ``multiply`` and ``substitute`` sort a pattern only through the one
-canonicaliser, ``fock._canonical``."""
+canonicaliser, ``fock._canonical``.  One rule reads the loaded classes: a
+mode and every enum member hash through ``object.__hash__``, in C, so the
+detector readout keys its tables by mode, not by mode name."""
 
 import ast
+import importlib
 import sys
+from enum import Enum
 from pathlib import Path
 
 import pytest
 
 import ghzsim
+from ghzsim.fock import Mode
 
 PACKAGE = Path(ghzsim.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -330,3 +335,27 @@ def test_patterns_are_sorted_only_by_the_one_canonicaliser():
         sorting = {name for name in reached if calls(name) & {"sorted", "sort"}}
         assert "_canonical" in reached, f"{entry} does not reach _canonical"
         assert sorting <= {"_canonical", "_sorted_terms"}, f"{entry} reaches sorts in {sorting}"
+
+
+def test_modes_and_enum_members_hash_in_c():
+    # a Python-level __hash__ on a mode or an enum runs on every dict and set
+    # operation of the table path: each pattern lookup hashes all its modes
+    modules = [importlib.import_module(f"ghzsim.{path.stem}")
+               for path in SOURCES if path.stem != "__init__"]
+    enums = {value for module in modules for value in vars(module).values()
+             if isinstance(value, type) and issubclass(value, Enum)
+             and value.__module__.startswith("ghzsim.")}
+    assert {cls.__name__ for cls in enums} >= {
+        "Beam", "Polarization", "Station", "AnalyzerSetting", "EventKind"}
+    for cls in (Mode, *enums):
+        assert cls.__hash__ is object.__hash__, f"{cls.__name__} hashes in Python"
+    assert Mode.__eq__ is object.__eq__
+
+
+def test_the_detector_readout_looks_nothing_up_by_name():
+    # modes hash in C, so a lookup keyed by a mode's name only adds an attribute read
+    functions = _functions(PACKAGE / "measurement.py")
+    for name in ("read_pattern", "_phases"):
+        reads = [node.lineno for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Attribute) and node.attr == "name"]
+        assert reads == [], f"{name} reads .name on lines {reads}"

@@ -157,6 +157,26 @@ def test_setting_codes_are_fixed_at_construction():
             triple.code = "xxx"
 
 
+@pytest.mark.parametrize("args,argument", [
+    (("x", "y", "y"), "g"),
+    ((AnalyzerSetting.LINEAR45, "y", AnalyzerSetting.CIRCULAR), "h"),
+    ((AnalyzerSetting.LINEAR45, AnalyzerSetting.LINEAR45, []), "z"),  # unhashable
+    ((Station.G, AnalyzerSetting.LINEAR45, AnalyzerSetting.LINEAR45), "g"),
+])
+def test_a_setting_triple_names_the_argument_that_is_not_a_member(args, argument):
+    with pytest.raises(TypeError, match=f"SettingTriple: {argument} must be a member of"):
+        SettingTriple(*args)
+
+
+def test_a_triple_reads_each_station_by_position_and_only_a_station():
+    for triple in all_setting_triples():
+        assert [triple.setting(station) for station in STATIONS] == [triple.g, triple.h, triple.z]
+    triple = SettingTriple.from_code("xyy")
+    for station in ("G", Beam.G, None, []):
+        with pytest.raises(TypeError, match="station must be a member of Station"):
+            triple.setting(station)
+
+
 def test_analyzer_transforms_are_isometries():
     from ghzsim.circuit import preserves_single_photon_norms
 
