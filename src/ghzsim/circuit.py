@@ -177,7 +177,7 @@ def polarizing_beamsplitter(
     for beam, port_map in ports.items():
         for pol in _carried_polarizations(beam):
             out = _output_mode(port_map[pol], pol, "polarizing beamsplitter")
-            pairs.append((Mode(beam, pol), [(out, Amplitude(1))]))
+            pairs.append((Mode(beam, pol), [(out, ONE)]))
     label = "+".join(b.value for b in inputs)
     return ModeTransform(_make_rules(pairs), name=f"PBS({label})")
 

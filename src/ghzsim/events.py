@@ -59,6 +59,7 @@ from .fock import (
     occupation,
     pattern_to_json,
     record_codec,
+    require_type,
     sequence_codec,
     terms_codec,
     tuple_codec,
@@ -385,7 +386,7 @@ def heralded_state() -> StatePolynomial:
     return innsbruck_circuit().apply(trigger_select(two_pair_emission()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 1 misses True's entry, and the analyzer refuses it
 def _ideal_tables(conjugate: bool) -> Tuple[OutcomeTable, ...]:
     state = heralded_state()
     # looked up on measurement at call time, so perfbench's tracer, which wraps it there, sees it
@@ -398,6 +399,7 @@ def quantum_targets(
 ) -> Tuple[OutcomeTable, ...]:
     """The eight outcome tables at the given fringe visibility, checked once."""
     a, b = _checked_visibility(visibility)
+    require_type(bool, conjugate, "quantum_targets: conjugate must be a bool")
     return tuple(_mix_noise(t, a, b) for t in _ideal_tables(conjugate))
 
 
@@ -452,8 +454,7 @@ def sample_events(
     the survival factor ``(1-loss_prob)**n`` of an n-photon component,
     which is the physical effect of a heralded loss channel.
     """
-    if type(pulses) is not int:
-        raise TypeError(f"pulse count must be an int, got {pulses!r}")
+    require_type(int, pulses, "pulse count must be an int")
     if pulses < 0:
         raise ConfigurationError(f"pulse count {pulses} is negative")
     if not exact((pair_prob, loss_prob)):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from numbers import Rational
 from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -61,6 +61,13 @@ def exact(values: Iterable[Any]) -> bool:
     return kinds <= _PLAIN or bool not in kinds and all(issubclass(k, Rational) for k in kinds)
 
 
+def require_type(kind: type, value: Any, message: str) -> None:
+    """Raise TypeError with ``message`` unless the type of ``value`` is exactly ``kind``:
+    a bool is no int, and 1 is no bool."""
+    if type(value) is not kind:
+        raise TypeError(f"{message}, got {value!r:.60}")
+
+
 def over_one_denominator(values: Sequence[Rational]) -> Tuple[List[int], int]:
     """Numerators of ``values`` over the lcm of their denominators, and that lcm."""
     den = lcm(*(v.denominator for v in values))
@@ -85,8 +92,7 @@ class Amplitude:
         parts = (re, im, re_sqrt2, im_sqrt2)
         if not exact(parts):
             raise TypeError(f"amplitude parts must be exact rationals, got {parts!r}")
-        if type(order) is not int:
-            raise TypeError(f"gamma order must be an int, got {order!r}")
+        require_type(int, order, "gamma order must be an int")
         if order < 0:
             raise OrderMixError("gamma order must be non-negative")
         nums, den = over_one_denominator(parts)
@@ -187,12 +193,8 @@ class Amplitude:
     def __truediv__(self, other: "Amplitude") -> "Amplitude":
         return self * other.inverse()
 
-    @property
-    def is_rational(self) -> bool:
-        return not any(self._num[1:])
-
     def to_fraction(self) -> Fraction:
-        if not self.is_rational or self._order:
+        if any(self._num[1:]) or self._order:
             raise IrrationalValueError(f"{self} is not a plain rational")
         return self.re
 
@@ -694,10 +696,11 @@ class StatePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "StatePolynomial":
+        require_type(int, exponent, "exponent must be an int")
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        result = scalar(ONE)
-        for _ in range(exponent):
+        result = self if exponent else scalar(ONE)
+        for _ in range(exponent - 1):
             result = multiply(result, self)
         return result
 
@@ -808,16 +811,20 @@ def born_terms(p: StatePolynomial) -> Tuple[dict, Tuple[int, int, int]]:
     as 1) as the integers (w, r) of (w + r·√2)/den, den the square of the terms' lcm
     denominator, and their sum, the squared norm, as (W, R, den).  All terms must
     share one coupling order, otherwise the relative gamma scale is ambiguous."""
-    orders = {c.order for c in p._terms.values()}
+    orders = {c._order for c in p._terms.values()}
     if len(orders) > 1:
         raise OrderMixError(f"norm of a mixed-order state is ambiguous (orders {sorted(orders)}); "
                             "separate the orders first")
     den = lcm(*(c._den for c in p._terms.values()))  # 1 for the empty polynomial
-    weights = {}  # |(a + b i + (c + e i)√2)/d|^2 · Πn!, over den^2
+    weights, plain, root = {}, 0, 0  # |(a + b i + (c + e i)√2)/d|^2 · Πn!, over den^2
     for pattern, coeff in p._terms.items():
-        k = prod([factorial(n) for _, n in pattern], start=(den // coeff._den) ** 2)
-        weights[pattern] = born_weight(*coeff._num, k)
-    return weights, (*map(sum, zip((0, 0), *weights.values())), den * den)  # (Σw, Σr, den^2)
+        k = (den // coeff._den) ** 2
+        for _, n in pattern:
+            if n > 1:  # 1! is 1
+                k *= factorial(n)
+        weights[pattern] = w, r = born_weight(*coeff._num, k)
+        plain, root = plain + w, root + r
+    return weights, (plain, root, den * den)
 
 
 def born_weight(a: int, b: int, c: int, e: int, k: int) -> Tuple[int, int]:

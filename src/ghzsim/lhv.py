@@ -59,6 +59,7 @@ from .fock import (
     mapping_codec,
     over_one_denominator,
     record_codec,
+    require_type,
     sequence_codec,
     tuple_codec,
 )
@@ -807,8 +808,7 @@ def critical_visibility(depth: int = 8) -> CriticalVisibilityResult:
     * a midpoint at or below V* is feasible by convexity: the targets are
       affine in V, and V = 0 and V = V* were both solved feasible.
     """
-    if type(depth) is not int:
-        raise TypeError(f"bisection depth must be an int, got {depth!r}")
+    require_type(int, depth, "bisection depth must be an int")
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"bisection depth must be from 1 to {MAX_DEPTH}, got {depth}")
     v_star = _affine_boundary(

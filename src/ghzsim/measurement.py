@@ -29,10 +29,10 @@ total probability of every other detection pattern.  An analyzer maps a
 station's modes into its own by orthonormal columns, so it keeps each term's
 sector (trigger photons, photons per station) and each sector's mass: the
 setting-independent wrong mass is read off the unanalyzed state.  A right-sector
-term holds one photon per station, so its cells come from contracting it with the
-three analyzers' 2×2 unit phases over √2, read off their Gram-checked rules as
-Gaussian integers, and no polynomial is expanded; the tests hold every table to
-the fully substituted state (``test_tables_equal_the_full_expansion*``).
+term holds one photon per station, so its eight cells come from contracting it with
+the three analyzers' 2×2 unit phases over √2, read off their Gram-checked rules as two
+rows of Gaussian integers per station, and no polynomial is expanded; the tests hold
+every table to the fully substituted state (``test_tables_equal_the_full_expansion*``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -66,6 +66,7 @@ from .fock import (
     not_a_member,
     over_one_denominator,
     record_codec,
+    require_type,
 )
 
 
@@ -176,6 +177,7 @@ def analyzer_transform(
     ``conjugate`` mirrors the circular handedness labeling of all three
     stations at once; the GHZ contradiction is independent of this choice.
     """
+    require_type(bool, conjugate, "analyzer_transform: conjugate must be a bool")
     beam = station.beam
     h_mode = Mode(beam, Polarization.H)
     v_mode = Mode(beam, Polarization.V)
@@ -193,8 +195,8 @@ def analyzer_transform(
     return ModeTransform(rules, name=f"AN({beam.value},{setting.value})")
 
 
-# built and Gram-checked once per process: 12 (station, setting, conjugate)
-_analyzer = lru_cache(maxsize=None)(analyzer_transform)
+# built and Gram-checked once per process: 12 (station, setting, conjugate); typed: 1 ≠ True
+_analyzer = lru_cache(maxsize=None, typed=True)(analyzer_transform)
 
 
 IntegerForm = Tuple[Tuple[int, ...], int]  # numerators over one positive denominator
@@ -304,44 +306,54 @@ def read_pattern(pattern: Pattern) -> Tuple[int, Tuple[int, int, int], Outcome |
 
 
 def _phases(station: Station, setting: AnalyzerSetting,
-            conjugate: bool) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """The analyzer's 2×2 matrix as the Gaussian integers u of its factors u/√2,
-    keyed by (slot read, readout), read off the Gram-checked :func:`_analyzer`
-    on each call."""
-    rules = _analyzer(station, setting, conjugate).rules
-    return {(_STATION_READOUT[source][1], _STATION_READOUT[target][1]):
-            factor.integers[0][2:]  # u/√2 is stored as (0, 0, re u, im u) over 2
-            for source, targets in rules.items() for target, factor in targets}
+            conjugate: bool) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """The analyzer as two rows, slot read +1 then −1, of the Gaussian integers u of its
+    factors u/√2 to outcome +1 and −1, read off the Gram-checked :func:`_analyzer` each call."""
+    rows = ([(0, 0), (0, 0)], [(0, 0), (0, 0)])  # a lost target reads (0, 0)
+    for source, targets in _analyzer(station, setting, conjugate).rules.items():
+        row = rows[_STATION_READOUT[source][1] < 0]
+        for target, factor in targets:  # u/√2 is stored as (0, 0, re u, im u) over 2
+            row[_STATION_READOUT[target][1] < 0] = factor.integers[0][2:]
+    return rows
 
 
 def outcome_distribution(state: StatePolynomial, settings: SettingTriple,
                          conjugate: bool = False) -> OutcomeTable:
     """Measure ``state`` in the three analyzer bases of ``settings``.
 
-    A right-sector term is a product of three one-photon station operators, so each
-    cell amplitude is Σ c·u_g·u_h·u_z/(2√2) over those terms, summed in Gaussian
-    integers with the stations' :func:`_phases`.  Cells and ``wrong_mass`` (the other
-    terms' weight) are Born weights over the full squared norm.  A photon outside
-    :data:`DETECTOR_MODES` raises ValueError: ``state`` must be behind the circuit.
+    A right-sector term is a product of three one-photon station operators, so each cell
+    amplitude is Σ c·u_g·u_h·u_z/(2√2) over those terms, with the stations' :func:`_phases`.
+    Cells and ``wrong_mass`` (the other terms' weight) are Born weights over the full squared
+    norm.  A ``settings`` that is no :class:`SettingTriple` raises TypeError, and a photon
+    outside :data:`DETECTOR_MODES` ValueError: ``state`` must be behind the circuit.
     """
+    if not isinstance(settings, SettingTriple):
+        raise not_a_member("outcome_distribution", "settings", settings, SettingTriple)
     weights, (norm_w, norm_r, den) = born_terms(state)
-    phases = [_phases(station, settings.setting(station), conjugate) for station in STATIONS]
-    amplitudes, wrong = [(0, 0, 0, 0)] * len(OUTCOMES), (0, 0)  # cells × 2√2·√den, wrong × 8
+    g_rows, h_rows, z_rows = map(_phases, STATIONS, (settings.g, settings.h, settings.z),
+                                 (conjugate,) * 3)
+    cells, wrong = [0] * 4 * len(OUTCOMES), []  # cells: (a, b, c, e) of a + b i + (c + e i)√2
     for pattern, coeff in state.terms.items():
         if (reads := read_pattern(pattern)[2]) is None:
-            wrong = wrong[0] + 8 * weights[pattern][0], wrong[1] + 8 * weights[pattern][1]
+            wrong.append(weights[pattern])
             continue
         (a, b, c, e), d = coeff.integers
-        units = [(isqrt(den) // d, 0)]  # u_g·u_h·u_z in OUTCOMES order; a lost target reads 0
-        for phase, read in zip(phases, reads):
-            row = [phase.get((read, out), (0, 0)) for out in (1, -1)]
-            units = [(ur * vr - ui * vi, ur * vi + ui * vr) for ur, ui in units for vr, vi in row]
-        amplitudes = [(p + a * ur - b * ui, q + a * ui + b * ur, s + c * ur - e * ui,
-                       t + c * ui + e * ur) for (p, q, s, t), (ur, ui) in zip(amplitudes, units)]
-    # cells over 8·den, and the wrong mass and norm scaled to match: the cells stay over
-    # the whole state's norm, so the table's sum check sees any mass analysis lost
-    cells = [*(born_weight(*amplitude, 1) for amplitude in amplitudes), wrong]
-    plain, den = born_weights(dict(enumerate(cells)), (8 * norm_w, 8 * norm_r, 8 * den))
+        scale, k = isqrt(den) // d, 0  # cells × 2√2·√den, √den the terms' lcm denominator
+        for gr, gi in g_rows[reads[0] < 0]:  # one loop per station over the row it reads
+            for hr, hi in h_rows[reads[1] < 0]:
+                ur, ui = scale * (gr * hr - gi * hi), scale * (gr * hi + gi * hr)
+                for zr, zi in z_rows[reads[2] < 0]:
+                    vr, vi = ur * zr - ui * zi, ur * zi + ui * zr
+                    cells[k] += a * vr - b * vi
+                    cells[k + 1] += a * vi + b * vr
+                    cells[k + 2] += c * vr - e * vi
+                    cells[k + 3] += c * vi + e * vr
+                    k += 4
+    # cells over 8·den, wrong mass and norm × 8 to match: the sum check sees any mass lost
+    wrong_w, wrong_r = map(sum, zip((0, 0), *wrong))
+    ints = iter(cells)  # map takes each cell's four ints in turn
+    weighted = [*map(born_weight, ints, ints, ints, ints, repeat(1)), (8 * wrong_w, 8 * wrong_r)]
+    plain, den = born_weights(dict(enumerate(weighted)), (8 * norm_w, 8 * norm_r, 8 * den))
     if not den:
         raise EmptyStateError("the zero state has no outcome distribution")
     nums = list(plain.values())

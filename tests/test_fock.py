@@ -267,6 +267,25 @@ def test_multiply_by_vacuum_unit_is_identity():
     assert multiply(poly, vacuum_unit()) == poly
 
 
+def test_powers_are_repeated_products_from_the_base():
+    pair = creation(AV) * creation(BH) - creation(AH) * creation(BV) * I_UNIT
+    assert pair ** 0 == vacuum_unit()
+    assert pair ** 1 == pair
+    assert pair ** 3 == pair * pair * pair
+
+
+@pytest.mark.parametrize("exponent", [True, False, 2.0, Fraction(2), "2", None])
+def test_a_power_takes_only_an_int_exponent(exponent):
+    # a bool is no exponent, though True == 1
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        creation(AH) ** exponent
+
+
+def test_negative_powers_raise():
+    with pytest.raises(ValueError, match="negative powers"):
+        creation(AH) ** -1
+
+
 def test_substitute_single_rule():
     rule = {BH: ((CH := Mode(Beam.C, Polarization.H), INV_SQRT2), (GH, INV_SQRT2))}
     image = substitute(creation(BH), rule)

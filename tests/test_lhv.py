@@ -251,6 +251,21 @@ def test_quantum_targets_check_the_visibility_once_as_add_noise_does(monkeypatch
     assert noisy == tuple(measurement.add_noise(t, Fraction(13, 20)) for t in ideal)
 
 
+@pytest.mark.parametrize("conjugate", ["no", None, 1])
+def test_quantum_targets_refuse_a_conjugate_that_is_not_a_bool(conjugate):
+    # the ideal tables are cached by conjugate, where an untyped key 1 finds True's entry
+    from ghzsim.events import _ideal_tables
+
+    quantum_targets(conjugate=True)
+    before = (_ideal_tables.cache_info().currsize, measurement._analyzer.cache_info().currsize)
+    with pytest.raises(TypeError, match="quantum_targets: conjugate must be a bool"):
+        quantum_targets(conjugate=conjugate)
+    with pytest.raises(TypeError, match="conjugate must be a bool"):
+        ghz_paradox_check(conjugate)
+    assert (_ideal_tables.cache_info().currsize,
+            measurement._analyzer.cache_info().currsize) == before
+
+
 def test_mismatched_wrong_mass_is_rejected():
     targets = list(quantum_targets())
     bad = OutcomeTable(

@@ -27,6 +27,7 @@ from ghzsim.fock import (
     Mode,
     OrderMixError,
     Polarization,
+    SQRT2,
     StatePolynomial,
     TRIGGER,
     ZH,
@@ -145,6 +146,45 @@ def test_analyzer_transforms_are_built_and_checked_once_per_process(monkeypatch)
         outcome_distribution(state, triple, conjugate)
     # one Gram check per (station, setting, conjugate)
     assert len(checked) == len(Station) * len(AnalyzerSetting) * 2 == 12
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("setting", list(AnalyzerSetting))
+@pytest.mark.parametrize("station", list(Station))
+def test_phase_rows_are_the_analyzer_rules_times_sqrt2(station, setting, conjugate):
+    # row: slot read +1 (H), then −1 (V); column: outcome +1 (H), then −1 (V)
+    rules = analyzer_transform(station, setting, conjugate).rules
+    modes = (Mode(station.beam, Polarization.H), Mode(station.beam, Polarization.V))
+    expected = []
+    for slot in modes:
+        factors = dict(rules[slot])
+        units = [factors.get(target, Amplitude()) * SQRT2 for target in modes]
+        assert all(u.is_zero or (u.re_sqrt2, u.im_sqrt2, u.re.denominator, u.im.denominator)
+                   == (0, 0, 1, 1) for u in units)  # each a Gaussian integer
+        expected.append([(int(u.re), int(u.im)) for u in units])
+    assert [list(row) for row in measurement._phases(station, setting, conjugate)] == expected
+
+
+@pytest.mark.parametrize("settings", ["xxx", None, ("x", "x", "x"), Station.G])
+def test_settings_that_are_not_a_triple_raise_type_error(settings):
+    with pytest.raises(TypeError, match="outcome_distribution: settings must be a member of "
+                                        "SettingTriple"):
+        outcome_distribution(right_part(), settings)
+
+
+@pytest.mark.parametrize("conjugate", ["no", None, 1, 0])
+def test_a_conjugate_that_is_not_a_bool_raises_and_caches_nothing(conjugate):
+    # 1 and 0 equal True and False, so an untyped cache would answer for them
+    triple = SettingTriple.from_code("xyy")
+    for flag in (False, True):
+        outcome_distribution(right_part(), triple, flag)
+    before = measurement._analyzer.cache_info().currsize
+    with pytest.raises(TypeError, match="conjugate must be a bool"):
+        outcome_distribution(right_part(), triple, conjugate)
+    for station in STATIONS:
+        with pytest.raises(TypeError, match="conjugate must be a bool"):
+            analyzer_transform(station, AnalyzerSetting.CIRCULAR, conjugate)
+    assert measurement._analyzer.cache_info().currsize == before
 
 
 def test_setting_codes_are_fixed_at_construction():
@@ -376,10 +416,10 @@ def test_the_sum_check_sees_mass_that_analysis_drops(monkeypatch):
     real = measurement._phases
 
     def dropping(station, setting, conjugate):
-        phases = real(station, setting, conjugate)
+        rows = real(station, setting, conjugate)
         if station is Station.G:
-            del phases[1, -1]  # the V target of the H slot's rule is lost
-        return phases
+            rows[0][1] = (0, 0)  # the slot +1 row's phase to outcome −1 is lost
+        return rows
 
     monkeypatch.setattr(measurement, "_phases", dropping)
     with pytest.raises(ValueError, match="table must sum to 1 exactly, got 15/16"):
