@@ -214,16 +214,16 @@ def _cmd_correlations(config: RunConfig) -> int:
 _PULSE_MARK = -1  # a pulse index no line can hold otherwise
 
 
-def _line_parts(event) -> tuple:
-    """The ``EVENT`` line of ``event`` before and after its pulse index, and its
+def _line_parts(pattern, event_class, veto: bool) -> tuple:
+    """The ``EVENT`` line of an event before and after its pulse index, and its
     class wire.  Only the pulse index differs between events of one pattern
     and veto flag, so the line is split around a marker index."""
-    from .sampler import EVENT, SampledEvent  # loaded by the call that drew ``event``
+    from .sampler import EVENT, SampledEvent  # loaded by the call that drew the event
 
-    probe = SampledEvent(_PULSE_MARK, event.pattern, event.event_class, event.herald_veto)
+    probe = SampledEvent(_PULSE_MARK, pattern, event_class, veto)
     text = json.dumps(EVENT[0](probe), sort_keys=True)
     head, tail = text.split(str(_PULSE_MARK))
-    return head, tail + "\n", event.event_class.wire
+    return head, tail + "\n", event_class.wire
 
 
 def _stream_events(config: RunConfig, out) -> dict:
@@ -236,15 +236,15 @@ def _stream_events(config: RunConfig, out) -> dict:
     )
     memo: dict = {}
     counts: dict = {}
-    for event in events:
-        if config.redefined_trigger and event.herald_veto:
+    for pulse, pattern, event_class, veto in events:  # each event unpacked once
+        if config.redefined_trigger and veto:
             continue
-        key = event.pattern, event.herald_veto
+        key = pattern, veto
         parts = memo.get(key)
         if parts is None:
-            parts = memo[key] = _line_parts(event)
+            parts = memo[key] = _line_parts(pattern, event_class, veto)
         head, tail, wire = parts
-        out.write(f"{head}{event.pulse_index}{tail}")
+        out.write(f"{head}{pulse}{tail}")
         counts[wire] = counts.get(wire, 0) + 1
     return counts
 

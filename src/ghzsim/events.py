@@ -420,6 +420,8 @@ QUANTUM_TABLES = derived_codec(
 
 def derived_seed(seed: int, chunk_index: int) -> int:
     """Seed for a split pulse range: first 8 bytes of sha256(seed:chunk)."""
+    require_type(int, seed, "derived_seed: seed must be an int")
+    require_type(int, chunk_index, "derived_seed: chunk index must be an int")
     import hashlib  # deferred: the CLI never derives a seed, and hashlib loads OpenSSL
 
     digest = hashlib.sha256(f"{seed}:{chunk_index}".encode()).digest()
@@ -441,7 +443,7 @@ def sample_events(
     empty pulse, so the work of a call grows with the events it emits, not
     with ``pulses``.
 
-    ``pulses`` is an ``int`` and both probabilities pass
+    ``pulses`` and ``seed`` are non-negative ``int`` and both probabilities pass
     :func:`ghzsim.fock.exact`; a float or a ``bool`` raises ``TypeError``.
 
     Identical arguments yield byte-identical streams.  Draws are made per
@@ -454,9 +456,10 @@ def sample_events(
     the survival factor ``(1-loss_prob)**n`` of an n-photon component,
     which is the physical effect of a heralded loss channel.
     """
-    require_type(int, pulses, "pulse count must be an int")
-    if pulses < 0:
-        raise ConfigurationError(f"pulse count {pulses} is negative")
+    for name, value in (("pulse count", pulses), ("seed", seed)):
+        require_type(int, value, f"{name} must be an int")
+        if value < 0:  # Random would fold a seed's sign: -5 would draw the stream of 5
+            raise ConfigurationError(f"{name} {value} is negative")
     if not exact((pair_prob, loss_prob)):
         raise TypeError(f"probabilities must be exact rationals, got {pair_prob!r}, {loss_prob!r}")
     pair_prob, loss_prob = Fraction(pair_prob), Fraction(loss_prob)

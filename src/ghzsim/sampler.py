@@ -12,21 +12,20 @@ The two emission laws, which depend on no argument, are derived once per
 process, and so is each detection table, when an event first needs it;
 the tables of one pair and loss probability are built per call.  Only
 ``sample_events`` loads this module, so the table and verdict commands
-never compile it.  ``SampledEvent`` writes its fields into its ``__dict__``
-in a hand-written ``__init__``: the generated one calls ``object.__setattr__``
-once per field, about half of the cost of building an event.
+never compile it.  ``SampledEvent`` is a frozen dataclass backed by a ``tuple``,
+so the draw loop builds each event in C, the size of a plain 4-tuple.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, prod
-from operator import mul
+from operator import itemgetter, mul
 from random import Random
 from typing import Dict, Iterable, Iterator, Optional
 
@@ -42,18 +41,35 @@ from .fock import BOOL, INT, PATTERN, Pattern, born_terms, born_weights, monomia
 from .measurement import over_common_denominator
 
 
-@dataclass(frozen=True)  # a tuple-backed Record (ROADMAP item 12) once perfbench uses _replace
-class SampledEvent:
+# a tuple of its fields, each read by index, hashed in C; equal only to an event; no order
+@dataclass(frozen=True, init=False)
+class SampledEvent(tuple):
+    __slots__ = ()
     pulse_index: int
     pattern: Pattern
     event_class: EventClass
     herald_veto: bool
+    __hash__ = tuple.__hash__
 
-    def __init__(self, pulse_index: int, pattern: Pattern, event_class: EventClass,
-                 herald_veto: bool):
-        fields = self.__dict__  # the generated __init__ would call object.__setattr__ four times
-        fields["pulse_index"], fields["pattern"] = pulse_index, pattern
-        fields["event_class"], fields["herald_veto"] = event_class, herald_veto
+    def __new__(cls, pulse_index, pattern, event_class, herald_veto):
+        return tuple.__new__(cls, (pulse_index, pattern, event_class, herald_veto))
+
+    def __getnewargs__(self) -> tuple:  # pickle and copy rebuild through __new__
+        return tuple(self)
+
+    def __eq__(self, other):
+        return type(other) is SampledEvent and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's item-by-item !=
+
+    def __lt__(self, other):
+        raise TypeError("sampled events have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+for _index, _field in enumerate(fields(SampledEvent)):
+    setattr(SampledEvent, _field.name, property(itemgetter(_index)))
 
 
 EVENT = record_codec(
@@ -282,6 +298,7 @@ class _Sampler:
         getrandbits, skipped_blocks, pulses = rng.getrandbits, self.skipped_blocks, self.pulses
         emission, steps, block = self.emission, self.steps, self.block
         emission_cuts, dense, lossy = emission._leading, self.dense, bool(self.survivors)
+        new, event_type = tuple.__new__, SampledEvent  # an event is built in C, with no frame
         pulse = 0
         while pulse < pulses:
             if not dense:  # the empty blocks first, then (offset, component)
@@ -321,7 +338,7 @@ class _Sampler:
                 if cuts[i - 1] == u:
                     i = table._settle(rng, u)
                 pattern, event_class = table.values[i]
-            yield SampledEvent(pulse, pattern, event_class, veto)
+            yield new(event_type, (pulse, pattern, event_class, veto))
             pulse += 1
 
 

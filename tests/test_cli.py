@@ -255,6 +255,19 @@ def test_negative_pulses_exit_through_the_envelope(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_negative_seed_exits_through_the_envelope(capsys, tmp_path):
+    # Random folds the sign of a seed, so --seed -5 wrote the artifact of --seed 5
+    target = tmp_path / "events.jsonl"
+    base = ["sample", "--pulses", "2000", "--pair-prob", "1/20"]
+    for argv in (base + ["--seed", "-5"],
+                 base + ["--seed=-5", "--format", "json", "--output", str(target)]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert _one_envelope(err) == {"type": "ConfigurationError",
+                                      "message": "seed -5 is negative"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sigint_exits_130_through_one_envelope(capsys, monkeypatch, tmp_path):
     first = next(sample_events(2000, Fraction(1, 20), 1))
 

@@ -1,14 +1,19 @@
 """Trigger post-selection, classification, pairing, loss, and the sampler."""
 
+import copy
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
 import math
+import operator
 import pickle
 import random
+import sys
+import tracemalloc
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from itertools import accumulate, product
 
 import pytest
@@ -488,7 +493,7 @@ def test_event_json_roundtrip():
 
 
 # the class ``@dataclass(frozen=True)`` makes of SampledEvent's fields, its
-# generated ``__init__`` included; SampledEvent's own ``__init__`` must match it
+# generated ``__init__`` included; SampledEvent's ``__new__`` must match it
 _GeneratedEvent = dataclasses.make_dataclass(
     "SampledEvent",
     [(field.name, field.type) for field in dataclasses.fields(SampledEvent)],
@@ -520,11 +525,72 @@ def test_sampled_event_keeps_the_frozen_dataclass_contract():
     twins = [_GeneratedEvent(*dataclasses.astuple(event)) for event in events]
     for event, twin in zip(events, twins):
         assert repr(event) == repr(twin) and hash(event) == hash(twin)
-        assert list(vars(event).items()) == list(vars(twin).items())
-        copied = pickle.loads(pickle.dumps(event))
-        assert type(copied) is SampledEvent and copied == event and vars(copied) == vars(twin)
+        assert not hasattr(event, "__dict__")  # the fields live in the tuple
+        assert list(dataclasses.asdict(event).items()) == list(dataclasses.asdict(twin).items())
+        plain = tuple(event)
+        assert not event == plain and not plain == event and event != plain and plain != event
+        for compare, record in product((operator.lt, operator.le, operator.gt, operator.ge),
+                                       (event, twin)):  # neither record is ordered
+            with pytest.raises(TypeError):
+                compare(record, record)
+        for rebuilt in (copy.copy(event), copy.deepcopy(event),
+                        pickle.loads(pickle.dumps(event))):
+            assert type(rebuilt) is SampledEvent and rebuilt == event
+            assert dataclasses.asdict(rebuilt) == dataclasses.asdict(twin)
     for (a, twin_a), (b, twin_b) in product(zip(events, twins), repeat=2):
         assert (a == b) is (twin_a == twin_b)
+
+
+def test_a_held_event_costs_no_more_than_a_plain_tuple():
+    # an event held in memory is the tuple of its fields; a record that keeps
+    # its fields in an instance ``__dict__`` costs about 95 bytes more
+    values = [(event.pulse_index, event.pattern, event.event_class, event.herald_veto)
+              for event in sample_events(250000, DENSE_P, 3, Fraction(1, 10))][:10**4]
+    assert len(values) == 10**4
+
+    def held_bytes(build) -> int:
+        # CPython recycles freed 4-tuples from a free list that tracemalloc does
+        # not see: holding 4000 empties it, so every plain tuple below is traced
+        spare = [(n, n, n, n) for n in range(4000)]
+        tracemalloc.start()
+        held = [build(*fields) for fields in values]
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert spare and len(held) == len(values)  # both lists were held while traced
+        return size
+
+    assert held_bytes(SampledEvent) - held_bytes(lambda *fields: fields) <= 16 * len(values)
+
+
+def _python_calls(pulses: int):
+    """(Python ``call`` events outside the frames of ``sample_events`` and
+    ``_Sampler.draw``, events) of one dense draw, its per-process tables warm."""
+    args = (pulses, DENSE_P, 5, Fraction(1, 10))
+    deque(sample_events(*args), maxlen=0)
+    skipped = {sample_events.__code__, _Sampler.draw.__code__}
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code not in skipped
+
+    collecting = gc.isenabled()
+    gc.disable()  # a collection would run the Python callbacks in gc.callbacks
+    sys.setprofile(profile)
+    try:
+        drawn = list(sample_events(*args))
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls, len(drawn)
+
+
+def test_a_dense_draw_runs_no_python_frame_per_event():
+    # the set-up of a call runs Python frames; an event is built in C
+    (short, few), (long, many) = _python_calls(50000), _python_calls(200000)
+    assert many > 3 * few > 6000
+    assert short == long
 
 
 def test_detection_tables_are_built_once_per_process(monkeypatch):
@@ -600,6 +666,27 @@ def test_the_event_stream_annotation_resolves():
 
     hints = typing.get_type_hints(sample_events)
     assert hints["return"] == typing.Iterator[SampledEvent]
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "1", None])
+def test_sampler_takes_an_int_seed(seed):
+    # True and 1.0 drew seed 1's stream, and None an unseeded one
+    with pytest.raises(TypeError, match="seed must be an int"):
+        list(sample_events(2000, DENSE_P, seed))
+
+
+def test_sampler_refuses_a_negative_seed():
+    # Random folds the sign of its seed: -5 would draw the stream of 5
+    assert random.Random(-5).getrandbits(WORD) == random.Random(5).getrandbits(WORD)
+    with pytest.raises(ConfigurationError, match="seed -5 is negative"):
+        list(sample_events(2000, DENSE_P, -5))
+
+
+@pytest.mark.parametrize("seed,chunk", [(True, 0), (1.0, 0), ("1", 0), (1, True), (1, 0.0)])
+def test_derived_seed_takes_int_arguments(seed, chunk):
+    # derived_seed(True, 0) hashed "True:0", while sample_events drew seed 1
+    with pytest.raises(TypeError, match="derived_seed: (seed|chunk index) must be an int"):
+        derived_seed(seed, chunk)
 
 
 def test_derived_seed_is_stable():

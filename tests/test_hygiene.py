@@ -144,9 +144,9 @@ def test_strategies_are_built_only_by_the_enumeration_and_the_mixture_decoder():
 # CLI run; value types derive from ``fock.Record`` and copy with ``_replace``
 # instead.  These three stay dataclasses because the benchmark's own tests
 # (perfbench/test_perfbench.py) copy them with ``dataclasses.replace``.
-# ``SampledEvent``, built once per sampled event, has a hand-written
-# ``__init__`` that fills its ``__dict__`` without the generated one's
-# ``object.__setattr__`` calls; ``dataclasses.replace`` builds through it.
+# ``SampledEvent``, built once per sampled event, is a ``tuple`` subclass with
+# no ``__init__`` and no ``__dict__``: the draw loop builds it in C with
+# ``tuple.__new__``, and ``dataclasses.replace`` builds through its ``__new__``.
 REPLACEABLE_RECORDS = {
     "lhv.py:Certificate",
     "lhv.py:FeasibilityOutcome",
