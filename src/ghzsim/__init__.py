@@ -27,19 +27,20 @@ _EXPORTS = {
         "innsbruck_circuit", "polarizing_beamsplitter",
     ),
     "measurement": (
-        "AnalyzerSetting", "OutcomeTable", "SettingTriple", "Station", "add_noise",
-        "all_setting_triples", "analyzer_transform", "correlation", "outcome_distribution",
+        "AnalyzerSetting", "OutcomeTable", "SettingTriple", "add_noise", "all_setting_triples",
+        "analyzer_transform", "correlation", "outcome_distribution", "quantum_targets",
     ),
     "events": (
-        "EventClass", "EventKind", "classify_pattern", "filter_loss_demo", "pairing_report",
-        "quantum_targets", "sample_events", "single_pair_emission", "trigger_select",
+        "EventClass", "EventKind", "Station", "classify_pattern", "filter_loss_demo",
+        "pairing_report", "sample_events", "single_pair_emission", "trigger_select",
         "two_pair_emission",
     ),
     "lhv": (
         "FeasibilityProblem", "LocalStrategy", "chi", "critical_visibility",
-        "ghz_paradox_check", "lemma_check", "lhv_feasibility", "sigma",
+        "ghz_paradox_check", "lemma_check", "lhv_feasibility", "mermin_certificate",
+        "mermin_strategy_bound", "mermin_value", "sigma",
     ),
-    "simplex": (),
+    "simplex": ("verify_farkas",),
     "sampler": ("SampledEvent",),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,7 +19,6 @@ from typing import Mapping, Sequence, Tuple
 
 from .fock import (
     AMPLITUDE,
-    Amplitude,
     Beam,
     GhzsimError,
     INV_SQRT2,
@@ -37,7 +36,6 @@ from .fock import (
     creation,
     derived_codec,
     mapping_codec,
-    norm_squared,
     record_codec,
     render_amplitude,
     sequence_codec,
@@ -272,11 +270,3 @@ def circuit_text(circuit: OpticalCircuit) -> str:
     sections.append(f"# composed\n{transform_text(composed)}")
     return "\n\n".join(sections) + "\n"
 
-
-def preserves_single_photon_norms(transform: ModeTransform) -> bool:
-    """Exact norm check of a transform on every single-photon source state."""
-    for source in transform.rules:
-        image = transform.apply(creation(source))
-        if norm_squared(image) != Amplitude(1):
-            return False
-    return True

@@ -22,11 +22,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-# a command that needs lhv (and with it simplex) imports it itself, so that
-# only the verdict commands load the LP; only sample_events loads the sampler
+# a command that needs measurement or lhv (and with it simplex) imports it itself, so
+# that only the table and verdict commands load the tables and only the verdict
+# commands the LP; only sample_events loads the sampler
 from . import circuit as circuit_mod
 from . import events as events_mod
-from . import measurement as measurement_mod
 from .fock import (
     GhzsimError,
     Record,
@@ -197,8 +197,10 @@ def _cmd_dump_circuit(config: RunConfig) -> int:
 
 
 def _cmd_correlations(config: RunConfig) -> int:
-    tables = events_mod.quantum_targets(config.visibility)
-    payload = events_mod.QUANTUM_TABLES[0]((config.visibility, tables))
+    from . import measurement as measurement_mod
+
+    tables = measurement_mod.quantum_targets(config.visibility)
+    payload = measurement_mod.QUANTUM_TABLES[0]((config.visibility, tables))
     correlations = payload["correlations"]
     lines = [f"visibility {config.visibility}"]
     lines += [f"E({code}) = {value}" for code, value in sorted(correlations.items())]

@@ -1,5 +1,5 @@
-"""Emission states, trigger post-selection, event classification, the
-heralded state with its outcome tables, and the event stream.
+"""Emission states, trigger post-selection, the detector model, event
+classification, the heralded state and the event stream.
 
 The pulsed source emits polarization-entangled pairs into beams a and b.
 The first-order process creates one pair, the second-order process two
@@ -9,14 +9,20 @@ classified as right events (one photon at each station), wrong pairs (a
 two-photon station paired with an empty one), double non-detections (the
 single-pair background) or trigger failures.
 
+The detector model is stated once, here: each station mode's station and ±1
+readout, :data:`DETECTOR_MODES`, and :func:`read_pattern`, the one rule for a
+right event (one trigger photon and one photon at each station), which
+:func:`classify_pattern` and the outcome tables of :mod:`ghzsim.measurement`
+both read.
+
 Filter loss is modeled as an event-level heralded removal channel: a
 removed photon simply disappears from the pattern and raises the herald
 flag.  The redefined trigger — a single trigger photon *and* no herald
 click — discards every loss-contaminated event.
 
-The heralded state is derived once per process, and so are its eight exact
-outcome tables, which :func:`quantum_targets` mixes with white noise.  The
-event stream (:func:`sample_events`) draws through the tables of
+The heralded state is derived once per process; its outcome tables live in
+:mod:`ghzsim.measurement`, which the event stream never loads.  The event
+stream (:func:`sample_events`) draws through the tables of
 :mod:`ghzsim.sampler`, which only a call of it loads.
 """
 
@@ -30,7 +36,6 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import ghzsim  # names the sampler's event type in sample_events' annotation, loading nothing
 
-from . import measurement
 from .circuit import innsbruck_circuit
 from .fock import (
     AH,
@@ -43,12 +48,13 @@ from .fock import (
     Mode,
     PATTERN,
     Pattern,
-    RATIONAL,
+    Polarization,
     Record,
     StatePolynomial,
     TERM,
     TERMS,
     TEXT,
+    TRIGGER,
     as_pattern,
     creation,
     derived_codec,
@@ -60,20 +66,8 @@ from .fock import (
     pattern_to_json,
     record_codec,
     require_type,
-    sequence_codec,
     terms_codec,
     tuple_codec,
-)
-from .measurement import (
-    STATIONS,
-    TABLE,
-    OutcomeTable,
-    Station,
-    _checked_visibility,
-    _mix_noise,
-    all_setting_triples,
-    correlation_from_table,
-    read_pattern,
 )
 
 
@@ -130,6 +124,65 @@ def trigger_select(state: StatePolynomial) -> StatePolynomial:
         if not beams & {Beam.A, Beam.B}:
             raise ConfigurationError("emission term carries no a/b photons")
     return filter_terms(state, lambda pat: occupation(pat, AH) == 1)
+
+
+# ---------------------------------------------------------------------------
+# The detector model
+# ---------------------------------------------------------------------------
+
+
+class Station(Enum):
+    __hash__ = object.__hash__  # members are singletons: hashed by identity, in C
+
+    G = Beam.G
+    H = Beam.H
+    Z = Beam.Z
+
+    @property
+    def beam(self) -> Beam:
+        return self.value
+
+
+STATIONS = (Station.G, Station.H, Station.Z)
+
+Outcome = Tuple[int, int, int]
+
+# (station index, readout) of each station mode
+_STATION_READOUT: Dict[Mode, Tuple[int, int]] = {
+    Mode(station.beam, polarization): (
+        index, 1 if polarization is Polarization.H else -1
+    )
+    for index, station in enumerate(STATIONS)
+    for polarization in Polarization
+}
+
+# the modes a detection pattern may occupy: the trigger and the six station modes
+DETECTOR_MODES = frozenset((TRIGGER, *_STATION_READOUT))
+
+
+def read_pattern(pattern: Pattern) -> Tuple[int, Tuple[int, int, int], Outcome | None]:
+    """(trigger photons, photons at stations G, H and Z, outcome) of a detection
+    pattern over :data:`DETECTOR_MODES`.
+
+    The outcome is the readout triple of a right event — one trigger photon and
+    one photon at each station — and None for every other pattern.  A photon in
+    any mode outside :data:`DETECTOR_MODES` raises ValueError naming the mode.
+    """
+    trigger = 0
+    hits = [0, 0, 0]
+    reads = [0, 0, 0]
+    for mode, count in pattern:
+        if mode is TRIGGER:
+            trigger = count
+            continue
+        readout = _STATION_READOUT.get(mode)
+        if readout is None:
+            raise ValueError(f"mode {mode} is not a detector mode")
+        station, read = readout
+        hits[station] += count
+        reads[station] = read
+    right = trigger == 1 and hits == [1, 1, 1]
+    return trigger, tuple(hits), tuple(reads) if right else None  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +277,9 @@ def event_class_from_wire(text: str) -> EventClass:
 def classify_pattern(pattern) -> EventClass:
     """The class in :data:`EVENT_CLASSES` of a detection pattern.
 
-    ``measurement.read_pattern`` reads the pattern, so a photon outside
-    ``measurement.DETECTOR_MODES`` raises ValueError, and the pattern is a
-    right event exactly when the outcome tables give it an outcome.  Every
+    :func:`read_pattern` reads the pattern, so a photon outside
+    :data:`DETECTOR_MODES` raises ValueError, and the pattern is a right
+    event exactly when the outcome tables give it an outcome.  Every
     other pattern with one trigger photon is a wrong pair (one station holds
     two photons and another none), a double non-detection (at most one
     station photon) or an unpaired leftover that only loss produces.
@@ -376,7 +429,7 @@ def filter_loss_demo(removed: str) -> FilterLossDemo:
 
 
 # ---------------------------------------------------------------------------
-# The heralded state and the quantum outcome tables
+# The heralded state
 # ---------------------------------------------------------------------------
 
 
@@ -386,31 +439,9 @@ def heralded_state() -> StatePolynomial:
     return innsbruck_circuit().apply(trigger_select(two_pair_emission()))
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 1 misses True's entry, and the analyzer refuses it
-def _ideal_tables(conjugate: bool) -> Tuple[OutcomeTable, ...]:
-    state = heralded_state()
-    # looked up on measurement at call time, so perfbench's tracer, which wraps it there, sees it
-    return tuple(measurement.outcome_distribution(state, triple, conjugate)
-                 for triple in all_setting_triples())
-
-
-def quantum_targets(
-    visibility: Fraction = Fraction(1), conjugate: bool = False
-) -> Tuple[OutcomeTable, ...]:
-    """The eight outcome tables at the given fringe visibility, checked once."""
-    a, b = _checked_visibility(visibility)
-    require_type(bool, conjugate, "quantum_targets: conjugate must be a bool")
-    return tuple(_mix_noise(t, a, b) for t in _ideal_tables(conjugate))
-
-
 # the stages of heralded_state: (emission, post-trigger, heralded)
 DERIVATION = tuple_codec(("two_pair_emission", TERMS), ("post_trigger", TERMS),
                          ("behind_circuit", CLASSIFIED_TERMS))
-# (visibility, tables), with the correlations derived from the tables
-QUANTUM_TABLES = derived_codec(
-    tuple_codec(("visibility", RATIONAL), ("tables", sequence_codec(TABLE))), "correlations",
-    lambda value: {t.settings.code: str(correlation_from_table(t)) for t in value[1]},
-)
 
 
 # ---------------------------------------------------------------------------

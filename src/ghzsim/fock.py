@@ -74,6 +74,16 @@ def over_one_denominator(values: Sequence[Rational]) -> Tuple[List[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+IntegerForm = Tuple[Tuple[int, ...], int]  # numerators over one positive denominator
+
+
+def over_common_denominator(forms: Sequence[IntegerForm]) -> Tuple[List[List[int]], int]:
+    """The numerators of each integer form over the lcm of the forms'
+    denominators, and that lcm."""
+    den = lcm(*(d for _, d in forms))
+    return [[n * (den // d) for n in nums] for nums, d in forms], den
+
+
 class Amplitude:
     """Element ``(re + im*i) + (re_sqrt2 + im_sqrt2*i)*sqrt(2)`` times gamma^order.
 
@@ -192,11 +202,6 @@ class Amplitude:
 
     def __truediv__(self, other: "Amplitude") -> "Amplitude":
         return self * other.inverse()
-
-    def to_fraction(self) -> Fraction:
-        if any(self._num[1:]) or self._order:
-            raise IrrationalValueError(f"{self} is not a plain rational")
-        return self.re
 
     def __str__(self) -> str:
         return render_amplitude(self)
@@ -604,10 +609,6 @@ def occupation(pattern: Pattern, mode: Mode) -> int:
     return dict(pattern).get(mode, 0)
 
 
-def total_photons(pattern: Pattern) -> int:
-    return sum(n for _, n in pattern)
-
-
 def mode_from_name(name: str) -> Mode:
     try:
         return MODE_BY_NAME[name]
@@ -736,10 +737,6 @@ def _accumulate(terms: dict, pattern: Pattern, coeff: Amplitude) -> None:
 def scalar(coeff: Amplitude) -> StatePolynomial:
     """The polynomial ``coeff * 1`` (vacuum unit scaled)."""
     return StatePolynomial({(): coeff})
-
-
-def vacuum_unit() -> StatePolynomial:
-    return scalar(ONE)
 
 
 def creation(mode: Mode, coeff: Amplitude = ONE) -> StatePolynomial:

@@ -46,7 +46,6 @@ from operator import itemgetter, mul, xor
 from numbers import Rational
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .events import _ideal_tables, quantum_targets
 from .fock import (
     BOOL,
     GhzsimError,
@@ -57,6 +56,7 @@ from .fock import (
     derived_codec,
     exact,
     mapping_codec,
+    over_common_denominator,
     over_one_denominator,
     record_codec,
     require_type,
@@ -69,10 +69,11 @@ from .measurement import (
     Outcome,
     OutcomeTable,
     SettingTriple,
+    _ideal_tables,
     all_setting_triples,
     correlation_from_table,
     outcome_code,
-    over_common_denominator,
+    quantum_targets,
 )
 from .simplex import solve_feasibility
 

@@ -1,4 +1,4 @@
-"""Analyzer-basis measurement and exact outcome statistics.
+"""Analyzer-basis measurement, exact outcome statistics and the heralded tables.
 
 Each observation station chooses one of two analyzer bases: linear
 polarizations at ±45° or left/right circular.  The analyzer is modeled as a
@@ -18,10 +18,11 @@ calls +1 is pure bookkeeping — every local-realism verdict is invariant
 under it, which the test suite checks by mirroring all three stations at
 once (``conjugate=True``).
 
-The detector model is stated once, here: each station mode's station and ±1
-readout, :data:`DETECTOR_MODES`, and :func:`read_pattern`, the one rule for a
-right event (one trigger photon and one photon at each station), which the
-outcome tables and ``events.classify_pattern`` both read.
+The tables read the detector model of :mod:`ghzsim.events` (:func:`read_pattern`
+and each station mode's ±1 readout), the one rule for a right event that
+``events.classify_pattern`` reads too.  The eight ideal tables of the heralded
+state are derived once per process, and :func:`quantum_targets` mixes them with
+white noise.
 
 Outcome tables are exact: cells are joint probabilities of a triggered
 right event with a given outcome triple, and ``wrong_mass`` collects the
@@ -41,32 +42,34 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
-from math import gcd, isqrt, lcm
-from typing import Dict, List, Mapping, Sequence, Tuple
+from math import gcd, isqrt
+from typing import List, Mapping, Sequence, Tuple
 
 from .circuit import ModeTransform
+from .events import STATIONS, _STATION_READOUT, Outcome, Station, heralded_state, read_pattern
 from .fock import (
     Amplitude,
-    Beam,
     GhzsimError,
     INV_SQRT2,
+    IntegerForm,
     Mode,
-    Pattern,
     Polarization,
     RATIONAL,
     Record,
     StatePolynomial,
     TEXT,
-    TRIGGER,
     born_terms,
     born_weight,
     born_weights,
+    derived_codec,
     exact,
     mapping_codec,
     not_a_member,
     over_one_denominator,
     record_codec,
     require_type,
+    sequence_codec,
+    tuple_codec,
 )
 
 
@@ -93,21 +96,6 @@ _SETTING_CODE = {AnalyzerSetting.LINEAR45: "x", AnalyzerSetting.CIRCULAR: "y"}
 _SETTING_BY_CODE = {code: setting for setting, code in _SETTING_CODE.items()}
 
 
-class Station(Enum):
-    __hash__ = object.__hash__
-
-    G = Beam.G
-    H = Beam.H
-    Z = Beam.Z
-
-    @property
-    def beam(self) -> Beam:
-        return self.value
-
-
-STATIONS = (Station.G, Station.H, Station.Z)
-
-
 class SettingTriple(Record):
     """The three analyzer choices for stations G, H and Z."""
 
@@ -130,12 +118,6 @@ class SettingTriple(Record):
             raise ValueError(f"setting code must match [xy]{{3}}, got {code!r}")
         return cls(*(_SETTING_BY_CODE[c] for c in code))
 
-    def setting(self, station: Station) -> AnalyzerSetting:
-        try:
-            return self._values[STATIONS.index(station)]
-        except ValueError:
-            raise not_a_member("SettingTriple.setting", "station", station, Station) from None
-
     def __str__(self) -> str:
         return self.code
 
@@ -146,8 +128,6 @@ def all_setting_triples() -> Tuple[SettingTriple, ...]:
         for g, h, z in product(AnalyzerSetting, AnalyzerSetting, AnalyzerSetting)
     )
 
-
-Outcome = Tuple[int, int, int]
 
 OUTCOMES: Tuple[Outcome, ...] = tuple(product((1, -1), repeat=3))
 
@@ -199,16 +179,6 @@ def analyzer_transform(
 _analyzer = lru_cache(maxsize=None, typed=True)(analyzer_transform)
 
 
-IntegerForm = Tuple[Tuple[int, ...], int]  # numerators over one positive denominator
-
-
-def over_common_denominator(forms: Sequence[IntegerForm]) -> Tuple[List[List[int]], int]:
-    """The numerators of each integer form over the lcm of the forms'
-    denominators, and that lcm."""
-    den = lcm(*(d for _, d in forms))
-    return [[n * (den // d) for n in nums] for nums, d in forms], den
-
-
 def _table_form(numerators: Sequence[int], den: int) -> IntegerForm:
     """The one check of a table: cells and wrong mass as ``numerators`` over ``den``, ints (not
     bools), non-negative and summing to ``den``; cut by their gcd, so over their values' lcm."""
@@ -257,52 +227,6 @@ class OutcomeTable(Record):
     @property
     def right_mass(self) -> Fraction:
         return 1 - self.wrong_mass
-
-
-def pattern_distribution(state: StatePolynomial) -> Dict[Pattern, Fraction]:
-    """Exact Born probabilities of every occupation pattern of ``state``."""
-    weights, den = born_weights(*born_terms(state))
-    if not den:
-        raise EmptyStateError("the zero state has no outcome distribution")
-    return {pattern: Fraction(w, den) for pattern, w in weights.items()}
-
-
-# (station index, readout) of each station mode
-_STATION_READOUT: Dict[Mode, Tuple[int, int]] = {
-    Mode(station.beam, polarization): (
-        index, 1 if polarization is Polarization.H else -1
-    )
-    for index, station in enumerate(STATIONS)
-    for polarization in Polarization
-}
-
-# the modes a detection pattern may occupy: the trigger and the six station modes
-DETECTOR_MODES = frozenset((TRIGGER, *_STATION_READOUT))
-
-
-def read_pattern(pattern: Pattern) -> Tuple[int, Tuple[int, int, int], Outcome | None]:
-    """(trigger photons, photons at stations G, H and Z, outcome) of a detection
-    pattern over :data:`DETECTOR_MODES`.
-
-    The outcome is the readout triple of a right event — one trigger photon and
-    one photon at each station — and None for every other pattern.  A photon in
-    any mode outside :data:`DETECTOR_MODES` raises ValueError naming the mode.
-    """
-    trigger = 0
-    hits = [0, 0, 0]
-    reads = [0, 0, 0]
-    for mode, count in pattern:
-        if mode is TRIGGER:
-            trigger = count
-            continue
-        readout = _STATION_READOUT.get(mode)
-        if readout is None:
-            raise ValueError(f"mode {mode} is not a detector mode")
-        station, read = readout
-        hits[station] += count
-        reads[station] = read
-    right = trigger == 1 and hits == [1, 1, 1]
-    return trigger, tuple(hits), tuple(reads) if right else None  # type: ignore[return-value]
 
 
 def _phases(station: Station, setting: AnalyzerSetting,
@@ -421,4 +345,33 @@ TABLE = record_codec(
     ("settings", "settings", SETTING_TRIPLE),
     ("cells", "probabilities", mapping_codec((outcome_code, outcome_from_code), RATIONAL)),
     ("wrong_mass", "wrong_mass", RATIONAL),
+)
+
+
+# ---------------------------------------------------------------------------
+# The heralded state's tables
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 1 misses True's entry, and the analyzer refuses it
+def _ideal_tables(conjugate: bool) -> Tuple[OutcomeTable, ...]:
+    state = heralded_state()
+    # a global lookup at call time, so perfbench's tracer, which wraps it here, sees it
+    return tuple(outcome_distribution(state, triple, conjugate)
+                 for triple in all_setting_triples())
+
+
+def quantum_targets(
+    visibility: Fraction = Fraction(1), conjugate: bool = False
+) -> Tuple[OutcomeTable, ...]:
+    """The eight outcome tables at the given fringe visibility, checked once."""
+    a, b = _checked_visibility(visibility)
+    require_type(bool, conjugate, "quantum_targets: conjugate must be a bool")
+    return tuple(_mix_noise(t, a, b) for t in _ideal_tables(conjugate))
+
+
+# (visibility, tables), with the correlations derived from the tables
+QUANTUM_TABLES = derived_codec(
+    tuple_codec(("visibility", RATIONAL), ("tables", sequence_codec(TABLE))), "correlations",
+    lambda value: {t.settings.code: str(correlation_from_table(t)) for t in value[1]},
 )

@@ -37,8 +37,8 @@ from .events import (
     single_pair_emission,
     two_pair_emission,
 )
-from .fock import BOOL, INT, PATTERN, Pattern, born_terms, born_weights, monomial, record_codec
-from .measurement import over_common_denominator
+from .fock import (BOOL, INT, PATTERN, Pattern, born_terms, born_weights, monomial,
+                   over_common_denominator, record_codec)
 
 
 # a tuple of its fields, each read by index, hashed in C; equal only to an event; no order

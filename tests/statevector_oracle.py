@@ -11,8 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from ghzsim.events import Station
 from ghzsim.fock import Amplitude, INV_SQRT2
-from ghzsim.measurement import AnalyzerSetting, SettingTriple, Station
+from ghzsim.measurement import AnalyzerSetting, SettingTriple
+from reference import to_fraction
 
 # basis index per qubit: 0 = H, 1 = V; qubit order (g, h, z)
 _BASIS = tuple(product((0, 1), repeat=3))
@@ -38,10 +40,11 @@ def _analysis_vector(station, setting, outcome, conjugate):
 def oracle_distribution(settings: SettingTriple, conjugate: bool = False):
     """Exact conditional outcome probabilities of the right-part state."""
     stations = (Station.G, Station.H, Station.Z)
+    choices = (settings.g, settings.h, settings.z)
     table = {}
     for outcome in product((1, -1), repeat=3):
         vectors = [
-            _analysis_vector(stations[i], settings.setting(stations[i]), outcome[i], conjugate)
+            _analysis_vector(stations[i], choices[i], outcome[i], conjugate)
             for i in range(3)
         ]
         overlap = Amplitude()
@@ -50,7 +53,7 @@ def oracle_distribution(settings: SettingTriple, conjugate: bool = False):
             for i in range(3):
                 weight = weight * vectors[i][bits[i]].conjugate()
             overlap = overlap + weight
-        table[outcome] = overlap.abs_squared().to_fraction()
+        table[outcome] = to_fraction(overlap.abs_squared())
     return table
 
 

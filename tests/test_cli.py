@@ -244,6 +244,15 @@ def test_the_quantum_tables_load_no_lp_and_no_sampler():
     assert not {"ghzsim.lhv", "ghzsim.simplex", "ghzsim.sampler", "dataclasses"} & loaded
 
 
+def test_the_event_stream_loads_no_tables_and_no_lp():
+    # the sampler reads the detector model in events, never the outcome tables
+    loaded = _modules_loaded_by("import ghzsim\nfrom fractions import Fraction\n"
+                                "next(ghzsim.events.sample_events(20000, Fraction(1, 20), 7, "
+                                "Fraction(1, 10)))")
+    assert {"ghzsim.events", "ghzsim.sampler"} <= loaded
+    assert not {"ghzsim.measurement", "ghzsim.lhv", "ghzsim.simplex"} & loaded
+
+
 def test_negative_pulses_exit_through_the_envelope(capsys, tmp_path):
     target = tmp_path / "events.jsonl"
     for argv in (["sample", "--pulses", "-5"],
@@ -323,30 +332,32 @@ def test_a_bare_import_loads_no_submodule():
     assert not [name for name in loaded if name.startswith("ghzsim.")]
 
 
-# (argv, loads the LP): a command imports lhv, and with it simplex, only if it
-# uses them.  Only sample loads the sampler; the LP's records and the sampled
-# event are the only dataclasses, so the other commands never load dataclasses
+# (argv, loads the tables, loads the LP): a command imports measurement, and lhv
+# with simplex, only if it uses them.  Only sample loads the sampler; the LP's
+# records and the sampled event are the only dataclasses, so the other commands
+# never load dataclasses
 COMMAND_MODULES = [
-    (("sample", "--pulses", "20000", "--pair-prob", "1/20", "--loss-prob", "1/10"), False),
-    (("dump-circuit",), False),
-    (("classify", "--pattern", '{"a_H":1,"g_H":1,"h_V":1,"z_H":1}'), False),
-    (("classify",), False),
-    (("ghz-paradox",), True),
-    (("correlations", "--visibility", "2/3"), False),
-    (("expand",), False),
-    (("lhv-feasibility", "--visibility", "13/20"), True),
-    (("critical-visibility", "--depth", "2"), True),
+    (("sample", "--pulses", "20000", "--pair-prob", "1/20", "--loss-prob", "1/10"), False, False),
+    (("dump-circuit",), False, False),
+    (("classify", "--pattern", '{"a_H":1,"g_H":1,"h_V":1,"z_H":1}'), False, False),
+    (("classify",), False, False),
+    (("ghz-paradox",), True, True),
+    (("correlations", "--visibility", "2/3"), True, False),
+    (("expand",), False, False),
+    (("lhv-feasibility", "--visibility", "13/20"), True, True),
+    (("critical-visibility", "--depth", "2"), True, True),
 ]
 
 
-@pytest.mark.parametrize("argv,loads_lp", COMMAND_MODULES, ids=[
+@pytest.mark.parametrize("argv,loads_tables,loads_lp", COMMAND_MODULES, ids=[
     "sample", "dump-circuit", "classify-pattern", "classify-census", "ghz-paradox",
     "correlations", "expand", "lhv-feasibility", "critical-visibility"])
-def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, loads_lp):
+def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, loads_tables, loads_lp):
     full = [*argv, "--output", str(tmp_path / "artifact")]
     loaded = _modules_loaded_by(
         f"from ghzsim import cli\nassert cli.run(cli.parse_argv({full!r})) == 0")
     assert {"ghzsim.cli", "ghzsim.events"} <= loaded
+    assert ("ghzsim.measurement" in loaded) == loads_tables
     lp = {"ghzsim.lhv", "ghzsim.simplex"}
     assert lp & loaded == (lp if loads_lp else set())
     samples = argv[0] == "sample"

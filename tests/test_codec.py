@@ -22,11 +22,12 @@ from ghzsim.events import (
     CLASSIFIED_TERMS,
     DERIVATION,
     EVENT_CLASSES,
+    DETECTOR_MODES,
     PAIRING_REPORT,
-    QUANTUM_TABLES,
     EventClass,
     EventKind,
     PairingReport,
+    Station,
     event_class_from_wire,
 )
 from ghzsim.fock import (
@@ -60,11 +61,10 @@ from ghzsim.lhv import (
     right_sector_strategies,
 )
 from ghzsim.measurement import (
-    DETECTOR_MODES,
     OUTCOMES,
+    QUANTUM_TABLES,
     TABLE,
     OutcomeTable,
-    Station,
     all_setting_triples,
     outcome_code,
 )

@@ -25,11 +25,14 @@ from ghzsim.events import (
     EVENT_CLASSES,
     ConfigurationError,
     EventClass,
+    DETECTOR_MODES,
     EventKind,
     PairingViolationError,
     REASON_MULTI_TRIGGER,
     REASON_NO_TRIGGER,
     REASON_UNPAIRED,
+    STATIONS,
+    Station,
     classify_pattern,
     derived_seed,
     double_trigger_component,
@@ -37,6 +40,7 @@ from ghzsim.events import (
     filter_loss_demo,
     heralded_state,
     pairing_report,
+    read_pattern,
     remove_photons,
     sample_events,
     single_pair_emission,
@@ -66,15 +70,7 @@ from ghzsim.fock import (
     rational,
     substitute,
 )
-from ghzsim.measurement import (
-    DETECTOR_MODES,
-    STATIONS,
-    Station,
-    all_setting_triples,
-    analyzer_transform,
-    pattern_distribution,
-    read_pattern,
-)
+from ghzsim.measurement import all_setting_triples, analyzer_transform
 from ghzsim.sampler import (
     EVENT,
     MAX_BLOCK,
@@ -86,6 +82,7 @@ from ghzsim.sampler import (
     _output_table,
     _skip_bounds,
 )
+from reference import pattern_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +210,8 @@ def _sampler_output_patterns():
 def _analyzer_rules(triple, conjugate):
     """The three stations' analyzer rules of ``triple``, merged into one map."""
     rules = {}
-    for station in STATIONS:
-        rules.update(analyzer_transform(station, triple.setting(station), conjugate).rules)
+    for station, setting in zip(STATIONS, (triple.g, triple.h, triple.z)):
+        rules.update(analyzer_transform(station, setting, conjugate).rules)
     return rules
 
 

@@ -6,15 +6,15 @@ detector readout reads the trigger mode, ``@dataclass`` decorates only
 the records that callers copy with ``dataclasses.replace``, only the
 sampler reads its tables, the simplex pivots on integers alone, the
 evidence checks name nothing from the simplex and loop over integers alone,
-only the ring, the outcome tables and the simplex name ``lcm``, only the
-strategy enumeration and the decoder of a mixture build a ``LocalStrategy``,
-only the tables' integer check raises their sign and sum errors, only
-``fock`` tests for an exact value by hand (every other module calls
-``fock.exact``), only ``fock`` computes a Born weight (no other module names
-``factorial`` or calls the ring's ``abs_squared``, ``inverse`` or
-``to_fraction``), no source line is over 100 columns, and ``as_pattern``,
-``multiply`` and ``substitute`` sort a pattern only through the one
-canonicaliser, ``fock._canonical``.  One rule reads the loaded classes: a
+only the ring and the simplex name ``lcm``, only the strategy enumeration
+and the decoder of a mixture build a ``LocalStrategy``, only the tables'
+integer check raises their sign and sum errors, only ``fock`` tests for an
+exact value by hand (every other module calls ``fock.exact``), only ``fock``
+computes a Born weight (no other module names ``factorial`` or calls the
+ring's ``abs_squared``, ``inverse`` or ``to_fraction``), no source line is
+over 100 columns, ``as_pattern``, ``multiply`` and ``substitute`` sort a
+pattern only through the one canonicaliser, ``fock._canonical``, and every
+module-level function has a caller.  One rule reads the loaded classes: a
 mode and every enum member hash through ``object.__hash__``, in C, so the
 detector readout keys its tables by mode, not by mode name."""
 
@@ -83,7 +83,7 @@ def test_each_ghz_constraint_setting_is_written_once():
 
 
 def test_only_the_detector_readout_names_the_trigger_mode():
-    # measurement.read_pattern is the one rule that counts trigger photons
+    # events.read_pattern is the one rule that counts trigger photons
     places = {
         path.name
         for path in SOURCES
@@ -92,7 +92,7 @@ def test_only_the_detector_readout_names_the_trigger_mode():
         or (isinstance(node, ast.alias) and node.name == "TRIGGER")
         or (isinstance(node, ast.Attribute) and node.attr == "TRIGGER")
     }
-    assert places == {"fock.py", "measurement.py"}
+    assert places == {"fock.py", "events.py"}
 
 
 # the sampler's private table layout: its tables' word-sized cut points and tie
@@ -113,15 +113,15 @@ def test_only_the_sampler_reads_its_tables():
 
 
 def test_only_the_ring_the_tables_and_the_simplex_name_lcm():
-    # every other module puts its weights over one denominator through
-    # fock.over_one_denominator
+    # every other module, the tables included, puts its weights over one
+    # denominator through fock.over_one_denominator or fock.over_common_denominator
     places = {
         path.name
         for path in SOURCES
         for node in ast.walk(_tree(path))
         if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) == "lcm"
     }
-    assert places == {"fock.py", "measurement.py", "simplex.py"}
+    assert places == {"fock.py", "simplex.py"}
 
 
 def test_strategies_are_built_only_by_the_enumeration_and_the_mixture_decoder():
@@ -354,8 +354,37 @@ def test_modes_and_enum_members_hash_in_c():
 
 def test_the_detector_readout_looks_nothing_up_by_name():
     # modes hash in C, so a lookup keyed by a mode's name only adds an attribute read
-    functions = _functions(PACKAGE / "measurement.py")
-    for name in ("read_pattern", "_phases"):
-        reads = [node.lineno for node in ast.walk(functions[name])
+    for path, name in ((PACKAGE / "events.py", "read_pattern"),
+                       (PACKAGE / "measurement.py", "_phases")):
+        reads = [node.lineno for node in ast.walk(_functions(path)[name])
                  if isinstance(node, ast.Attribute) and node.attr == "name"]
         assert reads == [], f"{name} reads .name on lines {reads}"
+
+
+def _names(tree: ast.AST) -> set:
+    return {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_every_module_function_has_a_caller():
+    # a function is referenced by another statement of the package, exported by
+    # it, imported by the acceptance suite, or read off a ghzsim module by the
+    # benchmark (perfbench binds names such as lhv._cell_rows); the interpreter
+    # calls a module's dunder hooks itself.  Code nothing reaches is dead weight
+    # that every command still compiles
+    statements = [statement for path in SOURCES for statement in _tree(path).body]
+    exported = {name for names in ghzsim._EXPORTS.values() for name in names}
+    accepted = {alias.asname or alias.name
+                for node in ast.walk(_tree(PACKAGE.parents[1] / "tests" / "test_acceptance.py"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bound = set().union(*map(_names, map(_tree, (PACKAGE.parents[1] / "perfbench").glob("*.py"))))
+    uncalled = [
+        function.name
+        for function in statements
+        if isinstance(function, ast.FunctionDef)
+        and not (function.name.startswith("__") and function.name.endswith("__"))
+        and function.name not in exported | accepted | bound
+        and not any(function.name in _names(other) for other in statements if other is not function)
+    ]
+    assert uncalled == []

@@ -254,7 +254,7 @@ def test_quantum_targets_check_the_visibility_once_as_add_noise_does(monkeypatch
 @pytest.mark.parametrize("conjugate", ["no", None, 1])
 def test_quantum_targets_refuse_a_conjugate_that_is_not_a_bool(conjugate):
     # the ideal tables are cached by conjugate, where an untyped key 1 finds True's entry
-    from ghzsim.events import _ideal_tables
+    from ghzsim.measurement import _ideal_tables
 
     quantum_targets(conjugate=True)
     before = (_ideal_tables.cache_info().currsize, measurement._analyzer.cache_info().currsize)

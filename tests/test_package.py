@@ -17,10 +17,11 @@ PUBLIC = [
     "circuit", "classify_pattern", "correlation", "creation", "critical_visibility",
     "equal_up_to_phase", "events", "filter_loss_demo", "filter_terms", "fock",
     "ghz_paradox_check", "half_wave_plate_22_5", "innsbruck_circuit", "lemma_check", "lhv",
-    "lhv_feasibility", "measurement", "multiply", "norm_squared", "outcome_distribution",
-    "pairing_report", "polarizing_beamsplitter", "quantum_targets", "render_polynomial",
-    "sample_events", "sampler", "sigma", "simplex", "single_pair_emission", "substitute", "trigger_select",
-    "two_pair_emission",
+    "lhv_feasibility", "measurement", "mermin_certificate", "mermin_strategy_bound",
+    "mermin_value", "multiply", "norm_squared", "outcome_distribution", "pairing_report",
+    "polarizing_beamsplitter", "quantum_targets", "render_polynomial", "sample_events", "sampler",
+    "sigma", "simplex", "single_pair_emission", "substitute", "trigger_select",
+    "two_pair_emission", "verify_farkas",
 ]
 
 

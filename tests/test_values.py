@@ -11,7 +11,7 @@ import pytest
 
 from ghzsim.circuit import ModeTransform, OpticalCircuit
 from ghzsim.cli import RunConfig
-from ghzsim.events import EventClass, EventKind, FilterLossDemo, PairingReport
+from ghzsim.events import EventClass, EventKind, FilterLossDemo, PairingReport, Station
 from ghzsim.fock import GH, GV, ONE, Beam, Mode, Polarization
 from ghzsim.lhv import (
     CriticalVisibilityResult,
@@ -21,7 +21,7 @@ from ghzsim.lhv import (
     LocalStrategy,
     quantum_targets,
 )
-from ghzsim.measurement import AnalyzerSetting, OutcomeTable, SettingTriple, Station
+from ghzsim.measurement import AnalyzerSetting, OutcomeTable, SettingTriple
 from ghzsim.simplex import FeasibilityResult
 
 X, Y = AnalyzerSetting.LINEAR45, AnalyzerSetting.CIRCULAR
