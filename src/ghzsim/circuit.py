@@ -51,11 +51,13 @@ class CircuitConfigError(GhzsimError):
 class ModeTransform(Record):
     """A linear substitution rule set mapping source modes to output modes."""
 
-    __slots__ = _fields = ("rules", "name")
+    __slots__ = ()
+    _fields = ("rules", "name")
 
-    def __init__(self, rules: Mapping[Mode, RuleTargets], name: str = "") -> None:
-        self._set(dict(rules), name)
-        self._validate()
+    def __new__(cls, rules: Mapping[Mode, RuleTargets], name: str = ""):
+        transform = tuple.__new__(cls, (dict(rules), name))
+        transform._validate()
+        return transform
 
     def _validate(self) -> None:
         for source, targets in self.rules.items():
@@ -201,10 +203,11 @@ def half_wave_plate_22_5(input_beam: Beam) -> ModeTransform:
 class OpticalCircuit(Record):
     """An ordered list of mode transforms, applied left to right."""
 
-    __slots__ = _fields = ("elements",)
+    __slots__ = ()
+    _fields = ("elements",)
 
-    def __init__(self, elements: Sequence[ModeTransform] = ()) -> None:
-        self._set(tuple(elements))
+    def __new__(cls, elements: Sequence[ModeTransform] = ()):
+        return tuple.__new__(cls, (tuple(elements),))
 
     def apply(self, state: StatePolynomial) -> StatePolynomial:
         for element in self.elements:

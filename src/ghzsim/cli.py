@@ -40,17 +40,17 @@ from .fock import (
 class RunConfig(Record):
     """One parsed command line; an omitted flag takes its default here."""
 
-    __slots__ = _fields = ("command", "output", "fmt", "seed", "visibility", "pulses",
-                           "pair_prob", "loss_prob", "redefined_trigger", "pattern", "depth",
-                           "slack")
+    __slots__ = ()
+    _fields = ("command", "output", "fmt", "seed", "visibility", "pulses", "pair_prob",
+               "loss_prob", "redefined_trigger", "pattern", "depth", "slack")
 
-    def __init__(self, command: str, output: Optional[Path] = None, fmt: str = "text",
-                 seed: int = 0, visibility: Fraction = Fraction(1), pulses: int = 0,
-                 pair_prob: Fraction = Fraction(1, 10000), loss_prob: Fraction = Fraction(0),
-                 redefined_trigger: bool = False, pattern: Optional[str] = None, depth: int = 8,
-                 slack: Fraction = Fraction(0)) -> None:
-        self._set(command, output, fmt, seed, visibility, pulses, pair_prob, loss_prob,
-                  redefined_trigger, pattern, depth, slack)
+    def __new__(cls, command: str, output: Optional[Path] = None, fmt: str = "text",
+                seed: int = 0, visibility: Fraction = Fraction(1), pulses: int = 0,
+                pair_prob: Fraction = Fraction(1, 10000), loss_prob: Fraction = Fraction(0),
+                redefined_trigger: bool = False, pattern: Optional[str] = None, depth: int = 8,
+                slack: Fraction = Fraction(0)):
+        return tuple.__new__(cls, (command, output, fmt, seed, visibility, pulses, pair_prob,
+                                   loss_prob, redefined_trigger, pattern, depth, slack))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -218,12 +218,13 @@ STATION_PAIR = (lambda pair: f"{pair[0].name},{pair[1].name}", _station_pair)
 class EventClass(Record):
     """Classification of one detection pattern."""
 
-    __slots__ = _fields = ("kind", "double_station", "empty_station", "lone_station", "reason")
+    __slots__ = ()
+    _fields = ("kind", "double_station", "empty_station", "lone_station", "reason")
 
-    def __init__(self, kind: EventKind, double_station: Optional[Station] = None,
-                 empty_station: Optional[Station] = None,
-                 lone_station: Optional[Station] = None, reason: Optional[str] = None) -> None:
-        self._set(kind, double_station, empty_station, lone_station, reason)
+    def __new__(cls, kind: EventKind, double_station: Optional[Station] = None,
+                empty_station: Optional[Station] = None,
+                lone_station: Optional[Station] = None, reason: Optional[str] = None):
+        return tuple.__new__(cls, (kind, double_station, empty_station, lone_station, reason))
 
     @classmethod
     def right(cls) -> "EventClass":
@@ -314,13 +315,14 @@ class PairingReport(Record):
     ``census`` maps each (double, empty) station pair to its term count.
     """
 
-    __slots__ = _fields = ("right_terms", "wrong_terms", "census")
+    __slots__ = ()
+    _fields = ("right_terms", "wrong_terms", "census")
 
-    def __init__(self, right_terms: int, wrong_terms: int,
-                 census: Mapping[Tuple[Station, Station], int]) -> None:
+    def __new__(cls, right_terms: int, wrong_terms: int,
+                census: Mapping[Tuple[Station, Station], int]):
         if wrong_terms != sum(census.values()):
             raise ValueError(f"wrong_terms {wrong_terms} is not the census sum")
-        self._set(right_terms, wrong_terms, census)
+        return tuple.__new__(cls, (right_terms, wrong_terms, census))
 
 
 def pairing_report(state: StatePolynomial) -> PairingReport:
@@ -386,8 +388,9 @@ _circuit = lru_cache(maxsize=None)(innsbruck_circuit)  # built once per process
 class FilterLossDemo(Record):
     """Side-by-side classification under the naive and redefined triggers."""
 
-    __slots__ = _fields = ("scenario", "herald_clicks", "naive_trigger_fires", "naive_outcomes",
-                           "redefined_accepted", "redefined_outcomes")
+    __slots__ = ()
+    _fields = ("scenario", "herald_clicks", "naive_trigger_fires", "naive_outcomes",
+               "redefined_accepted", "redefined_outcomes")
 
 
 def filter_loss_demo(removed: str) -> FilterLossDemo:

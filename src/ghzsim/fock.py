@@ -24,6 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from numbers import Rational
+from operator import itemgetter
 from typing import Any, Callable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 
@@ -381,67 +382,61 @@ AMPLITUDE = record_codec(
 # ---------------------------------------------------------------------------
 
 
-_setattr = object.__setattr__  # Record.__setattr__ refuses every assignment, even in __init__
+class Record(tuple):
+    """Base of the package's immutable value types: a ``tuple`` of the field
+    values, then any values derived from them.
 
-
-class Record:
-    """Base of the package's immutable value types.
-
-    A subclass names its fields in ``_fields`` and lists them, and any cached
-    attributes, in ``__slots__``.  The default ``__init__`` binds the fields
-    by position, then by name; a subclass that checks, converts or defaults
-    its arguments has its own ``__init__``, which passes the field values, in
-    ``_fields`` order, to :meth:`_set`.  Instances compare, hash, pickle and
-    print by those values as a frozen dataclass does, ``repr`` included, but
-    a plain class costs a small fraction of a dataclass's generation time at
-    import.
+    A subclass names its fields in ``_fields`` and declares ``__slots__ = ()``,
+    so an instance has no ``__dict__``; each field becomes a property that
+    reads its item by index.  The default ``__new__`` binds the fields by
+    position, then by name; a subclass that checks, converts or defaults its
+    arguments has its own ``__new__``, which returns ``tuple.__new__(cls,
+    values)``: the fields in ``_fields`` order, then any values derived from
+    them, which the subclass reads by index.  A record hashes as its tuple,
+    in C, equals only a record of its own type (never a plain tuple, on
+    either side of ``==``) and has no order; ``repr`` (the frozen dataclass
+    one), ``_replace``, pickling and ``copy`` read the fields alone.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ()
     _fields: Tuple[str, ...] = ()
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init_subclass__(cls) -> None:
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(index)))
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "Record":
         """Bind ``_fields`` as a dataclass's ``__init__`` does; a missing, extra
         or unknown field raises ``TypeError``."""
-        fields = self._fields
+        fields = cls._fields
         named = {**dict(zip(fields, args)), **kwargs}
         if len(args) + len(kwargs) != len(fields) or named.keys() != set(fields):
-            raise TypeError(f"{self.__class__.__qualname__}() takes the fields "
+            raise TypeError(f"{cls.__qualname__}() takes the fields "
                             f"{', '.join(fields)}; got {len(args)} by position and "
                             f"{', '.join(kwargs) or 'none'} by name")
-        self._set(*map(named.get, fields))
+        return tuple.__new__(cls, map(named.get, fields))
 
-    def _set(self, *values: Any) -> None:
-        """Set each field once, and keep the tuple of values for ``==``, ``hash``
-        and pickling."""
-        for name, value in zip(self._fields, values):
-            _setattr(self, name, value)
-        _setattr(self, "_values", values)
+    def __eq__(self, other: object) -> bool:  # False, not NotImplemented: no tuple's ==
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's item-by-item !=
+    __hash__ = tuple.__hash__
 
-    def __hash__(self) -> int:
-        return hash(self._values)
+    def __lt__(self, other: object) -> bool:
+        raise TypeError(f"{self.__class__.__qualname__} records have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, self._values
+        return self.__class__, self[:len(self._fields)]
 
     def _replace(self, **changes: Any) -> "Record":
-        """A copy with ``changes`` applied, built and checked by ``__init__``."""
-        return self.__class__(**{**dict(zip(self._fields, self._values)), **changes})
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        """A copy with ``changes`` applied, built and checked by ``__new__``."""
+        return self.__class__(**{**dict(zip(self._fields, self)), **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -494,19 +489,26 @@ class Mode(Record):
     are the same object, so ``==`` and ``hash`` are ``object``'s, run in C.  An
     argument that is not a :class:`Beam` or :class:`Polarization` member raises
     ``TypeError``; a pair the setup lacks raises :class:`InvalidModeError`.
+    ``name`` and ``sort_key`` (canonicalisation sorts by it) are items 2 and 3.
     """
 
+    __slots__ = ()
     _fields = ("beam", "polarization")
-    __slots__ = (*_fields, "name", "sort_key")  # sort_key: canonicalisation sorts by it
     __hash__ = object.__hash__
     __eq__ = object.__eq__
-    __init__ = object.__init__  # __new__ returns the interned instance, already bound
+    name = property(itemgetter(2))
+    sort_key = property(itemgetter(3))
 
-    def __new__(cls, beam: Beam, polarization: Polarization) -> "Mode":
+    def __new__(cls, beam: Beam, polarization: Polarization, *derived: Any):
+        # ``derived``: dataclasses.astuple and asdict rebuild a record from all its items
         try:
-            return _MODES[beam, polarization]
+            mode = _MODES[beam, polarization]
         except (KeyError, TypeError):  # TypeError: an unhashable argument
             pass
+        else:
+            if derived in ((), mode[2:]):
+                return mode
+            raise TypeError(f"Mode() takes the fields beam, polarization; got {derived!r:.60}")
         if type(beam) is not Beam:
             raise not_a_member("Mode", "beam", beam, Beam)
         if type(polarization) is not Polarization:
@@ -546,11 +548,8 @@ MODE_NAMES: Mapping[Tuple[Beam, Polarization], str] = {
 
 
 def _intern(beam: Beam, polarization: Polarization, name: str) -> Mode:
-    mode = object.__new__(Mode)
-    _setattr(mode, "name", name)
-    _setattr(mode, "sort_key", (list(Beam).index(beam), list(Polarization).index(polarization)))
-    mode._set(beam, polarization)
-    return mode
+    sort_key = (list(Beam).index(beam), list(Polarization).index(polarization))
+    return tuple.__new__(Mode, (beam, polarization, name, sort_key))
 
 
 # the one instance of each legal mode, complete at import

@@ -44,7 +44,7 @@ from itertools import compress, permutations, product
 from math import prod
 from operator import itemgetter, mul, xor
 from numbers import Rational
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fock import (
     BOOL,
@@ -107,12 +107,13 @@ _EVEN = 0b0101
 class LocalStrategy(Record):
     """Deterministic responses of the three stations for both settings."""
 
-    __slots__ = _fields = ("g", "h", "z")
+    __slots__ = ()
+    _fields = ("g", "h", "z")
 
-    def __init__(self, g: StationAssignment, h: StationAssignment, z: StationAssignment) -> None:
+    def __new__(cls, g: StationAssignment, h: StationAssignment, z: StationAssignment):
         if not _MODULUS_MASK.keys() >= {g, h, z}:
             raise ValueError("each station assigns one of {+1, -1, 0} to each of its 2 settings")
-        self._set(g, h, z)
+        return tuple.__new__(cls, (g, h, z))
 
     def outcomes(self, triple: SettingTriple) -> Outcome:
         circular = AnalyzerSetting.CIRCULAR  # index 1 of an assignment
@@ -151,7 +152,8 @@ def sigma(strategy: LocalStrategy, triple: SettingTriple) -> int:
 
 
 def _masks(strategy: LocalStrategy) -> Tuple[int, int, int]:
-    return _MODULUS_MASK[strategy.g], _MODULUS_MASK[strategy.h], _MODULUS_MASK[strategy.z]
+    g, h, z = strategy
+    return _MODULUS_MASK[g], _MODULUS_MASK[h], _MODULUS_MASK[z]
 
 
 def _sigmas(strategy: LocalStrategy) -> int:
@@ -183,10 +185,9 @@ class LemmaReport(Record):
     a setting.
     """
 
-    __slots__ = _fields = (
-        "total", "admissible", "chi_one", "chi_zero", "excluded", "excluded_with_even_sigma",
-        "setting_dependent_excluded", "all_admissible_moduli_setting_independent",
-    )
+    __slots__ = ()
+    _fields = ("total", "admissible", "chi_one", "chi_zero", "excluded", "excluded_with_even_sigma",
+               "setting_dependent_excluded", "all_admissible_moduli_setting_independent")
 
     @property
     def consistent(self) -> bool:
@@ -243,14 +244,15 @@ class FeasibilityProblem(Record):
     the LP (the 64 cells in :data:`TRIPLES` × :data:`OUTCOMES` order, then
     the right mass) as integers over one denominator ``e``, the lcm of the
     tables' ``integer_form`` denominators, which is also the lcm of the 65
-    values'.  It is no field, so equality, ``repr`` and pickling read
+    values'.  It is no field, so ``repr``, ``_replace`` and pickling read
     ``targets`` and ``slack`` alone.
     """
 
+    __slots__ = ()
     _fields = ("targets", "slack")
-    __slots__ = (*_fields, "integer_targets")
+    integer_targets = property(itemgetter(2))
 
-    def __init__(self, targets: Sequence[OutcomeTable], slack: Fraction = Fraction(0)) -> None:
+    def __new__(cls, targets: Sequence[OutcomeTable], slack: Fraction = Fraction(0)):
         if not exact((slack,)):
             raise TypeError(f"slack must be an exact rational, got {slack!r}")
         targets, slack = tuple(targets), Fraction(slack)
@@ -270,8 +272,7 @@ class FeasibilityProblem(Record):
         scaled, e = over_common_denominator([by_code[t.code].integer_form for t in TRIPLES])
         cells = [n for nums in scaled for n in nums[:-1]]
         cells.append(e - scaled[0][-1])
-        object.__setattr__(self, "integer_targets", (tuple(cells), e))
-        self._set(targets, slack)
+        return tuple.__new__(cls, (targets, slack, (tuple(cells), e)))
 
     def table(self, triple: SettingTriple) -> OutcomeTable:
         return next(t for t in self.targets if t.settings == triple)
@@ -284,8 +285,9 @@ class FeasibilityProblem(Record):
 CertificateKey = Tuple[str, str]  # (settings code, outcome code) or ("mass", "")
 
 
-@dataclass(frozen=True)
-class Certificate:
+# Certificate and FeasibilityOutcome are dataclasses only so that dataclasses.replace copies them
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Certificate(Record):
     """Farkas functional proving no strategy mixture matches the targets.
 
     ``value`` is the functional applied to the targets, less
@@ -298,15 +300,18 @@ class Certificate:
     records the solver-independent re-check.
     """
 
+    __slots__ = ()
     coefficients: Mapping[CertificateKey, Fraction]
     value: Fraction
     strategy_bound: Fraction
     max_strategy_column: Fraction
     verified: bool
+    _fields = tuple(__annotations__)
 
 
-@dataclass(frozen=True)
-class FeasibilityOutcome:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class FeasibilityOutcome(Record):
+    __slots__ = ()
     feasible: bool
     distribution: Optional[Mapping[LocalStrategy, Fraction]]
     chi_zero_weight: Optional[Fraction]
@@ -314,7 +319,8 @@ class FeasibilityOutcome:
     iterations: int
     # solver-free re-check of the evidence: the distribution and the χ=0
     # weight reproduce the targets, or the certificate is ``verified``
-    verified: bool = False
+    verified: bool
+    _fields = tuple(__annotations__)
 
 
 # the key of the aggregated χ=0 weight in a feasible verdict's evidence
@@ -612,7 +618,7 @@ certificate_from_json = CERTIFICATE[1]  # perfbench decodes certificates by this
 _WEIGHTED = sequence_codec(tuple_codec(*((name, sequence_codec(INT)) for name in "ghz"),
                                        ("weight", RATIONAL)))
 DISTRIBUTION = (
-    lambda mixture: _WEIGHTED[0]((s.g, s.h, s.z, weight) for s, weight in mixture.items()),
+    lambda mixture: _WEIGHTED[0]((*s, weight) for s, weight in mixture.items()),
     lambda obj: {LocalStrategy(g, h, z): weight for g, h, z, weight in _WEIGHTED[1](obj)},
 )
 # (visibility, feasible, chi_zero_weight, distribution, certificate): the
@@ -667,8 +673,9 @@ def mermin_certificate(problem: FeasibilityProblem) -> Certificate:
 
 
 class GhzParadoxReport(Record):
-    __slots__ = _fields = ("conjugate_convention", "quantum_correlations", "satisfying_all",
-                           "satisfying_after_drop", "contradiction")
+    __slots__ = ()
+    _fields = ("conjugate_convention", "quantum_correlations", "satisfying_all",
+               "satisfying_after_drop", "contradiction")
 
 
 def ghz_paradox_check(conjugate: bool = False) -> GhzParadoxReport:
@@ -719,15 +726,16 @@ GHZ_PARADOX = derived_codec(
 )
 
 
-class Evaluation(NamedTuple):
+class Evaluation(Record):
     """One verdict of the reported bracket search."""
 
-    visibility: Fraction
-    feasible: bool
+    __slots__ = ()
+    _fields = ("visibility", "feasible")
 
 
 class CriticalVisibilityResult(Record):
-    __slots__ = _fields = ("v_star", "feasible_at", "infeasible_above", "evaluations")
+    __slots__ = ()
+    _fields = ("v_star", "feasible_at", "infeasible_above", "evaluations")
 
 
 CRITICAL_RESULT = record_codec(

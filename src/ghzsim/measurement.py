@@ -43,6 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import List, Mapping, Sequence, Tuple
 
 from .circuit import ModeTransform
@@ -99,18 +100,19 @@ _SETTING_BY_CODE = {code: setting for setting, code in _SETTING_CODE.items()}
 class SettingTriple(Record):
     """The three analyzer choices for stations G, H and Z."""
 
+    __slots__ = ()
     _fields = ("g", "h", "z")
-    __slots__ = (*_fields, "code")
+    # compact form, e.g. ``xyy`` (x = linear45, y = circular): verdicts read it often
+    code = property(itemgetter(3))
 
-    def __init__(self, g: AnalyzerSetting, h: AnalyzerSetting, z: AnalyzerSetting) -> None:
-        try:  # compact form, e.g. ``xyy`` (x = linear45, y = circular): verdicts read it often
+    def __new__(cls, g: AnalyzerSetting, h: AnalyzerSetting, z: AnalyzerSetting):
+        try:
             code = _SETTING_CODE[g] + _SETTING_CODE[h] + _SETTING_CODE[z]
         except (KeyError, TypeError):  # TypeError: an unhashable argument
-            name, value = next((name, value) for name, value in zip(self._fields, (g, h, z))
+            name, value = next((name, value) for name, value in zip(cls._fields, (g, h, z))
                                if type(value) is not AnalyzerSetting)
             raise not_a_member("SettingTriple", name, value, AnalyzerSetting) from None
-        object.__setattr__(self, "code", code)
-        self._set(g, h, z)
+        return tuple.__new__(cls, (g, h, z, code))
 
     @classmethod
     def from_code(cls, code: str) -> "SettingTriple":
@@ -202,31 +204,33 @@ class OutcomeTable(Record):
     ``TypeError``) and sum to one exactly.  ``integer_form`` holds the
     cells, in :data:`OUTCOMES` order, and the wrong mass as numerators over
     the lcm of their denominators, as :func:`_table_form` puts them; it is
-    no field, so equality, ``repr`` and pickling read the three fields alone.
+    no field, so ``repr``, ``_replace`` and pickling read the three fields alone.
     """
 
+    __slots__ = ()
     _fields = ("settings", "probabilities", "wrong_mass")
-    __slots__ = (*_fields, "integer_form")
+    integer_form = property(itemgetter(3))
 
-    def __init__(self, settings: SettingTriple, probabilities: Mapping[Outcome, Fraction],
-                 wrong_mass: Fraction) -> None:
+    def __new__(cls, settings: SettingTriple, probabilities: Mapping[Outcome, Fraction],
+                wrong_mass: Fraction):
         values = [probabilities.get(outcome, 0) for outcome in OUTCOMES] + [wrong_mass]
         if not exact(values):
             raise TypeError("cells and wrong mass must be exact rationals (numbers.Rational)")
         if set(probabilities) - set(OUTCOMES):
             raise ValueError("unknown outcome keys in table")
         values = [v if type(v) is Fraction else Fraction(v) for v in values]
-        self._fill(settings, values, *over_one_denominator(values))
-
-    def _fill(self, settings: SettingTriple, values: Sequence[Fraction],
-              numerators: Sequence[int], den: int) -> None:
-        """Set the fields to ``values`` (cells, then wrong mass) once their form passes."""
-        object.__setattr__(self, "integer_form", _table_form(numerators, den))
-        self._set(settings, dict(zip(OUTCOMES, values)), values[-1])
+        return _table(settings, values, *over_one_denominator(values))
 
     @property
     def right_mass(self) -> Fraction:
         return 1 - self.wrong_mass
+
+
+def _table(settings: SettingTriple, values: Sequence[Fraction], numerators: Sequence[int],
+           den: int) -> OutcomeTable:
+    """The table of ``values`` (cells, then wrong mass), once their form passes."""
+    return tuple.__new__(OutcomeTable, (settings, dict(zip(OUTCOMES, values)), values[-1],
+                                        _table_form(numerators, den)))
 
 
 def _phases(station: Station, setting: AnalyzerSetting,
@@ -282,9 +286,7 @@ def outcome_distribution(state: StatePolynomial, settings: SettingTriple,
         raise EmptyStateError("the zero state has no outcome distribution")
     nums = list(plain.values())
     values = {n: Fraction(n, den) for n in set(nums)}  # one Fraction per distinct value
-    table = OutcomeTable.__new__(OutcomeTable)
-    table._fill(settings, [*map(values.get, nums)], nums, den)
-    return table
+    return _table(settings, [*map(values.get, nums)], nums, den)
 
 
 def correlation_from_table(table: OutcomeTable) -> Fraction:
@@ -333,10 +335,8 @@ def _mix_noise(table: OutcomeTable, a: int, b: int) -> OutcomeTable:
     (*nums, wrong), d = table.integer_form
     noise, den = (b - a) * (d - wrong), 8 * b * d
     noisy = {p: Fraction(8 * a * p + noise, den) for p in set(nums)}
-    result = OutcomeTable.__new__(OutcomeTable)
-    result._fill(table.settings, [*map(noisy.get, nums), table.wrong_mass],
-                 [*(8 * a * p + noise for p in nums), 8 * b * wrong], den)
-    return result
+    return _table(table.settings, [*map(noisy.get, nums), table.wrong_mass],
+                  [*(8 * a * p + noise for p in nums), 8 * b * wrong], den)
 
 
 SETTING_TRIPLE = (lambda triple: triple.code, lambda code: SettingTriple.from_code(TEXT[1](code)))

@@ -12,20 +12,21 @@ The two emission laws, which depend on no argument, are derived once per
 process, and so is each detection table, when an event first needs it;
 the tables of one pair and loss probability are built per call.  Only
 ``sample_events`` loads this module, so the table and verdict commands
-never compile it.  ``SampledEvent`` is a frozen dataclass backed by a ``tuple``,
-so the draw loop builds each event in C, the size of a plain 4-tuple.
+never compile it.  ``SampledEvent`` is a :class:`ghzsim.fock.Record`, the
+``tuple`` of its four fields, so the draw loop builds each event in C, the size
+of a plain 4-tuple.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, prod
-from operator import itemgetter, mul
+from operator import mul
 from random import Random
 from typing import Dict, Iterable, Iterator, Optional
 
@@ -37,39 +38,23 @@ from .events import (
     single_pair_emission,
     two_pair_emission,
 )
-from .fock import (BOOL, INT, PATTERN, Pattern, born_terms, born_weights, monomial,
+from .fock import (BOOL, INT, PATTERN, Pattern, Record, born_terms, born_weights, monomial,
                    over_common_denominator, record_codec)
 
 
-# a tuple of its fields, each read by index, hashed in C; equal only to an event; no order
-@dataclass(frozen=True, init=False)
-class SampledEvent(tuple):
+# a dataclass only so that dataclasses.replace copies it; its own __new__ gives
+# the generated dataclass's signature (the draw loop calls tuple.__new__)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class SampledEvent(Record):
     __slots__ = ()
     pulse_index: int
     pattern: Pattern
     event_class: EventClass
     herald_veto: bool
-    __hash__ = tuple.__hash__
+    _fields = tuple(__annotations__)
 
     def __new__(cls, pulse_index, pattern, event_class, herald_veto):
         return tuple.__new__(cls, (pulse_index, pattern, event_class, herald_veto))
-
-    def __getnewargs__(self) -> tuple:  # pickle and copy rebuild through __new__
-        return tuple(self)
-
-    def __eq__(self, other):
-        return type(other) is SampledEvent and tuple.__eq__(self, other)
-
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple's item-by-item !=
-
-    def __lt__(self, other):
-        raise TypeError("sampled events have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
-
-
-for _index, _field in enumerate(fields(SampledEvent)):
-    setattr(SampledEvent, _field.name, property(itemgetter(_index)))
 
 
 EVENT = record_codec(

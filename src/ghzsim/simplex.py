@@ -48,8 +48,8 @@ class FeasibilityResult(Record):
     """The solution (structural variable values) if feasible, else the Farkas
     certificate; the Phase-I optimum, 0 iff feasible; and the pivot count."""
 
-    __slots__ = _fields = ("feasible", "solution", "certificate", "infeasibility_gap",
-                           "iterations")
+    __slots__ = ()
+    _fields = ("feasible", "solution", "certificate", "infeasibility_gap", "iterations")
 
 
 def _eliminate(

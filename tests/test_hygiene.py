@@ -2,32 +2,37 @@
 itself and the standard library, no float enters any module (the verdicts
 and the Monte Carlo sampler alike are exact rational arithmetic), the
 settings of the four GHZ constraints are written in one place, only the
-detector readout reads the trigger mode, ``@dataclass`` decorates only
-the records that callers copy with ``dataclasses.replace``, only the
-sampler reads its tables, the simplex pivots on integers alone, the
-evidence checks name nothing from the simplex and loop over integers alone,
-only the ring and the simplex name ``lcm``, only the strategy enumeration
-and the decoder of a mixture build a ``LocalStrategy``, only the tables'
-integer check raises their sign and sum errors, only ``fock`` tests for an
-exact value by hand (every other module calls ``fock.exact``), only ``fock``
-computes a Born weight (no other module names ``factorial`` or calls the
-ring's ``abs_squared``, ``inverse`` or ``to_fraction``), no source line is
-over 100 columns, ``as_pattern``, ``multiply`` and ``substitute`` sort a
-pattern only through the one canonicaliser, ``fock._canonical``, and every
-module-level function has a caller.  One rule reads the loaded classes: a
-mode and every enum member hash through ``object.__hash__``, in C, so the
-detector readout keys its tables by mode, not by mode name."""
+detector readout reads the trigger mode, ``fock.Record`` is the one record
+type (no ``NamedTuple``, and ``@dataclass`` decorates only the three records
+that callers copy with ``dataclasses.replace``, generating no ``__init__``,
+``==`` or ``repr``), only the sampler reads its tables, the simplex pivots
+on integers alone, the evidence checks name nothing from the simplex and
+loop over integers alone, only the ring and the simplex name ``lcm``, only
+the strategy enumeration and the decoder of a mixture build a
+``LocalStrategy``, only the tables' integer check raises their sign and sum
+errors, only ``fock`` tests for an exact value by hand (every other module
+calls ``fock.exact``), only ``fock`` computes a Born weight (no other module
+names ``factorial`` or calls the ring's ``abs_squared``, ``inverse`` or
+``to_fraction``), no source line is over 100 columns, ``as_pattern``,
+``multiply`` and ``substitute`` sort a pattern only through the one
+canonicaliser, ``fock._canonical``, and every module-level function and
+method has a caller.  Rules on the loaded classes:
+a mode and every enum member hash through ``object.__hash__``, in C, so the
+detector readout keys its tables by mode, not by mode name; every other
+record hashes as its tuple, in C, and holds no instance ``__dict__``; and
+every class with ``_fields`` is a ``fock.Record``."""
 
 import ast
 import importlib
 import sys
+from collections import Counter
 from enum import Enum
 from pathlib import Path
 
 import pytest
 
 import ghzsim
-from ghzsim.fock import Mode
+from ghzsim.fock import Mode, Record
 
 PACKAGE = Path(ghzsim.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -140,13 +145,11 @@ def test_strategies_are_built_only_by_the_enumeration_and_the_mixture_decoder():
     assert places == {"lhv.py:enumerate_strategies", "lhv.py:DISTRIBUTION"}
 
 
-# Generating a dataclass costs about a millisecond at import, paid by every
-# CLI run; value types derive from ``fock.Record`` and copy with ``_replace``
-# instead.  These three stay dataclasses because the benchmark's own tests
-# (perfbench/test_perfbench.py) copy them with ``dataclasses.replace``.
-# ``SampledEvent``, built once per sampled event, is a ``tuple`` subclass with
-# no ``__init__`` and no ``__dict__``: the draw loop builds it in C with
-# ``tuple.__new__``, and ``dataclasses.replace`` builds through its ``__new__``.
+# Every value type is a ``fock.Record``, a tuple that copies with ``_replace``.
+# These three records are also decorated with ``@dataclass``, only because the
+# benchmark's own tests (perfbench/test_perfbench.py) copy them with
+# ``dataclasses.replace``, which builds through the record's ``__new__``; the
+# decorator adds no ``__init__``, ``==`` or ``repr`` of its own.
 REPLACEABLE_RECORDS = {
     "lhv.py:Certificate",
     "lhv.py:FeasibilityOutcome",
@@ -168,6 +171,39 @@ def test_only_the_replaceable_records_are_dataclasses():
         and any(map(_is_dataclass_decorator, node.decorator_list))
     }
     assert decorated == REPLACEABLE_RECORDS
+
+
+def _loaded_classes() -> set:
+    modules = [importlib.import_module(f"ghzsim.{path.stem}")
+               for path in SOURCES if path.stem != "__init__"]
+    return {value for module in modules for value in vars(module).values()
+            if isinstance(value, type) and value.__module__.startswith("ghzsim.")}
+
+
+def test_the_package_has_one_record_mechanism():
+    # fock.Record is the one record type: no NamedTuple, no class with the
+    # namedtuple protocol's ``_fields`` that is not a Record, and no dataclass
+    # decorator that generates an ``__init__``, ``==`` or ``repr`` over the Record's
+    named = [f"{path.name}:{node.lineno}" for path in SOURCES for node in ast.walk(_tree(path))
+             if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+             == "NamedTuple"]
+    assert named == []
+    generating = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        for decorator in node.decorator_list
+        if _is_dataclass_decorator(decorator) and not (
+            isinstance(decorator, ast.Call)
+            and {(k.arg, getattr(k.value, "value", None)) for k in decorator.keywords}
+            >= {("init", False), ("eq", False), ("repr", False)})
+    ]
+    assert generating == []
+    fielded = {cls for cls in _loaded_classes() if hasattr(cls, "_fields")}
+    assert {cls.__name__ for cls in fielded if not issubclass(cls, Record)} == set()
+    assert {cls.__name__ for cls in fielded} >= {
+        "LocalStrategy", "Evaluation", "Certificate", "FeasibilityOutcome", "SampledEvent"}
 
 
 def _names_fraction(node: ast.AST) -> bool:
@@ -340,16 +376,23 @@ def test_patterns_are_sorted_only_by_the_one_canonicaliser():
 def test_modes_and_enum_members_hash_in_c():
     # a Python-level __hash__ on a mode or an enum runs on every dict and set
     # operation of the table path: each pattern lookup hashes all its modes
-    modules = [importlib.import_module(f"ghzsim.{path.stem}")
-               for path in SOURCES if path.stem != "__init__"]
-    enums = {value for module in modules for value in vars(module).values()
-             if isinstance(value, type) and issubclass(value, Enum)
-             and value.__module__.startswith("ghzsim.")}
+    enums = {cls for cls in _loaded_classes() if issubclass(cls, Enum)}
     assert {cls.__name__ for cls in enums} >= {
         "Beam", "Polarization", "Station", "AnalyzerSetting", "EventKind"}
     for cls in (Mode, *enums):
         assert cls.__hash__ is object.__hash__, f"{cls.__name__} hashes in Python"
     assert Mode.__eq__ is object.__eq__
+
+
+def test_records_hash_in_c_and_hold_no_instance_dict():
+    # a verdict hashes its strategies in the mixture dict and the evidence
+    # checks; a record that forgets ``__slots__ = ()`` gets a ``__dict__``
+    records = {cls for cls in _loaded_classes() if issubclass(cls, Record)}
+    assert {cls.__name__ for cls in records} >= {
+        "LocalStrategy", "SettingTriple", "SampledEvent", "Certificate", "FeasibilityOutcome"}
+    for cls in records - {Mode}:
+        assert cls.__hash__ is tuple.__hash__, f"{cls.__name__} hashes in Python"
+    assert [cls.__name__ for cls in records if cls.__dictoffset__] == []
 
 
 def test_the_detector_readout_looks_nothing_up_by_name():
@@ -361,30 +404,42 @@ def test_the_detector_readout_looks_nothing_up_by_name():
         assert reads == [], f"{name} reads .name on lines {reads}"
 
 
-def _names(tree: ast.AST) -> set:
-    return {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+def _names(tree: ast.AST) -> Counter:
+    return Counter(getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+# methods that no code of the package calls, each kept for its reason
+UNCALLED_METHODS = {
+    "_replace": "fock.Record's copy of a record with some fields changed, the records' "
+                "counterpart of dataclasses.replace",
+    "error": "cli._Parser's override of argparse.ArgumentParser.error, which argparse calls",
+}
 
 
 def test_every_module_function_has_a_caller():
-    # a function is referenced by another statement of the package, exported by
-    # it, imported by the acceptance suite, or read off a ghzsim module by the
-    # benchmark (perfbench binds names such as lhv._cell_rows); the interpreter
-    # calls a module's dunder hooks itself.  Code nothing reaches is dead weight
-    # that every command still compiles
-    statements = [statement for path in SOURCES for statement in _tree(path).body]
+    # a module-level function or a method of a module-level class is referenced
+    # by other code of the package, exported by it, named by the acceptance
+    # suite, or read off a ghzsim module by the benchmark (perfbench binds names
+    # such as lhv._cell_rows and reads LemmaReport.consistent); the interpreter
+    # calls dunder hooks itself.  Code nothing reaches is dead weight that every
+    # command still compiles
+    trees = [_tree(path) for path in SOURCES]
+    statements = [statement for tree in trees for statement in tree.body]
+    functions = [node for statement in statements
+                 for node in (statement.body if isinstance(statement, ast.ClassDef)
+                              else [statement])
+                 if isinstance(node, ast.FunctionDef)]
+    referenced = sum(map(_names, trees), Counter())
     exported = {name for names in ghzsim._EXPORTS.values() for name in names}
-    accepted = {alias.asname or alias.name
-                for node in ast.walk(_tree(PACKAGE.parents[1] / "tests" / "test_acceptance.py"))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    accepted = _names(_tree(PACKAGE.parents[1] / "tests" / "test_acceptance.py"))
     bound = set().union(*map(_names, map(_tree, (PACKAGE.parents[1] / "perfbench").glob("*.py"))))
     uncalled = [
         function.name
-        for function in statements
-        if isinstance(function, ast.FunctionDef)
-        and not (function.name.startswith("__") and function.name.endswith("__"))
-        and function.name not in exported | accepted | bound
-        and not any(function.name in _names(other) for other in statements if other is not function)
+        for function in functions
+        if not (function.name.startswith("__") and function.name.endswith("__"))
+        and function.name not in exported | accepted.keys() | bound | UNCALLED_METHODS.keys()
+        and referenced[function.name] == _names(function)[function.name]
     ]
     assert uncalled == []

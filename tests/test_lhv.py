@@ -162,7 +162,7 @@ def test_lemma_enumeration_counts():
     ("all_admissible_moduli_setting_independent", False),
 ])
 def test_a_report_that_breaks_one_clause_is_not_consistent(field, value):
-    fields = dict(zip(LemmaReport._fields, lemma_check()._values))
+    fields = dict(zip(LemmaReport._fields, lemma_check()))
     assert LemmaReport(**fields).consistent
     fields[field] = value
     assert not LemmaReport(**fields).consistent
@@ -972,9 +972,11 @@ def test_traced_layers_stay_module_attributes_that_lhv_calls_through(monkeypatch
                      "quantum_targets": 4, "evaluate_certificate": 2, "lemma_check": 1}
 
 
-def test_outcome_built_positionally_defaults_to_unverified():
-    outcome = FeasibilityOutcome(True, {}, Fraction(0), None, 0)
-    assert outcome.verified is False
+def test_an_outcome_names_whether_its_evidence_verified():
+    # no field has a default: an outcome built without ``verified`` is refused
+    with pytest.raises(TypeError, match="takes the fields"):
+        FeasibilityOutcome(True, {}, Fraction(0), None, 0)
+    assert FeasibilityOutcome(True, {}, Fraction(0), None, 0, False).verified is False
 
 
 # ---------------------------------------------------------------------------

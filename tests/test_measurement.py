@@ -549,8 +549,8 @@ def test_a_table_keeps_its_integer_form_outside_its_fields():
     values = [table.probabilities[outcome] for outcome in OUTCOMES] + [table.wrong_mass]
     nums, den = over_one_denominator(values)
     assert table.integer_form == (tuple(nums), den) == ((2, 0, 0, 0, 0, 0, 1, 0, 9), 12)
-    # equality, repr and pickling read the three fields alone
-    assert "integer_form" not in repr(table) and table._values == (
+    # repr, _replace and pickling read the three fields alone
+    assert "integer_form" not in repr(table) and table[:3] == (
         table.settings, table.probabilities, table.wrong_mass)
     copy = pickle.loads(pickle.dumps(table))
     assert copy == table and copy.integer_form == table.integer_form

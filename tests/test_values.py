@@ -1,7 +1,8 @@
-"""The value types keep the contract of the frozen dataclasses they replace:
-construction by position or keyword, equality and hashing by value,
-immutability, pickling, and a byte-identical ``repr`` (pattern reprs, which
-contain ``Mode``, are hashed into pinned digests)."""
+"""The value types keep the contract of the frozen dataclasses and the
+``NamedTuple`` they replace: construction by position or keyword, equality
+and hashing by value (never equal to a plain tuple of the fields, on either
+side), immutability, pickling, and a byte-identical ``repr`` (pattern reprs,
+which contain ``Mode``, are hashed into pinned digests)."""
 
 import hashlib
 import pickle
@@ -14,7 +15,10 @@ from ghzsim.cli import RunConfig
 from ghzsim.events import EventClass, EventKind, FilterLossDemo, PairingReport, Station
 from ghzsim.fock import GH, GV, ONE, Beam, Mode, Polarization
 from ghzsim.lhv import (
+    Certificate,
     CriticalVisibilityResult,
+    Evaluation,
+    FeasibilityOutcome,
     FeasibilityProblem,
     GhzParadoxReport,
     LemmaReport,
@@ -26,6 +30,9 @@ from ghzsim.simplex import FeasibilityResult
 
 X, Y = AnalyzerSetting.LINEAR45, AnalyzerSetting.CIRCULAR
 SWAP = ModeTransform({GH: ((GV, ONE),), GV: ((GH, ONE),)}, "swap")
+CERTIFICATE = {"coefficients": {("mass", ""): Fraction(-2), ("xxx", "+++"): Fraction(1)},
+               "value": Fraction(1), "strategy_bound": Fraction(0),
+               "max_strategy_column": Fraction(0), "verified": True}
 
 # class -> (its fields as keywords, in declaration order; a change of value)
 CASES = {
@@ -68,6 +75,11 @@ CASES = {
                  "visibility": Fraction(1), "pulses": 0, "pair_prob": Fraction(1, 10000),
                  "loss_prob": Fraction(0), "redefined_trigger": False, "pattern": None,
                  "depth": 8, "slack": Fraction(0)}, {"seed": 8}),
+    Evaluation: ({"visibility": Fraction(1, 2), "feasible": True}, {"feasible": False}),
+    Certificate: (CERTIFICATE, {"verified": False}),
+    FeasibilityOutcome: ({"feasible": False, "distribution": None, "chi_zero_weight": None,
+                          "certificate": Certificate(**CERTIFICATE), "iterations": 3,
+                          "verified": True}, {"iterations": 4}),
 }
 IDS = [cls.__name__ for cls in CASES]
 
@@ -102,6 +114,17 @@ REPRS = {
                "visibility=Fraction(1, 1), pulses=0, pair_prob=Fraction(1, 10000), "
                "loss_prob=Fraction(0, 1), redefined_trigger=False, pattern=None, depth=8, "
                "slack=Fraction(0, 1))",
+    Evaluation: "Evaluation(visibility=Fraction(1, 2), feasible=True)",
+    Certificate: "Certificate(coefficients={('mass', ''): Fraction(-2, 1), "
+                 "('xxx', '+++'): Fraction(1, 1)}, value=Fraction(1, 1), "
+                 "strategy_bound=Fraction(0, 1), max_strategy_column=Fraction(0, 1), "
+                 "verified=True)",
+    FeasibilityOutcome: "FeasibilityOutcome(feasible=False, distribution=None, "
+                        "chi_zero_weight=None, certificate=Certificate(coefficients="
+                        "{('mass', ''): Fraction(-2, 1), ('xxx', '+++'): Fraction(1, 1)}, "
+                        "value=Fraction(1, 1), strategy_bound=Fraction(0, 1), "
+                        "max_strategy_column=Fraction(0, 1), verified=True), iterations=3, "
+                        "verified=True)",
 }
 REPR_SHA256 = {
     ModeTransform: "72d058855b328d9c9df8b788599dbfe202cb641f385f9e08bce8128182b9dc03",
@@ -115,14 +138,14 @@ def test_every_value_type_has_a_pinned_repr():
     assert REPRS.keys() | REPR_SHA256.keys() == CASES.keys()
 
 
-# the records with no argument to check, convert or default: Record's __init__ binds them
-DEFAULT_INIT = [cls for cls in CASES if "__init__" not in vars(cls)]
+# the records with no argument to check, convert or default: Record's __new__ binds them
+DEFAULT_INIT = [cls for cls in CASES if "__new__" not in vars(cls)]
 
 
 def test_the_forwarding_records_take_the_default_init():
     assert {cls.__name__ for cls in DEFAULT_INIT} == {
         "LemmaReport", "GhzParadoxReport", "CriticalVisibilityResult", "FilterLossDemo",
-        "FeasibilityResult"}
+        "FeasibilityResult", "Evaluation", "Certificate", "FeasibilityOutcome"}
 
 
 @pytest.mark.parametrize("cls", DEFAULT_INIT, ids=lambda cls: cls.__name__)
