@@ -174,7 +174,11 @@ def _cmd_expand(config: RunConfig) -> int:
 
 def _cmd_classify(config: RunConfig) -> int:
     if config.pattern is not None:
-        pattern = pattern_from_json(json.loads(config.pattern))
+        try:
+            obj = json.loads(config.pattern)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("--pattern is nested too deeply to decode") from None
+        pattern = pattern_from_json(obj)
         event = events_mod.classify_pattern(pattern)
         return _finish(config, events_mod.CLASSIFICATION[0]((pattern, event)),
                        [event.wire], event.wire)

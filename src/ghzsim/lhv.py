@@ -11,22 +11,28 @@ hidden-variable distribution therefore splits into a right sector (64 all-±1
 strategies) and an aggregated wrong-sector weight, and reproducing the
 quantum tables becomes a small exact-rational LP solved in :mod:`ghzsim.simplex`.
 
-That LP is solved over orbits.  Permuting the stations, and negating one
-station's outcome at one of its settings, map strategies to strategies and
-outcome cells to cells: 384 relabellings in all.  Those that fix every target
-cell form a group (of order 48 for the quantum tables at every visibility
-above 0).  Averaging a mixture over that group keeps it a solution, so the LP
-over mixtures that give every member of a strategy orbit one weight has the
-full LP's verdict (Bödi, Herr & Joswig, Math. Program. 137, 2013).  Its
-columns are the strategy orbits (4 in place of 64).  It is handed all 65
-rows, and the rows of one cell orbit are equal, and so are their targets: the
-simplex kernel merges such repeated equations, pivots on the distinct ones (at
-most 7 for the quantum tables), and gives every copy of a merged row the same
-share of its dual.  A Farkas certificate is therefore constant on cell orbits,
-so the group fixes it, and it bounds every strategy column and not only their
-orbit sums.  The mixture is lifted back to the 64 strategies, and either
-evidence is checked on the full 65 × 64 problem by code that shares nothing
-with the solver.
+That LP is solved over classes of strategies found by colour refinement of
+the LP itself (Grohe, Kersting, Mladenov & Selman, *Dimension Reduction via
+Colour Refinement*, ESA 2014).  The cell rows start coloured by their
+targets, and row and column colours are refined by their neighbours' colours
+until they are stable.  The result is an equitable partition: every row of
+one row class hits the same number of strategies of any one column class,
+and every strategy of one column class the same number of rows of any one
+row class.  So averaging over the column classes commutes with the rows
+(A·X = Y·A), and since the targets are constant on row classes, an averaged
+solution is still a solution, with or without a ±slack band: the LP over
+mixtures that give every member of a strategy class one weight has the full
+LP's verdict.  For the quantum tables at every visibility above 0 its
+columns are two classes of 32, the strategies of Mermin value −2 and +2.  It
+is handed all 65 rows, and the rows of one cell class are equal, and so are
+their targets: the simplex kernel merges such repeated equations, pivots on
+the distinct ones (at most 4 for the quantum tables), and gives every copy
+of a merged row the same share of its dual.  A Farkas certificate is therefore
+constant on cell classes, and by equitability each strategy's column is its
+class column over the class size, so it bounds every strategy column and
+not only their class sums.  The mixture is lifted back to the 64 strategies,
+and either evidence is checked on the full 65 × 64 problem by code that
+shares nothing with the solver.
 
 The GHZ contradiction itself needs no inequalities
 (:func:`ghz_paradox_check`), while the noise tolerance is an LP boundary:
@@ -40,11 +46,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, permutations, product
+from itertools import compress, product
 from math import prod
-from operator import itemgetter, mul, xor
+from operator import itemgetter, mul
 from numbers import Rational
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .fock import (
     BOOL,
@@ -335,9 +341,12 @@ def _incidence() -> Tuple[Tuple[CertificateKey, ...], Incidence]:
     over the 64 right-sector strategy columns.  Only the targets vary from
     problem to problem, so this is built once and shared, read-only.
 
-    Row 8t + o holds a 1 at strategy j when j gives outcome o at settings t,
-    read off the bit layout :func:`_candidate_maps` states: station k's
-    outcome (bit 2 − k of o) is bit 5 − 2k − x of j, x its setting in t."""
+    Row 8t + o holds a 1 at strategy j when j gives outcome o at settings t.
+    Both indices are bit fields, as the product orders of :data:`TRIPLES`,
+    :data:`OUTCOMES` and the enumeration make them (x = 0 linear, 1
+    circular; a bit is set for −1): cell 8t + o holds station k's setting in
+    bit 2 − k of t and its outcome in bit 2 − k of o, and strategy j holds
+    station k's value at setting x in bit 5 − 2k − x."""
     rows = [[0] * 64 for _ in range(64)]
     for t in range(8):
         g, h, z = (5 - 2 * k - (t >> 2 - k & 1) for k in range(3))
@@ -393,92 +402,52 @@ def _with_slack(rows, rhs, slack: Rational):
     return wide_rows, wide_rhs
 
 
-Permutation = bytes  # the image of each index
-Orbits = Tuple[Tuple[int, ...], ...]  # each sorted, ordered by least index
+Classes = Tuple[Tuple[int, ...], ...]  # each sorted, ordered by least index
 
 
-@lru_cache(maxsize=None)
-def _candidate_maps() -> Tuple[Tuple[Permutation, Permutation], ...]:
-    """The 384 relabellings that keep the LP's incidence, each as a permutation
-    of the 64 cell rows and one of the 64 strategy columns (as ``bytes``, about
-    a sixth of a tuple's memory).
-
-    A relabelling moves station k to place ``order[k]`` (6 orders), then
-    negates the outcome of station k at setting x for each (k, x) of a set
-    ``f`` of the 6 pairs.  A strategy gives a cell exactly when its image
-    gives the image cell.  Both indices are bit fields, as the product
-    orders of :data:`TRIPLES`, :data:`OUTCOMES` and the enumeration make
-    them (x = 0 linear, 1 circular; a bit is set for −1):
-
-    * strategy j holds station k's value at setting x in bit 5 − 2k − x;
-    * cell 8t + o holds station k's setting in bit 2 − k of t, and its
-      outcome in bit 2 − k of o.
-
-    So ``f``, written as a strategy bit field, maps strategy j to j ^ f.
-    Built on the first solve of a process, never at import.
-    """
-    flips = [((0,) * 8, 0)]  # (the outcome bits flipped in each triple t, the strategy bits)
-    for k, x in product(range(3), (0, 1)):
-        single = tuple(((t >> 2 - k & 1) == x) << 2 - k for t in range(8))
-        flips += [(tuple(map(xor, masks, single)), bits ^ (1 << 5 - 2 * k - x))
-                  for masks, bits in flips]
-    flips = [(tuple([8 * t + (o ^ mask) for t, mask in enumerate(masks) for o in range(8)]),
-              tuple([j ^ bits for j in range(64)])) for masks, bits in flips]
-    maps = []
-    for order in permutations(range(3)):
-        # where the order moves a 3-bit field of settings or outcomes, and a strategy
-        moved = [sum(v << 2 - to for v, to in zip(field, order))
-                 for field in product((0, 1), repeat=3)]
-        strategies = itemgetter(*[sum(v << 4 - 2 * to for v, to in zip(field, order))
-                                  for field in product(range(4), repeat=3)])
-        cells = itemgetter(*[8 * t + o for t in moved for o in moved])
-        maps += [(bytes(cells(cell_flip)), bytes(strategies(strategy_flip)))
-                 for cell_flip, strategy_flip in flips]
-    return tuple(maps)
-
-
-def _orbits(group: Sequence[Permutation]) -> Orbits:
-    """The orbits of a group given as the list of all its permutations."""
-    orbits: List[Tuple[int, ...]] = []
-    seen = set()
-    for i in range(len(group[0])):
-        if i not in seen:
-            orbits.append(tuple(sorted({p[i] for p in group})))
-            seen.update(orbits[-1])
-    return tuple(orbits)
+def _partition(items: Sequence[Hashable]) -> Tuple[int, ...]:
+    """Each item labelled by the index of the first equal item.  A verdict
+    passes its integer targets over one denominator, where equal values are
+    equal integers; equal rationals of any type hash alike, so ``Fraction``
+    cells give the same labels."""
+    first: Dict[Hashable, int] = {}
+    return tuple([first.setdefault(v, i) for i, v in enumerate(items)])
 
 
 @lru_cache(maxsize=64)
-def _orbit_lp(partition: Tuple[int, ...]) -> Tuple[Orbits, Incidence]:
-    """The strategy orbits of the maps that fix every target cell, ordered by
-    least index, and the LP's 65 rows over them: one column per orbit, whose
-    entry counts the members of the orbit that give the row's cell, so the
-    mass row holds the orbit sizes.  A trivial stabiliser gives back the full
-    rows.  The rows of one cell orbit are equal, and so are their targets, so
-    the kernel merges them and shares each merged dual evenly over them.
+def _reduced_lp(partition: Tuple[int, ...]) -> Tuple[Classes, Incidence]:
+    """The strategy classes of the coarsest equitable partition of the LP
+    whose cell classes refine ``partition``, ordered by least index, and the
+    LP's 65 rows over them: one column per class, whose entry counts the
+    members of the class that give the row's cell, so the mass row holds the
+    class sizes.  The rows of one cell class are equal, and so are their
+    targets, so the kernel merges them and shares each merged dual evenly
+    over them.
 
-    ``partition`` labels each cell by the first cell with an equal target,
-    so it alone decides which candidate maps fix the targets."""
-    stabiliser = [m for m in _candidate_maps() if itemgetter(*m[0])(partition) == partition]
-    strategies = _orbits([strategy_map for _, strategy_map in stabiliser])
-    _, rows = _incidence()
-    return strategies, tuple(
-        tuple([sum([row[j] for j in orbit]) for orbit in strategies]) for row in rows)
+    Colour refinement: each cell row starts with its label in ``partition``
+    (the first cell with an equal target), the mass row with a colour of its
+    own, and every strategy with one colour.  Each round recolours every
+    strategy by its colour and the colours of its 9 rows, then every row by
+    its colour and the colours of its strategies, until the number of
+    classes stops changing (Grohe, Kersting, Mladenov & Selman, ESA 2014)."""
+    rows_of, columns_of = _supports()
+    rows, columns, classes = (*partition, -1), (0,) * 64, 0
+    while len(set(rows)) + len(set(columns)) != classes:
+        classes = len(set(rows)) + len(set(columns))
+        columns = _partition([(c, *sorted(g(rows))) for c, g in zip(columns, columns_of)])
+        rows = _partition([(r, *sorted(g(columns))) for r, g in zip(rows, rows_of)])
+    members: Dict[int, List[int]] = {}  # keyed by each class's least index
+    for j, c in enumerate(columns):
+        members.setdefault(c, []).append(j)
+    return tuple(map(tuple, members.values())), tuple(
+        tuple(map(g(columns).count, members)) for g in rows_of)
 
 
-def _partition(cells: Sequence[Rational]) -> Tuple[int, ...]:
-    """Each cell labelled by the first cell of equal value.  A verdict passes
-    its integer targets over one denominator, where equal values are equal
-    integers; equal rationals of any type hash alike, so ``Fraction`` cells
-    give the same labels."""
-    first: Dict[Rational, int] = {}
-    return tuple([first.setdefault(v, i) for i, v in enumerate(cells)])
-
-
-def _orbit_system(problem: FeasibilityProblem) -> Tuple[Orbits, Sequence, List[int], int]:
-    """The orbit LP a verdict hands the kernel, on the integer scale of the
-    problem's targets: the strategy orbits, the rows, the integer right-hand
-    sides and the scale s by which they multiply the targets.
+def _reduced_system(problem: FeasibilityProblem) -> Tuple[Classes, Sequence, List[int], int]:
+    """The reduced LP a verdict hands the kernel (see :func:`_reduced_lp`),
+    on the integer scale of the problem's targets: the strategy classes, the
+    rows, the integer right-hand sides and the scale s by which they
+    multiply the targets.
 
     Without slack the right-hand sides are the ``integer_targets`` e·t
     (s = e); with a slack p/q they are e·q·t ± e·p and e·q times the right
@@ -487,7 +456,7 @@ def _orbit_system(problem: FeasibilityProblem) -> Tuple[Orbits, Sequence, List[i
     its ratio test compares right-hand sides that all scale alike) and no
     merge class or dual, and multiplies its solution by s."""
     targets, e = problem.integer_targets
-    columns, rows = _orbit_lp(_partition(targets[:-1]))
+    columns, rows = _reduced_lp(_partition(targets[:-1]))
     if not problem.slack:
         return columns, rows, list(targets), e
     p, q = problem.slack.numerator, problem.slack.denominator
@@ -503,32 +472,34 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     aggregated χ=0 weight), so the LP only asks whether non-negative
     weights on the 64 all-±1 strategies reproduce every right-event cell.
 
-    The LP's columns are the orbits of the targets' stabiliser on the
-    strategies (see :func:`_orbit_lp`): averaging a solution over the
-    stabiliser keeps it a solution, so one weight per orbit decides the full
-    LP's verdict.  Its 65 rows are handed to the kernel as they are, with
-    the problem's ``integer_targets`` as right-hand sides (see
-    :func:`_orbit_system`), so the kernel reads every row in as integers and
-    the targets are put over one denominator once, when the problem is built;
-    the kernel's solution is divided by that scale, and its dual needs no
-    change.  The rows of one cell orbit are equal, and so are their targets,
-    so the kernel merges them and pivots on the distinct ones; with slack,
-    equal cells share one surplus pair (see :func:`_with_slack`), so their
-    band rows are merged too.  The evidence is lifted to the full problem
-    and checked there, against the same integer targets, by
-    :func:`verify_verdict` or :func:`evaluate_certificate`: a mixture gives
-    every member of a strategy orbit the orbit's weight, and a certificate
-    is the kernel's dual as solved, each slack pair folded into its cell.
-    The kernel gives every copy of a merged row the same share of its dual,
-    so the certificate is constant on cell orbits and its value on a
-    strategy's column is the same across the strategy's orbit: the orbit
-    column's value over the orbit size, which the solve makes non-positive.
+    The LP's columns are the strategy classes of an equitable partition
+    whose cell classes keep the targets apart (see :func:`_reduced_lp`):
+    averaging a solution over each strategy class keeps it a solution, so
+    one weight per class decides the full LP's verdict.  Its 65 rows are
+    handed to the kernel as they are, with the problem's ``integer_targets``
+    as right-hand sides (see :func:`_reduced_system`), so the kernel reads
+    every row in as integers and the targets are put over one denominator
+    once, when the problem is built; the kernel's solution is divided by
+    that scale, and its dual needs no change.  The rows of one cell class
+    are equal, and so are their targets, so the kernel merges them and
+    pivots on the distinct ones; with slack, equal cells share one surplus
+    pair (see :func:`_with_slack`), so their band rows are merged too.  The
+    evidence is lifted to the full problem and checked there, against the
+    same integer targets, by :func:`verify_verdict` or
+    :func:`evaluate_certificate`: a mixture gives every member of a strategy
+    class the class's weight, and a certificate is the kernel's dual as
+    solved, each slack pair folded into its cell.  The kernel gives every
+    copy of a merged row the same share of its dual, so the certificate is
+    constant on cell classes and, the partition being equitable, its value
+    on a strategy's column is the same across the strategy's class: the
+    class column's value over the class size, which the solve makes
+    non-positive.
     """
-    columns, rows, rhs, scale = _orbit_system(problem)
+    columns, rows, rhs, scale = _reduced_system(problem)
     result = solve_feasibility(rows, rhs)
     if result.feasible:
         weights = [w / scale for w in result.solution[:len(columns)]]
-        weight = {j: w for orbit, w in zip(columns, weights) for j in orbit}
+        weight = {j: w for members, w in zip(columns, weights) for j in members}
         mixture = {s: weight[j] for j, s in enumerate(right_sector_strategies()) if weight[j]}
         return FeasibilityOutcome(True, mixture, problem.wrong_mass, None, result.iterations,
                                   verify_verdict(problem, True,

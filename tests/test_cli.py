@@ -515,8 +515,8 @@ def test_lhv_feasibility_feasible_report(capsys):
     assert Fraction(payload["chi_zero_weight"]) == Fraction(3, 4)
 
 
-# sha256 of `lhv-feasibility --format json` as the LP over strategy orbits
-# writes it: a feasible mixture gives every member of an orbit one weight (the
+# sha256 of `lhv-feasibility --format json` as the LP over strategy classes
+# writes it: a feasible mixture gives every member of a class one weight (the
 # 13/20 certificate is the full LP's, byte for byte; the full-row kernel
 # solves are pinned in tests/test_lhv.py)
 LHV_ARTIFACT_SHA256 = {
@@ -754,8 +754,8 @@ def test_identical_configs_are_byte_identical(capsys):
 
 
 # sha256 of `lhv-feasibility --visibility 1 --slack 1/100`: its certificate
-# value is y·b less slack·Σ|y_i| over the cells (49/100, not 9/4); the orbit
-# LP's certificate, constant on cell orbits, differs from the full LP's, with
+# value is y·b less slack·Σ|y_i| over the cells (49/100, not 9/4); the reduced
+# LP's certificate, constant on cell classes, differs from the full LP's, with
 # the same value, so only the JSON moved
 SLACK_CERTIFICATE_SHA256 = {
     "json": "4bda36c762576bf610f70d7502888f6ef07c401431ebaeaf90ec0e1eb005aed1",
@@ -780,6 +780,19 @@ def test_malformed_pattern_exits_through_one_envelope(capsys, tmp_path, pattern)
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert _one_envelope(err)["type"] == "ValueError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_pattern_nested_past_the_decoder_exits_through_one_envelope(tmp_path):
+    # json.loads recurses once per nesting level and raises RecursionError,
+    # which is no ValueError, so only the command's own check keeps it off stderr
+    target = tmp_path / "event.json"
+    argv = ["classify", "--pattern", "[" * 100000, "--output", str(target)]
+    done = subprocess.run([sys.executable, "-m", "ghzsim.cli", *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert done.returncode == 2 and done.stdout == "" and "Traceback" not in done.stderr
+    assert _one_envelope(done.stderr) == {"type": "ValueError",
+                                          "message": "--pattern is nested too deeply to decode"}
     assert list(tmp_path.iterdir()) == []
 
 

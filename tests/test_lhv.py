@@ -9,7 +9,6 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -485,13 +484,13 @@ def test_a_bool_is_no_slack():
             FeasibilityProblem(quantum_targets(Fraction(1)), slack=flag)
 
 
-# Pivot counts of each verdict's LP over strategy orbits (see
+# Pivot counts of each verdict's LP over strategy classes (see
 # test_orbit_lp_of_the_quantum_targets): 65 rows by 1 column at V = 0, where
-# every cell is equal, and 65 by 4 above it
+# every cell is equal, and 65 by 2 above it
 PINNED_PIVOTS = {
     Fraction(0): 1,
-    Fraction(1, 4): 3,
-    Fraction(1, 2): 3,
+    Fraction(1, 4): 2,
+    Fraction(1, 2): 2,
     Fraction(51, 100): 2,
     Fraction(13, 20): 2,
     Fraction(3, 4): 2,
@@ -532,9 +531,9 @@ def test_slack_lp_pivot_count_is_pinned():
     problem = FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(1, 64))
     outcome = lhv_feasibility(problem)
     assert outcome.feasible and outcome.verified
-    # handed 129 rows by 4 + 2·5 columns (5 cell classes share surplus pairs),
-    # the kernel pivots on the 11 distinct ones
-    assert outcome.iterations == 3
+    # handed 129 rows by 2 + 2·3 columns (3 cell classes share surplus pairs),
+    # the kernel pivots on the 7 distinct ones
+    assert outcome.iterations == 2
     # the kernel on the full rows: the same verdict after 118 pivots
     _, rows, rhs, _ = lhv._cell_rows(problem)
     wide_rows, wide_rhs = lhv._with_slack(rows, rhs, problem.slack)
@@ -620,78 +619,92 @@ def _incidence_from_outcomes():
 
 
 # ---------------------------------------------------------------------------
-# The orbit LP and its lifted evidence
+# The reduced LP and its lifted evidence
 # ---------------------------------------------------------------------------
 
 
-def test_candidate_maps_keep_the_incidence_and_form_a_group():
-    maps = lhv._candidate_maps()
-    assert len(maps) == len(set(maps)) == 384
-    _, rows = lhv._incidence()
-    for cells, strategies in maps:
-        assert sorted(cells) == sorted(strategies) == list(range(64))
-        # strategy s gives cell c exactly when its image gives the image cell
-        permuted = itemgetter(*strategies)
-        assert all(permuted(rows[cells[c]]) == rows[c] for c in range(64))
-    # closed under composition, so the maps that fix a table form a group
-    known = set(maps)
-    for first in maps[::11]:
-        for second in maps:
-            assert tuple(bytes(b[i] for i in a) for a, b in zip(first, second)) in known
-
-
-def test_candidate_maps_are_built_on_the_first_solve_not_at_import():
+def test_the_reduced_lp_is_built_on_the_first_solve_not_at_import():
     code = ("from fractions import Fraction; from ghzsim import lhv; "
-            "lhv.quantum_targets(Fraction(1, 2)); "
-            "before = lhv._candidate_maps.cache_info().currsize; "
-            "lhv.feasibility_at_visibility(Fraction(1, 2)); "
-            "print(before, lhv._candidate_maps.cache_info().currsize)")
+            "size = lambda: lhv._reduced_lp.cache_info().currsize; "
+            "at_import = size(); lhv.quantum_targets(Fraction(1, 2)); "
+            "with_targets = size(); lhv.feasibility_at_visibility(Fraction(1, 2)); "
+            "print(at_import, with_targets, size())")
     src = str(Path(lhv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "1"]
+    assert done.stdout.split() == ["0", "0", "1"]
 
 
-def _orbit_lp_of(problem):
-    """(cell orbits, strategy orbits, rows) of the problem's orbit LP; the cell
-    orbits are computed here, since the solver leaves them to the kernel."""
-    _, _, rhs, _ = lhv._cell_rows(problem)
-    cells = lhv._orbits([cell_map for cell_map, _ in _stabiliser(problem)])
-    return (cells, *lhv._orbit_lp(lhv._partition(rhs[:-1])))
+def _reduced_lp_of(problem):
+    """(cell classes, strategy classes, rows) of the problem's reduced LP.  The
+    cell classes are the kernel's merge classes, computed here since the
+    solver leaves them to the kernel: cells with an equal reduced row and an
+    equal target.  The mass row is a class of its own."""
+    targets, _ = problem.integer_targets
+    strategies, reduced = lhv._reduced_lp(lhv._partition(targets[:-1]))
+    merged = {}
+    for i, key in enumerate(zip(reduced, targets)):
+        merged.setdefault(key, []).append(i)
+    assert merged.pop((reduced[-1], targets[-1])) == [64]
+    return tuple(map(tuple, merged.values())), strategies, reduced
 
 
-def _stabiliser(problem):
-    """The candidate maps that fix every target cell, compared as values."""
-    _, _, rhs, _ = lhv._cell_rows(problem)
-    return [m for m in lhv._candidate_maps() if all(rhs[m[0][c]] == rhs[c] for c in range(64))]
+def _assert_equitable(problem):
+    """The partition the lift relies on: for every row class and column class,
+    each row of the row class hits the same number of strategies of the
+    column class, and each strategy of the column class the same number of
+    rows of the row class."""
+    cells, strategies, reduced = _reduced_lp_of(problem)
+    _, rows = lhv._incidence()
+    assert sorted(j for members in strategies for j in members) == list(range(64))
+    for members in [*cells, (64,)]:
+        for column in strategies:
+            assert len({sum(rows[i][j] for j in column) for i in members}) == 1
+            assert len({sum(rows[i][j] for i in members) for j in column}) == 1
+    # a reduced entry counts the members of the class that give the row's cell
+    assert reduced == tuple(tuple(sum(row[j] for j in column) for column in strategies)
+                            for row in rows)
+
+
+def _mermin_values():
+    """Σ sign·parity over :data:`PERFECT_CORRELATIONS` for each right-sector strategy."""
+    return [sum(sign * lhv._parity(s, code) for code, sign in lhv.PERFECT_CORRELATIONS)
+            for s in right_sector_strategies()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.fractions(0, 1, max_denominator=10**4).filter(bool))
+def test_the_reduced_lp_is_mermins_dichotomy(visibility):
+    targets, _ = FeasibilityProblem(quantum_targets(visibility)).integer_targets
+    strategies, reduced = lhv._reduced_lp(lhv._partition(targets[:-1]))
+    values = _mermin_values()
+    assert sorted(values) == [-2] * 32 + [2] * 32
+    assert {frozenset(members) for members in strategies} == {
+        frozenset(j for j, m in enumerate(values) if m == side) for side in (-2, 2)}
+    assert len(set(reduced[:-1])) == 3
+    # two columns, so the mass row and one cell class fix a feasible mixture
+    if visibility <= Fraction(1, 2):
+        assert feasibility_at_visibility(visibility).distribution == {
+            s: (1 + m * visibility) / 256
+            for s, m in zip(right_sector_strategies(), values) if 1 + m * visibility}
 
 
 def test_orbit_lp_of_the_quantum_targets():
-    _, rows = lhv._incidence()
     for visibility in (Fraction(1, 4), Fraction(13, 20), Fraction(1)):
         problem = FeasibilityProblem(quantum_targets(visibility))
-        assert len(_stabiliser(problem)) == 48
-        cells, strategies, reduced = _orbit_lp_of(problem)
-        assert [len(orbit) for orbit in cells] == [4, 4, 24, 12, 12, 8]
-        assert [len(orbit) for orbit in strategies] == [8, 24, 24, 8]
-        assert len(reduced) == 65 and reduced[-1] == (8, 24, 24, 8)  # mass row: orbit sizes
-        # an entry counts the members of the strategy orbit that give the row's
-        # cell, and every cell of one orbit gives the same counts
-        for c, row in enumerate(reduced[:-1]):
-            assert row == tuple(sum(rows[c][s] for s in members) for members in strategies)
-        assert all(len({reduced[c] for c in orbit}) == 1 for orbit in cells)
-    # at V = 0 every cell is equal: all 384 maps fix the targets
-    problem = FeasibilityProblem(quantum_targets(0))
-    assert len(_stabiliser(problem)) == 384
-    cells, strategies, _ = _orbit_lp_of(problem)
-    assert [len(orbit) for orbit in cells] == [8, 24, 24, 8]
-    assert strategies == (tuple(range(64)),)
+        cells, strategies, reduced = _reduced_lp_of(problem)
+        assert [len(members) for members in cells] == [16, 16, 32]
+        assert [len(members) for members in strategies] == [32, 32]
+        assert len(reduced) == 65 and reduced[-1] == (32, 32)  # mass row: class sizes
+    # at V = 0 every cell is equal: one class of cells and one of strategies
+    cells, strategies, _ = _reduced_lp_of(FeasibilityProblem(quantum_targets(0)))
+    assert cells == (tuple(range(64)),) and strategies == (tuple(range(64)),)
 
 
-@pytest.mark.parametrize("slack,shape", [(Fraction(0), (65, 4)), (Fraction(1, 64), (129, 14))])
+@pytest.mark.parametrize("slack,shape", [(Fraction(0), (65, 2)), (Fraction(1, 64), (129, 8))])
 def test_the_kernel_is_handed_every_row_over_the_strategy_orbits(monkeypatch, slack, shape):
     seen = []
 
@@ -718,9 +731,10 @@ def _moved(tables, moves):
     return tables
 
 
-# Two problems whose stabiliser is trivial, so that the orbit LP is the full
-# LP: (feasible, pivots, sha256 of the FEASIBILITY_VERDICT JSON), pinned from
-# the full-LP solve that preceded the orbit LP
+# Two problems whose colour refinement splits every strategy apart, so that
+# the reduced LP is the full LP: (feasible, pivots, sha256 of the
+# FEASIBILITY_VERDICT JSON), pinned from the full-LP solve that preceded any
+# reduction
 ASYMMETRIC_PROBLEMS = {
     # the V = 3/5 tables with (i + 1)/1000 moved from cell i to cell i + 1 of table i
     "moved cells": (lambda: (Fraction(3, 5), FeasibilityProblem(_moved(
@@ -739,9 +753,8 @@ ASYMMETRIC_PROBLEMS = {
 def test_a_trivial_stabiliser_keeps_the_full_lp(name):
     build, feasible, pivots, digest = ASYMMETRIC_PROBLEMS[name]
     visibility, problem = build()
-    cells, strategies, reduced = _orbit_lp_of(problem)
+    cells, strategies, reduced = _reduced_lp_of(problem)
     _, rows, _, _ = lhv._cell_rows(problem)
-    assert len(_stabiliser(problem)) == 1
     assert reduced == rows and len(cells) == len(strategies) == 64
     outcome = lhv_feasibility(problem)
     assert (outcome.feasible, outcome.verified, outcome.iterations) == (feasible, True, pivots)
@@ -771,9 +784,19 @@ def _problems(draw):
     return FeasibilityProblem(tables, slack=slack)
 
 
+@pytest.mark.parametrize("name", ["V=0", "V=1/4", "V=13/20", "V=1", *sorted(ASYMMETRIC_PROBLEMS)])
+def test_the_reduced_lp_is_equitable(name):
+    if name in ASYMMETRIC_PROBLEMS:
+        _, problem = ASYMMETRIC_PROBLEMS[name][0]()
+    else:
+        problem = FeasibilityProblem(quantum_targets(Fraction(name[2:])))
+    _assert_equitable(problem)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_problems(), st.data())
 def test_the_orbit_lp_has_the_full_lps_verdict_and_lifted_evidence(problem, data):
+    _assert_equitable(problem)
     outcome = lhv_feasibility(problem)
     _, rows, rhs, keys = lhv._cell_rows(problem)
     full = (lhv._with_slack(rows, rhs, problem.slack) if problem.slack else (rows, rhs))
@@ -787,9 +810,9 @@ def test_the_orbit_lp_has_the_full_lps_verdict_and_lifted_evidence(problem, data
     assert list(coefficients) == list(keys)  # every row, in row order
     assert verify_verdict(problem, False, coefficients)
     assert verify_farkas(rows, rhs, [coefficients[key] for key in keys])
-    cells = _orbit_lp_of(problem)[0]
+    cells = _reduced_lp_of(problem)[0]
     _assert_constant_on(cells, [coefficients[key] for key in keys])
-    # the check reads every cell, not one per orbit: raising one cell's
+    # the check reads every cell, not one per class: raising one cell's
     # coefficient past every column's size makes its strategies' columns positive
     cell = data.draw(st.sampled_from(data.draw(st.sampled_from(cells))))
     changed = dict(coefficients)
@@ -807,13 +830,13 @@ def test_the_integer_hand_off_is_the_fraction_lp_times_its_scale(problem):
     copy = pickle.loads(pickle.dumps(problem))
     assert copy == problem and copy.integer_targets == problem.integer_targets
     assert [t.integer_form for t in copy.targets] == [t.integer_form for t in problem.targets]
-    # the orbit LP as handed to the kernel, and the same LP on the Fraction targets
-    columns, rows, scaled, scale = lhv._orbit_system(problem)
-    orbits, orbit_rows = lhv._orbit_lp(lhv._partition(rhs[:-1]))
-    fraction_lp = (lhv._with_slack(orbit_rows, rhs, problem.slack) if problem.slack
-                   else (orbit_rows, rhs))
+    # the reduced LP as handed to the kernel, and the same LP on the Fraction targets
+    columns, rows, scaled, scale = lhv._reduced_system(problem)
+    classes, reduced_rows = lhv._reduced_lp(lhv._partition(rhs[:-1]))
+    fraction_lp = (lhv._with_slack(reduced_rows, rhs, problem.slack) if problem.slack
+                   else (reduced_rows, rhs))
     assert all(type(b) is int for b in scaled)
-    assert columns == orbits and rows == fraction_lp[0]
+    assert columns == classes and rows == fraction_lp[0]
     assert scaled == [scale * b for b in fraction_lp[1]]
     handed, exact = solve_feasibility(rows, scaled), solve_feasibility(*fraction_lp)
     assert (handed.feasible, handed.iterations, handed.certificate) == (
@@ -824,8 +847,8 @@ def test_the_integer_hand_off_is_the_fraction_lp_times_its_scale(problem):
 
 def _assert_constant_on(cells, coefficients):
     """The kernel gives every copy of a merged row the same share of its dual,
-    so an infeasible certificate takes one coefficient across each cell orbit."""
-    assert all(len({coefficients[c] for c in orbit}) == 1 for orbit in cells)
+    so an infeasible certificate takes one coefficient across each cell class."""
+    assert all(len({coefficients[c] for c in members}) == 1 for members in cells)
 
 
 @pytest.mark.parametrize("slack", [Fraction(0), Fraction(1, 100)])
@@ -837,8 +860,8 @@ def test_certificates_are_constant_on_cell_orbits(visibility, slack):
     assert outcome.feasible == (slack >= (visibility - Fraction(1, 2)) / 32)
     if not outcome.feasible:
         _, _, _, keys = lhv._cell_rows(problem)
-        cells = _orbit_lp_of(problem)[0]
-        assert len(cells) == 6
+        cells = _reduced_lp_of(problem)[0]
+        assert len(cells) == 3
         _assert_constant_on(cells, [outcome.certificate.coefficients[key] for key in keys])
     assert outcome.verified
 
@@ -908,7 +931,7 @@ def test_certificates_are_checked_against_the_slack_they_claim():
 def test_slack_certificate_value_subtracts_the_band():
     problem = FeasibilityProblem(quantum_targets(Fraction(1)), slack=Fraction(1, 100))
     outcome = lhv_feasibility(problem)
-    assert not outcome.feasible and outcome.verified and outcome.iterations == 2
+    assert not outcome.feasible and outcome.verified and outcome.iterations == 1
     # y·b = 9/4 on the exact targets; the band of ±1/100 costs Σ|y_i|/100
     coefficients = outcome.certificate.coefficients
     band = sum(abs(c) for key, c in coefficients.items() if key != ("mass", ""))

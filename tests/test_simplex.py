@@ -101,9 +101,9 @@ def test_verify_farkas_rejects_float_rows_and_right_hand_sides():
 
 def _handed(problem):
     """The rows and targets that ``lhv_feasibility`` hands the kernel: the
-    orbit LP, with its slack band if the problem has one."""
+    reduced LP, with its slack band if the problem has one."""
     _, _, rhs, _ = lhv._cell_rows(problem)
-    _, rows = lhv._orbit_lp(lhv._partition(rhs[:-1]))
+    _, rows = lhv._reduced_lp(lhv._partition(rhs[:-1]))
     return lhv._with_slack(rows, rhs, problem.slack) if problem.slack else (rows, rhs)
 
 
