@@ -36,7 +36,6 @@ from .fock import (
     creation,
     derived_codec,
     mapping_codec,
-    record_codec,
     render_amplitude,
     sequence_codec,
     substitute,
@@ -243,11 +242,11 @@ def innsbruck_circuit() -> OpticalCircuit:
 
 # a transform's rules: each source mode's name -> its [{mode, amplitude}] targets
 RULES = mapping_codec(MODE, sequence_codec(tuple_codec(("mode", MODE), ("amplitude", AMPLITUDE))))
-TRANSFORM = record_codec(ModeTransform, ("name", "name", TEXT), ("rules", "rules", RULES))
+TRANSFORM = tuple_codec(("rules", RULES), ("name", TEXT), build=ModeTransform)
 # ``ghzsim dump-circuit``'s payload: the elements and, derived from them, the
 # composed rules; a decoded element runs the same isometry check as a built one
 CIRCUIT = derived_codec(
-    record_codec(OpticalCircuit, ("elements", "elements", sequence_codec(TRANSFORM))),
+    tuple_codec(("elements", sequence_codec(TRANSFORM)), build=OpticalCircuit),
     "composed", lambda circuit: RULES[0](circuit.compose().rules),
 )
 

@@ -64,7 +64,6 @@ from .fock import (
     mapping_codec,
     occupation,
     pattern_to_json,
-    record_codec,
     require_type,
     terms_codec,
     tuple_codec,
@@ -349,12 +348,8 @@ def pairing_report(state: StatePolynomial) -> PairingReport:
     return PairingReport(right, sum(census.values()), census)
 
 
-PAIRING_REPORT = record_codec(
-    PairingReport,
-    ("right_terms", "right_terms", INT),
-    ("wrong_terms", "wrong_terms", INT),
-    ("census", "census", mapping_codec(STATION_PAIR, INT)),
-)
+PAIRING_REPORT = tuple_codec(("right_terms", INT), ("wrong_terms", INT),
+                             ("census", mapping_codec(STATION_PAIR, INT)), build=PairingReport)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ pair-creation probability is supplied (see the Monte Carlo sampler in
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -274,7 +275,8 @@ def render_amplitude(amp: Amplitude) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Wire codec: each JSON artifact is declared once as an (encode, decode) pair
+# Wire codec: each JSON artifact is declared once as an (encode, decode) pair;
+# every JSON object, a record's included, is written by one rule, tuple_codec
 # ---------------------------------------------------------------------------
 
 Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]  # (encode, decode)
@@ -295,10 +297,24 @@ def _json(kind: type, name: str) -> Callable[[Any], Any]:
 _LIST, _OBJECT = _json(list, "list"), _json(dict, "object")
 
 
+_LIMIT = 10 ** 4300  # CPython's default int-string limit: no part of a rational reaches it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Exact parse of ``p/q`` or a decimal literal ("13/20" == "0.65")."""
+    """Exact parse of ``p/q`` or a decimal literal ("13/20" == "0.65").  A
+    numerator or denominator of more than 4300 digits is refused, and so is
+    an exponent beyond ±8600, before any power of ten is computed: int() takes
+    at most 4300 digits on each side of the point, so past it any nonzero
+    literal has such a part."""
     try:
-        return Fraction(text)
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > 8600:
+            raise ValueError("more than 4300 digits")
+        value = Fraction(text)
+        if max(abs(value.numerator), value.denominator) >= _LIMIT:
+            raise ValueError("more than 4300 digits")
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r} ({exc})") from None
 
@@ -331,33 +347,21 @@ def mapping_codec(key: Codec, value: Codec) -> Codec:
             lambda obj: {decode_key(k): decode_value(v) for k, v in _OBJECT(obj).items()})
 
 
-def record_codec(build: Callable[..., Any], *fields: Tuple[str, str, Codec]) -> Codec:
-    """A JSON object with one ``(wire key, attribute, codec)`` per field; the
-    decoder calls ``build`` with the decoded fields as keyword arguments, and
-    a missing key raises ValueError."""
+def tuple_codec(*fields: Tuple[str, Codec], optional: Tuple[str, ...] = (),
+                build: Callable[..., Any] = lambda *items: items) -> Codec:
+    """A tuple as a JSON object with one ``(wire key, codec)`` per item, in
+    order: a record's fields, in ``_fields`` order, and none of the values it
+    derives after them.  An item that is ``None`` is left out.  The decoder
+    calls ``build`` with the decoded items by position (by default it returns
+    them as a plain tuple).  Only the keys named in ``optional`` may be absent,
+    and decode to ``None``; any other missing key raises ValueError."""
 
     def decode(obj: Any) -> Any:
-        obj = _OBJECT(obj)
-        for key, _, _ in fields:
-            if key not in obj:
-                raise ValueError(f"JSON object lacks the key {key!r}")
-        return build(**{attr: dec(obj[key]) for key, attr, (_, dec) in fields})
-
-    return lambda value: {key: enc(getattr(value, attr)) for key, attr, (enc, _) in fields}, decode
-
-
-def tuple_codec(*fields: Tuple[str, Codec], optional: Tuple[str, ...] = ()) -> Codec:
-    """A tuple as a JSON object with one ``(wire key, codec)`` per item; an
-    item that is ``None`` is left out.  Only the keys named in ``optional``
-    may be absent, and decode to ``None``; any other missing key raises
-    ValueError."""
-
-    def decode(obj: Any) -> tuple:
         obj = _OBJECT(obj)
         for key, _ in fields:
             if key not in obj and key not in optional:
                 raise ValueError(f"JSON object lacks the key {key!r}")
-        return tuple(dec(obj[key]) if key in obj else None for key, (_, dec) in fields)
+        return build(*(dec(obj[key]) if key in obj else None for key, (_, dec) in fields))
 
     return (lambda values: {key: enc(v) for (key, (enc, _)), v in zip(fields, values)
                             if v is not None}, decode)
@@ -370,11 +374,11 @@ def derived_codec(codec: Codec, key: str, derive: Callable[[Any], Any]) -> Codec
     return lambda value: {**encode(value), key: derive(value)}, decode
 
 
-AMPLITUDE = record_codec(
-    Amplitude,
-    *((name, name, RATIONAL) for name in ("re", "im", "re_sqrt2", "im_sqrt2")),
-    ("gamma_order", "order", INT),
-)
+# an amplitude, the one wire object that is no tuple, written as its parts
+_PARTS = tuple_codec(*((name, RATIONAL) for name in ("re", "im", "re_sqrt2", "im_sqrt2")),
+                     ("gamma_order", INT), build=Amplitude)
+AMPLITUDE: Codec = (lambda a: _PARTS[0]((a.re, a.im, a.re_sqrt2, a.im_sqrt2, a.order)),
+                    _PARTS[1])
 
 
 # ---------------------------------------------------------------------------

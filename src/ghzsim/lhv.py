@@ -64,7 +64,6 @@ from .fock import (
     mapping_codec,
     over_common_denominator,
     over_one_denominator,
-    record_codec,
     require_type,
     sequence_codec,
     tuple_codec,
@@ -574,13 +573,11 @@ def _certificate_key(text: str) -> CertificateKey:
 CERTIFICATE_KEY = (lambda key: "mass" if key[0] == "mass" else "|".join(key), _certificate_key)
 # the decoder keeps only the coefficients: value, bound and verdict are
 # re-derived from them by evaluate_certificate, never trusted from the wire
-CERTIFICATE = record_codec(
-    lambda coefficients, **evidence: coefficients,
-    ("coefficients", "coefficients", mapping_codec(CERTIFICATE_KEY, RATIONAL)),
-    ("value", "value", RATIONAL),
-    ("strategy_bound", "strategy_bound", RATIONAL),
-    ("max_strategy_column", "max_strategy_column", RATIONAL),
-    ("verified", "verified", BOOL),
+CERTIFICATE = tuple_codec(
+    ("coefficients", mapping_codec(CERTIFICATE_KEY, RATIONAL)),
+    *((name, RATIONAL) for name in ("value", "strategy_bound", "max_strategy_column")),
+    ("verified", BOOL),
+    build=lambda coefficients, *evidence: coefficients,
 )
 certificate_from_json = CERTIFICATE[1]  # perfbench decodes certificates by this name
 
@@ -682,13 +679,13 @@ def ghz_paradox_check(conjugate: bool = False) -> GhzParadoxReport:
     )
 
 
-GHZ_REPORT = record_codec(
-    GhzParadoxReport,
-    ("conjugate", "conjugate_convention", BOOL),
-    ("correlations", "quantum_correlations", mapping_codec(TEXT, RATIONAL)),
-    ("satisfying_all", "satisfying_all", INT),
-    ("satisfying_after_drop", "satisfying_after_drop", sequence_codec(INT)),
-    ("contradiction", "contradiction", BOOL),
+GHZ_REPORT = tuple_codec(
+    ("conjugate", BOOL),
+    ("correlations", mapping_codec(TEXT, RATIONAL)),
+    ("satisfying_all", INT),
+    ("satisfying_after_drop", sequence_codec(INT)),
+    ("contradiction", BOOL),
+    build=GhzParadoxReport,
 )
 # (reports,) for both sign conventions, with the verdict they share derived
 GHZ_PARADOX = derived_codec(
@@ -709,12 +706,11 @@ class CriticalVisibilityResult(Record):
     _fields = ("v_star", "feasible_at", "infeasible_above", "evaluations")
 
 
-CRITICAL_RESULT = record_codec(
-    CriticalVisibilityResult,
-    *((name, name, RATIONAL) for name in ("v_star", "feasible_at", "infeasible_above")),
-    ("evaluations", "evaluations", sequence_codec(record_codec(
-        Evaluation, ("visibility", "visibility", RATIONAL), ("feasible", "feasible", BOOL),
-    ))),
+CRITICAL_RESULT = tuple_codec(
+    *((name, RATIONAL) for name in ("v_star", "feasible_at", "infeasible_above")),
+    ("evaluations", sequence_codec(tuple_codec(("visibility", RATIONAL), ("feasible", BOOL),
+                                               build=Evaluation))),
+    build=CriticalVisibilityResult,
 )
 
 

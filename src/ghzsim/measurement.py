@@ -67,7 +67,6 @@ from .fock import (
     mapping_codec,
     not_a_member,
     over_one_denominator,
-    record_codec,
     require_type,
     sequence_codec,
     tuple_codec,
@@ -340,11 +339,11 @@ def _mix_noise(table: OutcomeTable, a: int, b: int) -> OutcomeTable:
 
 
 SETTING_TRIPLE = (lambda triple: triple.code, lambda code: SettingTriple.from_code(TEXT[1](code)))
-TABLE = record_codec(
-    OutcomeTable,
-    ("settings", "settings", SETTING_TRIPLE),
-    ("cells", "probabilities", mapping_codec((outcome_code, outcome_from_code), RATIONAL)),
-    ("wrong_mass", "wrong_mass", RATIONAL),
+TABLE = tuple_codec(
+    ("settings", SETTING_TRIPLE),
+    ("cells", mapping_codec((outcome_code, outcome_from_code), RATIONAL)),
+    ("wrong_mass", RATIONAL),
+    build=OutcomeTable,
 )
 
 

@@ -39,7 +39,7 @@ from .events import (
     two_pair_emission,
 )
 from .fock import (BOOL, INT, PATTERN, Pattern, Record, born_terms, born_weights, monomial,
-                   over_common_denominator, record_codec)
+                   over_common_denominator, tuple_codec)
 
 
 # a dataclass only so that dataclasses.replace copies it; its own __new__ gives
@@ -57,13 +57,8 @@ class SampledEvent(Record):
         return tuple.__new__(cls, (pulse_index, pattern, event_class, herald_veto))
 
 
-EVENT = record_codec(
-    SampledEvent,
-    ("pulse", "pulse_index", INT),
-    ("pattern", "pattern", PATTERN),
-    ("class", "event_class", EVENT_CLASS),
-    ("veto", "herald_veto", BOOL),
-)
+EVENT = tuple_codec(("pulse", INT), ("pattern", PATTERN), ("class", EVENT_CLASS),
+                    ("veto", BOOL), build=SampledEvent)
 
 WORD = 64  # bits per random word; every draw reads whole words
 SKIP_PRECISION = 256  # fractional bits of the fixed-precision skip-level bounds

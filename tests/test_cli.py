@@ -42,6 +42,24 @@ def test_parse_rational_accepts_both_forms():
         parse_rational("two thirds")
 
 
+# a part of more than 4300 digits (CPython's int-string limit) is refused; an
+# exponent past 8600 is refused before 10**exponent is computed, even on a zero
+@pytest.mark.parametrize("text", ["1e-1000000", "-2.5E+1000000", "0e-100000000", "1e-4300",
+                                  "1e4300", "1" * 4301 + "/3", "0." + "0" * 4300 + "1"],
+                         ids=["tiny", "huge", "zero", "denominator 4301 digits",
+                              "numerator 4301 digits", "long numerator", "long decimal"])
+def test_parse_rational_refuses_a_part_past_4300_digits(text):
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(text)
+
+
+def test_parse_rational_keeps_parts_up_to_4300_digits():
+    assert parse_rational("1e-4000") == Fraction(1, 10**4000)
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("0e-8600") == 0
+    assert parse_rational("25e-4301") == Fraction(1, 4 * 10**4299)
+
+
 def test_expand_text(capsys):
     code, out, err = _run(capsys, ["expand", "--format", "text"])
     assert code == 0 and not err
@@ -794,6 +812,20 @@ def test_a_pattern_nested_past_the_decoder_exits_through_one_envelope(tmp_path):
     assert _one_envelope(done.stderr) == {"type": "ValueError",
                                           "message": "--pattern is nested too deeply to decode"}
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_visibility_past_4300_digits_exits_through_one_envelope():
+    # Fraction would compute 10**1000000 before any check could see the value
+    argv = [sys.executable, "-m", "ghzsim.cli", "lhv-feasibility", "--format", "json"]
+    done = subprocess.run([*argv, "--visibility", "1e-1000000"], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert done.returncode == 2 and done.stdout == "" and "Traceback" not in done.stderr
+    assert _one_envelope(done.stderr)["type"] == "usage"
+    done = subprocess.run([*argv, "--visibility", "1e-4000"], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    verdict = json.loads(done.stdout)
+    assert verdict["visibility"] == "1/1" + "0" * 4000 and verdict["feasible"] is True
 
 
 _rational_texts = st.one_of(

@@ -81,6 +81,7 @@ from ghzsim.sampler import (
     _Sampler,
     _output_table,
     _skip_bounds,
+    _skipped,
 )
 from reference import pattern_distribution
 
@@ -827,6 +828,50 @@ def test_sparse_gap_law_is_exactly_geometric():
         blocks, offset = divmod(k, m)
         emits = sum(w for (r, _), w in law.items() if r == offset)
         assert (skip**blocks - skip ** (blocks + 1)) * emits == (1 - emit) ** k * emit
+
+
+def _top_straddle(sampler, blocks):
+    """The first word of a U whose one-word interval holds skip^(2^top), the
+    top level that ``skipped_blocks`` compares first for ``blocks`` blocks."""
+    top = (blocks - 1).bit_length()
+    word = math.floor(sampler.skip ** (1 << top) * 2**WORD)
+    lo, hi = sampler.skip_bounds[top]
+    low = word << (SKIP_PRECISION - WORD)
+    assert low < hi and lo < low + (1 << (SKIP_PRECISION - WORD))  # both bounds undecided
+    return top, word
+
+
+def test_a_first_word_on_the_top_skip_level_decides_nothing():
+    sampler = _Sampler(SPARSE_P, Fraction(0), 10**6)
+    top, word = _top_straddle(sampler, 8)
+    assert _skipped(word, WORD, sampler.skip_bounds, SKIP_PRECISION, top) is None
+    # one word below or above leaves the top comparison decided
+    assert _skipped(word - 1, WORD, sampler.skip_bounds, SKIP_PRECISION, top) == 1 << top
+    assert _skipped(word + 1, WORD, sampler.skip_bounds, SKIP_PRECISION, top) is not None
+
+
+@pytest.mark.parametrize("second", [0, MASK])
+def test_an_undecided_top_level_is_decided_by_two_words_at_doubled_precision(monkeypatch,
+                                                                             second):
+    import ghzsim.sampler
+
+    sampler = _Sampler(SPARSE_P, Fraction(0), 10**6)
+    top, word = _top_straddle(sampler, 8)
+    rng, precisions = _Words(word, second), []
+
+    def bounds(skip, levels, precision):
+        precisions.append(precision)
+        return _skip_bounds(skip, levels, precision)
+
+    monkeypatch.setattr(ghzsim.sampler, "_skip_bounds", bounds)
+    # U lies in [low, low + 2^-128); K counts the k <= 8 with U < skip^k
+    low = Fraction(word << WORD | second, 2 ** (2 * WORD))
+    high = low + Fraction(1, 2 ** (2 * WORD))
+    k = sum(high <= sampler.skip**j for j in range(1, 9))
+    assert k == sum(low < sampler.skip**j for j in range(1, 9))  # both words decide it
+    assert sampler.skipped_blocks(rng, 8) == (k if k < 8 else None)
+    assert rng.drawn == 2 and precisions == [2 * SKIP_PRECISION]
+    assert k == (8 if second == 0 else 7)
 
 
 def _word_for(table, value):
