@@ -36,6 +36,7 @@ from .fock import (
     creation,
     derived_codec,
     mapping_codec,
+    not_a_member,
     render_amplitude,
     sequence_codec,
     substitute,
@@ -87,37 +88,19 @@ class ModeTransform(Record):
     def apply(self, state: StatePolynomial) -> StatePolynomial:
         return substitute(state, self)
 
-    def then(self, other: "ModeTransform") -> "ModeTransform":
-        """The composite transform: ``self`` first, then ``other``.
-
-        The composite is defined on the chain's external inputs: a source
-        of ``other`` that ``self`` already produces as an output is an
-        internal mode of the chain (its action is folded into the chained
-        rules), not an independent source of the composite.
-        """
-        consumed = {mode for targets in self.rules.values() for mode, _ in targets}
-        rules: dict = {}
-        for source in self.rules:
-            image = other.apply(self.apply(creation(source)))  # one photon in each term
-            rules[source] = _sorted_targets((mode, c) for ((mode, _),), c in image.terms.items())
-        for source, targets in other.rules.items():
-            if source not in rules and source not in consumed:
-                rules[source] = targets
-        name = f"{self.name}>{other.name}" if self.name and other.name else ""
-        return ModeTransform(rules, name)
-
 
 def _sorted_targets(targets) -> RuleTargets:
     return tuple(sorted(targets, key=lambda kv: kv[0].sort_key))
 
 
 def _make_rules(pairs) -> dict:
-    rules: dict = {}
-    for source, targets in pairs:
-        if source in rules:
-            raise CircuitConfigError(f"duplicate source mode {source}")
-        rules[source] = _sorted_targets(targets)
-    return rules
+    return {source: _sorted_targets(targets) for source, targets in pairs}
+
+
+def _require_beams(call: str, **beams) -> None:
+    for argument, beam in beams.items():
+        if type(beam) is not Beam:
+            raise not_a_member(call, argument, beam, Beam)
 
 
 def _carried_polarizations(beam: Beam) -> Tuple[Polarization, ...]:
@@ -136,6 +119,8 @@ def _output_mode(beam: Beam, pol: Polarization, context: str) -> Mode:
 
 def beamsplitter_5050(input_beam: Beam, out1_beam: Beam, out2_beam: Beam) -> ModeTransform:
     """Polarization-independent 50/50 splitter: in_X -> (out1_X + out2_X)/sqrt2."""
+    _require_beams("beamsplitter_5050", input_beam=input_beam, out1_beam=out1_beam,
+                   out2_beam=out2_beam)
     if len({input_beam, out1_beam, out2_beam}) != 3:
         raise CircuitConfigError("beamsplitter beams must be three distinct labels")
     pairs = []
@@ -158,6 +143,10 @@ def polarizing_beamsplitter(
     reflected into ``transmit_beam``.
     """
     inputs = list(input_beams)
+    for beam in inputs:
+        _require_beams("polarizing_beamsplitter", input_beams=beam)
+    _require_beams("polarizing_beamsplitter", transmit_beam=transmit_beam,
+                   reflect_beam=reflect_beam)
     if not 1 <= len(inputs) <= 2:
         raise CircuitConfigError("a polarizing beamsplitter takes one or two inputs")
     if len(set(inputs)) != len(inputs):
@@ -187,13 +176,11 @@ def half_wave_plate_22_5(input_beam: Beam) -> ModeTransform:
     The arm is V-only by construction; a beam that can carry H is rejected
     as a modeling error.
     """
-    carried = _carried_polarizations(input_beam)
-    if Polarization.H in carried:
+    _require_beams("half_wave_plate_22_5", input_beam=input_beam)
+    if Polarization.H in _carried_polarizations(input_beam):
         raise CircuitConfigError(
             f"half-wave plate arm {input_beam.value!r} must carry only V polarization"
         )
-    if carried != (Polarization.V,):
-        raise CircuitConfigError(f"beam {input_beam.value!r} carries no V polarization")
     source = Mode(input_beam, Polarization.V)
     targets = [(Mode(Beam.A_45, pol), INV_SQRT2) for pol in (Polarization.H, Polarization.V)]
     return ModeTransform(_make_rules([(source, targets)]), name=f"WP({input_beam.value})")
@@ -214,13 +201,25 @@ class OpticalCircuit(Record):
         return state
 
     def compose(self) -> ModeTransform:
-        """Collapse the element list into one equivalent transform."""
+        """Collapse the element list into one equivalent transform: the image
+        under :meth:`apply` of each external input, a source mode that no
+        earlier element produces.  It is named ``a>b>…`` when every element
+        is named, ``""`` when one is not, and ``identity`` when there is none."""
         if not self.elements:
             return ModeTransform({}, name="identity")
-        composite = self.elements[0]
-        for element in self.elements[1:]:
-            composite = composite.then(element)
-        return composite
+        inputs: dict = {}  # an insertion-ordered set
+        produced = set()
+        for element in self.elements:
+            inputs.update(dict.fromkeys(s for s in element.rules if s not in produced))
+            produced.update(mode for targets in element.rules.values() for mode, _ in targets)
+        rules = {
+            source: _sorted_targets(
+                (mode, c) for ((mode, _),), c in self.apply(creation(source)).terms.items()
+            )
+            for source in inputs
+        }
+        names = [element.name for element in self.elements]
+        return ModeTransform(rules, ">".join(names) if all(names) else "")
 
 
 def innsbruck_circuit() -> OpticalCircuit:

@@ -59,6 +59,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _rational_flag(text: str) -> Fraction:
+    # argparse reports a ValueError as "invalid <function> value"; this keeps the reason
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ghzsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,16 +84,16 @@ def build_parser() -> _Parser:
     p.add_argument("--pattern", help='occupation JSON, e.g. {"a_H":1,"g_H":1}')
     command("dump-circuit", "print the element and composed mode transforms")
     p = command("correlations", "exact outcome tables and triple correlations")
-    p.add_argument("--visibility", type=parse_rational)
+    p.add_argument("--visibility", type=_rational_flag)
     p = command("sample", "Monte Carlo event stream (JSON lines)")
     p.add_argument("--pulses", type=int)
-    p.add_argument("--pair-prob", type=parse_rational)
+    p.add_argument("--pair-prob", type=_rational_flag)
     p.add_argument("--seed", type=int)
-    p.add_argument("--loss-prob", type=parse_rational)
+    p.add_argument("--loss-prob", type=_rational_flag)
     p.add_argument("--redefined-trigger", action="store_true")
     p = command("lhv-feasibility", "exact LP against the quantum tables")
-    p.add_argument("--visibility", type=parse_rational)
-    p.add_argument("--slack", type=parse_rational,
+    p.add_argument("--visibility", type=_rational_flag)
+    p.add_argument("--slack", type=_rational_flag,
                    help="cell tolerance; write a negative value as --slack=-1/10")
     p = command("critical-visibility", "exact feasibility boundary from LP certificates")
     p.add_argument("--depth", type=int,

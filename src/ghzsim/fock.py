@@ -640,7 +640,7 @@ class StatePolynomial:
 
     Instances are immutable values; all arithmetic returns new canonical
     polynomials (terms sorted, zero coefficients dropped).  Two polynomials
-    are equal exactly when their term maps are equal.
+    are equal exactly when their term maps are equal; a polynomial is unhashable.
     """
 
     __slots__ = ("_terms",)
@@ -675,9 +675,6 @@ class StatePolynomial:
         if not isinstance(other, StatePolynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):  # pragma: no cover - polynomials are not hashable
-        raise TypeError("StatePolynomial is unhashable")
 
     def __add__(self, other: "StatePolynomial") -> "StatePolynomial":
         merged = dict(self._terms)

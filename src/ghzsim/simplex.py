@@ -87,8 +87,8 @@ def solve_feasibility(
     if not exact(chain(rhs, *rows)):
         raise TypeError("entries must be exact rationals (numbers.Rational)")
 
-    # tableau rows: [structural | artificial | rhs] / den, each row scaled to integers
-    # (an all-int row by its rhs denominator) and flipped so that its rhs is
+    # tableau rows: [structural | artificial | rhs] / den, each row scaled to
+    # integers over the lcm of its denominators and flipped so that its rhs is
     # non-negative.  A repeat of an earlier row, rhs included, is found by its
     # values as given (ints and Fractions hash alike by value): it joins that
     # row's class, and only the first row of a class is scaled and kept
@@ -105,16 +105,10 @@ def solve_feasibility(
             weight[c] += 1
             continue
         sign = -1 if b.numerator < 0 else 1
-        if set(map(type, values)) <= {int}:
-            den, scale = b.denominator, sign * b.denominator
-            row = [scale * v for v in values]
-            row.append(sign * b.numerator)
-        else:
-            row, den = over_one_denominator([*values, b])
-            row = [sign * v for v in row]
+        row, den = over_one_denominator([*values, b])
         weight.append(1)
         flip.append(sign)
-        tableau.append(row)
+        tableau.append([sign * v for v in row])
         dens.append(den)
     m = len(tableau)
     for i, row in enumerate(tableau):

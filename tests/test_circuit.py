@@ -31,6 +31,7 @@ from ghzsim.fock import (
     HV,
     INV_SQRT2,
     ONE,
+    Polarization,
     REFLECT_ARM,
     StatePolynomial,
     TRIGGER,
@@ -79,6 +80,8 @@ def test_gram_check_rejects_nonunitary():
         ModeTransform({BH: ((CH, ONE),), BV: ((CH, ONE),)})
     with pytest.raises(CircuitConfigError):
         ModeTransform({BH: ((CH, gamma_power(1)),)})
+    with pytest.raises(CircuitConfigError, match="duplicate target"):
+        ModeTransform({BH: ((CH, INV_SQRT2), (CH, INV_SQRT2))})
 
 
 def test_pbs1_relabels_the_two_arms():
@@ -104,12 +107,28 @@ def test_pbs_rejects_bad_configurations():
     with pytest.raises(CircuitConfigError):
         # transmit beam cannot carry H: no defined output for an H input
         polarizing_beamsplitter([Beam.A], Beam.A_V, Beam.A_H)
+    for inputs in ([], [Beam.A, Beam.B, Beam.C]):
+        with pytest.raises(CircuitConfigError, match="one or two inputs"):
+            polarizing_beamsplitter(inputs, Beam.Z, Beam.H)
+
+
+@pytest.mark.parametrize("build,argument", [
+    (lambda: beamsplitter_5050("b", Beam.C, Beam.G), "input_beam"),
+    (lambda: beamsplitter_5050(Beam.B, Beam.C, None), "out2_beam"),
+    (lambda: polarizing_beamsplitter(["a"], Beam.A_H, Beam.A_V), "input_beams"),
+    (lambda: polarizing_beamsplitter([Beam.A], Beam.A_H, "a_V"), "reflect_beam"),
+    (lambda: half_wave_plate_22_5("a_V"), "input_beam"),
+    (lambda: half_wave_plate_22_5(Polarization.V), "input_beam"),
+], ids=["splitter input", "splitter output", "pbs input", "pbs output", "plate", "plate pol"])
+def test_an_element_names_the_beam_that_is_not_a_member(build, argument):
+    with pytest.raises(TypeError, match=f": {argument} must be a member of Beam"):
+        build()
 
 
 def test_half_wave_plate_composite_rule():
     waveplate = half_wave_plate_22_5(Beam.A_V)
     pbs2 = polarizing_beamsplitter([Beam.C, Beam.A_45], Beam.Z, Beam.H)
-    composite = waveplate.then(pbs2)
+    composite = OpticalCircuit((waveplate, pbs2)).compose()
     assert composite.rules[REFLECT_ARM] == ((HH, INV_SQRT2), (ZV, INV_SQRT2))
     # square of the rule
     squared = pbs2.apply(waveplate.apply(monomial({REFLECT_ARM: 2})))
@@ -166,13 +185,26 @@ def test_circuit_on_vacuum_unit():
 
 def test_composition_is_associative_and_equals_sequential():
     elements = innsbruck_circuit().elements
-    left = ((elements[0].then(elements[1])).then(elements[2])).then(elements[3])
-    right = elements[0].then(elements[1].then(elements[2].then(elements[3])))
+    def then(a, b):
+        return OpticalCircuit((a, b)).compose()
+
+    left = then(then(then(elements[0], elements[1]), elements[2]), elements[3])
+    right = then(elements[0], then(elements[1], then(elements[2], elements[3])))
     assert left.rules == right.rules
+    assert left.name == right.name == innsbruck_circuit().compose().name
 
     state = trigger_select(two_pair_emission()) + creation(AH) * gamma_power(2) * creation(BH)
     sequential = OpticalCircuit(elements).apply(state)
     assert left.apply(state) == sequential
+
+
+def test_composed_name_joins_the_element_names():
+    elements = innsbruck_circuit().elements
+    assert OpticalCircuit(elements).compose().name == "PBS(a)>WP(a_V)>BS(b)>PBS(c+a_45)"
+    unnamed = ModeTransform(elements[2].rules)
+    assert OpticalCircuit((*elements[:2], unnamed, elements[3])).compose().name == ""
+    assert OpticalCircuit().compose() == ModeTransform({}, name="identity")
+    assert OpticalCircuit(elements[2:3]).compose() == elements[2]
 
 
 def test_norm_preserved_through_whole_circuit():

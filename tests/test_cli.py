@@ -247,6 +247,32 @@ def test_a_depth_past_the_maximum_exits_through_one_envelope(capsys, tmp_path):
     assert len(json.loads(target.read_text())["evaluations"]) == MAX_DEPTH + 2
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("lhv-feasibility", "--visibility"), ("sample", "--pair-prob"),
+    ("sample", "--loss-prob"), ("lhv-feasibility", "--slack"),
+])
+@pytest.mark.parametrize("text,reason", [
+    ("1/0", "Fraction(1, 0)"), ("abc", "Invalid literal"),
+    ("1e-1000000", "more than 4300 digits"),
+])
+def test_a_refused_rational_flag_states_its_reason(capsys, command, flag, text, reason):
+    with pytest.raises(SystemExit) as exit_info:
+        parse_argv([command, f"{flag}={text}"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    error = _one_envelope(captured.err)
+    assert captured.out == "" and error["type"] == "usage"
+    assert error["message"].startswith(f"argument {flag}: not a rational: {text!r} (")
+    assert reason in error["message"]
+
+
+def test_an_unknown_command_exits_through_one_usage_envelope(capsys):
+    assert run(RunConfig("nope")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_envelope(captured.err) == {"type": "usage", "message": "unknown command 'nope'"}
+
+
 def test_the_help_states_the_depth_maximum(capsys):
     from ghzsim.lhv import MAX_DEPTH
 
@@ -820,7 +846,8 @@ def test_a_visibility_past_4300_digits_exits_through_one_envelope():
     done = subprocess.run([*argv, "--visibility", "1e-1000000"], capture_output=True,
                           text=True, env=_child_env(), timeout=60)
     assert done.returncode == 2 and done.stdout == "" and "Traceback" not in done.stderr
-    assert _one_envelope(done.stderr)["type"] == "usage"
+    error = _one_envelope(done.stderr)
+    assert error["type"] == "usage" and "more than 4300 digits" in error["message"]
     done = subprocess.run([*argv, "--visibility", "1e-4000"], capture_output=True,
                           text=True, env=_child_env(), timeout=60)
     assert done.returncode == 0 and done.stderr == ""

@@ -58,6 +58,7 @@ from ghzsim.fock import (
     HV,
     INV_SQRT2,
     Mode,
+    ONE,
     Polarization,
     TRIGGER,
     ZH,
@@ -68,6 +69,7 @@ from ghzsim.fock import (
     monomial,
     over_one_denominator,
     rational,
+    scalar,
     substitute,
 )
 from ghzsim.measurement import all_setting_triples, analyzer_transform
@@ -120,6 +122,8 @@ def test_trigger_select_rejects_non_emission_states():
         trigger_select(creation(GH))
     with pytest.raises(ConfigurationError):
         trigger_select(creation(AH) * creation(ZV))
+    with pytest.raises(ConfigurationError, match="carries no a/b photons"):
+        trigger_select(scalar(ONE))
 
 
 def test_double_trigger_component():
@@ -157,6 +161,7 @@ def test_single_pair_trigger_terms_leave_two_stations_dark():
 
 def test_classify_right():
     assert classify_pattern({TRIGGER: 1, GH: 1, HV: 1, ZV: 1}) == EventClass.right()
+    assert str(EventClass.right()) == "right"
 
 
 def test_classify_wrong_pair():

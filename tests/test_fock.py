@@ -161,6 +161,8 @@ def test_amplitude_rendering():
     assert render_amplitude(SQRT2) == "√2"
     assert render_amplitude(-SQRT2) == "-√2"
     assert render_amplitude(I_UNIT) == "i"
+    assert render_amplitude(Amplitude(0, -1)) == "-i"
+    assert render_amplitude(Amplitude(0, 2)) == "2i"
     assert render_amplitude(Amplitude(1, 1)) == "(1+i)"
     assert render_amplitude(Amplitude(1, 0, Fraction(-1, 2))) == "1 - 1/2·√2"
     assert render_amplitude(ZERO) == "0"
@@ -194,6 +196,11 @@ def test_mode_validation():
 def test_mode_names_the_argument_that_is_not_a_member(beam, polarization, argument):
     with pytest.raises(TypeError, match=f"Mode: {argument} must be a member of"):
         Mode(beam, polarization)
+
+
+def test_mode_refuses_derived_items_that_are_not_its_own():
+    with pytest.raises(TypeError, match="takes the fields beam, polarization"):
+        Mode(Beam.G, Polarization.H, "x", (0, 0))
 
 
 @pytest.mark.parametrize("name", sorted(MODE_BY_NAME))
@@ -235,6 +242,8 @@ def test_as_pattern_takes_int_counts_and_drops_zeros():
     assert as_pattern([(GH, 1), (GH, 1)]) == ((GH, 2),)
     with pytest.raises(ValueError, match="non-negative"):
         as_pattern({GH: -1})
+    with pytest.raises(TypeError, match="keys must be Mode"):
+        as_pattern({"g_H": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +316,8 @@ def test_substitute_square_expands_multinomially():
 def test_substitute_passthrough():
     rule = {BH: ((GH, ONE),)}
     assert substitute(creation(AH), rule) == creation(AH)
+    with pytest.raises(TypeError, match="ModeTransform or a rules mapping"):
+        substitute(creation(AH), 5)
 
 
 def test_filter_terms_partition():
@@ -361,6 +372,17 @@ def test_equal_up_to_phase():
     # a relative phase between terms is not a global phase
     twisted = creation(AH) - creation(AV) * I_UNIT
     assert not equal_up_to_phase(poly, twisted)
+    assert equal_up_to_phase(StatePolynomial(), StatePolynomial())
+
+
+def test_a_polynomial_is_unhashable_and_equals_no_other_type():
+    poly = creation(GH)
+    assert repr(poly) == "StatePolynomial((1)·g_H†)"
+    assert (poly == 1) is False
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(poly)
+    with pytest.raises(TypeError, match="unhashable"):
+        {poly, creation(AH)}
 
 
 def test_render_polynomial_golden():

@@ -512,6 +512,8 @@ def test_table_constructor_enforces_normalization():
     cells = {outcome: Fraction(1, 8) for outcome in OUTCOMES}
     with pytest.raises(ValueError):
         OutcomeTable(SettingTriple.from_code("xxx"), cells, Fraction(1, 2))
+    with pytest.raises(ValueError, match="unknown outcome keys"):
+        OutcomeTable(SettingTriple.from_code("xxx"), {(2, 2, 2): Fraction(1)}, Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,8 @@ def test_when_a_wide_row_is_reduced_never_changes_a_result(system):
 @settings(max_examples=200, deadline=None)
 @given(systems(), st.lists(st.booleans(), min_size=8, max_size=8))
 def test_an_int_row_reads_in_as_its_fractions(system, as_int):
-    # a flagged row is scaled to ints and takes the all-int read-in path; the
-    # same values as Fractions take the general one, with the same result
+    # a flagged row is scaled to ints; the same values as Fractions are read
+    # in the same way, over the lcm of their denominators, with the same result
     rows, rhs = [], []
     for row, b, flag in zip(*system, as_int):
         scale = lcm(*(v.denominator for v in row)) if flag else 1
@@ -350,8 +350,7 @@ def int_systems(draw):
 @given(int_systems())
 def test_an_int_system_solves_as_its_fractions(system):
     # rows are merged on their values as given, ints and Fractions alike, and
-    # only the row that opens a class is scaled: an int row by its rhs
-    # denominator, any other by the lcm of its denominators
+    # only the row that opens a class is scaled, by the lcm of its denominators
     rows, rhs = system
     fractions = [[F(v) for v in row] for row in rows], [F(b) for b in rhs]
     mixed = [[F(v) for v in row] if i % 2 else row for i, row in enumerate(rows)], rhs
