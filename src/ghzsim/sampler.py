@@ -3,10 +3,11 @@
 :func:`ghzsim.events.sample_events` checks its arguments and draws every
 event through :meth:`_Sampler.draw`, the only reader of the tables built
 here.  A ``_Table`` draws a value from integer weights exactly, one 64-bit
-word at a time.  A ``_Sampler`` holds, for one call, the emission table (the
-gap to the next emitting pulse and its component), the survivor tables of
-the loss channel, and the draw chains that link each component to its
-detection table (:func:`_output_table`).
+word at a time, most words through one index into its guide table.  A
+``_Sampler`` holds, for one call, the emission table (the gap to the next
+emitting pulse and its component), the survivor tables of the loss channel,
+and the draw chains that link each component to its detection table
+(:func:`_output_table`).
 
 The two emission laws, which depend on no argument, are derived once per
 process, and so is each detection table, when an event first needs it;
@@ -24,8 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
-from math import comb, prod
+from itertools import accumulate
+from math import comb
 from operator import mul
 from random import Random
 from typing import Dict, Iterable, Iterator, Optional
@@ -61,8 +62,10 @@ EVENT = tuple_codec(("pulse", INT), ("pattern", PATTERN), ("class", EVENT_CLASS)
                     ("veto", BOOL), build=SampledEvent)
 
 WORD = 64  # bits per random word; every draw reads whole words
+GUIDE = 10  # leading bits of a word that index a guided table's guide
 SKIP_PRECISION = 256  # fractional bits of the fixed-precision skip-level bounds
 MAX_BLOCK = 64  # the most pulses one emission-table draw covers
+_UNGUIDED = (None,) * (1 << GUIDE)  # the guide of a table drawn by bisection alone
 
 
 class _Table:
@@ -70,22 +73,35 @@ class _Table:
 
     Value i is drawn with probability (cuts[i] - cuts[i-1]) / den exactly,
     where ``cuts`` are the running sums of the weights and ``den`` the total.
-    A draw reads one word u as the leading bits of a uniform U in [0, 1) and
-    bisects it against ``_leading``, the cut points cuts[i] / den truncated to
-    one word.  U lies between cut points i-1 and i unless u equals the
-    truncated cut point i-1 (for i = 0 that reads the last one, 2^WORD, never
-    u); only then does :meth:`_settle` read further words and compare exactly
-    with the integer cut points.  :meth:`_Sampler.draw` makes its draws inline.
+    A draw reads one word u as the leading bits of a uniform U in [0, 1).
+    ``_guide`` maps u's top GUIDE bits (Chen & Asau's guide table) to the
+    index every word of that bucket draws, or to None when a truncated cut
+    point falls in the bucket; only then is u bisected against ``_leading``,
+    the cut points cuts[i] / den truncated to one word.  U lies between cut
+    points i-1 and i unless u equals the truncated cut point i-1 (for i = 0
+    that reads the last one, 2^WORD, never u); only then does :meth:`_settle`
+    read further words and compare exactly with the integer cut points.  An
+    unguided table (``guided`` false) skips building the guide and always
+    bisects.  :meth:`_Sampler.draw` makes its draws inline.
     """
 
-    __slots__ = ("values", "cuts", "den", "_leading")
+    __slots__ = ("values", "cuts", "den", "_leading", "_guide")
 
-    def __init__(self, weighted: Iterable[tuple]):
+    def __init__(self, weighted: Iterable[tuple], guided: bool = True):
         weighted = [(value, weight) for value, weight in weighted if weight]
         self.values = [value for value, _ in weighted]
         self.cuts = list(accumulate(weight for _, weight in weighted))
         self.den = self.cuts[-1]
         self._leading = [(cut << WORD) // self.den for cut in self.cuts]
+        self._guide = _UNGUIDED
+        if guided:
+            guide = self._guide = []
+            for i, cut in enumerate(self._leading[:-1]):
+                bucket = cut >> (WORD - GUIDE)
+                guide += [i] * (bucket - len(guide))  # the buckets below this cut draw i
+                if bucket == len(guide):
+                    guide.append(None)  # a bucket that holds a cut point bisects
+            guide += [len(self.cuts) - 1] * ((1 << GUIDE) - len(guide))
 
     def _settle(self, rng: Random, value: int) -> int:
         """The index drawn by the words that start with ``value``, a tied first word."""
@@ -111,22 +127,21 @@ def _output_table(component: Pattern) -> _Table:
 _ALL_LOST = ((), classify_pattern(()))  # every photon lost: drawn without a random word
 
 
-def _survivors_table(component: Pattern, loss: Fraction) -> _Table:
+def _survivors_table(component: Pattern, loss: Fraction, guided: bool) -> _Table:
     """(surviving pattern, herald veto) of ``component`` when each photon is
-    removed independently with probability ``loss``; weights over den^n."""
+    removed independently with probability ``loss``; weights over den^n, one
+    row per choice of kept counts, the first mode's count varying slowest."""
     lost, den = loss.numerator, loss.denominator
-    per_mode = [
-        [(mode, kept, comb(count, kept) * (den - lost) ** kept * lost ** (count - kept))
-         for kept in range(count + 1)]
-        for mode, count in component
-    ]
-    photons = sum(count for _, count in component)
-    weighted = []
-    for choice in product(*per_mode):
-        survivors = tuple((mode, kept) for mode, kept, _ in choice if kept)
-        kept = sum(count for _, count in survivors)
-        weighted.append(((survivors, kept < photons), prod(w for _, _, w in choice)))
-    return _Table(weighted)
+    rows = [((), False, 1)]  # (survivors, some photon lost, weight) of the modes so far
+    for mode, count in component:
+        extended = []
+        for survivors, veto, weight in rows:
+            for kept in range(count + 1):
+                w = weight * comb(count, kept) * (den - lost) ** kept * lost ** (count - kept)
+                extended.append((survivors + ((mode, kept),) if kept else survivors,
+                                 veto or kept < count, w))
+        rows = extended
+    return _Table((((survivors, veto), weight) for survivors, veto, weight in rows), guided)
 
 
 def _skip_bounds(skip: Fraction, levels: int, precision: int) -> list:
@@ -145,8 +160,9 @@ def _skipped(value: int, bits: int, bounds: list, precision: int, top: int) -> O
     """K = #{k >= 1 : U < skip^k} capped at 2^top, for U in [value, value + 1) / 2^bits.
 
     A binary search from digit ``top`` down: each digit compares U with the
-    bounds of one power of ``skip``.  None when the bits of U do not decide
-    a comparison.
+    bounds of one power of ``skip``, skip^(k + 2^j) for the digits k found so
+    far; while k = 0 those are level j's own bounds, read with no product.
+    None when the bits of U do not decide a comparison.
     """
     low = value << (precision - bits)
     high = low + (1 << (precision - bits))  # U * 2^precision lies in [low, high)
@@ -155,10 +171,11 @@ def _skipped(value: int, bits: int, bounds: list, precision: int, top: int) -> O
         return 1 << top
     if low < hi:
         return None
-    k, lo, hi = 0, 1 << precision, 1 << precision  # bounds on skip^k * 2^precision
+    k = 0
     for j in reversed(range(top)):
-        lo_j, hi_j = bounds[j]
-        lo_next, hi_next = lo * lo_j >> precision, -(-(hi * hi_j) >> precision)
+        lo_next, hi_next = bounds[j]  # bounds on skip^(k + 2^j) * 2^precision
+        if k:  # times lo, hi: skip^k's bounds; while k = 0 both are 2^precision exactly
+            lo_next, hi_next = lo * lo_next >> precision, -(-(hi * hi_next) >> precision)
         if high <= lo_next:  # U < skip^(k + 2^j)
             k, lo, hi = k + (1 << j), lo_next, hi_next
         elif low < hi_next:
@@ -187,7 +204,7 @@ class _Sampler:
 
     ``steps`` holds, for each value of ``emission``, None (the block emits
     nothing) or (offset, chain), the component's draw chain resolved once per
-    call.  With loss the chain is the survivor draw (truncated cut points,
+    call.  With loss the chain is the survivor draw (the guide,
     (output link, herald veto) per value, and the table); without loss it is
     the component's output link.  An output link is [table, component], its
     table None until the first event that needs it; a fully lost component
@@ -218,12 +235,14 @@ class _Sampler:
         self.dense = 2 * self.skip <= 1
         if self.dense:  # one joint table; None skips the whole block
             self.emission = _Table([*offsets, (None, q_powers[block] * common)])
-        else:  # the emitting block comes from the skip levels, then this table
-            self.emission = _Table(offsets)
+        else:  # the emitting block comes from the skip levels, then this table; the
+            # skip search dominates a sparse event, so a guide would not pay for its build
+            self.emission = _Table(offsets, guided=False)
             levels = (-(-pulses // block) - 1).bit_length() + 1
             self.skip_bounds = _skip_bounds(self.skip, levels, SKIP_PRECISION)
-        # per emission component, (surviving pattern, herald veto); none without loss
-        self.survivors = {c: _survivors_table(c, loss_prob)
+        # per emission component, (surviving pattern, herald veto); none without
+        # loss, and guided when the emission table is
+        self.survivors = {c: _survivors_table(c, loss_prob, self.dense)
                           for c in (*one_pair, *two_pair) if loss_prob}
         links: Dict[Pattern, list] = {}  # one output link per surviving component
 
@@ -232,7 +251,7 @@ class _Sampler:
 
         # one chain per entry of ``per_pulse``, so ``steps`` follows the order of ``offsets``
         if loss_prob:
-            chains = [(table._leading, [(link(kept), veto) for kept, veto in table.values], table)
+            chains = [(table._guide, [(link(kept), veto) for kept, veto in table.values], table)
                       for table in (self.survivors[c] for c, _ in per_pulse)]
         else:
             chains = [link(c) for c, _ in per_pulse]
@@ -271,13 +290,18 @@ class _Sampler:
         exact conditional distribution behind the circuit.  Every draw is
         decided from 64-bit random words against integer weights, so the
         sampled law is the rational law exactly, and the work of a call grows
-        with the events it emits, not with ``pulses``.
+        with the events it emits, not with ``pulses``.  A word's top GUIDE
+        bits name the drawn value through the table's guide unless a cut
+        point falls in their bucket; only then is the word bisected, so a
+        guide changes which steps run, never which value a word draws.
         """
         # each event reads its chain from ``steps``, so no per-event lookup is
-        # keyed by a pattern; each draw bisects one word, and settles a tie
+        # keyed by a pattern; each draw looks one word up in a guide, and only
+        # in a bucket that holds a cut point bisects it and settles a tie
         getrandbits, skipped_blocks, pulses = rng.getrandbits, self.skipped_blocks, self.pulses
         emission, steps, block = self.emission, self.steps, self.block
-        emission_cuts, dense, lossy = emission._leading, self.dense, bool(self.survivors)
+        emission_guide, dense, lossy = emission._guide, self.dense, bool(self.survivors)
+        shift = WORD - GUIDE
         new, event_type = tuple.__new__, SampledEvent  # an event is built in C, with no frame
         pulse = 0
         while pulse < pulses:
@@ -287,9 +311,10 @@ class _Sampler:
                     return
                 pulse += blocks * block
             u = getrandbits(WORD)
-            i = bisect_right(emission_cuts, u)
-            if emission_cuts[i - 1] == u:
-                i = emission._settle(rng, u)
+            if (i := emission_guide[u >> shift]) is None:
+                i = bisect_right(emission._leading, u)
+                if emission._leading[i - 1] == u:
+                    i = emission._settle(rng, u)
             step = steps[i]
             if step is None:  # the whole block emits nothing
                 pulse += block
@@ -300,11 +325,12 @@ class _Sampler:
                 return
             veto = False
             if lossy:
-                cuts, survivors, table = chain
+                guide, survivors, table = chain
                 u = getrandbits(WORD)
-                i = bisect_right(cuts, u)
-                if cuts[i - 1] == u:
-                    i = table._settle(rng, u)
+                if (i := guide[u >> shift]) is None:
+                    i = bisect_right(table._leading, u)
+                    if table._leading[i - 1] == u:
+                        i = table._settle(rng, u)
                 chain, veto = survivors[i]
             if chain is None:
                 pattern, event_class = _ALL_LOST
@@ -312,11 +338,11 @@ class _Sampler:
                 table = chain[0]
                 if table is None:
                     table = chain[0] = _output_table(chain[1])
-                cuts = table._leading
                 u = getrandbits(WORD)
-                i = bisect_right(cuts, u)
-                if cuts[i - 1] == u:
-                    i = table._settle(rng, u)
+                if (i := table._guide[u >> shift]) is None:
+                    i = bisect_right(table._leading, u)
+                    if table._leading[i - 1] == u:
+                        i = table._settle(rng, u)
                 pattern, event_class = table.values[i]
             yield new(event_type, (pulse, pattern, event_class, veto))
             pulse += 1

@@ -75,17 +75,19 @@ from ghzsim.fock import (
 from ghzsim.measurement import all_setting_triples, analyzer_transform
 from ghzsim.sampler import (
     EVENT,
+    GUIDE,
     MAX_BLOCK,
     SKIP_PRECISION,
     WORD,
     SampledEvent,
     summarize_events,
     _Sampler,
+    _Table,
     _output_table,
     _skip_bounds,
     _skipped,
 )
-from reference import pattern_distribution
+from reference import pattern_distribution, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +727,19 @@ def test_sparse_chunk_stream_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SPARSE_CHUNK_DIGEST
 
 
+# (events, random words read) of the two pinned chunks, as the sampler drew
+# them before its draws read a guide and its skip search dropped the products
+# by 2^precision: a cheaper draw reads the same words
+@pytest.mark.parametrize("pulses,p,chunk,loss,events,words", [
+    (50000, Fraction(1, 20), 0, Fraction(1, 10), 2600, 10367),
+    (10**6, Fraction(1, 10**4), 1, Fraction(0), 98, 295),
+])
+def test_each_pinned_chunk_reads_a_pinned_number_of_words(pulses, p, chunk, loss, events, words):
+    rng = _CountingRandom(derived_seed(1, chunk))
+    assert len(list(_Sampler(p, loss, pulses).draw(rng))) == events
+    assert len(rng.calls) == words and {bits for bits, _ in rng.calls} == {WORD}
+
+
 # ---------------------------------------------------------------------------
 # the sampler's exact law, checked without a seed
 # ---------------------------------------------------------------------------
@@ -879,6 +894,55 @@ def test_an_undecided_top_level_is_decided_by_two_words_at_doubled_precision(mon
     assert k == (8 if second == 0 else 7)
 
 
+def _sparse_chunk_search():
+    """(sampler, top) of a sparse perfbench-shaped chunk's first skip search."""
+    sampler = _Sampler(SPARSE_P, Fraction(0), 10**6)
+    return sampler, (-(-10**6 // sampler.block) - 1).bit_length()
+
+
+def test_the_skip_search_is_the_reference_search_on_seeded_words():
+    sampler, top = _sparse_chunk_search()
+    rng = random.Random(41)
+    found = Counter()
+    for _ in range(10**4):
+        value = rng.getrandbits(WORD)
+        k = _skipped(value, WORD, sampler.skip_bounds, SKIP_PRECISION, top)
+        assert k == skipped(value, WORD, sampler.skip_bounds, SKIP_PRECISION, top)
+        found[k is None, k == 0, k == 1 << top] += 1
+    assert found[False, False, False] > 9000  # most words search every level
+
+
+def _compared_bounds(bounds, precision, top):
+    """The bounds on skip^m * 2^precision that the search compares U with once
+    K has reached m, for m = 2^j and m = 2^top - 2^j, and the top level's own."""
+    compared = set(bounds[top])
+    for m in {1 << j for j in range(top)} | {(1 << top) - (1 << j) for j in range(top)}:
+        lo = hi = 1 << precision
+        for j in reversed(range(top)):
+            if m >> j & 1:
+                lo, hi = lo * bounds[j][0] >> precision, -(-(hi * bounds[j][1]) >> precision)
+        compared |= {lo, hi}
+    return sorted(compared)
+
+
+@pytest.mark.parametrize("precision", [SKIP_PRECISION, 2 * SKIP_PRECISION])
+def test_the_skip_search_is_the_reference_search_on_every_bound(precision):
+    # U's leading words on each compared bound and one unit beside it, from
+    # one word to the bound's full precision: the search and the reference
+    # return the same K or the same None
+    sampler, top = _sparse_chunk_search()
+    bounds = _skip_bounds(sampler.skip, top + 1, precision)
+    results = Counter()
+    for bound in _compared_bounds(bounds, precision, top):
+        for bits in range(WORD, precision + 1, WORD):
+            for d in (-1, 0, 1):
+                value = (bound >> (precision - bits)) + d
+                k = _skipped(value, bits, bounds, precision, top)
+                assert k == skipped(value, bits, bounds, precision, top), (bound, bits, d)
+                results[k is None] += 1
+    assert results[True] and results[False]
+
+
 def _word_for(table, value):
     """A word that draws ``value`` from ``table`` on the fast path."""
     i = table.values.index(value)
@@ -1012,6 +1076,58 @@ def _draw(table, rng):
     return table.values[table._settle(rng, u)]
 
 
+def _guided_draw(table, rng):
+    """One draw as ``_Sampler.draw`` makes it inline: the word's guide entry,
+    and only when that is None the bisection and the tie rule of :func:`_draw`."""
+    u = rng.getrandbits(WORD)
+    i = table._guide[u >> (WORD - GUIDE)]
+    if i is None:
+        i = bisect_right(table._leading, u)
+        if table._leading[i - 1] == u:
+            i = table._settle(rng, u)
+    return table.values[i]
+
+
+def _guided_tables():
+    """The guided tables of a dense call: its emission table without and with
+    loss, the survivor tables at loss 1/10, every detection table a dense
+    chunk can build, and hand-built tables whose truncated cut points are 0
+    (once and twice), on a bucket's first word and on its last word."""
+    bucket = 1 << (WORD - GUIDE)
+    lossy = _Sampler(DENSE_P, Fraction(1, 10), 50000)
+    tables = [_Sampler(DENSE_P, Fraction(0), 50000).emission, lossy.emission,
+              *lossy.survivors.values()]
+    tables += [_output_table(kept) for table in lossy.survivors.values()
+               for kept, _ in table.values if kept]
+    tables += [_Table(enumerate(weights)) for weights in (
+        [1, 2**70], [1, 1, 2**80], [1, (1 << GUIDE) - 1], [bucket - 1, 2**WORD - bucket + 1],
+        [2**WORD - 1, 1], [5])]
+    return tables
+
+
+def test_the_guide_draws_every_edge_word_as_bisection():
+    shift, tables = WORD - GUIDE, _guided_tables()
+    assert len(tables) > 30
+    leading = [table._leading[:-1] for table in tables[-6:]]
+    assert leading[:2] == [[0], [0, 0]] and leading[-1] == []
+    assert leading[2:5] == [[1 << shift], [(1 << shift) - 1], [MASK]]
+    for table in tables:
+        # a bucket is None exactly when a truncated cut point lies in it
+        assert len(table._guide) == 1 << GUIDE
+        assert {b for b, i in enumerate(table._guide) if i is None} == {
+            cut >> shift for cut in table._leading[:-1]}
+        edges = {u for b in range(1 << GUIDE) for u in (b << shift, ((b + 1) << shift) - 1)}
+        edges |= {cut + d for cut in table._leading[:-1] for d in (-1, 0, 1)}
+        for u in sorted(u for u in edges if 0 <= u <= MASK):
+            i = table._guide[u >> shift]
+            if i is not None:  # every word of a cut-free bucket draws i, with no tie
+                assert i == bisect_right(table._leading, u) and table._leading[i - 1] != u
+            for last in (0, MASK):
+                rng, reference = _Words(u, last), _Words(u, last)
+                assert _guided_draw(table, rng) == _draw(table, reference)
+                assert rng.drawn == reference.drawn
+
+
 def _next_emission(sampler, rng, pulse, pulses):
     """(index, component) of the first emitting pulse from ``pulse`` on, or
     None when there is none below ``pulses``."""
@@ -1087,6 +1203,13 @@ LOSSES = (st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2), Fractio
 def test_the_regimes_cover_both_gap_paths():
     assert [_Sampler(p, Fraction(0), pulses).dense for p, pulses in REGIMES] == [
         True, True, False, False]
+
+
+@pytest.mark.parametrize("p,pulses", REGIMES)
+def test_only_a_dense_call_guides_its_emission_and_survivor_tables(p, pulses):
+    sampler = _Sampler(p, Fraction(1, 10), pulses)
+    for table in (sampler.emission, *sampler.survivors.values()):
+        assert any(i is not None for i in table._guide) == sampler.dense
 
 
 @settings(max_examples=60, deadline=None)

@@ -100,9 +100,11 @@ def test_only_the_detector_readout_names_the_trigger_mode():
     assert places == {"fock.py", "events.py"}
 
 
-# the sampler's private table layout: its tables' word-sized cut points and tie
-# break, the all-lost draw, the detection-table cache and the word size
-SAMPLER_INTERNALS = {"_leading", "_settle", "_ALL_LOST", "_output_table", "WORD"}
+# the sampler's private table layout: its tables' word-sized cut points, guides
+# and tie break, the all-lost draw, the detection-table cache, the word size,
+# the guide size and the guide of an unguided table
+SAMPLER_INTERNALS = {"_leading", "_guide", "_settle", "_ALL_LOST", "_output_table", "WORD",
+                     "GUIDE", "_UNGUIDED"}
 
 
 def test_only_the_sampler_reads_its_tables():
