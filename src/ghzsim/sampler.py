@@ -127,7 +127,7 @@ def _output_table(component: Pattern) -> _Table:
 _ALL_LOST = ((), classify_pattern(()))  # every photon lost: drawn without a random word
 
 
-def _survivors_table(component: Pattern, loss: Fraction, guided: bool) -> _Table:
+def _survivors_table(component: Pattern, loss: Fraction) -> _Table:
     """(surviving pattern, herald veto) of ``component`` when each photon is
     removed independently with probability ``loss``; weights over den^n, one
     row per choice of kept counts, the first mode's count varying slowest."""
@@ -141,7 +141,7 @@ def _survivors_table(component: Pattern, loss: Fraction, guided: bool) -> _Table
                 extended.append((survivors + ((mode, kept),) if kept else survivors,
                                  veto or kept < count, w))
         rows = extended
-    return _Table((((survivors, veto), weight) for survivors, veto, weight in rows), guided)
+    return _Table((((survivors, veto), weight) for survivors, veto, weight in rows))
 
 
 def _skip_bounds(skip: Fraction, levels: int, precision: int) -> list:
@@ -240,9 +240,8 @@ class _Sampler:
             self.emission = _Table(offsets, guided=False)
             levels = (-(-pulses // block) - 1).bit_length() + 1
             self.skip_bounds = _skip_bounds(self.skip, levels, SKIP_PRECISION)
-        # per emission component, (surviving pattern, herald veto); none without
-        # loss, and guided when the emission table is
-        self.survivors = {c: _survivors_table(c, loss_prob, self.dense)
+        # per emission component, (surviving pattern, herald veto); none without loss
+        self.survivors = {c: _survivors_table(c, loss_prob)
                           for c in (*one_pair, *two_pair) if loss_prob}
         links: Dict[Pattern, list] = {}  # one output link per surviving component
 

@@ -1206,10 +1206,9 @@ def test_the_regimes_cover_both_gap_paths():
 
 
 @pytest.mark.parametrize("p,pulses", REGIMES)
-def test_only_a_dense_call_guides_its_emission_and_survivor_tables(p, pulses):
+def test_only_a_dense_call_guides_its_emission_table(p, pulses):
     sampler = _Sampler(p, Fraction(1, 10), pulses)
-    for table in (sampler.emission, *sampler.survivors.values()):
-        assert any(i is not None for i in table._guide) == sampler.dense
+    assert any(i is not None for i in sampler.emission._guide) == sampler.dense
 
 
 @settings(max_examples=60, deadline=None)
