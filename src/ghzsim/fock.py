@@ -411,8 +411,12 @@ class Record(tuple):
 
     def __new__(cls, *args: Any, **kwargs: Any) -> "Record":
         """Bind ``_fields`` as a dataclass's ``__init__`` does; a missing, extra
-        or unknown field raises ``TypeError``."""
+        or unknown field raises ``TypeError``.  A call with every field by
+        position and none by name is the tuple of its arguments, built by
+        ``tuple.__new__`` in C; any other call builds the name map and checks it."""
         fields = cls._fields
+        if not kwargs and len(args) == len(fields):
+            return tuple.__new__(cls, args)
         named = {**dict(zip(fields, args)), **kwargs}
         if len(args) + len(kwargs) != len(fields) or named.keys() != set(fields):
             raise TypeError(f"{cls.__qualname__}() takes the fields "

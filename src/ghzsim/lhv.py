@@ -62,6 +62,7 @@ from .fock import (
     derived_codec,
     exact,
     mapping_codec,
+    not_a_member,
     over_common_denominator,
     over_one_denominator,
     require_type,
@@ -96,6 +97,7 @@ class TargetFormatError(GhzsimError):
 
 
 TRIPLES = all_setting_triples()
+CODES = tuple(triple.code for triple in TRIPLES)
 VALUES = (1, -1, 0)
 
 
@@ -263,20 +265,20 @@ class FeasibilityProblem(Record):
         targets, slack = tuple(targets), Fraction(slack)
         if slack < 0:
             raise TargetFormatError("slack must be non-negative")
+        for t in targets:
+            if not isinstance(t, OutcomeTable):
+                raise not_a_member("FeasibilityProblem", "a target", t, OutcomeTable)
         by_code = {t.settings.code: t for t in targets}
-        if len(targets) != len(TRIPLES) or set(by_code) != {
-            t.code for t in TRIPLES
-        }:
+        if len(targets) != len(CODES) or by_code.keys() != set(CODES):
             raise TargetFormatError("targets must cover all 8 setting triples once")
-        masses = {t.wrong_mass for t in targets}
-        if len(masses) != 1:
-            raise TargetFormatError(
-                f"wrong mass must be setting-independent, got {sorted(masses)}"
-            )
-        # each table's cells, then the right mass: e less the scaled wrong mass
-        scaled, e = over_common_denominator([by_code[t.code].integer_form for t in TRIPLES])
+        # each table's cells and wrong mass over e; equal masses have equal numerators
+        scaled, e = over_common_denominator([by_code[code].integer_form for code in CODES])
+        wrong = scaled[0][-1]
+        if any(nums[-1] != wrong for nums in scaled):
+            masses = sorted({t.wrong_mass for t in targets})
+            raise TargetFormatError(f"wrong mass must be setting-independent, got {masses}")
         cells = [n for nums in scaled for n in nums[:-1]]
-        cells.append(e - scaled[0][-1])
+        cells.append(e - wrong)  # the right mass
         return tuple.__new__(cls, (targets, slack, (tuple(cells), e)))
 
     def table(self, triple: SettingTriple) -> OutcomeTable:
@@ -351,7 +353,7 @@ def _incidence() -> Tuple[Tuple[CertificateKey, ...], Incidence]:
         g, h, z = (5 - 2 * k - (t >> 2 - k & 1) for k in range(3))
         for j in range(64):
             rows[8 * t + ((j >> g & 1) << 2 | (j >> h & 1) << 1 | j >> z & 1)][j] = 1
-    keys = product([triple.code for triple in TRIPLES], map(outcome_code, OUTCOMES))
+    keys = product(CODES, map(outcome_code, OUTCOMES))
     return (*keys, ("mass", "")), (*map(tuple, rows), (1,) * 64)
 
 
@@ -494,6 +496,8 @@ def lhv_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     class column's value over the class size, which the solve makes
     non-positive.
     """
+    if not isinstance(problem, FeasibilityProblem):
+        raise not_a_member("lhv_feasibility", "problem", problem, FeasibilityProblem)
     columns, rows, rhs, scale = _reduced_system(problem)
     result = solve_feasibility(rows, rhs)
     if result.feasible:

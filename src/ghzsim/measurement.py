@@ -44,7 +44,7 @@ from functools import lru_cache
 from itertools import product, repeat
 from math import gcd, isqrt
 from operator import itemgetter
-from typing import List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .circuit import ModeTransform
 from .events import STATIONS, _STATION_READOUT, Outcome, Station, heralded_state, read_pattern
@@ -212,6 +212,8 @@ class OutcomeTable(Record):
 
     def __new__(cls, settings: SettingTriple, probabilities: Mapping[Outcome, Fraction],
                 wrong_mass: Fraction):
+        if not isinstance(settings, SettingTriple):
+            raise not_a_member("OutcomeTable", "settings", settings, SettingTriple)
         values = [probabilities.get(outcome, 0) for outcome in OUTCOMES] + [wrong_mass]
         if not exact(values):
             raise TypeError("cells and wrong mass must be exact rationals (numbers.Rational)")
@@ -320,22 +322,35 @@ def add_noise(table: OutcomeTable, visibility: Fraction) -> OutcomeTable:
     Right cells become ``V*p + (1−V)*(1−wrong_mass)/8``; the wrong mass is
     untouched, so conditional correlations scale by exactly ``V``, which
     must pass :func:`ghzsim.fock.exact` (a float or a ``bool`` raises
-    ``TypeError``).  The noisy table is built from ``table.integer_form``,
-    one value per distinct cell (an ideal table has at most two), and passes
-    the tables' one check, :func:`_table_form`.
+    ``TypeError``).  The noisy table is :func:`_mix_noise` of this one table:
+    built from ``table.integer_form``, one value per distinct cell (an ideal
+    table has at most two), and passed through the tables' one check,
+    :func:`_table_form`.
     """
-    return _mix_noise(table, *_checked_visibility(visibility))
+    return _mix_noise((table,), *_checked_visibility(visibility))[0]
 
 
-def _mix_noise(table: OutcomeTable, a: int, b: int) -> OutcomeTable:
-    """:func:`add_noise` at the visibility ``a/b``, already checked."""
+def _mix_noise(tables: Sequence[OutcomeTable], a: int, b: int) -> Tuple[OutcomeTable, ...]:
+    """:func:`add_noise` of each of ``tables`` at the visibility ``a/b``, already checked, in
+    one pass.  A noisy cell reads only its input cell (p, wrong, d): p/d in a table whose
+    integer form has wrong mass wrong/d.  So the call builds one ``Fraction`` per input
+    cell, shared by the equal cells of every table; each noisy table keeps its input's
+    wrong mass."""
     # V = a/b; over the table's denominator d, cell p/d and right mass r/d,
     # the noisy cell is (8a·p + (b−a)·r) / (8b·d), and the wrong mass 8b·wrong
-    (*nums, wrong), d = table.integer_form
-    noise, den = (b - a) * (d - wrong), 8 * b * d
-    noisy = {p: Fraction(8 * a * p + noise, den) for p in set(nums)}
-    return _table(table.settings, [*map(noisy.get, nums), table.wrong_mass],
-                  [*(8 * a * p + noise for p in nums), 8 * b * wrong], den)
+    built: Dict[Tuple[int, int], Dict[int, Fraction]] = {}  # (wrong, d) → p → noisy cell
+    noisy = []
+    for table in tables:
+        (*nums, wrong), d = table.integer_form
+        noise, den = (b - a) * (d - wrong), 8 * b * d
+        cells = [8 * a * p + noise for p in nums]
+        values = built.setdefault((wrong, d), {})
+        for p, n in zip(nums, cells):
+            if p not in values:
+                values[p] = Fraction(n, den)
+        noisy.append(_table(table.settings, [*map(values.get, nums), table.wrong_mass],
+                            [*cells, 8 * b * wrong], den))
+    return tuple(noisy)
 
 
 SETTING_TRIPLE = (lambda triple: triple.code, lambda code: SettingTriple.from_code(TEXT[1](code)))
@@ -366,7 +381,7 @@ def quantum_targets(
     """The eight outcome tables at the given fringe visibility, checked once."""
     a, b = _checked_visibility(visibility)
     require_type(bool, conjugate, "quantum_targets: conjugate must be a bool")
-    return tuple(_mix_noise(t, a, b) for t in _ideal_tables(conjugate))
+    return _mix_noise(_ideal_tables(conjugate), a, b)
 
 
 # (visibility, tables), with the correlations derived from the tables

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -278,12 +279,29 @@ def test_mismatched_wrong_mass_is_rejected():
         {o: Fraction(1, 16) for o in OUTCOMES},
         Fraction(1, 2),
     )
-    with pytest.raises(TargetFormatError):
+    with pytest.raises(TargetFormatError, match=re.escape(
+            "wrong mass must be setting-independent, got [Fraction(1, 2), Fraction(3, 4)]")):
         FeasibilityProblem([changed] + list(targets[1:]))
     # coverage must be the 8 distinct triples
     with pytest.raises(TargetFormatError):
         FeasibilityProblem(list(targets[:7]) + [targets[6]])
     FeasibilityProblem(mangled)  # same wrong mass, different cells: well-formed
+
+
+@pytest.mark.parametrize("stranger", [{}, None, "xxx", (1,) * 3])
+def test_a_problem_refuses_a_target_that_is_not_a_table(stranger):
+    targets = list(quantum_targets())
+    for mangled in ([stranger] * 8, targets[:7] + [stranger]):
+        with pytest.raises(TypeError, match="FeasibilityProblem: a target must be a member of "
+                                            "OutcomeTable"):
+            FeasibilityProblem(mangled)
+
+
+@pytest.mark.parametrize("stranger", [quantum_targets(), None, {}])
+def test_a_verdict_refuses_a_problem_that_is_not_a_problem(stranger):
+    with pytest.raises(TypeError, match="lhv_feasibility: problem must be a member of "
+                                        "FeasibilityProblem"):
+        lhv_feasibility(stranger)
 
 
 def test_noiseless_targets_are_infeasible_with_verified_certificate():
@@ -993,6 +1011,42 @@ def test_traced_layers_stay_module_attributes_that_lhv_calls_through(monkeypatch
     # certificate from V = 1 once in its verdict and once for its intercept
     assert calls == {"feasibility_at_visibility": 3, "solve_feasibility": 3,
                      "quantum_targets": 4, "evaluate_certificate": 2, "lemma_check": 1}
+
+
+def _fraction_calls(monkeypatch, run):
+    """The calls ``run()`` makes to ``Fraction.__hash__`` and ``Fraction.__new__``,
+    after a first run that fills every cache."""
+    run()
+    calls = Counter()
+    real_new, real_hash = Fraction.__new__, Fraction.__hash__
+
+    def new(cls, *args, **kwargs):
+        calls["new"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def hash_(self):
+        calls["hash"] += 1
+        return real_hash(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", new)
+        patch.setattr(Fraction, "__hash__", hash_)
+        run()
+    return calls["hash"], calls["new"]
+
+
+def test_a_verdict_hashes_no_fraction_and_builds_each_noisy_cell_once(monkeypatch):
+    v = Fraction(3129, 4439)
+    targets = _fraction_calls(monkeypatch, lambda: quantum_targets(v))
+    verdict = _fraction_calls(monkeypatch, lambda: lhv_feasibility(
+        FeasibilityProblem(quantum_targets(Fraction(3129, 4439)))))
+    search = _fraction_calls(monkeypatch, lambda: critical_visibility(8))
+    # (hashes, builds); the verdict's builds count its own V.  The targets build one
+    # Fraction per distinct noisy cell of the eight tables
+    assert targets == (0, 3)
+    assert verdict[0] == search[0] == 0
+    if not hasattr(Fraction, "_from_coprime_ints"):  # arithmetic builds through __new__
+        assert (verdict, search) == ((0, 20), (0, 80))
 
 
 def test_an_outcome_names_whether_its_evidence_verified():

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghzsim import measurement
 from ghzsim.circuit import innsbruck_circuit
@@ -64,6 +64,7 @@ from ghzsim.measurement import (
     correlation,
     correlation_from_table,
     outcome_distribution,
+    quantum_targets,
 )
 from reference import pattern_distribution, preserves_single_photon_norms, to_fraction
 from statevector_oracle import oracle_correlation, oracle_distribution
@@ -516,6 +517,13 @@ def test_table_constructor_enforces_normalization():
         OutcomeTable(SettingTriple.from_code("xxx"), {(2, 2, 2): Fraction(1)}, Fraction(0))
 
 
+@pytest.mark.parametrize("settings", ["xxx", None, ("x", "x", "x"), Station.G])
+def test_a_table_refuses_settings_that_are_not_a_triple(settings):
+    with pytest.raises(TypeError, match="OutcomeTable: settings must be a member of "
+                                        "SettingTriple"):
+        OutcomeTable(settings, {(1, 1, 1): 1}, 0)
+
+
 # ---------------------------------------------------------------------------
 # visibility mixing
 # ---------------------------------------------------------------------------
@@ -611,6 +619,20 @@ def test_a_noisy_table_built_from_integers_is_the_fraction_formula(table, visibi
     noisy = add_noise(table, visibility)
     assert noisy == reference and repr(noisy) == repr(reference)
     assert noisy.integer_form == reference.integer_form == form
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(0, 1, max_denominator=10**6), st.booleans())
+@example(Fraction(0), False)
+@example(Fraction(0), True)
+@example(Fraction(1), False)
+@example(Fraction(1), True)
+def test_the_targets_are_the_ideal_tables_each_with_noise_added(visibility, conjugate):
+    # one pass over the eight tables shares each noisy cell; one table at a time builds its own
+    targets = quantum_targets(visibility, conjugate)
+    one_by_one = tuple(add_noise(t, visibility) for t in _ideal_tables(conjugate))
+    assert targets == one_by_one and repr(targets) == repr(one_by_one)
+    assert [t.integer_form for t in targets] == [t.integer_form for t in one_by_one]
 
 
 def _fraction_correlation(table):
